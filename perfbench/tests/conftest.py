@@ -1,0 +1,7 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+# the benchmark's modules import each other by bare name, as run.py does,
+# and the program is imported from the checkout's source tree
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
