@@ -595,10 +595,12 @@ class MerchandiserPolicy(PlacementPolicy):
                 return list(inst.footprint.objects)
         return []
 
-    def _task_r_dram(self, ctx: EngineContext, tid: str) -> float:
-        """Current access-weighted DRAM fraction of a task."""
+    def _task_r_dram(
+        self, ctx: EngineContext, tid: str, fractions: dict[str, float]
+    ) -> float:
+        """Access-weighted DRAM fraction of a task, given the page table's
+        per-object ``fractions`` (:meth:`PageTable.access_fractions`)."""
         assert ctx.region is not None
-        fractions = ctx.page_table.access_fractions()
         for inst in ctx.region.instances:
             if inst.task_id != tid:
                 continue
@@ -738,6 +740,19 @@ class MerchandiserPolicy(PlacementPolicy):
         for inst in ctx.region.instances:
             for acc in inst.footprint.accesses:
                 accessors.setdefault(acc.obj, []).append(inst.task_id)
+        # nothing moves during the scan: the fractions are read at most once
+        # and each task's r_dram is computed at most once
+        fractions: dict[str, float] | None = None
+        r_dram: dict[str, float] = {}
+
+        def task_r_dram(tid: str) -> float:
+            nonlocal fractions
+            if tid not in r_dram:
+                if fractions is None:
+                    fractions = ctx.page_table.access_fractions()
+                r_dram[tid] = self._task_r_dram(ctx, tid, fractions)
+            return r_dram[tid]
+
         moves: list[tuple[str, np.ndarray, bool]] = []
         for name, idx in hot:
             tasks = accessors.get(name, [])
@@ -745,7 +760,7 @@ class MerchandiserPolicy(PlacementPolicy):
                 # the paper's gate: skip pages whose accessing tasks have
                 # all reached their DRAM-access goals
                 reached = all(
-                    self._task_r_dram(ctx, tid)
+                    task_r_dram(tid)
                     >= min(1.0, self._quota_targets.get(tid, 1.0) * self.gate_margin)
                     - 1e-9
                     for tid in tasks
@@ -773,7 +788,7 @@ class MerchandiserPolicy(PlacementPolicy):
         for inst in ctx.region.instances:
             tid = inst.task_id
             over = (
-                self._task_r_dram(ctx, tid)
+                self._task_r_dram(ctx, tid, fractions)
                 > self._quota_targets.get(tid, 1.0) + 1e-9
             )
             for acc in inst.footprint.accesses:

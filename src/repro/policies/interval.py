@@ -61,22 +61,24 @@ class IntervalReconfigPolicy(PlacementPolicy):
         rates = ctx.page_access_rates()
         sample = table.sample_pages(self.sample_pages, rng=self._rng)
         names: list[str] = []
+        ids: list[np.ndarray] = []
         pages: list[np.ndarray] = []
         heat: list[np.ndarray] = []
+        tiers: list[np.ndarray] = []
         for name, idx in sample:
             idx = np.unique(idx)
             r = rates.get(name)
             if r is None:
                 continue
-            names.extend([name] * len(idx))
+            ids.append(np.full(len(idx), len(names)))
+            names.append(name)
             pages.append(idx)
             heat.append(r[idx])
+            tiers.append(page_tiers(table, name)[idx])
         if not pages:
             return
         all_pages = np.concatenate(pages)
-        all_heat = np.concatenate(heat)
-        name_arr = np.array(names)
-        rank = np.argsort(-all_heat, kind="stable")
+        rank = np.argsort(-np.concatenate(heat), kind="stable")
 
         # capacity per tier for the sampled population: scale each tier's
         # page capacity by the sample's share of all pages, so the sampled
@@ -88,27 +90,24 @@ class IntervalReconfigPolicy(PlacementPolicy):
         else:
             dram_cap = table.dram_capacity_bytes // PAGE_SIZE
             caps = [max(1, int(dram_cap * frac)), len(all_pages)]
-        current = {name: page_tiers(table, name) for name in set(names)}
-        queue: list[tuple[str, np.ndarray, int]] = []
-        tier, left = 0, caps[0]
-        for i in rank:
-            while left <= 0 and tier < n - 1:
-                tier += 1
-                left = caps[tier]
-            name = name_arr[i]
-            page = int(all_pages[i])
-            left -= 1
-            if current[name][page] != tier:
-                queue.append((name, np.asarray([page], dtype=np.intp), tier))
-        # coalesce adjacent same-(object, tier) single-page moves
-        merged: list[tuple[str, np.ndarray, int]] = []
-        for name, idx, dst in queue:
-            if merged and merged[-1][0] == name and merged[-1][2] == dst:
-                prev_name, prev_idx, prev_dst = merged[-1]
-                merged[-1] = (prev_name, np.concatenate([prev_idx, idx]), prev_dst)
-            else:
-                merged.append((name, idx, dst))
-        self._queue = merged
+        # hottest first, rank position j goes to the first tier whose
+        # cumulative capacity exceeds j (every cap is >= 1), overflow to
+        # the slowest tier; only pages not already there move
+        dst = np.minimum(
+            np.searchsorted(np.cumsum(caps), np.arange(len(rank)), side="right"),
+            n - 1,
+        )
+        move = np.concatenate(tiers)[rank] != dst
+        obj_id = np.concatenate(ids)[rank][move]
+        page = all_pages[rank][move].astype(np.intp)
+        dst = dst[move]
+        # coalesce adjacent same-(object, tier) moves
+        cuts = np.flatnonzero((np.diff(obj_id) != 0) | (np.diff(dst) != 0)) + 1
+        starts = np.concatenate(([0], cuts)) if len(page) else []
+        self._queue = [
+            (names[obj_id[i]], run, int(dst[i]))
+            for i, run in zip(starts, np.split(page, cuts))
+        ]
 
     def on_tick(self, ctx: EngineContext, dt: float):
         if ctx.time - self._last_scan >= self.interval_s:

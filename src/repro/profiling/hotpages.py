@@ -24,12 +24,14 @@ def top_k_hot_pages(
     if k < 1:
         return []
     names: list[str] = []
+    ids: list[np.ndarray] = []
     pages: list[np.ndarray] = []
     counts: list[np.ndarray] = []
     for name, (idx, cnt) in estimate.samples.items():
         mask = cnt >= min_count
         if mask.any():
-            names.extend([name] * int(mask.sum()))
+            ids.append(np.full(int(mask.sum()), len(names)))
+            names.append(name)
             pages.append(idx[mask])
             counts.append(cnt[mask])
     if not pages:
@@ -37,12 +39,10 @@ def top_k_hot_pages(
     all_pages = np.concatenate(pages)
     all_counts = np.concatenate(counts)
     order = np.argsort(all_counts, kind="stable")[::-1][:k]
-    name_arr = np.array(names)
-    picked_names = name_arr[order]
+    picked_ids = np.concatenate(ids)[order]
     picked_pages = all_pages[order]
     out: list[tuple[str, np.ndarray]] = []
-    for name in dict.fromkeys(picked_names.tolist()):
-        sel = picked_names == name
+    for i in dict.fromkeys(picked_ids.tolist()):
         # deduplicate pages sampled more than once
-        out.append((name, np.unique(picked_pages[sel])))
+        out.append((names[i], np.unique(picked_pages[picked_ids == i])))
     return out

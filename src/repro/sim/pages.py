@@ -33,6 +33,37 @@ __all__ = [
 ]
 
 
+def _sample_uniform(
+    names: Sequence[str], bounds: np.ndarray, n: int, rng
+) -> list[tuple[str, np.ndarray]]:
+    """Draw ``n`` page ids uniformly over objects laid end to end (object
+    ``i`` owns ids ``bounds[i]:bounds[i+1]``) and group them by object, in
+    table order, each group keeping draw order."""
+    rng = make_rng(rng)
+    total = bounds[-1]
+    if total == 0 or n <= 0:
+        return []
+    picks = rng.integers(0, total, size=n)
+    which = np.searchsorted(bounds[1:], picks, side="right")
+    # a stable sort on a narrow integer key is a radix sort
+    order = np.argsort(which.astype(np.min_scalar_type(len(names))), kind="stable")
+    grouped = picks[order]
+    counts = np.bincount(which, minlength=len(names))
+    out: list[tuple[str, np.ndarray]] = []
+    hi = 0
+    for i in np.flatnonzero(counts):
+        lo, hi = hi, hi + counts[i]
+        out.append((names[i], grouped[lo:hi] - bounds[i]))
+    return out
+
+
+def _page_bounds(objs: Iterable) -> np.ndarray:
+    """Start of each object's page-id range when objects are laid end to
+    end, followed by the total page count."""
+    sizes = np.array([o.n_pages for o in objs], dtype=np.int64)
+    return np.concatenate(([0], np.cumsum(sizes)))
+
+
 class PagedObject:
     """Pages of one data object.
 
@@ -182,6 +213,7 @@ class PageTable:
             pos += -(-o.n_pages // align) * align
         self._weight_arena = np.zeros(pos, dtype=np.float64)
         self._residency_arena = np.zeros(pos, dtype=np.float64)
+        self._page_bounds = _page_bounds(objs)
         self._slices: dict[str, slice] = {}
         for o, start in zip(objs, starts):
             sl = slice(start, start + o.n_pages)
@@ -197,6 +229,7 @@ class PageTable:
         state = dict(self.__dict__)
         state.pop("_weight_arena", None)
         state.pop("_residency_arena", None)
+        state.pop("_page_bounds", None)
         state.pop("_slices", None)
         return state
 
@@ -281,6 +314,11 @@ class PageTable:
         Returns the number of pages actually moved.  Demotions are applied
         first so a batch can express swap traffic (demote cold, promote hot)
         without transiently exceeding capacity.
+
+        Free DRAM before each promotion is :meth:`dram_free_pages` bit for
+        bit: the per-object byte counts are taken once, after the demotions,
+        only the promoted object's entry is refreshed after each move, and
+        they are summed in table order as :meth:`dram_used_bytes` does.
         """
         moved = 0
         for name, idx, promote in batch.moves:
@@ -290,16 +328,22 @@ class PageTable:
             sel = idx[obj.residency[idx] > 1e-12]
             obj.residency[sel] = 0.0
             moved += len(sel)
+        used: dict[str, float] | None = None
         for name, idx, promote in batch.moves:
             if not promote:
                 continue
             obj = self.object(name)
             sel = idx[obj.residency[idx] < 1.0 - 1e-12]
-            free = self.dram_free_pages()
+            if used is None:
+                used = {o.name: o.dram_bytes() for o in self}
+            # capacity is re-read per move: the engine may shrink it for
+            # the duration of one batch (memory pressure)
+            free = int((self.dram_capacity_bytes - sum(used.values())) // PAGE_SIZE)
             if free <= 0:
                 continue
             sel = sel[:free]
             obj.residency[sel] = 1.0
+            used[name] = obj.dram_bytes()
             moved += len(sel)
         return moved
 
@@ -317,22 +361,7 @@ class PageTable:
         tasks, only addresses.  Returns per-object arrays of sampled page
         indices (with multiplicity).
         """
-        rng = make_rng(rng)
-        names = self.names
-        sizes = np.array([self.object(nm).n_pages for nm in names])
-        total = sizes.sum()
-        if total == 0 or n <= 0:
-            return []
-        picks = rng.integers(0, total, size=n)
-        bounds = np.cumsum(sizes)
-        which = np.searchsorted(bounds, picks, side="right")
-        out: list[tuple[str, np.ndarray]] = []
-        for i, nm in enumerate(names):
-            mask = which == i
-            if mask.any():
-                start = bounds[i] - sizes[i]
-                out.append((nm, picks[mask] - start))
-        return out
+        return _sample_uniform(self.names, self._page_bounds, n, rng)
 
 # ----------------------------------------------------------------------
 # N-tier residency (TopologySpec-backed)
@@ -473,6 +502,7 @@ class TieredPageTable:
             pos += -(-o.n_pages // align) * align
         self._weight_arena = np.zeros(pos, dtype=np.float64)
         self._residency_arena = np.zeros((self.n_tiers, pos), dtype=np.float64)
+        self._page_bounds = _page_bounds(objs)
         self._slices: dict[str, slice] = {}
         for o, start in zip(objs, starts):
             sl = slice(start, start + o.n_pages)
@@ -486,6 +516,7 @@ class TieredPageTable:
         state = dict(self.__dict__)
         state.pop("_weight_arena", None)
         state.pop("_residency_arena", None)
+        state.pop("_page_bounds", None)
         state.pop("_slices", None)
         return state
 
@@ -604,19 +635,4 @@ class TieredPageTable:
         self, n: int, rng=None
     ) -> list[tuple[str, np.ndarray]]:
         """Uniform page sampling across the space (see PageTable)."""
-        rng = make_rng(rng)
-        names = self.names
-        sizes = np.array([self.object(nm).n_pages for nm in names])
-        total = sizes.sum()
-        if total == 0 or n <= 0:
-            return []
-        picks = rng.integers(0, total, size=n)
-        bounds = np.cumsum(sizes)
-        which = np.searchsorted(bounds, picks, side="right")
-        out: list[tuple[str, np.ndarray]] = []
-        for i, nm in enumerate(names):
-            mask = which == i
-            if mask.any():
-                start = bounds[i] - sizes[i]
-                out.append((nm, picks[mask] - start))
-        return out
+        return _sample_uniform(self.names, self._page_bounds, n, rng)

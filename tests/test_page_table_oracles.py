@@ -1,0 +1,197 @@
+"""Differential tests: optimised page-table routines vs tests/oracles/pages.
+
+Every case builds a seeded random table, runs the production routine and
+the reference copy on identical inputs, and requires identical bits:
+residency arenas, moved counts, sampled pages, hot-page picks and the
+interval policy's move queue.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.common import PAGE_SIZE
+from repro.policies.interval import IntervalReconfigPolicy
+from repro.profiling.hotpages import top_k_hot_pages
+from repro.profiling.pte import PageSampleEstimate
+from repro.sim.pages import MigrationBatch, PageTable, TieredPageTable
+from repro.tasks import DataObject
+from tests.oracles import pages as oracle
+
+SEEDS = range(12)
+
+
+def _specs(rng, n_objects: int) -> list[DataObject]:
+    return [
+        DataObject(
+            f"o{i}",
+            int(rng.integers(1, 40)) * PAGE_SIZE - int(rng.integers(0, 2)) * 100,
+            hotness="zipf" if rng.random() < 0.5 else "uniform",
+        )
+        for i in range(n_objects)
+    ]
+
+
+def _table(seed: int, fractional: bool) -> PageTable:
+    rng = np.random.default_rng(seed)
+    table = PageTable(_specs(rng, int(rng.integers(1, 8))), 0, rng=seed)
+    for obj in table:
+        if fractional:
+            # Memory-Mode style shares, plus some fully resident pages
+            res = rng.random(obj.n_pages) * (rng.random(obj.n_pages) < 0.6)
+            res[rng.random(obj.n_pages) < 0.2] = 1.0
+        else:
+            res = (rng.random(obj.n_pages) < 0.4).astype(np.float64)
+        obj.set_residency(res)
+    # capacity a little above current use: promotions run out mid-batch
+    used = table.dram_used_bytes()
+    table.dram_capacity_bytes = int(used + rng.integers(0, 30) * PAGE_SIZE)
+    return table
+
+
+def _tiered(seed: int, n_tiers: int) -> TieredPageTable:
+    rng = np.random.default_rng(seed)
+    specs = _specs(rng, int(rng.integers(1, 8)))
+    total = sum(s.n_pages for s in specs)
+    caps = [int(rng.integers(1, total)) * PAGE_SIZE for _ in range(n_tiers - 1)]
+    caps.append(total * PAGE_SIZE)
+    return TieredPageTable(specs, caps, rng=seed)
+
+
+def _batch(table: PageTable, rng) -> MigrationBatch:
+    moves = []
+    names = table.names
+    for _ in range(int(rng.integers(1, 10))):
+        # repeated objects across moves, duplicate page ids within one
+        name = names[int(rng.integers(len(names)))]
+        n_pages = table.object(name).n_pages
+        idx = rng.integers(0, n_pages, size=int(rng.integers(1, 2 * n_pages + 1)))
+        moves.append((name, idx.astype(np.intp), bool(rng.random() < 0.7)))
+    return MigrationBatch(moves=tuple(moves))
+
+
+def _assert_same_groups(got, want) -> None:
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+class TestApplyBatch:
+    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_reference(self, seed, fractional):
+        table = _table(seed, fractional)
+        ref = _table(seed, fractional)
+        rng = np.random.default_rng(1000 + seed)
+        for _ in range(6):
+            batch = _batch(table, rng)
+            assert table.apply_batch(batch) == oracle.apply_batch(ref, batch)
+            assert table.residency_arena.tobytes() == ref.residency_arena.tobytes()
+
+    def test_free_runs_out_mid_batch(self):
+        table = PageTable(
+            [DataObject("a", 8 * PAGE_SIZE), DataObject("b", 8 * PAGE_SIZE)],
+            5 * PAGE_SIZE,
+        )
+        table.object("a").set_residency(0.25)  # 2 pages' worth, fractional
+        ref = PageTable(
+            [DataObject("a", 8 * PAGE_SIZE), DataObject("b", 8 * PAGE_SIZE)],
+            5 * PAGE_SIZE,
+        )
+        ref.object("a").set_residency(0.25)
+        batch = MigrationBatch(
+            moves=(
+                ("b", np.arange(2), True),
+                ("a", np.arange(4), True),
+                ("b", np.arange(2, 8), True),
+            )
+        )
+        moved = table.apply_batch(batch)
+        assert moved == oracle.apply_batch(ref, batch)
+        assert table.residency_arena.tobytes() == ref.residency_arena.tobytes()
+        assert table.dram_free_pages() <= 0
+
+    def test_capacity_change_between_batches_is_seen(self):
+        table = _table(3, fractional=True)
+        ref = _table(3, fractional=True)
+        rng = np.random.default_rng(7)
+        for shrink in (0, 3, 0, 10):
+            batch = _batch(table, rng)
+            for t in (table, ref):
+                t.dram_capacity_bytes -= shrink * PAGE_SIZE
+            assert table.apply_batch(batch) == oracle.apply_batch(ref, batch)
+            assert table.residency_arena.tobytes() == ref.residency_arena.tobytes()
+
+
+class TestSampling:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_page_table_sample(self, seed):
+        table = _table(seed, fractional=False)
+        for n in (0, 1, 7, table.total_pages, 3 * table.total_pages):
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = table.sample_pages(n, rng=got_rng)
+            _assert_same_groups(got, oracle.sample_pages(table, n, rng=ref_rng))
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_tiers", [2, 4])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tiered_sample(self, seed, n_tiers):
+        table = _tiered(seed, n_tiers)
+        for n in (1, 64, 4096):
+            got = table.sample_pages(n, rng=seed)
+            _assert_same_groups(got, oracle.sample_pages(table, n, rng=seed))
+
+    def test_empty_table(self):
+        table = PageTable([], 0)
+        assert table.sample_pages(10, rng=0) == oracle.sample_pages(table, 10, rng=0) == []
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_top_k_hot_pages(self, seed):
+        rng = np.random.default_rng(seed)
+        table = _table(seed, fractional=False)
+        samples = {}
+        for name, idx in table.sample_pages(256, rng=rng):
+            samples[name] = (idx, rng.poisson(2.0, size=len(idx)).astype(np.float64))
+        estimate = PageSampleEstimate(samples=samples, scale=1.0)
+        for k in (0, 1, 5, 64, 1000):
+            for min_count in (1.0, 3.0):
+                _assert_same_groups(
+                    top_k_hot_pages(estimate, k, min_count),
+                    oracle.top_k_hot_pages(estimate, k, min_count),
+                )
+
+
+class TestIntervalReplan:
+    @staticmethod
+    def _ctx(table, seed):
+        rng = np.random.default_rng(seed)
+        # some objects carry no rates (not touched by an active task)
+        rates = {
+            o.name: rng.random(o.n_pages) * 100 for o in table if rng.random() < 0.8
+        }
+        return SimpleNamespace(page_table=table, page_access_rates=lambda: rates)
+
+    def _check(self, table, seed, sample_pages):
+        ctx = self._ctx(table, seed)
+        policy = IntervalReconfigPolicy(sample_pages=sample_pages, seed=seed)
+        policy._replan(ctx)
+        sample = table.sample_pages(sample_pages, rng=seed)
+        want = oracle.interval_replan(table, ctx.page_access_rates(), sample)
+        got = policy._queue
+        assert [(n, d) for n, _, d in got] == [(n, d) for n, _, d in want]
+        for (_, a, _), (_, b, _) in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("sample_pages", [1, 32, 4096])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_two_tier_table(self, seed, sample_pages):
+        self._check(_table(seed, fractional=True), seed, sample_pages)
+
+    @pytest.mark.parametrize("n_tiers", [2, 4])
+    @pytest.mark.parametrize("sample_pages", [1, 32, 4096])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tiered_table(self, seed, sample_pages, n_tiers):
+        self._check(_tiered(seed, n_tiers), seed, sample_pages)
