@@ -6,9 +6,11 @@ care about: the engine's simulation throughput, Algorithm 1's planning
 latency, one Equation-2 prediction, and model training.
 
 The ``test_kernel_speedup_*`` benchmarks at the bottom pin the vectorized
-kernels (PERFORMANCE.md) against their ``MERCH_SCALAR_KERNELS`` reference
-implementations and record the measured ratios in
-``results/kernel_speedups.json``.  The plan/predict kernels carry a >= 10x
+kernels (PERFORMANCE.md) against their scalar references
+(``tests/oracles/scalar.py``) and record the measured ratios in
+``results/kernel_speedups.json``.  They import the references from the
+``tests`` package, so run them from the repository root with
+``python -m pytest``.  The plan/predict kernels carry a >= 10x
 acceptance floor; the sim-tick kernel is pinned at its honest (smaller)
 ratio, since per-tick cost is dominated by the breakdown objects both
 paths must build.
@@ -32,6 +34,8 @@ from repro.ml import GradientBoostedRegressor
 from repro.sim import Engine, MachineModel, optane_hm_config
 from repro.sim.counters import collect_pmcs
 from repro.sim.kernels import BreakdownKernel
+from tests.oracles import scalar
+from tests.oracles.scalar import scalar_reference
 
 HM = optane_hm_config()
 MODEL = MachineModel()
@@ -154,12 +158,12 @@ def _best_of(fn, rounds: int) -> float:
     return best
 
 
-def _record_speedup(monkeypatch, name, shape, scalar_fn, kernel_fn, floor,
+def _record_speedup(name, shape, scalar_fn, kernel_fn, floor,
                     scalar_rounds=3, kernel_rounds=7):
-    """Time both paths, assert the floor, and persist the measured entry."""
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "1")
-    scalar_s = _best_of(scalar_fn, scalar_rounds)
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "0")
+    """Time the reference (inside ``scalar_reference()``) and the kernel,
+    assert the floor, and persist the measured entry."""
+    with scalar_reference():
+        scalar_s = _best_of(scalar_fn, scalar_rounds)
     kernel_fn()  # warm any pack caches outside the timed region
     kernel_s = _best_of(kernel_fn, kernel_rounds)
     speedup = scalar_s / kernel_s
@@ -189,50 +193,50 @@ def fitted_gbr():
     return GradientBoostedRegressor(n_estimators=100, rng=1).fit(X, y)
 
 
-def test_kernel_speedup_tree_batch_eval(monkeypatch, fitted_gbr):
+def test_kernel_speedup_tree_batch_eval(fitted_gbr):
     """One CART tree over 20k rows: cursor descent vs per-row node walk."""
     tree = fitted_gbr.trees_[0]
     Xq = np.random.default_rng(3).normal(size=(20_000, 21))
     _record_speedup(
-        monkeypatch, "tree_batch_eval", "1 tree x 20000 rows",
+        "tree_batch_eval", "1 tree x 20000 rows",
         lambda: tree.predict(Xq), lambda: tree.predict(Xq), floor=10.0,
     )
 
 
-def test_kernel_speedup_forest_batch_eval(monkeypatch, fitted_gbr):
+def test_kernel_speedup_forest_batch_eval(fitted_gbr):
     """The whole GBR ensemble: forest cursor matrix vs per-tree loop."""
     Xq = np.random.default_rng(4).normal(size=(2_000, 21))
     _record_speedup(
-        monkeypatch, "forest_batch_eval", "100 trees x 2000 rows",
+        "forest_batch_eval", "100 trees x 2000 rows",
         lambda: fitted_gbr.predict(Xq), lambda: fitted_gbr.predict(Xq), floor=10.0,
     )
 
 
-def test_kernel_speedup_correlation_stacked(monkeypatch, ctx, planner_inputs):
+def test_kernel_speedup_correlation_stacked(ctx, planner_inputs):
     """Stacked f(.) for a 12-task batch over the 21-point ratio grid."""
     _, tasks, _ = planner_inputs
     corr = ctx.system.correlation
     pmcs_seq = [t.pmcs for t in tasks] * 2  # 24 counter sets
     ratios = np.linspace(0.0, 1.0, 21)
     _record_speedup(
-        monkeypatch, "correlation_stacked", "24 tasks x 21 ratios",
+        "correlation_stacked", "24 tasks x 21 ratios",
         lambda: corr.predict_stacked(pmcs_seq, ratios),
         lambda: corr.predict_stacked(pmcs_seq, ratios), floor=10.0,
     )
 
 
-def test_kernel_speedup_greedy_plan(monkeypatch, planner_inputs):
+def test_kernel_speedup_greedy_plan(planner_inputs):
     """Algorithm 1 end to end (grids + greedy rounds + clamp)."""
     model, tasks, task_bytes = planner_inputs
     cap = HM.dram.capacity_bytes
     _record_speedup(
-        monkeypatch, "greedy_plan", "12 tasks, 5% grid",
-        lambda: greedy_plan(tasks, model, cap, task_bytes),
+        "greedy_plan", "12 tasks, 5% grid",
+        lambda: scalar.greedy_plan(tasks, model, cap, task_bytes),
         lambda: greedy_plan(tasks, model, cap, task_bytes), floor=10.0,
     )
 
 
-def test_kernel_speedup_sim_tick(monkeypatch):
+def test_kernel_speedup_sim_tick():
     """Per-tick breakdowns for a 96-instance region: batched vs per-instance.
 
     Both paths must materialise 96 TimeBreakdown objects, which bounds the
@@ -240,11 +244,12 @@ def test_kernel_speedup_sim_tick(monkeypatch):
     """
     fps = [(f"t{i}", s.footprint()) for i, s in enumerate(generate_corpus(96, seed=11))]
     kern = BreakdownKernel(MODEL, HM, fps)
+    ref = scalar.ScalarBreakdown(MODEL, HM, fps)
     fractions = {a.obj: 0.5 for _, fp in fps for a in fp.accesses}
     ids = [tid for tid, _ in fps]
     _record_speedup(
-        monkeypatch, "sim_tick_breakdown", "96 instances",
-        lambda: [MODEL.breakdown(fp, HM, fractions) for _, fp in fps],
+        "sim_tick_breakdown", "96 instances",
+        lambda: ref.breakdown_batch(ids, fractions),
         lambda: kern.breakdown_batch(ids, fractions), floor=1.5,
         scalar_rounds=5, kernel_rounds=10,
     )

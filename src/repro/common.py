@@ -10,7 +10,6 @@ reproducible.
 from __future__ import annotations
 
 import enum
-import os
 from typing import Union
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
     "make_rng",
     "spawn_rng",
     "zipf_weights",
-    "scalar_kernels_enabled",
 ]
 
 #: Floor version for numpy (also declared in pyproject.toml).  The batched
@@ -112,26 +110,6 @@ class AccessPattern(str, enum.Enum):
 
 
 SeedLike = Union[int, None, np.random.Generator]
-
-
-def scalar_kernels_enabled() -> bool:
-    """Whether the ``MERCH_SCALAR_KERNELS`` escape hatch is armed.
-
-    When the environment variable is set to ``1``/``true``/``yes``/``on``,
-    every dispatch point that normally runs a batched numpy kernel (GBR
-    forest evaluation, stacked correlation features, the array-native
-    planner, the sim engine's batched tick breakdowns) falls back to the
-    reference scalar implementation.  The two paths are bit-identical by
-    contract (PERFORMANCE.md documents the float-ordering rules that keep
-    them so; ``tests/test_kernels.py`` enforces it), so the hatch exists
-    for differential testing and for bisecting kernel regressions -- not
-    for correctness workarounds.
-
-    Read per call, so tests can flip it with ``monkeypatch.setenv``.
-    """
-    return os.environ.get("MERCH_SCALAR_KERNELS", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.common import make_rng, scalar_kernels_enabled, spawn_rng
+from repro.common import make_rng, spawn_rng
 from repro.ml.kernels import stacked_features
 from repro.ml import (
     DecisionTreeRegressor,
@@ -296,25 +296,16 @@ class CorrelationFunction:
             raise ValueError("ratios must be within [0, 1]")
         if len(pmcs_seq) == 0:
             return np.empty((0, len(ratios)))
-        n_r = len(ratios)
-        if scalar_kernels_enabled():
-            # reference path: fill the stacked matrix block by block
-            X = np.empty((len(pmcs_seq) * n_r, len(self.events) + 1))
-            for i, pmcs in enumerate(pmcs_seq):
-                block = slice(i * n_r, (i + 1) * n_r)
-                X[block, :-1] = [pmcs[e] for e in self.events]
-                X[block, -1] = ratios
-        else:
-            # kernel path: one (tasks, events) base matrix, then a single
-            # repeat/tile placement -- byte-identical values, no per-block
-            # assignment loop (PERFORMANCE.md, "stacked_features")
-            base = np.array(
-                [[pmcs[e] for e in self.events] for pmcs in pmcs_seq],
-                dtype=np.float64,
-            )
-            X = stacked_features(base, ratios)
+        # one (tasks, events) base matrix, then a single repeat/tile
+        # placement -- the same bytes as filling the matrix block by block
+        # (PERFORMANCE.md, "stacked_features")
+        base = np.array(
+            [[pmcs[e] for e in self.events] for pmcs in pmcs_seq],
+            dtype=np.float64,
+        )
+        X = stacked_features(base, ratios)
         flat = np.clip(self.model.predict(X), 0.05, 5.0)
-        return flat.reshape(len(pmcs_seq), n_r)
+        return flat.reshape(len(pmcs_seq), len(ratios))
 
     # -- feature selection ---------------------------------------------
     @staticmethod

@@ -15,12 +15,11 @@ For the ablation study we also implement the makespan-optimal allocation
 under the same model and 5 % discretisation (:func:`optimal_quotas`, by
 bisection on the makespan), so the greedy's gap to optimum is measurable.
 
-Each planner has two implementations that produce bit-identical plans
-(PERFORMANCE.md documents the float-ordering rules; ``tests/test_kernels.py``
-enforces identity): an array-native kernel whose per-round argmax /
-second-max / pages-used updates are numpy reductions over flat task arrays,
-and a dict-based scalar reference selected by the ``MERCH_SCALAR_KERNELS``
-escape hatch.
+Each planner is an array-native kernel whose per-round argmax /
+second-max / pages-used updates are numpy reductions over flat task arrays.
+Its plans are bit-identical to the dict-based scalar reference in
+``tests/oracles/scalar.py`` (PERFORMANCE.md documents the float-ordering
+rules; ``tests/test_kernels.py`` enforces identity).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.common import PAGE_SIZE, scalar_kernels_enabled
+from repro.common import PAGE_SIZE
 from repro.core.model import (
     PerformanceModel,
     TaskModelInputs,
@@ -152,115 +151,18 @@ def greedy_plan(
         raise ValueError("step must be in (0, 1]")
 
     # precompute every task's predicted time on the 5% ratio grid
-    # (Algorithm 1 only ever visits grid points): the kernel path prices
-    # the whole task set with ONE stacked model call, the scalar path with
-    # one stacked call per task.  Both constructions are bit-identical
-    # (the batching contract, tests/test_kernels.py), so the planners
-    # still agree bit for bit.
+    # (Algorithm 1 only ever visits grid points) with ONE stacked model
+    # call for the whole task set; by the batching contract
+    # (tests/test_kernels.py) it equals one ratio_grid call per task
     levels = _step_levels(step)
-    use_scalar = scalar_kernels_enabled()
     if grids is None:
-        if use_scalar:
-            grid = {t.task_id: model.ratio_grid(t, levels) for t in tasks}
-        else:
-            grid = model.ratio_grids(tasks, levels)
+        grid = model.ratio_grids(tasks, levels)
     else:
         grid = {t.task_id: grids[t.task_id] for t in tasks}
         if any(len(g) != len(levels) for g in grid.values()):
             raise ValueError("precomputed grids do not match the step grid")
-
-    if use_scalar:
-        return _greedy_plan_scalar(
-            tasks, dram_capacity_bytes, task_bytes, step, levels, grid
-        )
     return _greedy_plan_kernel(
         tasks, dram_capacity_bytes, task_bytes, step, levels, grid
-    )
-
-
-def _greedy_plan_scalar(
-    tasks: Sequence[TaskModelInputs],
-    dram_capacity_bytes: int,
-    task_bytes: Mapping[str, int],
-    step: float,
-    levels: np.ndarray,
-    grid: Mapping[str, np.ndarray],
-) -> PlanResult:
-    """Reference dict-based Algorithm 1 (the pre-kernel implementation)."""
-    capacity_pages = dram_capacity_bytes // PAGE_SIZE
-    task_pages = _task_pages_map(tasks, task_bytes)
-    by_id = {t.task_id: t for t in tasks}
-
-    def level_index(value: float) -> int:
-        return int(np.clip(round(value / step), 0, len(levels) - 1))
-
-    r: dict[str, float] = {t.task_id: 0.0 for t in tasks}
-    d_pred: dict[str, float] = {t.task_id: t.t_pm_only for t in tasks}
-    saturated: set[str] = set()
-    rounds = 0
-
-    def pages_used() -> int:
-        return sum(_pages_for(task_pages[tid], r[tid]) for tid in r)
-
-    while True:
-        rounds += 1
-        candidates = [tid for tid in r if tid not in saturated]
-        if not candidates:
-            break
-        longest = max(candidates, key=lambda tid: d_pred[tid])
-        others = [d_pred[tid] for tid in r if tid != longest]
-        second_t = max(others) if others else 0.0
-
-        r_i = r[longest]
-        while True:
-            r_i = min(1.0, r_i + step)
-            d_pred[longest] = float(grid[longest][level_index(r_i)])
-            if d_pred[longest] <= second_t or r_i >= 1.0:
-                break
-        r[longest] = r_i
-        if r_i >= 1.0:
-            saturated.add(longest)
-        if pages_used() >= capacity_pages:
-            break
-
-    # clamp the final overshoot back under capacity (shrink the last-grown
-    # task until the plan fits), keeping quotas on the step grid so the
-    # reported predictions stay consistent with the allocations
-    overshoot = pages_used() - capacity_pages
-    if overshoot > 0:
-        order = sorted(r, key=lambda tid: r[tid], reverse=True)
-        for tid in order:
-            if overshoot <= 0:
-                break
-            # flooring to the step grid then re-ceiling the pages can land
-            # exactly one page back over capacity, so keep shrinking this
-            # task until its contribution fits (or it reaches zero)
-            while overshoot > 0 and r[tid] > 0.0:
-                removable = _pages_for(task_pages[tid], r[tid])
-                shrink_pages = min(removable, overshoot)
-                shrunk = max(0.0, r[tid] - shrink_pages / task_pages[tid])
-                new_r = float(np.floor(shrunk / step) * step)
-                if new_r >= r[tid]:  # force at least one grid step down
-                    new_r = max(0.0, float((round(r[tid] / step) - 1) * step))
-                r[tid] = new_r
-                d_pred[tid] = float(grid[tid][level_index(r[tid])])
-                overshoot = pages_used() - capacity_pages
-
-    quotas = tuple(
-        TaskQuota(
-            task_id=tid,
-            dram_accesses=r[tid] * by_id[tid].total_accesses,
-            r_dram=r[tid],
-            dram_pages=_pages_for(task_pages[tid], r[tid]),
-            predicted_time_s=d_pred[tid],
-        )
-        for tid in r
-    )
-    return PlanResult(
-        quotas=quotas,
-        predicted_makespan_s=max(d_pred.values()),
-        dram_pages_used=pages_used(),
-        rounds=rounds,
     )
 
 
@@ -274,8 +176,8 @@ def _greedy_plan_kernel(
 ) -> PlanResult:
     """Array-native Algorithm 1 (PERFORMANCE.md, "greedy_plan").
 
-    Task state lives in flat arrays indexed by input position (the scalar
-    path's dict insertion order).  Per round, the longest task is a masked
+    Task state lives in flat arrays indexed by input position (the dict
+    insertion order of the scalar reference, ``tests/oracles/scalar.py``).  Per round, the longest task is a masked
     ``np.argmax`` (first-max, like Python ``max``), the barrier is a masked
     ``np.max`` (order-independent for float max), and pages-used is one
     ceil/clip/sum reduction.  The inner growth walk stays a tiny Python
@@ -405,78 +307,8 @@ def optimal_quotas(
     if not tasks:
         raise ValueError("no tasks to plan for")
     levels = np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
-    if scalar_kernels_enabled():
-        return _optimal_quotas_scalar(
-            tasks, model, dram_capacity_bytes, task_bytes, levels
-        )
     return _optimal_quotas_kernel(
         tasks, model, dram_capacity_bytes, task_bytes, levels
-    )
-
-
-def _optimal_quotas_scalar(
-    tasks: Sequence[TaskModelInputs],
-    model: PerformanceModel,
-    dram_capacity_bytes: int,
-    task_bytes: Mapping[str, int],
-    levels: np.ndarray,
-) -> PlanResult:
-    """Reference per-task-dict bisection (the pre-kernel implementation)."""
-    capacity_pages = dram_capacity_bytes // PAGE_SIZE
-    task_pages = _task_pages_map(tasks, task_bytes)
-    # precompute predicted time per (task, level); enforce monotonicity so
-    # bisection is sound even if the learned f(.) wiggles
-    times: dict[str, np.ndarray] = {}
-    for t in tasks:
-        raw = model.ratio_grid(t, levels)
-        times[t.task_id] = np.minimum.accumulate(raw)
-
-    def min_pages_for_makespan(m: float) -> int | None:
-        total = 0
-        for t in tasks:
-            feasible = np.flatnonzero(times[t.task_id] <= m)
-            if len(feasible) == 0:
-                return None
-            total += _pages_for(task_pages[t.task_id], float(levels[feasible[0]]))
-        return total
-
-    candidates = sorted({float(v) for arr in times.values() for v in arr})
-    lo, hi = 0, len(candidates) - 1
-    best: float | None = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        pages = min_pages_for_makespan(candidates[mid])
-        if pages is not None and pages <= capacity_pages:
-            best = candidates[mid]
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    if best is None:
-        best = candidates[-1]
-
-    quotas = []
-    used = 0
-    for t in tasks:
-        feasible = np.flatnonzero(times[t.task_id] <= best)
-        level = float(levels[feasible[0]]) if len(feasible) else 1.0
-        pages = _pages_for(task_pages[t.task_id], level)
-        used += pages
-        quotas.append(
-            TaskQuota(
-                task_id=t.task_id,
-                dram_accesses=level * t.total_accesses,
-                r_dram=level,
-                dram_pages=pages,
-                predicted_time_s=float(
-                    times[t.task_id][feasible[0]] if len(feasible) else times[t.task_id][-1]
-                ),
-            )
-        )
-    return PlanResult(
-        quotas=tuple(quotas),
-        predicted_makespan_s=max(q.predicted_time_s for q in quotas),
-        dram_pages_used=used,
-        rounds=1,
     )
 
 
@@ -575,76 +407,10 @@ def throughput_plan(
     if not 0.0 < step <= 1.0:
         raise ValueError("step must be in (0, 1]")
     levels = _step_levels(step)
-    if scalar_kernels_enabled():
-        grid = {
-            t.task_id: np.minimum.accumulate(model.ratio_grid(t, levels))
-            for t in tasks
-        }
-        return _throughput_plan_scalar(
-            tasks, dram_capacity_bytes, task_bytes, levels, grid
-        )
     g = model.ratio_grids(tasks, levels)  # one stacked model call
     grid = {tid: np.minimum.accumulate(v) for tid, v in g.items()}
     return _throughput_plan_kernel(
         tasks, dram_capacity_bytes, task_bytes, levels, grid
-    )
-
-
-def _throughput_plan_scalar(
-    tasks: Sequence[TaskModelInputs],
-    dram_capacity_bytes: int,
-    task_bytes: Mapping[str, int],
-    levels: np.ndarray,
-    grid: Mapping[str, np.ndarray],
-) -> PlanResult:
-    """Reference density-greedy loop (the pre-kernel implementation)."""
-    capacity_pages = dram_capacity_bytes // PAGE_SIZE
-    task_pages = _task_pages_map(tasks, task_bytes)
-    by_id = {t.task_id: t for t in tasks}
-
-    level_idx = {t.task_id: 0 for t in tasks}
-
-    def pages_used() -> int:
-        return sum(
-            _pages_for(task_pages[tid], float(levels[level_idx[tid]]))
-            for tid in level_idx
-        )
-
-    while True:
-        best: tuple[float, str] | None = None
-        for tid, k in level_idx.items():
-            if k + 1 >= len(levels):
-                continue
-            saved = float(grid[tid][k] - grid[tid][k + 1])
-            extra_pages = _pages_for(task_pages[tid], float(levels[k + 1])) - _pages_for(
-                task_pages[tid], float(levels[k])
-            )
-            density = saved / max(extra_pages, 1)
-            if best is None or density > best[0]:
-                best = (density, tid)
-        if best is None or best[0] <= 0:
-            break
-        tid = best[1]
-        level_idx[tid] += 1
-        if pages_used() > capacity_pages:
-            level_idx[tid] -= 1
-            break
-
-    quotas = tuple(
-        TaskQuota(
-            task_id=tid,
-            dram_accesses=float(levels[k]) * by_id[tid].total_accesses,
-            r_dram=float(levels[k]),
-            dram_pages=_pages_for(task_pages[tid], float(levels[k])),
-            predicted_time_s=float(grid[tid][k]),
-        )
-        for tid, k in level_idx.items()
-    )
-    return PlanResult(
-        quotas=quotas,
-        predicted_makespan_s=max(q.predicted_time_s for q in quotas),
-        dram_pages_used=pages_used(),
-        rounds=sum(level_idx.values()),
     )
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common import make_rng, scalar_kernels_enabled
+from repro.common import make_rng
 from repro.ml.kernels import ForestArrays, forest_predict, pack_forest
 from repro.ml.tree import DecisionTreeRegressor
 
@@ -97,15 +97,9 @@ class GradientBoostedRegressor:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
-        if scalar_kernels_enabled():
-            # reference path: per-tree scalar descent, sequential shrinkage
-            pred = np.full(X.shape[0], self.init_)
-            for tree in self.trees_:
-                pred += self.learning_rate * tree.predict(X)
-            return pred
-        # the kernel replays the identical tree-ordered accumulation over a
-        # batched (n_trees, n_samples) leaf matrix -- bit-identical by the
-        # float-ordering rules in PERFORMANCE.md
+        # the kernel replays the per-tree loop's tree-ordered accumulation
+        # over a batched (n_trees, n_samples) leaf matrix -- bit-identical
+        # by the float-ordering rules in PERFORMANCE.md
         return forest_predict(self.forest(), X, self.init_, self.learning_rate)
 
     def staged_r2(self, X, y) -> np.ndarray:

@@ -21,10 +21,9 @@ never touches Python node objects:
   predictions are row-wise independent, so stacking k tasks' grids into
   one call returns the same bits as k separate calls).
 
-The scalar reference implementations live next to their dispatch points
-(``repro.ml.tree``, ``repro.ml.gbr``, ``repro.core.planner``,
-``repro.sim.engine``) behind the ``MERCH_SCALAR_KERNELS`` escape hatch
-(:func:`repro.common.scalar_kernels_enabled`).
+These kernels are the only production path.  The scalar forms they
+replaced live in ``tests/oracles/scalar.py`` as the differential
+specification ``tests/test_kernels.py`` compares them against.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-
-from repro.common import scalar_kernels_enabled  # re-export  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ml.tree import DecisionTreeRegressor
@@ -48,7 +45,6 @@ __all__ = [
     "forest_apply",
     "forest_predict",
     "stacked_features",
-    "scalar_kernels_enabled",
     "KERNEL_ENTRY_POINTS",
 ]
 
@@ -322,7 +318,6 @@ def stacked_features(base: np.ndarray, ratios: np.ndarray) -> np.ndarray:
 #: same diff-against-the-doc pattern ``test_observability_docs.py`` uses
 #: for the metric catalogue).
 KERNEL_ENTRY_POINTS: tuple[str, ...] = (
-    "repro.common.scalar_kernels_enabled",
     "repro.ml.kernels.pack_tree",
     "repro.ml.kernels.pack_forest",
     "repro.ml.kernels.tree_apply",

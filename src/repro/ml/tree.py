@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common import make_rng, scalar_kernels_enabled
+from repro.common import make_rng
 from repro.ml.kernels import TreeArrays, pack_tree, tree_apply
 
 __all__ = ["DecisionTreeRegressor"]
@@ -198,28 +198,7 @@ class DecisionTreeRegressor:
             X = X[None, :]
         if X.shape[1] != self.n_features_:
             raise ValueError("feature-count mismatch")
-        if scalar_kernels_enabled():
-            return self._predict_scalar(X)
         return tree_apply(self.arrays(), X)
-
-    def _predict_scalar(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-sample descent over the Python node list.
-
-        Split comparisons are identical to the batched kernel's
-        (``x <= threshold`` on the same float64 values), so both paths
-        land each sample on the same leaf -- the bit-identity contract
-        ``tests/test_kernels.py`` enforces.
-        """
-        out = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            node = self._nodes[0]
-            while node.feature >= 0:
-                if X[i, node.feature] <= node.threshold:
-                    node = self._nodes[node.left]
-                else:
-                    node = self._nodes[node.right]
-            out[i] = node.value
-        return out
 
     @property
     def n_nodes(self) -> int:

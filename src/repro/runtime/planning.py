@@ -14,7 +14,7 @@ critical path can no longer improve (its tasks are saturated or DRAM-bound)
 the remaining capacity goes to the longest still-improvable chains, so no
 DRAM is left idle.  Per-task time grids come from the same
 :meth:`~repro.core.model.PerformanceModel.ratio_grids` pricing the barrier
-planner uses (one stacked model call; the scalar escape hatch applies).
+planner uses (one stacked model call).
 
 **Barrier fallback, bit-identical.**  When the planned set carries no
 dependency edges -- in particular any single topological level of a
@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.common import PAGE_SIZE, scalar_kernels_enabled
+from repro.common import PAGE_SIZE
 from repro.core.model import PerformanceModel, TaskModelInputs
 from repro.core.planner import (
     PlanResult,
@@ -178,10 +178,7 @@ def critical_path_plan(
             succs[d].append(t)
 
     levels = _step_levels(step)
-    if scalar_kernels_enabled():
-        grid = {t.task_id: model.ratio_grid(t, levels) for t in tasks}
-    else:
-        grid = model.ratio_grids(tasks, levels)
+    grid = model.ratio_grids(tasks, levels)
     task_pages = {
         tid: max(1, int(np.ceil(task_bytes[tid] / PAGE_SIZE))) for tid in ids
     }

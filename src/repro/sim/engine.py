@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.common import PAGE_SIZE, make_rng, scalar_kernels_enabled
+from repro.common import PAGE_SIZE, make_rng
 from repro.sim.faults import FaultInjector, RobustnessReport
 from repro.sim.kernels import BreakdownKernel, TieredBreakdownKernel
 from repro.sim.machine import MachineModel, TieredBreakdown, TimeBreakdown
@@ -710,16 +710,13 @@ class Engine:
         ctx.failed_migrations.clear()
 
         # batched tick kernel: hoists the placement-independent parts of
-        # every instance's breakdown out of the tick loop (PERFORMANCE.md).
-        # The MERCH_SCALAR_KERNELS escape hatch keeps the per-instance
-        # scalar model; both paths are bit-identical.
-        kernel: BreakdownKernel | None = None
-        if not scalar_kernels_enabled():
-            kernel = BreakdownKernel(
-                self.machine,
-                self.hm,
-                [(inst.task_id, inst.footprint) for inst in region.instances],
-            )
+        # every instance's breakdown out of the tick loop (PERFORMANCE.md);
+        # bit-identical to one MachineModel.breakdown call per instance
+        kernel = BreakdownKernel(
+            self.machine,
+            self.hm,
+            [(inst.task_id, inst.footprint) for inst in region.instances],
+        )
 
         ticks = 0
         while len(finish) < len(region.instances):
@@ -748,23 +745,16 @@ class Engine:
                 )
 
             # phase 1: unconstrained progress and per-tier byte demand.
-            # Demand sums stay sequential Python adds in instance order so
-            # both breakdown paths produce the same contention scaling.
+            # Demand sums stay sequential Python adds in instance order, as
+            # in the per-instance reference.
             dprog: dict[str, float] = {}
             bds: dict[str, TimeBreakdown] = {}
             demand_dram = 0.0
             demand_pm = 0.0
-            if kernel is not None:
-                bd_batch = kernel.breakdown_batch(
-                    [inst.task_id for inst in active], fractions
-                )
-                breakdowns = zip(active, bd_batch)
-            else:
-                breakdowns = (
-                    (inst, self.machine.breakdown(inst.footprint, self.hm, fractions))
-                    for inst in active
-                )
-            for inst, bd in breakdowns:
+            bd_batch = kernel.breakdown_batch(
+                [inst.task_id for inst in active], fractions
+            )
+            for inst, bd in zip(active, bd_batch):
                 bds[inst.task_id] = bd
                 ctx.instance_times[inst.task_id] = bd.total_s
                 d = dt / max(bd.total_s, 1e-12)
@@ -978,13 +968,11 @@ class Engine:
         ctx.migration_budget_pages = max(1, int(mig_budget_bytes // PAGE_SIZE))
         ctx.failed_migrations.clear()
 
-        kernel: TieredBreakdownKernel | None = None
-        if not scalar_kernels_enabled():
-            kernel = TieredBreakdownKernel(
-                self.machine,
-                topo,
-                [(inst.task_id, inst.footprint) for inst in region.instances],
-            )
+        kernel = TieredBreakdownKernel(
+            self.machine,
+            topo,
+            [(inst.task_id, inst.footprint) for inst in region.instances],
+        )
 
         ticks = 0
         while len(finish) < len(region.instances):
@@ -1010,20 +998,10 @@ class Engine:
             dprog: dict[str, float] = {}
             bds: dict[str, TieredBreakdown] = {}
             demand = [0.0] * n
-            if kernel is not None:
-                bd_batch = kernel.breakdown_batch(
-                    [inst.task_id for inst in active], vectors
-                )
-                breakdowns = zip(active, bd_batch)
-            else:
-                breakdowns = (
-                    (
-                        inst,
-                        self.machine.breakdown_tiered(inst.footprint, topo, vectors),
-                    )
-                    for inst in active
-                )
-            for inst, bd in breakdowns:
+            bd_batch = kernel.breakdown_batch(
+                [inst.task_id for inst in active], vectors
+            )
+            for inst, bd in zip(active, bd_batch):
                 bds[inst.task_id] = bd
                 ctx.instance_times[inst.task_id] = bd.total_s
                 d = dt / max(bd.total_s, 1e-12)

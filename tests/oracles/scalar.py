@@ -1,0 +1,500 @@
+"""Scalar reference implementations of the vectorized hot path.
+
+These are the plain forms the batched kernels replaced, kept as the
+executable specification the kernels are compared against:
+
+* :func:`greedy_plan`, :func:`optimal_quotas`, :func:`throughput_plan` --
+  Algorithm 1 and the two ablation planners as dict-based Python loops,
+  pricing each task's ratio grid with its own ``ratio_grid`` call;
+* :func:`tree_predict` -- one node walk per sample over the Python node
+  list of a fitted ``DecisionTreeRegressor``;
+* :func:`gbr_predict` -- the boosting sum as a per-tree loop;
+* :func:`predict_stacked` -- the stacked correlation matrix filled block
+  by block, one task per block;
+* :class:`ScalarBreakdown` / :class:`ScalarTieredBreakdown` -- stand-ins
+  for the engine's tick kernels that price every instance with its own
+  ``MachineModel.breakdown`` / ``breakdown_tiered`` call.
+
+:func:`scalar_reference` puts all of them in place of the production code
+for the duration of a ``with`` block, so a whole engine run (or a planner
+call looked up through its module) runs on the references.  Production
+must match them bit for bit (PERFORMANCE.md, "Reference implementations").
+
+``critical_path_plan`` keeps its stacked ``ratio_grids`` call under the
+references; the grid it prices goes through :func:`predict_stacked`, and
+``ratio_grids`` equals per-task ``ratio_grid`` calls bit for bit
+(``tests/test_kernels.py::test_ratio_grids_match_per_task_grids``).
+"""
+
+from __future__ import annotations
+
+import sys
+from contextlib import contextmanager
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
+
+# every repro module that binds a planner must be loaded before
+# scalar_reference() scans for the bindings
+import repro.core  # noqa: F401
+import repro.experiments.ablation  # noqa: F401
+import repro.runtime.planning  # noqa: F401
+import repro.service.scheduler  # noqa: F401
+import repro.sim.engine
+from repro.common import PAGE_SIZE
+from repro.core import planner
+from repro.core.correlation import CorrelationFunction
+from repro.core.model import PerformanceModel, TaskModelInputs
+from repro.core.planner import (
+    PlanResult,
+    TaskQuota,
+    _pages_for,
+    _step_levels,
+    _task_pages_map,
+)
+from repro.ml.gbr import GradientBoostedRegressor
+from repro.ml.tree import DecisionTreeRegressor
+
+__all__ = [
+    "greedy_plan",
+    "optimal_quotas",
+    "throughput_plan",
+    "tree_predict",
+    "gbr_predict",
+    "predict_stacked",
+    "ScalarBreakdown",
+    "ScalarTieredBreakdown",
+    "scalar_reference",
+]
+
+
+# ---------------------------------------------------------------------------
+# planners
+# ---------------------------------------------------------------------------
+
+def greedy_plan(
+    tasks: Sequence[TaskModelInputs],
+    model: PerformanceModel,
+    dram_capacity_bytes: int,
+    task_bytes: Mapping[str, int],
+    step: float = 0.05,
+    grids: Mapping[str, "np.ndarray"] | None = None,
+) -> PlanResult:
+    """Algorithm 1 with one ``ratio_grid`` call per task."""
+    if not tasks:
+        raise ValueError("no tasks to plan for")
+    if not 0.0 < step <= 1.0:
+        raise ValueError("step must be in (0, 1]")
+    levels = _step_levels(step)
+    if grids is None:
+        grid = {t.task_id: model.ratio_grid(t, levels) for t in tasks}
+    else:
+        grid = {t.task_id: grids[t.task_id] for t in tasks}
+        if any(len(g) != len(levels) for g in grid.values()):
+            raise ValueError("precomputed grids do not match the step grid")
+    return _greedy_plan_scalar(
+        tasks, dram_capacity_bytes, task_bytes, step, levels, grid
+    )
+
+
+def optimal_quotas(
+    tasks: Sequence[TaskModelInputs],
+    model: PerformanceModel,
+    dram_capacity_bytes: int,
+    task_bytes: Mapping[str, int],
+    step: float = 0.05,
+) -> PlanResult:
+    """Makespan-optimal bisection over per-task grid dicts."""
+    if not tasks:
+        raise ValueError("no tasks to plan for")
+    levels = np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
+    return _optimal_quotas_scalar(
+        tasks, model, dram_capacity_bytes, task_bytes, levels
+    )
+
+
+def throughput_plan(
+    tasks: Sequence[TaskModelInputs],
+    model: PerformanceModel,
+    dram_capacity_bytes: int,
+    task_bytes: Mapping[str, int],
+    step: float = 0.05,
+) -> PlanResult:
+    """Density-greedy knapsack baseline over per-task grid dicts."""
+    if not tasks:
+        raise ValueError("no tasks to plan for")
+    if not 0.0 < step <= 1.0:
+        raise ValueError("step must be in (0, 1]")
+    levels = _step_levels(step)
+    grid = {
+        t.task_id: np.minimum.accumulate(model.ratio_grid(t, levels))
+        for t in tasks
+    }
+    return _throughput_plan_scalar(
+        tasks, dram_capacity_bytes, task_bytes, levels, grid
+    )
+
+
+def _greedy_plan_scalar(
+    tasks: Sequence[TaskModelInputs],
+    dram_capacity_bytes: int,
+    task_bytes: Mapping[str, int],
+    step: float,
+    levels: np.ndarray,
+    grid: Mapping[str, np.ndarray],
+) -> PlanResult:
+    """Reference dict-based Algorithm 1 (the pre-kernel implementation)."""
+    capacity_pages = dram_capacity_bytes // PAGE_SIZE
+    task_pages = _task_pages_map(tasks, task_bytes)
+    by_id = {t.task_id: t for t in tasks}
+
+    def level_index(value: float) -> int:
+        return int(np.clip(round(value / step), 0, len(levels) - 1))
+
+    r: dict[str, float] = {t.task_id: 0.0 for t in tasks}
+    d_pred: dict[str, float] = {t.task_id: t.t_pm_only for t in tasks}
+    saturated: set[str] = set()
+    rounds = 0
+
+    def pages_used() -> int:
+        return sum(_pages_for(task_pages[tid], r[tid]) for tid in r)
+
+    while True:
+        rounds += 1
+        candidates = [tid for tid in r if tid not in saturated]
+        if not candidates:
+            break
+        longest = max(candidates, key=lambda tid: d_pred[tid])
+        others = [d_pred[tid] for tid in r if tid != longest]
+        second_t = max(others) if others else 0.0
+
+        r_i = r[longest]
+        while True:
+            r_i = min(1.0, r_i + step)
+            d_pred[longest] = float(grid[longest][level_index(r_i)])
+            if d_pred[longest] <= second_t or r_i >= 1.0:
+                break
+        r[longest] = r_i
+        if r_i >= 1.0:
+            saturated.add(longest)
+        if pages_used() >= capacity_pages:
+            break
+
+    # clamp the final overshoot back under capacity (shrink the last-grown
+    # task until the plan fits), keeping quotas on the step grid so the
+    # reported predictions stay consistent with the allocations
+    overshoot = pages_used() - capacity_pages
+    if overshoot > 0:
+        order = sorted(r, key=lambda tid: r[tid], reverse=True)
+        for tid in order:
+            if overshoot <= 0:
+                break
+            # flooring to the step grid then re-ceiling the pages can land
+            # exactly one page back over capacity, so keep shrinking this
+            # task until its contribution fits (or it reaches zero)
+            while overshoot > 0 and r[tid] > 0.0:
+                removable = _pages_for(task_pages[tid], r[tid])
+                shrink_pages = min(removable, overshoot)
+                shrunk = max(0.0, r[tid] - shrink_pages / task_pages[tid])
+                new_r = float(np.floor(shrunk / step) * step)
+                if new_r >= r[tid]:  # force at least one grid step down
+                    new_r = max(0.0, float((round(r[tid] / step) - 1) * step))
+                r[tid] = new_r
+                d_pred[tid] = float(grid[tid][level_index(r[tid])])
+                overshoot = pages_used() - capacity_pages
+
+    quotas = tuple(
+        TaskQuota(
+            task_id=tid,
+            dram_accesses=r[tid] * by_id[tid].total_accesses,
+            r_dram=r[tid],
+            dram_pages=_pages_for(task_pages[tid], r[tid]),
+            predicted_time_s=d_pred[tid],
+        )
+        for tid in r
+    )
+    return PlanResult(
+        quotas=quotas,
+        predicted_makespan_s=max(d_pred.values()),
+        dram_pages_used=pages_used(),
+        rounds=rounds,
+    )
+
+
+def _optimal_quotas_scalar(
+    tasks: Sequence[TaskModelInputs],
+    model: PerformanceModel,
+    dram_capacity_bytes: int,
+    task_bytes: Mapping[str, int],
+    levels: np.ndarray,
+) -> PlanResult:
+    """Reference per-task-dict bisection (the pre-kernel implementation)."""
+    capacity_pages = dram_capacity_bytes // PAGE_SIZE
+    task_pages = _task_pages_map(tasks, task_bytes)
+    # precompute predicted time per (task, level); enforce monotonicity so
+    # bisection is sound even if the learned f(.) wiggles
+    times: dict[str, np.ndarray] = {}
+    for t in tasks:
+        raw = model.ratio_grid(t, levels)
+        times[t.task_id] = np.minimum.accumulate(raw)
+
+    def min_pages_for_makespan(m: float) -> int | None:
+        total = 0
+        for t in tasks:
+            feasible = np.flatnonzero(times[t.task_id] <= m)
+            if len(feasible) == 0:
+                return None
+            total += _pages_for(task_pages[t.task_id], float(levels[feasible[0]]))
+        return total
+
+    candidates = sorted({float(v) for arr in times.values() for v in arr})
+    lo, hi = 0, len(candidates) - 1
+    best: float | None = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        pages = min_pages_for_makespan(candidates[mid])
+        if pages is not None and pages <= capacity_pages:
+            best = candidates[mid]
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    if best is None:
+        best = candidates[-1]
+
+    quotas = []
+    used = 0
+    for t in tasks:
+        feasible = np.flatnonzero(times[t.task_id] <= best)
+        level = float(levels[feasible[0]]) if len(feasible) else 1.0
+        pages = _pages_for(task_pages[t.task_id], level)
+        used += pages
+        quotas.append(
+            TaskQuota(
+                task_id=t.task_id,
+                dram_accesses=level * t.total_accesses,
+                r_dram=level,
+                dram_pages=pages,
+                predicted_time_s=float(
+                    times[t.task_id][feasible[0]] if len(feasible) else times[t.task_id][-1]
+                ),
+            )
+        )
+    return PlanResult(
+        quotas=tuple(quotas),
+        predicted_makespan_s=max(q.predicted_time_s for q in quotas),
+        dram_pages_used=used,
+        rounds=1,
+    )
+
+
+def _throughput_plan_scalar(
+    tasks: Sequence[TaskModelInputs],
+    dram_capacity_bytes: int,
+    task_bytes: Mapping[str, int],
+    levels: np.ndarray,
+    grid: Mapping[str, np.ndarray],
+) -> PlanResult:
+    """Reference density-greedy loop (the pre-kernel implementation)."""
+    capacity_pages = dram_capacity_bytes // PAGE_SIZE
+    task_pages = _task_pages_map(tasks, task_bytes)
+    by_id = {t.task_id: t for t in tasks}
+
+    level_idx = {t.task_id: 0 for t in tasks}
+
+    def pages_used() -> int:
+        return sum(
+            _pages_for(task_pages[tid], float(levels[level_idx[tid]]))
+            for tid in level_idx
+        )
+
+    while True:
+        best: tuple[float, str] | None = None
+        for tid, k in level_idx.items():
+            if k + 1 >= len(levels):
+                continue
+            saved = float(grid[tid][k] - grid[tid][k + 1])
+            extra_pages = _pages_for(task_pages[tid], float(levels[k + 1])) - _pages_for(
+                task_pages[tid], float(levels[k])
+            )
+            density = saved / max(extra_pages, 1)
+            if best is None or density > best[0]:
+                best = (density, tid)
+        if best is None or best[0] <= 0:
+            break
+        tid = best[1]
+        level_idx[tid] += 1
+        if pages_used() > capacity_pages:
+            level_idx[tid] -= 1
+            break
+
+    quotas = tuple(
+        TaskQuota(
+            task_id=tid,
+            dram_accesses=float(levels[k]) * by_id[tid].total_accesses,
+            r_dram=float(levels[k]),
+            dram_pages=_pages_for(task_pages[tid], float(levels[k])),
+            predicted_time_s=float(grid[tid][k]),
+        )
+        for tid, k in level_idx.items()
+    )
+    return PlanResult(
+        quotas=quotas,
+        predicted_makespan_s=max(q.predicted_time_s for q in quotas),
+        dram_pages_used=pages_used(),
+        rounds=sum(level_idx.values()),
+    )
+
+
+
+# ---------------------------------------------------------------------------
+# ml / correlation
+# ---------------------------------------------------------------------------
+
+def tree_predict(self: DecisionTreeRegressor, X) -> np.ndarray:
+    """``DecisionTreeRegressor.predict`` as a per-sample node walk.
+
+    Split comparisons are the batched kernel's (``x <= threshold`` on the
+    same float64 values), so both land each sample on the same leaf.
+    """
+    if not self._nodes:
+        raise RuntimeError("tree not fitted")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[None, :]
+    if X.shape[1] != self.n_features_:
+        raise ValueError("feature-count mismatch")
+    out = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        node = self._nodes[0]
+        while node.feature >= 0:
+            if X[i, node.feature] <= node.threshold:
+                node = self._nodes[node.left]
+            else:
+                node = self._nodes[node.right]
+        out[i] = node.value
+    return out
+
+
+def gbr_predict(self: GradientBoostedRegressor, X) -> np.ndarray:
+    """``GradientBoostedRegressor.predict`` as a per-tree shrinkage loop."""
+    if not self.trees_:
+        raise RuntimeError("model not fitted")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[None, :]
+    pred = np.full(X.shape[0], self.init_)
+    for tree in self.trees_:
+        pred += self.learning_rate * tree.predict(X)
+    return pred
+
+
+def predict_stacked(
+    self: CorrelationFunction, pmcs_seq: Sequence[Mapping[str, float]], ratios
+) -> np.ndarray:
+    """``CorrelationFunction.predict_stacked`` with a block-filled matrix."""
+    ratios = np.asarray(ratios, dtype=np.float64)
+    if ratios.ndim != 1:
+        raise ValueError("ratios must be 1-D")
+    if ((ratios < 0) | (ratios > 1)).any():
+        raise ValueError("ratios must be within [0, 1]")
+    if len(pmcs_seq) == 0:
+        return np.empty((0, len(ratios)))
+    n_r = len(ratios)
+    X = np.empty((len(pmcs_seq) * n_r, len(self.events) + 1))
+    for i, pmcs in enumerate(pmcs_seq):
+        block = slice(i * n_r, (i + 1) * n_r)
+        X[block, :-1] = [pmcs[e] for e in self.events]
+        X[block, -1] = ratios
+    flat = np.clip(self.model.predict(X), 0.05, 5.0)
+    return flat.reshape(len(pmcs_seq), n_r)
+
+
+# ---------------------------------------------------------------------------
+# sim: per-instance tick pricing
+# ---------------------------------------------------------------------------
+
+class ScalarBreakdown:
+    """Stand-in for ``BreakdownKernel``: one ``MachineModel.breakdown``
+    call per instance, in the order the engine asks for them."""
+
+    def __init__(self, machine, hm, footprints) -> None:
+        self.machine = machine
+        self.hm = hm
+        self.footprints = dict(footprints)
+
+    def breakdown_batch(self, task_ids, fractions):
+        return [
+            self.machine.breakdown(self.footprints[tid], self.hm, fractions)
+            for tid in task_ids
+        ]
+
+
+class ScalarTieredBreakdown:
+    """Stand-in for ``TieredBreakdownKernel``: one
+    ``MachineModel.breakdown_tiered`` call per instance."""
+
+    def __init__(self, machine, topo, footprints) -> None:
+        self.machine = machine
+        self.topo = topo
+        self.footprints = dict(footprints)
+
+    def breakdown_batch(self, task_ids, vectors):
+        return [
+            self.machine.breakdown_tiered(self.footprints[tid], self.topo, vectors)
+            for tid in task_ids
+        ]
+
+
+# ---------------------------------------------------------------------------
+# putting the references in place
+# ---------------------------------------------------------------------------
+
+def bindings(fn) -> list[tuple[object, str]]:
+    """Every ``(module, attribute)`` of a loaded ``repro`` module bound to
+    ``fn`` (a ``from x import fn`` copy is its own binding)."""
+    return [
+        (mod, attr)
+        for mod_name, mod in list(sys.modules.items())
+        if mod is not None and (mod_name == "repro" or mod_name.startswith("repro."))
+        for attr, value in list(vars(mod).items())
+        if value is fn
+    ]
+
+
+@contextmanager
+def scalar_reference() -> Iterator[None]:
+    """Run the enclosed code on the scalar references.
+
+    Methods are replaced on their classes, the tick kernels in
+    ``repro.sim.engine``, and each planner wherever a ``repro`` module
+    binds it.  Everything is restored on exit.
+    """
+    undo: list = []
+    try:
+        for cls, attr, ref in (
+            (DecisionTreeRegressor, "predict", tree_predict),
+            (GradientBoostedRegressor, "predict", gbr_predict),
+            (CorrelationFunction, "predict_stacked", predict_stacked),
+        ):
+            undo.append((cls, attr, cls.__dict__[attr]))
+            setattr(cls, attr, ref)
+        for attr, ref in (
+            ("BreakdownKernel", ScalarBreakdown),
+            ("TieredBreakdownKernel", ScalarTieredBreakdown),
+        ):
+            undo.append((repro.sim.engine, attr, getattr(repro.sim.engine, attr)))
+            setattr(repro.sim.engine, attr, ref)
+        for name, ref in (
+            ("greedy_plan", greedy_plan),
+            ("optimal_quotas", optimal_quotas),
+            ("throughput_plan", throughput_plan),
+        ):
+            fn = getattr(planner, name)
+            for mod, attr in bindings(fn):
+                undo.append((mod, attr, fn))
+                setattr(mod, attr, ref)
+        yield
+    finally:
+        while undo:
+            owner, attr, original = undo.pop()
+            setattr(owner, attr, original)

@@ -1,26 +1,33 @@
-"""Differential suite: scalar vs vectorized kernels must be bit-identical.
+"""Differential suite: the vectorized kernels must match the scalar
+references in ``tests/oracles/scalar.py`` bit for bit.
 
-Every dispatch point behind the ``MERCH_SCALAR_KERNELS`` escape hatch
-(PERFORMANCE.md) is driven with both implementations over seeded random
-task sets, quotas, placements, and fault schedules, and the outputs are
-compared at the byte level -- plans, predictions, migration schedules,
-traces.  Value-level closeness is not good enough: the replay gate
-(PR 7's golden fixture) asserts byte equality of served plans across
-releases, so a last-bit drift between the paths is a real regression.
+Every production kernel (PERFORMANCE.md, "Reference implementations") is
+driven next to its reference over seeded random task sets, quotas,
+placements, and fault schedules, and the outputs are compared at the byte
+level -- plans, predictions, migration schedules, traces.  The reference
+side runs inside :func:`~tests.oracles.scalar.scalar_reference`, so the
+whole stack under it (planner, correlation, trees, tick pricing) is
+scalar.  Value-level closeness is not good enough: the replay gate's
+golden fixture asserts byte equality of served plans across releases, so
+a last-bit drift from the reference is a real regression.
 """
 
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro.ml.kernels
+import repro.sim.kernels
 from repro.apps.codesamples import generate_corpus
 from repro.apps.spgemm import SpGEMMApp
-from repro.common import make_rng, scalar_kernels_enabled
+from repro.common import make_rng
+from repro.core import planner as planner_module
 from repro.core.model import TaskModelInputs
-from repro.core.planner import greedy_plan, optimal_quotas, throughput_plan
+from repro.core.planner import greedy_plan
 from repro.ml.gbr import GradientBoostedRegressor
 from repro.ml.kernels import (
     forest_apply,
@@ -36,6 +43,8 @@ from repro.sim.kernels import BreakdownKernel
 from repro.sim.machine import MachineModel
 from repro.sim.memspec import optane_hm_config
 from repro.sim.pages import PageTable
+from tests.oracles import scalar
+from tests.oracles.scalar import scalar_reference
 
 _BD_FIELDS = (
     "total_s", "cpu_s", "mem_s", "dram_s", "pm_s",
@@ -45,27 +54,6 @@ _BD_FIELDS = (
 
 def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
-
-
-@pytest.fixture
-def scalar_mode(monkeypatch):
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "1")
-
-
-@pytest.fixture
-def kernel_mode(monkeypatch):
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "0")
-
-
-def test_escape_hatch_reads_environment(monkeypatch):
-    monkeypatch.delenv("MERCH_SCALAR_KERNELS", raising=False)
-    assert not scalar_kernels_enabled()
-    for truthy in ("1", "true", "YES", " on "):
-        monkeypatch.setenv("MERCH_SCALAR_KERNELS", truthy)
-        assert scalar_kernels_enabled()
-    for falsy in ("0", "false", "", "off"):
-        monkeypatch.setenv("MERCH_SCALAR_KERNELS", falsy)
-        assert not scalar_kernels_enabled()
 
 
 # ---------------------------------------------------------------------------
@@ -84,23 +72,21 @@ def _fitted_models(seed: int, n: int = 240, d: int = 9):
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
-def test_tree_predictions_bit_identical(seed, monkeypatch):
+def test_tree_predictions_bit_identical(seed):
     tree, _, rng = _fitted_models(seed)
     Xq = rng.normal(size=(300, 9))
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "1")
-    ref = tree.predict(Xq)
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "0")
+    with scalar_reference():
+        ref = tree.predict(Xq)
     vec = tree.predict(Xq)
     assert ref.tobytes() == vec.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
-def test_gbr_predictions_bit_identical(seed, monkeypatch):
+def test_gbr_predictions_bit_identical(seed):
     _, gbr, rng = _fitted_models(seed)
     Xq = rng.normal(size=(500, 9))
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "1")
-    ref = gbr.predict(Xq)
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "0")
+    with scalar_reference():
+        ref = gbr.predict(Xq)
     vec = gbr.predict(Xq)
     assert ref.tobytes() == vec.tobytes()
 
@@ -134,12 +120,11 @@ def test_forest_cache_invalidated_by_refit():
     assert gbr.forest() is not first
 
 
-def test_fitted_models_survive_pickle(monkeypatch):
+def test_fitted_models_survive_pickle():
     tree, gbr, rng = _fitted_models(9)
     Xq = rng.normal(size=(50, 9))
     tree2 = pickle.loads(pickle.dumps(tree))
     gbr2 = pickle.loads(pickle.dumps(gbr))
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "0")
     assert tree2.predict(Xq).tobytes() == tree.predict(Xq).tobytes()
     assert gbr2.predict(Xq).tobytes() == gbr.predict(Xq).tobytes()
 
@@ -190,19 +175,18 @@ def _random_tasks(system, n_tasks: int, seed: int):
     return tasks, task_bytes
 
 
-def test_predict_stacked_bit_identical(system, monkeypatch):
+def test_predict_stacked_bit_identical(system):
     tasks, _ = _random_tasks(system, 6, seed=11)
     corr = system.correlation
     ratios = np.round(np.arange(0.0, 1.0001, 0.05), 10)
     pmcs_seq = [t.pmcs for t in tasks]
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "1")
-    ref = corr.predict_stacked(pmcs_seq, ratios)
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "0")
+    with scalar_reference():
+        ref = corr.predict_stacked(pmcs_seq, ratios)
     vec = corr.predict_stacked(pmcs_seq, ratios)
     assert ref.tobytes() == vec.tobytes()
 
 
-def test_ratio_grids_match_per_task_grids(system, kernel_mode):
+def test_ratio_grids_match_per_task_grids(system):
     """The batching contract at the model layer: one stacked call per
     batch returns the same bits as a grid call per task."""
     tasks, _ = _random_tasks(system, 5, seed=13)
@@ -230,7 +214,7 @@ def _plan_fingerprint(plan) -> tuple:
     )
 
 
-@pytest.mark.parametrize("planner", [greedy_plan, optimal_quotas, throughput_plan])
+@pytest.mark.parametrize("planner", ["greedy_plan", "optimal_quotas", "throughput_plan"])
 @pytest.mark.parametrize("seed,n_tasks,cap_frac", [
     (3, 12, 0.40),
     (21, 4, 0.05),    # tight capacity: exercises the overshoot clamp
@@ -238,29 +222,27 @@ def _plan_fingerprint(plan) -> tuple:
     (23, 16, 0.65),
     (24, 7, 0.95),    # near-everything fits: exercises saturation
 ])
-def test_planners_bit_identical(system, monkeypatch, planner, seed, n_tasks, cap_frac):
+def test_planners_bit_identical(system, planner, seed, n_tasks, cap_frac):
     tasks, task_bytes = _random_tasks(system, n_tasks, seed=seed)
     model = system.performance_model
     cap = int(sum(task_bytes.values()) * cap_frac)
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "1")
-    ref = planner(tasks, model, cap, task_bytes)
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "0")
-    vec = planner(tasks, model, cap, task_bytes)
+    with scalar_reference():
+        ref = getattr(scalar, planner)(tasks, model, cap, task_bytes)
+    vec = getattr(planner_module, planner)(tasks, model, cap, task_bytes)
     assert _plan_fingerprint(ref) == _plan_fingerprint(vec)
 
 
-def test_greedy_plan_with_precomputed_grids_bit_identical(system, monkeypatch):
+def test_greedy_plan_with_precomputed_grids_bit_identical(system):
     """The service path: quotas priced from one stacked grids call."""
     tasks, task_bytes = _random_tasks(system, 10, seed=31)
     model = system.performance_model
     cap = int(sum(task_bytes.values()) * 0.3)
     levels = np.round(np.arange(0.0, 1.0 + 0.025, 0.05), 10)
     levels[-1] = min(levels[-1], 1.0)
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "0")
     grids = model.ratio_grids(tasks, levels)
     vec = greedy_plan(tasks, model, cap, task_bytes, grids=grids)
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "1")
-    ref = greedy_plan(tasks, model, cap, task_bytes, grids=grids)
+    with scalar_reference():
+        ref = scalar.greedy_plan(tasks, model, cap, task_bytes, grids=grids)
     assert _plan_fingerprint(ref) == _plan_fingerprint(vec)
 
 
@@ -356,16 +338,15 @@ def _engine_run_fingerprint(system, seed: int, faults=None) -> tuple:
     )
 
 
-def test_engine_run_bit_identical(system, monkeypatch):
+def test_engine_run_bit_identical(system):
     """Whole-pipeline differential: plans, migration schedule, traces."""
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "1")
-    ref = _engine_run_fingerprint(system, seed=0)
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "0")
+    with scalar_reference():
+        ref = _engine_run_fingerprint(system, seed=0)
     vec = _engine_run_fingerprint(system, seed=0)
     assert ref == vec
 
 
-def test_engine_run_bit_identical_under_faults(system, monkeypatch):
+def test_engine_run_bit_identical_under_faults(system):
     """Fault schedules (bandwidth dips, pressure spikes, failed batches)
     must replay identically on both paths."""
     from repro.sim.faults import FaultConfig, FaultInjector
@@ -383,9 +364,8 @@ def test_engine_run_bit_identical_under_faults(system, monkeypatch):
             seed=9,
         )
 
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "1")
-    ref = _engine_run_fingerprint(system, seed=2, faults=make_faults())
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "0")
+    with scalar_reference():
+        ref = _engine_run_fingerprint(system, seed=2, faults=make_faults())
     vec = _engine_run_fingerprint(system, seed=2, faults=make_faults())
     assert ref == vec
 
@@ -458,10 +438,91 @@ def _tiered_engine_fingerprint(system, preset: str, policy_name: str) -> tuple:
 
 @pytest.mark.parametrize("preset", ["hbm_dram_pm", "hbm_dram_cxl_pm"])
 @pytest.mark.parametrize("policy_name", ["merchandiser", "interval"])
-def test_tiered_engine_run_bit_identical(system, monkeypatch, preset, policy_name):
-    """The tiered tick loop must not care which kernel path computes it."""
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "1")
-    ref = _tiered_engine_fingerprint(system, preset, policy_name)
-    monkeypatch.setenv("MERCH_SCALAR_KERNELS", "0")
+def test_tiered_engine_run_bit_identical(system, preset, policy_name):
+    """The tiered tick loop must not care whether the kernel or the
+    per-instance reference prices it."""
+    with scalar_reference():
+        ref = _tiered_engine_fingerprint(system, preset, policy_name)
     vec = _tiered_engine_fingerprint(system, preset, policy_name)
     assert ref == vec
+
+
+# ---------------------------------------------------------------------------
+# guard: the reference side really runs the references
+# ---------------------------------------------------------------------------
+
+#: production kernels and planner bodies, (owner, attribute)
+_PRODUCTION = (
+    (repro.sim.kernels.BreakdownKernel, "__init__"),
+    (repro.sim.kernels.TieredBreakdownKernel, "__init__"),
+    (repro.ml.kernels, "tree_apply"),
+    (repro.ml.kernels, "forest_predict"),
+    (repro.ml.kernels, "stacked_features"),
+    (planner_module, "_greedy_plan_kernel"),
+    (planner_module, "_optimal_quotas_kernel"),
+    (planner_module, "_throughput_plan_kernel"),
+)
+
+
+def _counted(calls: Counter, key: str, fn):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def _count_production(monkeypatch, calls: Counter) -> None:
+    """Count calls to every production kernel, wherever it is bound."""
+    for owner, attr in _PRODUCTION:
+        key = f"{getattr(owner, '__name__', owner)}.{attr}"
+        fn = getattr(owner, attr)
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, attr, _counted(calls, key, fn))
+            continue
+        for mod, name in scalar.bindings(fn):
+            monkeypatch.setattr(mod, name, _counted(calls, key, fn))
+
+
+def test_scalar_reference_leaves_production_idle(system, monkeypatch):
+    """A missed patch site would compare production with itself: inside
+    ``scalar_reference()`` no production kernel may run, and every
+    reference must."""
+    from repro.runtime.planning import critical_path_plan
+    from repro.sim.memspec import topology_preset
+
+    tasks, task_bytes = _random_tasks(system, 6, seed=41)
+    model = system.performance_model
+    cap = int(sum(task_bytes.values()) * 0.3)
+    deps = {"t2": ("t0",), "t3": ("t1", "t2")}
+
+    production: Counter = Counter()
+    _count_production(monkeypatch, production)
+    oracles: Counter = Counter()
+    for name in scalar.__all__:
+        if name != "scalar_reference":
+            monkeypatch.setattr(
+                scalar, name, _counted(oracles, name, getattr(scalar, name))
+            )
+
+    with scalar_reference():
+        _engine_run_fingerprint(system, seed=0)
+        _tiered_engine_fingerprint(system, "hbm_dram_pm", "merchandiser")
+        for name in ("greedy_plan", "optimal_quotas", "throughput_plan"):
+            getattr(planner_module, name)(tasks, model, cap, task_bytes)
+        critical_path_plan(tasks, model, cap, task_bytes, deps)
+    assert not production, dict(production)
+    idle = [n for n in scalar.__all__ if n != "scalar_reference" and not oracles[n]]
+    assert not idle, f"references never called: {idle}"
+
+    # control: the same counters do see the production path
+    for name in ("greedy_plan", "optimal_quotas", "throughput_plan"):
+        getattr(planner_module, name)(tasks, model, cap, task_bytes)
+    tree = system.correlation.model.trees_[0]
+    tree.predict(np.zeros((2, tree.n_features_)))
+    fps = [("t0", generate_corpus(1, seed=5)[0].footprint(1.0))]
+    repro.sim.kernels.BreakdownKernel(system.machine, system.hm, fps)
+    repro.sim.kernels.TieredBreakdownKernel(
+        system.machine, topology_preset("hbm_dram_pm"), fps
+    )
+    assert len(production) == len(_PRODUCTION), dict(production)

@@ -74,12 +74,16 @@ def test_reference_covers_exactly_the_entry_points():
     assert _doc_rows() == set(KERNEL_ENTRY_POINTS)
 
 
-def test_escape_hatch_is_documented():
+def test_reference_implementations_are_documented():
+    """The doc must point at the scalar references, name every one of
+    them, and state the bit-identity guarantee the tests enforce."""
+    from tests.oracles import scalar
+
     text = DOC.read_text()
-    assert "MERCH_SCALAR_KERNELS" in text
-    # the doc must state both the differential-testing purpose and the
-    # bit-identity guarantee the tests enforce
+    assert "tests/oracles/" in text
     assert "bit-identical" in text or "bit identical" in text
+    missing = [name for name in scalar.__all__ if name not in text]
+    assert not missing, f"references missing from PERFORMANCE.md: {missing}"
 
 
 def _preset_rows() -> set[str]:
@@ -115,13 +119,38 @@ def test_preset_rows_state_the_right_tier_stack():
         assert f"| {len(tier_names)} |" in row
 
 
+#: a measured-speedup row: | `name` | shape | scalar | kernel | speedup | floor |
+SPEEDUP_ROW = re.compile(
+    r"^\|\s*`([a-z_]+)`\s*\|[^|]*\|\s*([^|]*?)\s*\|\s*([^|]*?)\s*\|"
+    r"\s*([^|]*?)\s*\|\s*([^|]*?)\s*\|$"
+)
+
+
+def _ms(value: float) -> str:
+    """The table's rounding: one decimal from 10 ms up, two below."""
+    return f"{value:.1f} ms" if value >= 10 else f"{value:.2f} ms"
+
+
 def test_speedup_table_matches_committed_results():
-    """The before/after table cites the committed measured ratios."""
+    """Every cell of the measured-speedup table equals the committed JSON
+    at the table's rounding, and every benchmark has exactly one row."""
     import json
 
     results = Path(__file__).resolve().parent.parent / "results" / "kernel_speedups.json"
     assert results.exists(), "results/kernel_speedups.json is missing"
     entries = json.loads(results.read_text())
-    text = DOC.read_text()
-    for name in entries:
-        assert f"`{name}`" in text, f"benchmark {name!r} missing from PERFORMANCE.md"
+    rows: dict[str, tuple[str, ...]] = {}
+    for line in DOC.read_text().splitlines():
+        m = SPEEDUP_ROW.match(line)
+        if m and m.group(1) in entries:
+            assert m.group(1) not in rows, f"duplicate row for {m.group(1)!r}"
+            rows[m.group(1)] = m.groups()[1:]
+    assert set(rows) == set(entries), f"rows {sorted(rows)} != {sorted(entries)}"
+    for name, entry in entries.items():
+        expected = (
+            _ms(entry["scalar_ms"]),
+            _ms(entry["kernel_ms"]),
+            f"**{entry['speedup_x']:.1f}×**",
+            f"{entry['accept_floor_x']:g}×",
+        )
+        assert rows[name] == expected, (name, rows[name], expected)
