@@ -1,9 +1,11 @@
 """CART regression trees with variance-reduction splits.
 
 The tree is the workhorse of Table 3: the paper's best model (GBR) boosts
-these, and the Random Forest bags them.  Split finding is fully vectorised:
-per candidate feature, targets are sorted by feature value and the best
-threshold is found from prefix sums of ``y`` and ``y**2`` in one pass.
+these, and the Random Forest bags them.  Each tree sorts its rows by every
+feature once, stably, and splits those sorted row lists down the recursion,
+so a node never sorts.  Split finding is one vectorised pass per node over
+all candidate features at once: prefix sums of ``y`` and ``y**2`` along each
+feature's ordering give every threshold's SSE reduction.
 
 Feature importance is the variance-reduction ("Gini") importance the paper
 uses to select performance events (Section 5.1, citing Louppe et al.).
@@ -35,52 +37,56 @@ def _best_split(
     X: np.ndarray,
     y: np.ndarray,
     idx: np.ndarray,
+    order: np.ndarray,
     features: np.ndarray,
     min_samples_leaf: int,
 ) -> tuple[int, float, float]:
     """Return (feature, threshold, impurity_decrease) or (-1, 0, 0).
 
-    Impurity decrease is measured as reduction of total SSE within the node,
-    i.e. ``SSE(node) - SSE(left) - SSE(right)``.
+    ``idx`` holds the node's rows in ascending order and ``order[f]`` the
+    same rows stably sorted by feature ``f``.  Impurity decrease is measured
+    as reduction of total SSE within the node, i.e.
+    ``SSE(node) - SSE(left) - SSE(right)``.
     """
     n = len(idx)
     y_node = y[idx]
     sse_node = float(np.sum((y_node - y_node.mean()) ** 2))
-    best = (-1, 0.0, 0.0)
     if sse_node <= 1e-18:
-        return best
-    best_gain = 1e-12
-    for f in features:
-        x = X[idx, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y_node[order]
-        # candidate split after position i (1-based counts)
-        c1 = np.cumsum(ys)
-        c2 = np.cumsum(ys * ys)
-        total1, total2 = c1[-1], c2[-1]
-        counts = np.arange(1, n, dtype=np.float64)  # left sizes 1..n-1
-        l1, l2 = c1[:-1], c2[:-1]
-        r1, r2 = total1 - l1, total2 - l2
-        sse_l = l2 - l1 * l1 / counts
-        sse_r = r2 - r1 * r1 / (n - counts)
-        gain = sse_node - (sse_l + sse_r)
-        # a split is valid only between distinct feature values and with
-        # enough samples on both sides
-        valid = xs[1:] != xs[:-1]
-        if min_samples_leaf > 1:
-            k = min_samples_leaf
-            valid = valid.copy()
-            valid[: k - 1] = False
-            if k > 1:
-                valid[len(valid) - (k - 1):] = False
-        gain = np.where(valid, gain, -np.inf)
-        pos = int(np.argmax(gain))
-        if gain[pos] > best_gain:
-            best_gain = float(gain[pos])
-            threshold = 0.5 * (xs[pos] + xs[pos + 1])
-            best = (int(f), float(threshold), best_gain)
-    return best
+        return (-1, 0.0, 0.0)
+    # one row per candidate feature, in that feature's sorted order; a
+    # cumsum along a row adds in the same order as the 1-D cumsum would
+    rows = order[features]
+    xs = X[rows, features[:, None]]
+    ys = y[rows]
+    # candidate split after position i (1-based counts)
+    c1 = np.cumsum(ys, axis=1)
+    c2 = np.cumsum(ys * ys, axis=1)
+    total1, total2 = c1[:, -1:], c2[:, -1:]
+    counts = np.arange(1, n, dtype=np.float64)  # left sizes 1..n-1
+    l1, l2 = c1[:, :-1], c2[:, :-1]
+    r1, r2 = total1 - l1, total2 - l2
+    sse_l = l2 - l1 * l1 / counts
+    sse_r = r2 - r1 * r1 / (n - counts)
+    gain = sse_node - (sse_l + sse_r)
+    # a split is valid only between distinct feature values and with
+    # enough samples on both sides
+    valid = xs[:, 1:] != xs[:, :-1]
+    k = min_samples_leaf
+    if k > 1:
+        valid[:, : k - 1] = False
+        valid[:, n - k:] = False
+    gain = np.where(valid, gain, -np.inf)
+    top = gain.max(axis=1)
+    # the first feature with the greatest gain wins, as when features were
+    # scanned in turn and only a strictly greater gain replaced the best; a
+    # feature whose best gain does not clear 1e-12 (or is NaN) never wins
+    top[~(top > 1e-12)] = -np.inf
+    j = int(np.argmax(top))
+    if not top[j] > 1e-12:
+        return (-1, 0.0, 0.0)
+    pos = int(np.argmax(gain[j]))
+    threshold = 0.5 * (xs[j, pos] + xs[j, pos + 1])
+    return (int(features[j]), float(threshold), float(top[j]))
 
 
 class DecisionTreeRegressor:
@@ -125,7 +131,7 @@ class DecisionTreeRegressor:
             return max(1, int(round(mf * d)))
         return max(1, min(int(mf), d))
 
-    def fit(self, X, y, sample_weight=None) -> "DecisionTreeRegressor":
+    def fit(self, X, y) -> "DecisionTreeRegressor":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
         if X.ndim != 2:
@@ -139,8 +145,11 @@ class DecisionTreeRegressor:
         self._nodes = []
         importances = np.zeros(d)
         n_cand = self._n_candidate_features(d)
+        # row -> goes-left flags shared by every split; a split writes and
+        # reads only its own rows
+        goes_left = np.zeros(n, dtype=bool)
 
-        def build(idx: np.ndarray, depth: int) -> int:
+        def build(idx: np.ndarray, order: np.ndarray, depth: int) -> int:
             node_id = len(self._nodes)
             node = _Node(value=float(y[idx].mean()), n_samples=len(idx))
             self._nodes.append(node)
@@ -154,7 +163,9 @@ class DecisionTreeRegressor:
                 features = np.arange(d)
             else:
                 features = self._rng.choice(d, size=n_cand, replace=False)
-            f, thr, gain = _best_split(X, y, idx, features, self.min_samples_leaf)
+            f, thr, gain = _best_split(
+                X, y, idx, order, features, self.min_samples_leaf
+            )
             if f < 0:
                 return node_id
             mask = X[idx, f] <= thr
@@ -164,11 +175,19 @@ class DecisionTreeRegressor:
             importances[f] += gain
             node.feature = f
             node.threshold = thr
-            node.left = build(left_idx, depth + 1)
-            node.right = build(right_idx, depth + 1)
+            # split every feature's sorted row list stably in one pass
+            goes_left[idx] = mask
+            left = goes_left[order]
+            left_order = order[left].reshape(d, len(left_idx))
+            right_order = order[~left].reshape(d, len(right_idx))
+            node.left = build(left_idx, left_order, depth + 1)
+            node.right = build(right_idx, right_order, depth + 1)
             return node_id
 
-        build(np.arange(n), 0)
+        # each row of ``order`` lists the rows stably sorted by one feature;
+        # restricted to a node's ascending ``idx`` it is the node's own
+        # stable order, so no node sorts again
+        build(np.arange(n), np.argsort(X, axis=0, kind="stable").T, 0)
         self._arrays = pack_tree(self._nodes)
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances

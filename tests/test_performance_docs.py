@@ -75,14 +75,15 @@ def test_reference_covers_exactly_the_entry_points():
 
 
 def test_reference_implementations_are_documented():
-    """The doc must point at the scalar references, name every one of
-    them, and state the bit-identity guarantee the tests enforce."""
-    from tests.oracles import scalar
+    """The doc must point at the scalar and tree references, name every
+    one of them, and state the bit-identity guarantee the tests enforce."""
+    from tests.oracles import scalar, tree
 
     text = DOC.read_text()
     assert "tests/oracles/" in text
     assert "bit-identical" in text or "bit identical" in text
-    missing = [name for name in scalar.__all__ if name not in text]
+    names = [*scalar.__all__, *tree.__all__]
+    missing = [name for name in names if not re.search(rf"[`.]{name}\b", text)]
     assert not missing, f"references missing from PERFORMANCE.md: {missing}"
 
 
