@@ -337,5 +337,5 @@ KERNEL_ENTRY_POINTS: tuple[str, ...] = (
     "repro.sim.pages.PageTable.weight_arena",
     "repro.sim.pages.PageTable.residency_arena",
     "repro.sim.pages.PageTable.object_slice",
-    "repro.sim.pages.TieredPageTable.residency_arena",
+    "repro.sim.pages.TieredPageTable.tier_arena",
 )

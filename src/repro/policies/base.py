@@ -49,14 +49,15 @@ def tier_free_pages(table: "PageTable | TieredPageTable", k: int) -> int:
 
 
 def page_tiers(table: "PageTable | TieredPageTable", name: str) -> np.ndarray:
-    """Current tier index of every page of object ``name``.
+    """Current tier index of every page of object ``name`` (a copy).
 
-    Fractionally resident pages report the tier holding the largest share
-    (ties to the faster tier), which is exact for software placement.
+    N-tier tables store this index per page.  On the 2-tier table a page
+    Memory Mode's cache holds fractionally reports DRAM when more than
+    half resident.
     """
     obj = table.object(name)
     if isinstance(table, TieredPageTable):
-        return np.asarray(np.argmax(obj.tier_residency, axis=0), dtype=np.intp)
+        return obj.page_tier.astype(np.intp)
     return np.where(obj.residency > 0.5, 0, 1).astype(np.intp)
 
 

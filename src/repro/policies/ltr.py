@@ -92,10 +92,9 @@ class LearnedRankingPolicy(PlacementPolicy):
         free = [tier_free_pages(table, k) for k in range(n)]
         # plan against total capacity: pages vacating a tier free it up as
         # the queue drains, and the table clamps any transient excess
+        held = sum(np.bincount(page_tiers(table, nm), minlength=n) for nm in names)
         for k in range(n):
-            free[k] += int(round(sum(
-                np.count_nonzero(page_tiers(table, nm) == k) for nm in names
-            )))
+            free[k] += int(held[k])
         queue: list[tuple[str, np.ndarray, int]] = []
         tier = 0
         for i in order:

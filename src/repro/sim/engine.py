@@ -1162,12 +1162,11 @@ def _plan_tiered_pressure_evictions(
     if need <= 0:
         return None
     free = [table.tier_free_pages(k) for k in range(table.n_tiers)]
+    fractions = table.access_fraction_vectors()
     moves: list[tuple[str, np.ndarray, int]] = []
     picked = 0
     dst = 1
-    for obj in sorted(
-        table, key=lambda o: (float(o.tier_access_fractions()[0]), o.name)
-    ):
+    for obj in sorted(table, key=lambda o: (float(fractions[o.name][0]), o.name)):
         if picked >= need:
             break
         cold = obj.coldest_pages_in(0, limit=need - picked)

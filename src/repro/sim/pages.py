@@ -1,4 +1,4 @@
-"""Page tables with per-page popularity and fractional DRAM residency.
+"""Page tables with per-page popularity and per-page placement.
 
 Each managed :class:`~repro.tasks.task.DataObject` becomes a
 :class:`PagedObject`: a vector of per-page access weights (how the object's
@@ -11,6 +11,10 @@ resident for whatever fraction of its accesses hit the direct-mapped DRAM
 cache) flow through the same accounting.  The task-level quantity everything
 downstream consumes is the access-weighted DRAM fraction
 (:meth:`PagedObject.dram_access_fraction`), the paper's ``r_dram_acc``.
+
+The N-tier :class:`TieredPageTable` places software-managed pages only, so
+its per-page state is one integer tier index per page; fractions per tier
+are derived from it.
 """
 
 from __future__ import annotations
@@ -364,25 +368,28 @@ class PageTable:
         return _sample_uniform(self.names, self._page_bounds, n, rng)
 
 # ----------------------------------------------------------------------
-# N-tier residency (TopologySpec-backed)
+# N-tier placement (TopologySpec-backed)
 # ----------------------------------------------------------------------
 
 class TieredPagedObject:
     """Pages of one data object across N tiers.
 
-    ``tier_residency`` is an ``(n_tiers, n_pages)`` matrix whose columns
-    sum to 1: column ``p`` says what fraction of page ``p`` lives on each
-    tier (fastest first).  Software placement keeps pages fully in one
-    tier (a single 1 per column); the fractional form exists for the same
-    reason :class:`PagedObject`'s residency does -- hardware-cache-style
-    policies account partial hits through the same vectors.
+    ``page_tier`` is each page's tier index (``int8``, fastest first).
+    Software placement keeps every page wholly on one tier, so one index
+    per page is the whole placement state, and the per-tier access
+    fractions are the one-hot indicator of ``page_tier`` times ``weight``.
+    Fractional, hardware-cache-style residency exists only on the 2-tier
+    :class:`PagedObject` (Memory Mode); a future cache-style N-tier policy
+    would model its share at object level, outside the page arena.
     """
 
-    __slots__ = ("spec", "n_pages", "n_tiers", "weight", "tier_residency")
+    __slots__ = ("spec", "n_pages", "n_tiers", "weight", "page_tier")
 
     def __init__(self, spec: DataObject, n_tiers: int, rng=None) -> None:
         if n_tiers < 2:
             raise ValueError("need at least two tiers")
+        if n_tiers > np.iinfo(np.int8).max:
+            raise ValueError("tier index does not fit in int8")
         self.spec = spec
         self.n_pages = spec.n_pages
         self.n_tiers = n_tiers
@@ -398,8 +405,8 @@ class TieredPagedObject:
             self.weight /= self.weight.sum()
         else:
             self.weight = np.full(self.n_pages, 1.0 / self.n_pages)
-        self.tier_residency = np.zeros((n_tiers, self.n_pages), dtype=np.float64)
-        self.tier_residency[-1, :] = 1.0  # born in the slowest tier
+        # born in the slowest tier
+        self.page_tier = np.full(self.n_pages, n_tiers - 1, dtype=np.int8)
 
     @property
     def name(self) -> str:
@@ -409,28 +416,30 @@ class TieredPagedObject:
     def owner(self) -> str | None:
         return self.spec.owner
 
-    def tier_pages(self, k: int) -> float:
-        """Equivalent number of this object's pages resident on tier ``k``."""
-        return float(self.tier_residency[k].sum())
-
     def tier_access_fractions(self) -> np.ndarray:
-        """Access-weighted per-tier fraction vector (sums to 1)."""
-        return self.tier_residency @ self.weight
+        """Access-weighted per-tier fraction vector (sums to 1).
+
+        The one-hot matrix is materialized so the product is one BLAS
+        matrix-vector call, bit for bit the sum a float residency matrix
+        gives; ``bincount(weights=)`` and per-row dots add in other orders
+        (PERFORMANCE.md section 4, rule 3).
+        """
+        onehot = self.page_tier[None, :] == np.arange(self.n_tiers)[:, None]
+        return onehot.astype(np.float64) @ self.weight
 
     def hottest_pages_slower_than(
         self, k: int, limit: int | None = None
     ) -> np.ndarray:
-        """Pages with residency on a tier slower than ``k``, hottest first
-        (ties broken by page id via stable sort)."""
-        slower = self.tier_residency[k + 1 :].sum(axis=0)
-        candidates = np.flatnonzero(slower > 1e-12)
+        """Pages on a tier slower than ``k``, hottest first (ties broken by
+        page id via stable sort)."""
+        candidates = np.flatnonzero(self.page_tier > k)
         order = np.argsort(-self.weight[candidates], kind="stable")
         idx = candidates[order]
         return idx if limit is None else idx[:limit]
 
     def coldest_pages_in(self, k: int, limit: int | None = None) -> np.ndarray:
-        """Pages with residency on tier ``k``, coldest first."""
-        candidates = np.flatnonzero(self.tier_residency[k] > 1e-12)
+        """Pages on tier ``k``, coldest first."""
+        candidates = np.flatnonzero(self.page_tier == k)
         order = np.argsort(self.weight[candidates], kind="stable")
         idx = candidates[order]
         return idx if limit is None else idx[:limit]
@@ -456,14 +465,21 @@ class TieredPageTable:
     """All paged objects of a workload plus per-tier capacity accounting.
 
     Mirrors :class:`PageTable`'s struct-of-arrays layout: one weight arena
-    and one ``(n_tiers, lanes)`` residency arena cover every object, with
-    each object's vectors as views.  *Every* tier is capacity-checked --
-    including the slowest, which the 2-tier table treats as an unbounded
-    backing store -- so the conformance harness's over-commit invariant is
-    enforceable uniformly.
+    and one ``int8`` tier-index arena cover every object, with each
+    object's ``weight``/``page_tier`` as views (padding lanes hold
+    :attr:`NO_TIER`).  Every page is on exactly one tier, so the table
+    keeps exact integer used-page counts per tier, updated from the tiers
+    each move changes, and one cached fraction vector per object,
+    recomputed only after a batch moves that object.  *Every* tier is
+    capacity-checked -- including the slowest, which the 2-tier table
+    treats as an unbounded backing store -- so the conformance harness's
+    over-commit invariant is enforceable uniformly.
     """
 
     _ARENA_ALIGN = PageTable._ARENA_ALIGN
+
+    #: tier index of the arena's padding lanes (no tier)
+    NO_TIER = -1
 
     def __init__(
         self,
@@ -501,23 +517,24 @@ class TieredPageTable:
             starts.append(pos)
             pos += -(-o.n_pages // align) * align
         self._weight_arena = np.zeros(pos, dtype=np.float64)
-        self._residency_arena = np.zeros((self.n_tiers, pos), dtype=np.float64)
+        self._tier_arena = np.full(pos, self.NO_TIER, dtype=np.int8)
+        # apply_batch's scratch for spotting a page listed twice in one
+        # move; every lane it reads was written in the same move
+        self._mark = np.empty(pos, dtype=np.intp)
         self._page_bounds = _page_bounds(objs)
         self._slices: dict[str, slice] = {}
         for o, start in zip(objs, starts):
             sl = slice(start, start + o.n_pages)
             self._slices[o.name] = sl
             self._weight_arena[sl] = o.weight
-            self._residency_arena[:, sl] = o.tier_residency
+            self._tier_arena[sl] = o.page_tier
             o.weight = self._weight_arena[sl]
-            o.tier_residency = self._residency_arena[:, sl]
+            o.page_tier = self._tier_arena[sl]
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_weight_arena", None)
-        state.pop("_residency_arena", None)
-        state.pop("_page_bounds", None)
-        state.pop("_slices", None)
+        for key in ("_weight_arena", "_tier_arena", "_mark", "_page_bounds", "_slices"):
+            state.pop(key, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -529,9 +546,11 @@ class TieredPageTable:
         return self._weight_arena
 
     @property
-    def residency_arena(self) -> np.ndarray:
-        """The shared ``(n_tiers, lanes)`` residency arena."""
-        return self._residency_arena
+    def tier_arena(self) -> np.ndarray:
+        """The shared ``int8`` per-page tier-index arena (read-only by
+        convention: writing it bypasses the per-tier counts and the
+        fraction cache)."""
+        return self._tier_arena
 
     def object_slice(self, name: str) -> slice:
         return self._slices[name]
@@ -567,16 +586,15 @@ class TieredPageTable:
         return tuple(c // PAGE_SIZE for c in self.capacities_bytes)
 
     def tier_used_pages(self, k: int) -> float:
-        return float(self._residency_arena[k].sum())
+        return float(self._used[k])
 
     def tier_used_bytes(self, k: int) -> float:
         return self.tier_used_pages(k) * PAGE_SIZE
 
     def tier_free_pages(self, k: int) -> int:
-        return int(self.tier_capacity_pages[k] - self.tier_used_pages(k))
-
-    def used_pages_vector(self) -> tuple[float, ...]:
-        return tuple(self.tier_used_pages(k) for k in range(self.n_tiers))
+        # capacity is re-read per call: the engine may shrink it for the
+        # duration of one batch (memory pressure)
+        return int(self.capacities_bytes[k] // PAGE_SIZE - self._used[k])
 
     # -- placement -----------------------------------------------------
     def place_waterfall(self) -> None:
@@ -585,18 +603,22 @@ class TieredPageTable:
         order, ascending page ids) -- what first-touch in far memory
         leaves you with, and the state every policy starts from."""
         free = list(self.tier_capacity_pages)
+        used = [0] * self.n_tiers
         for obj in self:
-            obj.tier_residency[:, :] = 0.0
             placed = 0
             for k in range(self.n_tiers - 1, -1, -1):
                 take = min(obj.n_pages - placed, free[k])
                 if take <= 0:
                     continue
-                obj.tier_residency[k, placed : placed + take] = 1.0
+                obj.page_tier[placed : placed + take] = k
                 free[k] -= take
+                used[k] += take
                 placed += take
                 if placed == obj.n_pages:
                     break
+        self._used = used
+        #: per-object fraction vectors; None marks one to recompute
+        self._fractions: dict[str, np.ndarray | None] = dict.fromkeys(self.names)
 
     def apply_batch(self, batch: TieredMigrationBatch) -> int:
         """Apply a migration batch, clamping every move to the destination
@@ -604,9 +626,12 @@ class TieredPageTable:
 
         Moves toward slower tiers are applied first (mirroring the 2-tier
         table's demotions-first rule) so swap traffic never transiently
-        over-commits a fast tier.  Returns pages actually moved.
+        over-commits a fast tier.  Returns pages actually moved, counting
+        a page listed twice in one move twice; the per-tier counts change
+        once per page.
         """
         moved = 0
+        used = self._used
         order = sorted(
             range(len(batch.moves)),
             key=lambda i: -batch.moves[i][2],
@@ -615,21 +640,41 @@ class TieredPageTable:
             name, idx, dst = batch.moves[i]
             if not 0 <= dst < self.n_tiers:
                 raise ValueError(f"destination tier {dst} out of range")
-            obj = self.object(name)
-            sel = idx[obj.tier_residency[dst, idx] < 1.0 - 1e-12]
+            tier = self.object(name).page_tier
+            sel = idx[tier[idx] != dst]
             free = self.tier_free_pages(dst)
             if free <= 0:
                 continue
             sel = sel[:free]
-            obj.tier_residency[:, sel] = 0.0
-            obj.tier_residency[dst, sel] = 1.0
             moved += len(sel)
+            if not len(sel):
+                continue
+            src = tier[sel]
+            tier[sel] = dst
+            # each distinct page keeps exactly one position of the scatter
+            pos = np.arange(len(sel))
+            mark = self._mark[self._slices[name]]
+            mark[sel] = pos
+            first = mark[sel] == pos
+            left = np.bincount(src[first], minlength=self.n_tiers)
+            for k, n_left in enumerate(left.tolist()):
+                used[k] -= n_left
+            used[dst] += int(np.count_nonzero(first))
+            self._fractions[name] = None
         return moved
 
     # -- queries -------------------------------------------------------
     def access_fraction_vectors(self) -> dict[str, np.ndarray]:
-        """Per-object per-tier access-weighted fraction vectors."""
-        return {o.name: o.tier_access_fractions() for o in self}
+        """Per-object per-tier access-weighted fraction vectors (copies).
+
+        Each object's vector is cached and recomputed only after a batch
+        moved its pages.
+        """
+        cache = self._fractions
+        for name, vec in cache.items():
+            if vec is None:
+                cache[name] = self._objects[name].tier_access_fractions()
+        return {name: vec.copy() for name, vec in cache.items()}
 
     def sample_pages(
         self, n: int, rng=None

@@ -1,12 +1,17 @@
-"""Reference page-table migration and page-sampling routines.
+"""Reference page-table migration, query and page-sampling routines.
 
 These are the straightforward forms of ``PageTable.apply_batch``,
 ``PageTable.sample_pages``/``TieredPageTable.sample_pages``,
 ``top_k_hot_pages`` and ``IntervalReconfigPolicy._replan``: free DRAM is
 re-summed over every object before each promotion, sampled pages are
 grouped with one mask per object, and the interval policy walks its ranked
-sample one page at a time.  The production versions must match them bit
-for bit.
+sample one page at a time.
+
+:class:`TieredResidency` is the N-tier table's float form: a one-hot
+``(n_tiers, lanes)`` residency matrix it owns, with the table's
+migration, capacity, fraction and candidate-page routines as they were
+before page state became one tier index per page.  The production
+versions must match all of them bit for bit.
 """
 
 from __future__ import annotations
@@ -14,10 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common import PAGE_SIZE, make_rng
-from repro.policies.base import page_tiers, table_n_tiers
-from repro.sim.pages import TieredPageTable
-
-__all__ = ["apply_batch", "sample_pages", "top_k_hot_pages", "interval_replan"]
+__all__ = [
+    "apply_batch",
+    "sample_pages",
+    "top_k_hot_pages",
+    "interval_replan",
+    "page_tiers",
+    "TieredResidency",
+]
 
 
 def apply_batch(table, batch) -> int:
@@ -100,7 +109,7 @@ def interval_replan(table, rates: dict, sample) -> list[tuple[str, np.ndarray, i
     """The interval policy's re-placement queue for one ``sample`` (the
     output of ``table.sample_pages``), walking the ranked pages one by one
     and coalescing adjacent same-(object, tier) moves afterwards."""
-    n = table_n_tiers(table)
+    n = table.n_tiers if isinstance(table, TieredResidency) else 2
     names: list[str] = []
     pages: list[np.ndarray] = []
     heat: list[np.ndarray] = []
@@ -120,7 +129,7 @@ def interval_replan(table, rates: dict, sample) -> list[tuple[str, np.ndarray, i
     rank = np.argsort(-all_heat, kind="stable")
     total_pages = table.total_pages
     frac = len(all_pages) / max(total_pages, 1)
-    if isinstance(table, TieredPageTable):
+    if isinstance(table, TieredResidency):
         caps = [max(1, int(c * frac)) for c in table.tier_capacity_pages]
     else:
         dram_cap = table.dram_capacity_bytes // PAGE_SIZE
@@ -145,3 +154,142 @@ def interval_replan(table, rates: dict, sample) -> list[tuple[str, np.ndarray, i
         else:
             merged.append((name, idx, dst))
     return merged
+
+
+def page_tiers(table, name: str) -> np.ndarray:
+    """Current tier index of every page of object ``name``.
+
+    Fractionally resident pages report the tier holding the largest share
+    (ties to the faster tier), which is exact for software placement.
+    """
+    obj = table.object(name)
+    if isinstance(table, TieredResidency):
+        return np.asarray(np.argmax(obj.tier_residency, axis=0), dtype=np.intp)
+    return np.where(obj.residency > 0.5, 0, 1).astype(np.intp)
+
+
+class _TieredObject:
+    """One object's weight and ``(n_tiers, n_pages)`` residency views."""
+
+    def __init__(self, name: str, weight: np.ndarray, tier_residency: np.ndarray):
+        self.name = name
+        self.n_pages = len(weight)
+        self.weight = weight
+        self.tier_residency = tier_residency
+
+    def tier_access_fractions(self) -> np.ndarray:
+        """Access-weighted per-tier fraction vector (sums to 1)."""
+        return self.tier_residency @ self.weight
+
+    def hottest_pages_slower_than(
+        self, k: int, limit: int | None = None
+    ) -> np.ndarray:
+        """Pages with residency on a tier slower than ``k``, hottest first
+        (ties broken by page id via stable sort)."""
+        slower = self.tier_residency[k + 1 :].sum(axis=0)
+        candidates = np.flatnonzero(slower > 1e-12)
+        order = np.argsort(-self.weight[candidates], kind="stable")
+        idx = candidates[order]
+        return idx if limit is None else idx[:limit]
+
+    def coldest_pages_in(self, k: int, limit: int | None = None) -> np.ndarray:
+        """Pages with residency on tier ``k``, coldest first."""
+        candidates = np.flatnonzero(self.tier_residency[k] > 1e-12)
+        order = np.argsort(self.weight[candidates], kind="stable")
+        idx = candidates[order]
+        return idx if limit is None else idx[:limit]
+
+
+class TieredResidency:
+    """Float one-hot N-tier page state shadowing a ``TieredPageTable``.
+
+    Built from a freshly constructed table: it copies the objects' weights
+    into an arena laid out like the table's (same slices and padding, so
+    every matrix-vector product sees the same operand layout), places
+    pages with its own waterfall, and from then on owns its residency.
+    ``capacities_bytes`` is a plain attribute: a test changes capacity on
+    both sides.
+    """
+
+    def __init__(self, table) -> None:
+        self.capacities_bytes = tuple(table.capacities_bytes)
+        self.n_tiers = table.n_tiers
+        self._weight_arena = table.weight_arena.copy()
+        self._residency_arena = np.zeros(
+            (self.n_tiers, len(self._weight_arena)), dtype=np.float64
+        )
+        self._objects: dict[str, _TieredObject] = {}
+        for name in table.names:
+            sl = table.object_slice(name)
+            self._objects[name] = _TieredObject(
+                name, self._weight_arena[sl], self._residency_arena[:, sl]
+            )
+        self.place_waterfall()
+
+    @property
+    def residency_arena(self) -> np.ndarray:
+        return self._residency_arena
+
+    def __iter__(self):
+        return iter(self._objects.values())
+
+    def object(self, name: str) -> _TieredObject:
+        return self._objects[name]
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(self._objects)
+
+    @property
+    def total_pages(self) -> int:
+        return sum(o.n_pages for o in self._objects.values())
+
+    @property
+    def tier_capacity_pages(self) -> tuple[int, ...]:
+        return tuple(c // PAGE_SIZE for c in self.capacities_bytes)
+
+    def tier_used_pages(self, k: int) -> float:
+        return float(self._residency_arena[k].sum())
+
+    def tier_free_pages(self, k: int) -> int:
+        return int(self.tier_capacity_pages[k] - self.tier_used_pages(k))
+
+    def place_waterfall(self) -> None:
+        free = list(self.tier_capacity_pages)
+        for obj in self:
+            obj.tier_residency[:, :] = 0.0
+            placed = 0
+            for k in range(self.n_tiers - 1, -1, -1):
+                take = min(obj.n_pages - placed, free[k])
+                if take <= 0:
+                    continue
+                obj.tier_residency[k, placed : placed + take] = 1.0
+                free[k] -= take
+                placed += take
+                if placed == obj.n_pages:
+                    break
+
+    def apply_batch(self, batch) -> int:
+        moved = 0
+        order = sorted(
+            range(len(batch.moves)),
+            key=lambda i: -batch.moves[i][2],
+        )
+        for i in order:
+            name, idx, dst = batch.moves[i]
+            if not 0 <= dst < self.n_tiers:
+                raise ValueError(f"destination tier {dst} out of range")
+            obj = self.object(name)
+            sel = idx[obj.tier_residency[dst, idx] < 1.0 - 1e-12]
+            free = self.tier_free_pages(dst)
+            if free <= 0:
+                continue
+            sel = sel[:free]
+            obj.tier_residency[:, sel] = 0.0
+            obj.tier_residency[dst, sel] = 1.0
+            moved += len(sel)
+        return moved
+
+    def access_fraction_vectors(self) -> dict[str, np.ndarray]:
+        """Per-object per-tier access-weighted fraction vectors."""
+        return {o.name: o.tier_access_fractions() for o in self}

@@ -7,6 +7,8 @@ battery of invariants:
 
 * **no over-commit**: at every engine hook, no tier holds more pages
   than its capacity (the 2-tier DRAM budget is the degenerate case);
+* **no count drift**: at every hook, an N-tier table's integer per-tier
+  page counts equal a recount of its tier-index arena;
 * **determinism**: two runs with the same seed are identical, tick
   traces included;
 * **degenerate bit-exactness**: on a 2-tier topology the ``topology=``
@@ -106,15 +108,23 @@ class InvariantProbe:
         self.inner = inner
         self.name = inner.name
         self.violations: list[tuple[float, int, float, float]] = []
+        #: (time, tier, kept count, recount) where the two disagree
+        self.drift: list[tuple[float, int, float, int]] = []
 
     def _check(self, ctx) -> None:
         table = ctx.page_table
         if isinstance(table, TieredPageTable):
+            arena = table.tier_arena
+            recount = np.bincount(
+                arena[arena != table.NO_TIER], minlength=table.n_tiers
+            )
             for k in range(table.n_tiers):
                 used = table.tier_used_pages(k)
                 cap = table.tier_capacity_pages[k]
                 if used > cap + 1e-6:
                     self.violations.append((ctx.time, k, used, float(cap)))
+                if used != recount[k]:
+                    self.drift.append((ctx.time, k, used, int(recount[k])))
         else:
             used = table.dram_used_bytes()
             cap = table.dram_capacity_bytes
@@ -185,6 +195,7 @@ class TestEveryRegisteredPolicy:
         res = engine_for(topo).run(toy_workload(), probe, seed=3)
         assert res.total_time_s > 0
         assert probe.violations == []
+        assert probe.drift == []
 
     def test_deterministic_per_seed(self, spec, n_tiers, model):
         topo = small_topology(n_tiers)

@@ -4,14 +4,23 @@
 object.  The quota gate used to recompute the fractions for every hot
 object x accessing task, and ``apply_batch`` re-summed residency before
 every promotion; this guard bounds both by the number of hooks instead.
+
+On the N-tier table, fraction vectors are cached per object and
+``tier_free_pages`` reads integer per-tier counts: the second guard bounds
+fraction recomputations by the objects batches actually moved and makes
+every page arena unreadable while ``tier_free_pages`` runs.
 """
 
+import numpy as np
 import pytest
 
 from repro.apps import SpGEMMApp
 from repro.core import default_system
+from repro.core.model import PerformanceModel
+from repro.policies import PolicyBuildContext, build_policy
 from repro.sim import Engine, MachineModel, optane_hm_config
-from repro.sim.pages import PageTable
+from repro.sim.memspec import topology_preset
+from repro.sim.pages import PageTable, TieredPagedObject, TieredPageTable
 
 
 def _counting(monkeypatch, cls, name: str) -> dict:
@@ -47,3 +56,76 @@ def test_aggregates_bounded_by_hooks(monkeypatch, system):
     assert on_tick["calls"] > 0 and batches["calls"] > 0
     assert fractions["calls"] <= ticks + on_tick["calls"]
     assert used["calls"] <= batches["calls"] + on_tick["calls"]
+
+
+class _Unreadable:
+    """Stands in for a page array; any use of it fails the test."""
+
+    def _fail(self, *args, **kwargs):
+        raise AssertionError("tier_free_pages read per-page state")
+
+    __getattr__ = __getitem__ = __array__ = __iter__ = __len__ = _fail
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _fail
+    __hash__ = None
+
+
+def test_tiered_queries_never_rescan_pages(monkeypatch, system):
+    app = SpGEMMApp.small(seed=0)
+    wl = app.build_workload(seed=0)
+    topo = topology_preset("hbm_dram_cxl_pm")
+    assert topo.n_tiers == 4
+    policy = build_policy(
+        "interval",
+        PolicyBuildContext(
+            machine=MachineModel(),
+            topology=topo,
+            model=PerformanceModel(system.correlation),
+            seed=3,
+        ),
+    )
+    recomputes = _counting(monkeypatch, TieredPagedObject, "tier_access_fractions")
+    seen = {"objects": 0, "moved_objects": 0, "free_calls": 0}
+
+    apply_batch = TieredPageTable.apply_batch
+
+    def counted_apply(self, batch):
+        before = self.tier_arena.copy()
+        moved = apply_batch(self, batch)
+        changed = before != self.tier_arena
+        seen["objects"] = len(self)
+        seen["moved_objects"] += sum(
+            bool(changed[self.object_slice(name)].any()) for name in self.names
+        )
+        return moved
+
+    tier_free_pages = TieredPageTable.tier_free_pages
+
+    def blind_free_pages(self, k):
+        # hide every per-page array of the table and its objects
+        hidden = [
+            (holder, attr, value)
+            for holder in (self, *self)
+            for attr, value in (
+                vars(holder).items()
+                if hasattr(holder, "__dict__")
+                else ((a, getattr(holder, a)) for a in type(holder).__slots__)
+            )
+            if isinstance(value, np.ndarray)
+        ]
+        for holder, attr, _ in hidden:
+            setattr(holder, attr, _Unreadable())
+        try:
+            seen["free_calls"] += 1
+            return tier_free_pages(self, k)
+        finally:
+            for holder, attr, value in hidden:
+                setattr(holder, attr, value)
+
+    monkeypatch.setattr(TieredPageTable, "apply_batch", counted_apply)
+    monkeypatch.setattr(TieredPageTable, "tier_free_pages", blind_free_pages)
+
+    res = Engine(MachineModel(), topology=topo).run(wl, policy, seed=1)
+
+    assert res.pages_migrated > 0 and seen["moved_objects"] > 0
+    assert seen["free_calls"] > 0
+    assert 0 < recomputes["calls"] <= seen["objects"] + seen["moved_objects"]

@@ -3,9 +3,13 @@
 Every case builds a seeded random table, runs the production routine and
 the reference copy on identical inputs, and requires identical bits:
 residency arenas, moved counts, sampled pages, hot-page picks and the
-interval policy's move queue.
+interval policy's move queue.  N-tier tables are shadowed by the float
+one-hot residency matrix of :class:`oracles.pages.TieredResidency`:
+moved counts, per-tier used/free pages, fraction-vector bytes, tier
+indices and candidate-page orders must all agree after every batch.
 """
 
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +19,13 @@ from repro.common import PAGE_SIZE
 from repro.policies.interval import IntervalReconfigPolicy
 from repro.profiling.hotpages import top_k_hot_pages
 from repro.profiling.pte import PageSampleEstimate
-from repro.sim.pages import MigrationBatch, PageTable, TieredPageTable
+from repro.policies.base import page_tiers
+from repro.sim.pages import (
+    MigrationBatch,
+    PageTable,
+    TieredMigrationBatch,
+    TieredPageTable,
+)
 from repro.tasks import DataObject
 from tests.oracles import pages as oracle
 
@@ -57,6 +67,51 @@ def _tiered(seed: int, n_tiers: int) -> TieredPageTable:
     caps = [int(rng.integers(1, total)) * PAGE_SIZE for _ in range(n_tiers - 1)]
     caps.append(total * PAGE_SIZE)
     return TieredPageTable(specs, caps, rng=seed)
+
+
+def _tiered_batch(table: TieredPageTable, rng) -> TieredMigrationBatch:
+    moves = []
+    names = table.names
+    for _ in range(int(rng.integers(1, 10))):
+        # repeated objects across moves, duplicate page ids within one,
+        # pages already on the destination tier
+        name = names[int(rng.integers(len(names)))]
+        n_pages = table.object(name).n_pages
+        idx = rng.integers(0, n_pages, size=int(rng.integers(1, 2 * n_pages + 1)))
+        moves.append((name, idx.astype(np.intp), int(rng.integers(table.n_tiers))))
+    return TieredMigrationBatch(moves=tuple(moves))
+
+
+def _onehot(table: TieredPageTable) -> np.ndarray:
+    """The tier arena as a float one-hot ``(n_tiers, lanes)`` matrix."""
+    tiers = np.arange(table.n_tiers)[:, None]
+    return (table.tier_arena[None, :] == tiers).astype(np.float64)
+
+
+def _assert_tiered_same(table: TieredPageTable, ref: oracle.TieredResidency) -> None:
+    assert _onehot(table).tobytes() == ref.residency_arena.tobytes()
+    for k in range(table.n_tiers):
+        assert table.tier_used_pages(k) == ref.tier_used_pages(k)
+        free, want = table.tier_free_pages(k), ref.tier_free_pages(k)
+        assert type(free) is type(want) is int and free == want
+    got, want = table.access_fraction_vectors(), ref.access_fraction_vectors()
+    assert list(got) == list(want)
+    for name in got:
+        assert got[name].tobytes() == want[name].tobytes()
+    for name in table.names:
+        tiers = page_tiers(table, name)
+        assert tiers.dtype == np.intp
+        np.testing.assert_array_equal(tiers, oracle.page_tiers(ref, name))
+        obj, ref_obj = table.object(name), ref.object(name)
+        for k in range(table.n_tiers):
+            for limit in (None, 3):
+                np.testing.assert_array_equal(
+                    obj.coldest_pages_in(k, limit), ref_obj.coldest_pages_in(k, limit)
+                )
+                np.testing.assert_array_equal(
+                    obj.hottest_pages_slower_than(k, limit),
+                    ref_obj.hottest_pages_slower_than(k, limit),
+                )
 
 
 def _batch(table: PageTable, rng) -> MigrationBatch:
@@ -125,6 +180,103 @@ class TestApplyBatch:
             assert table.residency_arena.tobytes() == ref.residency_arena.tobytes()
 
 
+def _two_objects(caps_pages) -> TieredPageTable:
+    specs = [DataObject("a", 8 * PAGE_SIZE), DataObject("b", 8 * PAGE_SIZE)]
+    return TieredPageTable(specs, [c * PAGE_SIZE for c in caps_pages], rng=0)
+
+
+class TestTieredApplyBatch:
+    @pytest.mark.parametrize("n_tiers", [2, 3, 4])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_reference(self, seed, n_tiers):
+        table = _tiered(seed, n_tiers)
+        ref = oracle.TieredResidency(table)
+        _assert_tiered_same(table, ref)
+        rng = np.random.default_rng(2000 + seed)
+        for _ in range(8):
+            batch = _tiered_batch(table, rng)
+            assert table.apply_batch(batch) == ref.apply_batch(batch)
+            _assert_tiered_same(table, ref)
+
+    def _run(self, table, moves) -> tuple[TieredPageTable, int]:
+        ref = oracle.TieredResidency(table)
+        batch = TieredMigrationBatch(moves=tuple(moves))
+        moved = table.apply_batch(batch)
+        assert moved == ref.apply_batch(batch)
+        _assert_tiered_same(table, ref)
+        return table, moved
+
+    def test_page_listed_twice(self):
+        # a duplicate counts twice in the moved total, once in the tier
+        table, moved = self._run(
+            _two_objects((4, 4, 16)), [("a", np.array([3, 3, 5, 3]), 0)]
+        )
+        assert moved == 4
+        assert table.tier_used_pages(0) == 2.0
+        assert table.tier_free_pages(0) == 2
+
+    def test_move_to_current_tier(self):
+        table = _two_objects((4, 4, 16))
+        before = table.access_fraction_vectors()
+        table, moved = self._run(table, [("b", np.arange(8), 2)])
+        assert moved == 0
+        assert [table.tier_used_pages(k) for k in range(3)] == [0.0, 0.0, 16.0]
+        for name, vec in table.access_fraction_vectors().items():
+            assert vec.tobytes() == before[name].tobytes()
+
+    def test_destination_fills_mid_batch(self):
+        table, moved = self._run(
+            _two_objects((3, 4, 16)),
+            [("a", np.arange(2), 0), ("b", np.arange(3), 0), ("b", np.arange(4, 8), 1)],
+        )
+        assert moved == 3 + 4
+        assert table.tier_free_pages(0) == 0
+        assert table.tier_used_pages(1) == 4.0
+
+    def test_full_slowest_tier(self):
+        # the waterfall fills the slowest tier and spills b[4:] to tier 1
+        table = _two_objects((4, 4, 12))
+        assert table.tier_free_pages(2) == 0
+        table, moved = self._run(
+            table, [("b", np.array([4, 5]), 0), ("b", np.arange(4, 8), 2)]
+        )
+        # the demotion is applied first and finds no room
+        assert moved == 2
+        assert [table.tier_used_pages(k) for k in range(3)] == [2.0, 2.0, 12.0]
+
+    def test_pickle_round_trip_between_batches(self):
+        table = _tiered(5, 4)
+        ref = oracle.TieredResidency(table)
+        rng = np.random.default_rng(9)
+        for _ in range(4):
+            batch = _tiered_batch(table, rng)
+            assert table.apply_batch(batch) == ref.apply_batch(batch)
+            table = pickle.loads(pickle.dumps(table))
+            for name in table.names:
+                assert table.object(name).page_tier.base is table.tier_arena
+            _assert_tiered_same(table, ref)
+
+    def test_capacity_change_between_batches_is_seen(self):
+        table = _tiered(3, 3)
+        ref = oracle.TieredResidency(table)
+        rng = np.random.default_rng(4)
+        for shrink in (0, 5, 0, 20):
+            for t in (table, ref):
+                caps = t.capacities_bytes
+                t.capacities_bytes = (max(0, caps[0] - shrink * PAGE_SIZE),) + caps[1:]
+            batch = _tiered_batch(table, rng)
+            assert table.apply_batch(batch) == ref.apply_batch(batch)
+            _assert_tiered_same(table, ref)
+
+    def test_fraction_vectors_are_copies(self):
+        table = _tiered(1, 3)
+        first = table.access_fraction_vectors()
+        for vec in first.values():
+            vec[:] = -1.0
+        again = table.access_fraction_vectors()
+        assert all((vec >= 0).all() for vec in again.values())
+
+
 class TestSampling:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_page_table_sample(self, seed):
@@ -173,12 +325,14 @@ class TestIntervalReplan:
         }
         return SimpleNamespace(page_table=table, page_access_rates=lambda: rates)
 
-    def _check(self, table, seed, sample_pages):
+    def _check(self, table, seed, sample_pages, ref=None):
         ctx = self._ctx(table, seed)
         policy = IntervalReconfigPolicy(sample_pages=sample_pages, seed=seed)
         policy._replan(ctx)
         sample = table.sample_pages(sample_pages, rng=seed)
-        want = oracle.interval_replan(table, ctx.page_access_rates(), sample)
+        want = oracle.interval_replan(
+            table if ref is None else ref, ctx.page_access_rates(), sample
+        )
         got = policy._queue
         assert [(n, d) for n, _, d in got] == [(n, d) for n, _, d in want]
         for (_, a, _), (_, b, _) in zip(got, want):
@@ -194,4 +348,11 @@ class TestIntervalReplan:
     @pytest.mark.parametrize("sample_pages", [1, 32, 4096])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_tiered_table(self, seed, sample_pages, n_tiers):
-        self._check(_tiered(seed, n_tiers), seed, sample_pages)
+        table = _tiered(seed, n_tiers)
+        ref = oracle.TieredResidency(table)
+        # spread pages over the tiers before re-planning
+        rng = np.random.default_rng(3000 + seed)
+        for _ in range(3):
+            batch = _tiered_batch(table, rng)
+            assert table.apply_batch(batch) == ref.apply_batch(batch)
+        self._check(table, seed, sample_pages, ref)
