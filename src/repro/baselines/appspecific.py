@@ -48,7 +48,7 @@ def fill_dram_by_priority(
             break
         obj = table.object(name)
         idx = obj.hottest_pm_pages(limit=free)
-        obj.residency[idx] = 1.0
+        obj.set_pages(idx, 1.0)
 
 
 def _density_priority(ctx: EngineContext) -> list[str]:
@@ -192,7 +192,7 @@ class WarpXPMPolicy(PlacementPolicy):
             if best is None or best[0] <= 0:
                 exhausted.add(slowest)
                 continue
-            table.object(best[2]).residency[best[3]] = 1.0
+            table.object(best[2]).set_pages(best[3], 1.0)
 
 
 class HandPlacedPolicy(PlacementPolicy):

@@ -23,7 +23,7 @@ from repro.profiling.hotpages import top_k_hot_pages
 from repro.profiling.pte import PTESampleProfiler
 from repro.profiling.thermostat import ThermostatProfiler
 from repro.sim.engine import EngineContext, PlacementPolicy
-from repro.sim.pages import MigrationBatch
+from repro.sim.pages import MigrationBatch, PageRates
 
 __all__ = ["MemoryOptimizerPolicy"]
 
@@ -62,7 +62,7 @@ class MemoryOptimizerPolicy(PlacementPolicy):
 
     # ------------------------------------------------------------------
     def _select_promotions(
-        self, ctx: EngineContext, rates: dict[str, np.ndarray]
+        self, ctx: EngineContext, rates: PageRates
     ) -> list[tuple[str, np.ndarray, bool]]:
         estimate = self._pte.sample(
             ctx.page_table, rates, self.interval_s, now=ctx.time
@@ -79,14 +79,14 @@ class MemoryOptimizerPolicy(PlacementPolicy):
     def _select_demotions(
         self,
         ctx: EngineContext,
-        rates: dict[str, np.ndarray],
+        rates: PageRates,
         pages_needed: int,
     ) -> list[tuple[str, np.ndarray, bool]]:
         """Free ``pages_needed`` pages by demoting the coldest DRAM regions."""
         if pages_needed <= 0:
             return []
         estimates = self._thermostat.sample(
-            ctx.page_table, rates, self.interval_s, now=ctx.time
+            ctx.page_table, rates.arrays(), self.interval_s, now=ctx.time
         )
         # rank all (object, region) pairs by estimated access count
         ranked: list[tuple[float, str, int]] = []
@@ -115,7 +115,7 @@ class MemoryOptimizerPolicy(PlacementPolicy):
         if ctx.time - self._last_scan < self.interval_s:
             return None
         self._last_scan = ctx.time
-        rates = ctx.page_access_rates()
+        rates = ctx.page_rates()
         promotions = self._select_promotions(ctx, rates)
         n_promote = int(sum(len(idx) for _, idx, _ in promotions))
         if n_promote == 0:

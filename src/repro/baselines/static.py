@@ -52,4 +52,4 @@ class DRAMGreedyPolicy(PlacementPolicy):
             if free <= 0:
                 break
             n = min(int(free), len(obj.residency))
-            obj.residency[np.arange(n)] = 1.0
+            obj.set_pages(np.arange(n), 1.0)

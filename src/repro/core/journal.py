@@ -306,7 +306,7 @@ def _undo_moves(page_table: "PageTable", move_records: list[WalRecord]) -> int:
             obj = page_table.object(move["obj"])
             idx = np.asarray(move["pages"], dtype=np.intp)
             before = np.asarray(move["before"], dtype=np.float64)
-            obj.residency[idx] = before
+            obj.set_pages(idx, before)
             restored += len(idx)
     return restored
 

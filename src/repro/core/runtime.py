@@ -729,7 +729,7 @@ class MerchandiserPolicy(PlacementPolicy):
         self, ctx: EngineContext
     ) -> list[tuple[str, np.ndarray, bool]]:
         """MemoryOptimizer-style promotion, gated by per-task quotas."""
-        rates = ctx.page_access_rates()
+        rates = ctx.page_rates()
         estimate = self._pte.sample(
             ctx.page_table, rates, self.interval_s, now=ctx.time
         )

@@ -26,6 +26,7 @@ __all__ = [
     "table_n_tiers",
     "tier_free_pages",
     "page_tiers",
+    "lane_tiers",
     "make_batch",
     "drain_queue",
 ]
@@ -59,6 +60,14 @@ def page_tiers(table: "PageTable | TieredPageTable", name: str) -> np.ndarray:
     if isinstance(table, TieredPageTable):
         return obj.page_tier.astype(np.intp)
     return np.where(obj.residency > 0.5, 0, 1).astype(np.intp)
+
+
+def lane_tiers(table: "PageTable | TieredPageTable", lanes: np.ndarray) -> np.ndarray:
+    """Current tier index of the pages at arena ``lanes``, as
+    :func:`page_tiers` reports it."""
+    if isinstance(table, TieredPageTable):
+        return table.tier_arena[lanes].astype(np.intp)
+    return np.where(table.residency_arena[lanes] > 0.5, 0, 1).astype(np.intp)
 
 
 def make_batch(

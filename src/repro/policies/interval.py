@@ -19,8 +19,8 @@ import numpy as np
 from repro.common import PAGE_SIZE, make_rng
 from repro.policies.base import (
     drain_queue,
+    lane_tiers,
     make_batch,
-    page_tiers,
     table_n_tiers,
 )
 from repro.sim.engine import EngineContext, PlacementPolicy
@@ -58,27 +58,20 @@ class IntervalReconfigPolicy(PlacementPolicy):
     def _replan(self, ctx: EngineContext) -> None:
         table = ctx.page_table
         n = table_n_tiers(table)
-        rates = ctx.page_access_rates()
-        sample = table.sample_pages(self.sample_pages, rng=self._rng)
-        names: list[str] = []
-        ids: list[np.ndarray] = []
-        pages: list[np.ndarray] = []
-        heat: list[np.ndarray] = []
-        tiers: list[np.ndarray] = []
-        for name, idx in sample:
-            idx = np.unique(idx)
-            r = rates.get(name)
-            if r is None:
-                continue
-            ids.append(np.full(len(idx), len(names)))
-            names.append(name)
-            pages.append(idx)
-            heat.append(r[idx])
-            tiers.append(page_tiers(table, name)[idx])
-        if not pages:
+        rates = ctx.page_rates()
+        obj, pages = table.sample_pages(self.sample_pages, rng=self._rng)
+        has_rates = np.array([name in rates for name in table.names], dtype=bool)
+        keep = has_rates[obj]
+        # one dedupe over (object, page): arena lanes ascend by object in
+        # table order, then by page
+        lanes, first = np.unique(
+            table.arena_lanes(obj[keep], pages[keep]), return_index=True
+        )
+        if not len(lanes):
             return
-        all_pages = np.concatenate(pages)
-        rank = np.argsort(-np.concatenate(heat), kind="stable")
+        obj_ids = obj[keep][first]
+        all_pages = pages[keep][first]
+        rank = np.argsort(-rates.at(obj_ids, lanes), kind="stable")
 
         # capacity per tier for the sampled population: scale each tier's
         # page capacity by the sample's share of all pages, so the sampled
@@ -97,13 +90,14 @@ class IntervalReconfigPolicy(PlacementPolicy):
             np.searchsorted(np.cumsum(caps), np.arange(len(rank)), side="right"),
             n - 1,
         )
-        move = np.concatenate(tiers)[rank] != dst
-        obj_id = np.concatenate(ids)[rank][move]
+        move = lane_tiers(table, lanes)[rank] != dst
+        obj_id = obj_ids[rank][move]
         page = all_pages[rank][move].astype(np.intp)
         dst = dst[move]
         # coalesce adjacent same-(object, tier) moves
         cuts = np.flatnonzero((np.diff(obj_id) != 0) | (np.diff(dst) != 0)) + 1
         starts = np.concatenate(([0], cuts)) if len(page) else []
+        names = table.names
         self._queue = [
             (names[obj_id[i]], run, int(dst[i]))
             for i, run in zip(starts, np.split(page, cuts))

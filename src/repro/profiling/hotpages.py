@@ -23,26 +23,26 @@ def top_k_hot_pages(
     """
     if k < 1:
         return []
-    names: list[str] = []
-    ids: list[np.ndarray] = []
-    pages: list[np.ndarray] = []
-    counts: list[np.ndarray] = []
-    for name, (idx, cnt) in estimate.samples.items():
-        mask = cnt >= min_count
-        if mask.any():
-            ids.append(np.full(int(mask.sum()), len(names)))
-            names.append(name)
-            pages.append(idx[mask])
-            counts.append(cnt[mask])
-    if not pages:
+    mask = estimate.counts >= min_count
+    if not mask.any():
         return []
-    all_pages = np.concatenate(pages)
-    all_counts = np.concatenate(counts)
-    order = np.argsort(all_counts, kind="stable")[::-1][:k]
-    picked_ids = np.concatenate(ids)[order]
-    picked_pages = all_pages[order]
-    out: list[tuple[str, np.ndarray]] = []
-    for i in dict.fromkeys(picked_ids.tolist()):
-        # deduplicate pages sampled more than once
-        out.append((names[i], np.unique(picked_pages[picked_ids == i])))
-    return out
+    order = np.argsort(estimate.counts[mask], kind="stable")[::-1][:k]
+    picked_obj = estimate.obj[mask][order]
+    picked_pages = estimate.pages[mask][order]
+    # one sort over (object, page) keys gives every object's distinct
+    # pages in ascending order, objects ascending (what a per-object
+    # np.unique returns, without its hashing)
+    stride = int(picked_pages.max()) + 1
+    keys = np.sort(picked_obj * stride + picked_pages)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    key_obj = keys // stride
+    pages = keys - key_obj * stride
+    starts = np.flatnonzero(np.concatenate(([True], key_obj[1:] != key_obj[:-1])))
+    bounds = starts.tolist() + [len(keys)]
+    groups = {
+        int(key_obj[lo]): pages[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+    }
+    # objects in order of their hottest pick
+    return [
+        (estimate.names[i], groups[i]) for i in dict.fromkeys(picked_obj.tolist())
+    ]

@@ -76,7 +76,7 @@ class DAGMerchandiserPolicy(MerchandiserPolicy):
         # with DRAM emptied the from-scratch queue *is* the full target
         super()._build_promotion_queue(ctx, plan, from_scratch=from_scratch)
         for name, idx in self._promotion_queue:
-            table.object(name).residency[idx] = 1.0
+            table.object(name).set_pages(idx, 1.0)
         self._promotion_queue = []
 
     def on_region_start(self, ctx: "EngineContext") -> None:

@@ -33,6 +33,7 @@ from repro.sim.machine import MachineModel, TieredBreakdown, TimeBreakdown
 from repro.sim.memspec import HMConfig, TopologySpec
 from repro.sim.pages import (
     MigrationBatch,
+    PageRates,
     PageTable,
     TieredMigrationBatch,
     TieredPageTable,
@@ -138,31 +139,35 @@ class EngineContext:
             and inst.task_id not in self.gated
         ]
 
-    def page_access_rates(self) -> dict[str, np.ndarray]:
+    def page_rates(self) -> PageRates:
         """Per-page main-memory access rates (accesses/second), summed over
-        the region's active instances.
+        the region's active instances, as per-object rate terms: each
+        accessing instance contributes ``acc.total / t`` times the object's
+        page weights, in active-instance order.
 
         This is what the sampling profilers observe: address-level hotness
-        with no task attribution unless a profiler adds it.
+        with no task attribution unless a profiler adds it.  They evaluate
+        the terms at the pages they sample only.
         """
-        rates: dict[str, np.ndarray] = {}
+        terms: dict[str, list[float]] = {}
         for inst in self.active_instances():
             t = max(self.instance_times.get(inst.task_id, 0.0), 1e-12)
             for acc in inst.footprint.accesses:
-                obj = self.page_table.object(acc.obj)
-                per_obj = acc.total / t
-                if acc.obj in rates:
-                    rates[acc.obj] = rates[acc.obj] + obj.weight * per_obj
-                else:
-                    rates[acc.obj] = obj.weight * per_obj
-        return rates
+                terms.setdefault(acc.obj, []).append(acc.total / t)
+        return PageRates(self.page_table, terms)
+
+    def page_access_rates(self) -> dict[str, np.ndarray]:
+        """:meth:`page_rates` as full per-page arrays, for consumers that
+        need every page (the Memory Mode cache, Thermostat probes)."""
+        return self.page_rates().arrays()
 
 
 class PlacementPolicy:
     """Base class for data-placement policies (baselines and Merchandiser).
 
-    Policies may mutate residency directly in the start hooks (initial
-    placement) and must route mid-run movement through ``on_tick``'s
+    Policies may set residency directly in the start hooks (initial
+    placement, through ``PagedObject.set_residency``/``set_pages``) and
+    must route mid-run movement through ``on_tick``'s
     :class:`MigrationBatch` return so the engine can charge bandwidth.
     """
 
@@ -553,7 +558,7 @@ class Engine:
             "time_s": ctx.time,
             "binary": binary,
             "dram_capacity_bytes": int(table.dram_capacity_bytes),
-            "dram_pages": {o.name: float(o.residency.sum()) for o in table},
+            "dram_pages": {o.name: o.dram_pages() for o in table},
             "task_r_dram": self._task_r_dram_map(ctx),
             "quota_targets": {
                 str(k): float(v)

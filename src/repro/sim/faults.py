@@ -335,27 +335,26 @@ class FaultInjector:
         return (counts, False)
 
     def corrupt_pte_scan(
-        self, samples: dict[str, tuple[np.ndarray, np.ndarray]], now: float
-    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Drop or double-count a fraction of one PTE scan's samples."""
+        self, obj: np.ndarray, pages: np.ndarray, counts: np.ndarray, now: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Drop or double-count a fraction of one PTE scan's samples.
+
+        The scan is flat (each sample's object number, page and count); one
+        draw covers every sample, the same stream as one draw per object
+        in order.
+        """
         frac = self.config.pte_fault_fraction
         if self._fire(self.config.pte_drop_rate, now):
             self.log.record("fault.pte_drop", now, fraction=frac)
-            out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            for name, (idx, cnt) in samples.items():
-                keep = self._rng.random(len(idx)) >= frac
-                out[name] = (idx[keep], cnt[keep])
-            return out
+            keep = self._rng.random(len(pages)) >= frac
+            return obj[keep], pages[keep], counts[keep]
         if self._fire(self.config.pte_duplicate_rate, now):
             self.log.record("fault.pte_duplicate", now, fraction=frac)
-            out = {}
-            for name, (idx, cnt) in samples.items():
-                dup = self._rng.random(len(idx)) < frac
-                boosted = cnt.copy()
-                boosted[dup] *= 2.0
-                out[name] = (idx, boosted)
-            return out
-        return samples
+            dup = self._rng.random(len(pages)) < frac
+            boosted = counts.copy()
+            boosted[dup] *= 2.0
+            return obj, pages, boosted
+        return obj, pages, counts
 
     def corrupt_region_estimates(self, estimates: list, now: float) -> list:
         """Drop a fraction of Thermostat region estimates (reuses the PTE

@@ -20,7 +20,7 @@ are derived from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "PagedObject",
     "PageTable",
     "MigrationBatch",
+    "PageRates",
     "TieredPagedObject",
     "TieredPageTable",
     "TieredMigrationBatch",
@@ -38,27 +39,26 @@ __all__ = [
 
 
 def _sample_uniform(
-    names: Sequence[str], bounds: np.ndarray, n: int, rng
-) -> list[tuple[str, np.ndarray]]:
+    bounds: np.ndarray, n: int, rng
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` page ids uniformly over objects laid end to end (object
-    ``i`` owns ids ``bounds[i]:bounds[i+1]``) and group them by object, in
-    table order, each group keeping draw order."""
+    ``i`` owns ids ``bounds[i]:bounds[i+1]``).
+
+    Returns ``(obj, pages)``: each draw's object index and its page index
+    within that object, grouped by object in table order, each group in
+    draw order.
+    """
     rng = make_rng(rng)
     total = bounds[-1]
     if total == 0 or n <= 0:
-        return []
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
     picks = rng.integers(0, total, size=n)
     which = np.searchsorted(bounds[1:], picks, side="right")
     # a stable sort on a narrow integer key is a radix sort
-    order = np.argsort(which.astype(np.min_scalar_type(len(names))), kind="stable")
-    grouped = picks[order]
-    counts = np.bincount(which, minlength=len(names))
-    out: list[tuple[str, np.ndarray]] = []
-    hi = 0
-    for i in np.flatnonzero(counts):
-        lo, hi = hi, hi + counts[i]
-        out.append((names[i], grouped[lo:hi] - bounds[i]))
-    return out
+    key = which.astype(np.min_scalar_type(len(bounds) - 1))
+    order = np.argsort(key, kind="stable")
+    obj = which[order]
+    return obj, picks[order] - bounds[obj]
 
 
 def _page_bounds(objs: Iterable) -> np.ndarray:
@@ -76,10 +76,22 @@ class PagedObject:
     weight:
         Per-page fraction of the object's main-memory accesses (sums to 1).
     residency:
-        Per-page DRAM residency in ``[0, 1]``.
+        Per-page DRAM residency in ``[0, 1]``, a read-only view.
+        :meth:`set_pages` is its one writer, and it keeps the object's
+        cached terms current: :meth:`dram_pages` is recounted at the write
+        (free-DRAM checks read it before the next move anyway) and
+        :meth:`dram_access_fraction` is dropped until its next reader.
     """
 
-    __slots__ = ("spec", "n_pages", "weight", "residency")
+    __slots__ = (
+        "spec",
+        "n_pages",
+        "weight",
+        "residency",
+        "_writable",
+        "_pages",
+        "_fraction",
+    )
 
     #: cache lines per page: element-level popularity is averaged over this
     #: many draws per page, because a 4 KiB page mixes hot and cold lines
@@ -100,7 +112,33 @@ class PagedObject:
             self.weight /= self.weight.sum()
         else:
             self.weight = np.full(self.n_pages, 1.0 / self.n_pages)
-        self.residency = np.zeros(self.n_pages, dtype=np.float64)
+        self._bind(np.zeros(self.n_pages, dtype=np.float64))
+
+    def _bind(self, writable: np.ndarray) -> None:
+        """Adopt ``writable`` as the residency storage; ``residency``
+        becomes a read-only view of the same memory."""
+        readonly = writable.view()
+        readonly.flags.writeable = False
+        self._writable = writable
+        self.residency = readonly
+        self._pages = float(readonly.sum())
+        self._fraction = None
+
+    # -- pickling: the two views would detach into two copies, so only the
+    # values travel and unpickling binds fresh views
+    def __getstate__(self) -> dict:
+        return {
+            "spec": self.spec,
+            "n_pages": self.n_pages,
+            "weight": self.weight,
+            "residency": self._writable,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.spec = state["spec"]
+        self.n_pages = state["n_pages"]
+        self.weight = state["weight"]
+        self._bind(np.array(state["residency"], dtype=np.float64))
 
     @property
     def name(self) -> str:
@@ -111,28 +149,39 @@ class PagedObject:
         return self.spec.owner
 
     def dram_pages(self) -> float:
-        """Equivalent number of pages resident in DRAM."""
-        return float(self.residency.sum())
+        """Equivalent number of pages resident in DRAM (recounted at each
+        write)."""
+        return self._pages
 
     def dram_bytes(self) -> float:
         return self.dram_pages() * PAGE_SIZE
 
     def dram_access_fraction(self) -> float:
-        """Access-weighted fraction of this object served from DRAM."""
-        return float(self.weight @ self.residency)
+        """Access-weighted fraction of this object served from DRAM
+        (cached until the next write)."""
+        if self._fraction is None:
+            self._fraction = float(self.weight @ self.residency)
+        return self._fraction
+
+    def set_pages(self, idx, value: float | np.ndarray) -> None:
+        """``residency[idx] = value``: the one residency writer.
+
+        Values are stored as given (callers write 0, 1, before-images or
+        :meth:`set_residency`'s clipped vector).  The page count is
+        recounted and the access fraction dropped.
+        """
+        self._writable[idx] = value
+        self._pages = float(self.residency.sum())
+        self._fraction = None
 
     def set_residency(self, value: float | np.ndarray) -> None:
         """Set residency for every page (scalar broadcast or full vector)."""
         arr = np.asarray(value, dtype=np.float64)
-        if arr.ndim == 0:
-            self.residency[:] = float(arr)
-        else:
-            if arr.shape != (self.n_pages,):
-                raise ValueError("residency vector has wrong length")
-            self.residency[:] = arr
-        if (self.residency < -1e-12).any() or (self.residency > 1 + 1e-12).any():
+        if arr.ndim and arr.shape != (self.n_pages,):
+            raise ValueError("residency vector has wrong length")
+        if (arr < -1e-12).any() or (arr > 1 + 1e-12).any():
             raise ValueError("residency must be within [0, 1]")
-        np.clip(self.residency, 0.0, 1.0, out=self.residency)
+        self.set_pages(slice(None), np.clip(arr, 0.0, 1.0))
 
     def hottest_pm_pages(self, limit: int | None = None) -> np.ndarray:
         """Indices of pages not yet (fully) in DRAM, hottest first.
@@ -184,6 +233,11 @@ class PageTable:
     :data:`_ARENA_ALIGN` float64 lanes (one cache line) so per-object views
     keep the alignment fresh allocations would have; padding lanes are
     never written and stay zero.
+
+    Residency is read-only outside :meth:`PagedObject.set_pages`, so each
+    object's cached DRAM page count and access fraction are current, and
+    the table-wide aggregates re-sum those terms in table order
+    (PERFORMANCE.md section 4, rule 3).
     """
 
     #: float64 lanes per arena segment boundary (8 * 8 B = one cache line)
@@ -209,32 +263,37 @@ class PageTable:
     def _build_arena(self) -> None:
         """Adopt every object's page vectors into the shared arenas."""
         objs = list(self._objects.values())
-        starts: list[int] = []
-        pos = 0
-        align = self._ARENA_ALIGN
-        for o in objs:
-            starts.append(pos)
-            pos += -(-o.n_pages // align) * align
+        starts = _lane_starts(objs, self._ARENA_ALIGN)
+        pos = starts[-1]
         self._weight_arena = np.zeros(pos, dtype=np.float64)
         self._residency_arena = np.zeros(pos, dtype=np.float64)
+        readonly = self._residency_arena.view()
+        readonly.flags.writeable = False
+        self._residency_view = readonly
         self._page_bounds = _page_bounds(objs)
+        self._starts = starts[:-1]
         self._slices: dict[str, slice] = {}
-        for o, start in zip(objs, starts):
+        for o, start in zip(objs, starts.tolist()):
             sl = slice(start, start + o.n_pages)
             self._slices[o.name] = sl
             self._weight_arena[sl] = o.weight
             self._residency_arena[sl] = o.residency
             o.weight = self._weight_arena[sl]
-            o.residency = self._residency_arena[sl]
+            o._bind(self._residency_arena[sl])
 
     # -- pickling: numpy views detach from their base under pickle, so the
     # arena is dropped and rebuilt from the objects' (copied) vectors
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_weight_arena", None)
-        state.pop("_residency_arena", None)
-        state.pop("_page_bounds", None)
-        state.pop("_slices", None)
+        for key in (
+            "_weight_arena",
+            "_residency_arena",
+            "_residency_view",
+            "_page_bounds",
+            "_starts",
+            "_slices",
+        ):
+            state.pop(key, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -252,17 +311,21 @@ class PageTable:
 
     @property
     def residency_arena(self) -> np.ndarray:
-        """The shared per-page DRAM-residency arena.
+        """The shared per-page DRAM-residency arena, read-only.
 
-        Mutations through an object's ``residency`` view and through this
-        arena are the same memory; batched consumers may read it wholesale
-        instead of walking objects.
+        Object ``residency`` views are slices of the same memory; batched
+        consumers may read it wholesale instead of walking objects.
         """
-        return self._residency_arena
+        return self._residency_view
 
     def object_slice(self, name: str) -> slice:
         """Arena slice holding ``name``'s pages (exclusive of padding)."""
         return self._slices[name]
+
+    def arena_lanes(self, obj: np.ndarray, pages: np.ndarray) -> np.ndarray:
+        """Arena lane of page ``pages[i]`` of object number ``obj[i]``
+        (table order)."""
+        return self._starts[obj] + pages
 
     def __iter__(self) -> Iterator[PagedObject]:
         return iter(self._objects.values())
@@ -282,14 +345,20 @@ class PageTable:
 
     @property
     def total_pages(self) -> int:
-        return sum(o.n_pages for o in self)
+        return int(self._page_bounds[-1])
 
     @property
     def total_bytes(self) -> int:
         return sum(o.spec.size_bytes for o in self)
 
+    def _dram_used(self) -> float:
+        """Cached per-object DRAM bytes re-summed in table order;
+        :meth:`apply_batch` calls it directly, so :meth:`dram_used_bytes`
+        counts only the queries made by policies and the engine."""
+        return sum(o.dram_bytes() for o in self._objects.values())
+
     def dram_used_bytes(self) -> float:
-        return sum(o.dram_bytes() for o in self)
+        return self._dram_used()
 
     def dram_free_bytes(self) -> float:
         return self.dram_capacity_bytes - self.dram_used_bytes()
@@ -317,12 +386,10 @@ class PageTable:
 
         Returns the number of pages actually moved.  Demotions are applied
         first so a batch can express swap traffic (demote cold, promote hot)
-        without transiently exceeding capacity.
-
-        Free DRAM before each promotion is :meth:`dram_free_pages` bit for
-        bit: the per-object byte counts are taken once, after the demotions,
-        only the promoted object's entry is refreshed after each move, and
-        they are summed in table order as :meth:`dram_used_bytes` does.
+        without transiently exceeding capacity.  Free DRAM before each
+        promotion is :meth:`dram_free_pages` bit for bit: the objects'
+        cached page counts, recounted at each write, re-summed in table
+        order.
         """
         moved = 0
         for name, idx, promote in batch.moves:
@@ -330,42 +397,96 @@ class PageTable:
                 continue
             obj = self.object(name)
             sel = idx[obj.residency[idx] > 1e-12]
-            obj.residency[sel] = 0.0
+            # a no-op write would still drop the cached fraction
+            if len(sel):
+                obj.set_pages(sel, 0.0)
             moved += len(sel)
-        used: dict[str, float] | None = None
         for name, idx, promote in batch.moves:
             if not promote:
                 continue
             obj = self.object(name)
             sel = idx[obj.residency[idx] < 1.0 - 1e-12]
-            if used is None:
-                used = {o.name: o.dram_bytes() for o in self}
             # capacity is re-read per move: the engine may shrink it for
             # the duration of one batch (memory pressure)
-            free = int((self.dram_capacity_bytes - sum(used.values())) // PAGE_SIZE)
+            free = int((self.dram_capacity_bytes - self._dram_used()) // PAGE_SIZE)
             if free <= 0:
                 continue
             sel = sel[:free]
-            obj.residency[sel] = 1.0
-            used[name] = obj.dram_bytes()
+            if len(sel):
+                obj.set_pages(sel, 1.0)
             moved += len(sel)
         return moved
 
     def access_fractions(self) -> dict[str, float]:
         """Per-object access-weighted DRAM fractions (``r_dram`` inputs)."""
-        return {o.name: o.dram_access_fraction() for o in self}
+        return {
+            name: o.dram_access_fraction() for name, o in self._objects.items()
+        }
 
-    def sample_pages(
-        self, n: int, rng=None, weights: Mapping[str, np.ndarray] | None = None
-    ) -> list[tuple[str, np.ndarray]]:
+    def sample_pages(self, n: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
         """Uniformly sample ``n`` pages across the whole space.
 
         This is the application-agnostic random page sampling that the paper
         identifies as a root cause of load imbalance: it knows nothing about
-        tasks, only addresses.  Returns per-object arrays of sampled page
-        indices (with multiplicity).
+        tasks, only addresses.  Returns ``(obj, pages)`` with multiplicity:
+        each sample's object number (table order, ascending) and page index
+        within that object, each object's samples in draw order.
         """
-        return _sample_uniform(self.names, self._page_bounds, n, rng)
+        return _sample_uniform(self._page_bounds, n, rng)
+
+
+class PageRates:
+    """Per-page main-memory access rates, kept as per-object terms.
+
+    Page ``p`` of object ``o`` is accessed ``w[p]*c[0] + w[p]*c[1] + ...``
+    times per second: its access weight times each accessing instance's
+    ``acc.total / t``, added in active-instance order.  :meth:`arrays`
+    evaluates every page of each object and :meth:`at` only the lanes a
+    profiler sampled.  Both multiply and add elementwise in the same
+    order, and :meth:`at`'s zero padding for objects with fewer terms adds
+    ``+0.0``, so the two agree bit for bit (PERFORMANCE.md section 4,
+    rules 1 and 3).  Works on either page-table kind.
+    """
+
+    def __init__(self, table, terms: dict[str, list[float]]) -> None:
+        self.table = table
+        #: coefficients per object, objects in first-access order
+        self.terms = terms
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.terms
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Full rate arrays of every object that has terms."""
+        out: dict[str, np.ndarray] = {}
+        for name, coeffs in self.terms.items():
+            weight = self.table.object(name).weight
+            rates = weight * coeffs[0]
+            for c in coeffs[1:]:
+                rates = rates + weight * c
+            out[name] = rates
+        return out
+
+    def at(self, obj: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        """Rates at arena ``lanes`` of objects number ``obj`` (table
+        order); every object listed must have terms."""
+        per_object = [self.terms.get(name, ()) for name in self.table.names]
+        depth = max(len(c) for c in per_object)
+        coef = np.array(
+            [[c[d] if d < len(c) else 0.0 for c in per_object] for d in range(depth)]
+        )
+        weight = self.table.weight_arena[lanes]
+        rates = weight * coef[0][obj]
+        for row in coef[1:]:
+            rates += weight * row[obj]
+        return rates
+
+
+def _lane_starts(objs: Sequence, align: int) -> np.ndarray:
+    """Arena start lane of each object's segment, each padded to a
+    multiple of ``align`` lanes, followed by the arena length."""
+    padded = [-(-o.n_pages // align) * align for o in objs]
+    return np.concatenate(([0], np.cumsum(padded, dtype=np.int64)))
 
 # ----------------------------------------------------------------------
 # N-tier placement (TopologySpec-backed)
@@ -510,20 +631,17 @@ class TieredPageTable:
     # -- arena ---------------------------------------------------------
     def _build_arena(self) -> None:
         objs = list(self._objects.values())
-        starts: list[int] = []
-        pos = 0
-        align = self._ARENA_ALIGN
-        for o in objs:
-            starts.append(pos)
-            pos += -(-o.n_pages // align) * align
+        starts = _lane_starts(objs, self._ARENA_ALIGN)
+        pos = starts[-1]
         self._weight_arena = np.zeros(pos, dtype=np.float64)
         self._tier_arena = np.full(pos, self.NO_TIER, dtype=np.int8)
         # apply_batch's scratch for spotting a page listed twice in one
         # move; every lane it reads was written in the same move
         self._mark = np.empty(pos, dtype=np.intp)
         self._page_bounds = _page_bounds(objs)
+        self._starts = starts[:-1]
         self._slices: dict[str, slice] = {}
-        for o, start in zip(objs, starts):
+        for o, start in zip(objs, starts.tolist()):
             sl = slice(start, start + o.n_pages)
             self._slices[o.name] = sl
             self._weight_arena[sl] = o.weight
@@ -533,7 +651,14 @@ class TieredPageTable:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        for key in ("_weight_arena", "_tier_arena", "_mark", "_page_bounds", "_slices"):
+        for key in (
+            "_weight_arena",
+            "_tier_arena",
+            "_mark",
+            "_page_bounds",
+            "_starts",
+            "_slices",
+        ):
             state.pop(key, None)
         return state
 
@@ -554,6 +679,10 @@ class TieredPageTable:
 
     def object_slice(self, name: str) -> slice:
         return self._slices[name]
+
+    def arena_lanes(self, obj: np.ndarray, pages: np.ndarray) -> np.ndarray:
+        """Arena lane of page ``pages[i]`` of object number ``obj[i]``."""
+        return self._starts[obj] + pages
 
     # -- mapping -------------------------------------------------------
     def __iter__(self) -> Iterator[TieredPagedObject]:
@@ -676,8 +805,6 @@ class TieredPageTable:
                 cache[name] = self._objects[name].tier_access_fractions()
         return {name: vec.copy() for name, vec in cache.items()}
 
-    def sample_pages(
-        self, n: int, rng=None
-    ) -> list[tuple[str, np.ndarray]]:
+    def sample_pages(self, n: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
         """Uniform page sampling across the space (see PageTable)."""
-        return _sample_uniform(self.names, self._page_bounds, n, rng)
+        return _sample_uniform(self._page_bounds, n, rng)

@@ -7,6 +7,13 @@ re-summed over every object before each promotion, sampled pages are
 grouped with one mask per object, and the interval policy walks its ranked
 sample one page at a time.
 
+:class:`Residency` is the 2-tier table's parent form: a float residency
+arena it owns, written in place, with ``dram_used_bytes``,
+``access_fractions`` and ``apply_batch`` recomputing every object's terms
+on each call.  :func:`page_access_rates`, :func:`pte_sample` and
+:func:`corrupt_pte_scan` are the parent full-array rates, the per-object
+sample -> Poisson loop and the per-object fault draws.
+
 :class:`TieredResidency` is the N-tier table's float form: a one-hot
 ``(n_tiers, lanes)`` residency matrix it owns, with the table's
 migration, capacity, fraction and candidate-page routines as they were
@@ -19,12 +26,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common import PAGE_SIZE, make_rng
+
 __all__ = [
     "apply_batch",
     "sample_pages",
     "top_k_hot_pages",
     "interval_replan",
     "page_tiers",
+    "page_access_rates",
+    "pte_sample",
+    "corrupt_pte_scan",
+    "Residency",
     "TieredResidency",
 ]
 
@@ -55,6 +67,69 @@ def apply_batch(table, batch) -> int:
         obj.residency[sel] = 1.0
         moved += len(sel)
     return moved
+
+
+def page_access_rates(ctx) -> dict[str, np.ndarray]:
+    """Per-page rates summed over ``ctx``'s active instances, as full
+    arrays (``EngineContext.page_access_rates`` before rate terms)."""
+    rates: dict[str, np.ndarray] = {}
+    for inst in ctx.active_instances():
+        t = max(ctx.instance_times.get(inst.task_id, 0.0), 1e-12)
+        for acc in inst.footprint.accesses:
+            obj = ctx.page_table.object(acc.obj)
+            per_obj = acc.total / t
+            if acc.obj in rates:
+                rates[acc.obj] = rates[acc.obj] + obj.weight * per_obj
+            else:
+                rates[acc.obj] = obj.weight * per_obj
+    return rates
+
+
+def pte_sample(
+    rng, max_pages: int, page_table, access_rates, interval_s: float,
+    faults=None, now: float = 0.0,
+):
+    """``PTESampleProfiler.sample`` drawing from generator ``rng``: one
+    Poisson call per sampled object that has rates.  Returns
+    ``(samples, scale)`` with ``samples`` a name -> (pages, counts) dict."""
+    total_pages = page_table.total_pages
+    n = min(max_pages, total_pages)
+    picked = sample_pages(page_table, n, rng=rng)
+    samples: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for name, idx in picked:
+        rates = access_rates.get(name)
+        if rates is None:
+            counts = np.zeros(len(idx))
+        else:
+            expected = rates[idx] * interval_s
+            counts = rng.poisson(np.maximum(expected, 0.0)).astype(np.float64)
+        samples[name] = (idx, counts)
+    if faults is not None:
+        samples = corrupt_pte_scan(faults, samples, now)
+    scale = total_pages / max(n, 1)
+    return samples, scale
+
+
+def corrupt_pte_scan(injector, samples, now: float):
+    """``FaultInjector.corrupt_pte_scan`` with one draw per object."""
+    frac = injector.config.pte_fault_fraction
+    if injector._fire(injector.config.pte_drop_rate, now):
+        injector.log.record("fault.pte_drop", now, fraction=frac)
+        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for name, (idx, cnt) in samples.items():
+            keep = injector._rng.random(len(idx)) >= frac
+            out[name] = (idx[keep], cnt[keep])
+        return out
+    if injector._fire(injector.config.pte_duplicate_rate, now):
+        injector.log.record("fault.pte_duplicate", now, fraction=frac)
+        out = {}
+        for name, (idx, cnt) in samples.items():
+            dup = injector._rng.random(len(idx)) < frac
+            boosted = cnt.copy()
+            boosted[dup] *= 2.0
+            out[name] = (idx, boosted)
+        return out
+    return samples
 
 
 def sample_pages(table, n: int, rng=None) -> list[tuple[str, np.ndarray]]:
@@ -166,6 +241,105 @@ def page_tiers(table, name: str) -> np.ndarray:
     if isinstance(table, TieredResidency):
         return np.asarray(np.argmax(obj.tier_residency, axis=0), dtype=np.intp)
     return np.where(obj.residency > 0.5, 0, 1).astype(np.intp)
+
+
+class _Object:
+    """One object's weight and writable residency views, terms recomputed
+    on every call."""
+
+    def __init__(self, name: str, weight: np.ndarray, residency: np.ndarray):
+        self.name = name
+        self.n_pages = len(weight)
+        self.weight = weight
+        self.residency = residency
+
+    def dram_pages(self) -> float:
+        return float(self.residency.sum())
+
+    def dram_bytes(self) -> float:
+        return self.dram_pages() * PAGE_SIZE
+
+    def dram_access_fraction(self) -> float:
+        return float(self.weight @ self.residency)
+
+
+class Residency:
+    """Float 2-tier page state shadowing a ``PageTable``.
+
+    Copies the table's weight and residency arenas (same slices and
+    padding) and from then on owns its residency, written in place.
+    ``dram_capacity_bytes`` is a plain attribute: a test changes capacity
+    on both sides.
+    """
+
+    def __init__(self, table) -> None:
+        self.dram_capacity_bytes = table.dram_capacity_bytes
+        self._weight_arena = table.weight_arena.copy()
+        self._residency_arena = table.residency_arena.copy()
+        self._objects: dict[str, _Object] = {}
+        for name in table.names:
+            sl = table.object_slice(name)
+            self._objects[name] = _Object(
+                name, self._weight_arena[sl], self._residency_arena[sl]
+            )
+
+    @property
+    def residency_arena(self) -> np.ndarray:
+        return self._residency_arena
+
+    def __iter__(self):
+        return iter(self._objects.values())
+
+    def object(self, name: str) -> _Object:
+        return self._objects[name]
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(self._objects)
+
+    @property
+    def total_pages(self) -> int:
+        return sum(o.n_pages for o in self)
+
+    def dram_used_bytes(self) -> float:
+        return sum(o.dram_bytes() for o in self)
+
+    def dram_free_bytes(self) -> float:
+        return self.dram_capacity_bytes - self.dram_used_bytes()
+
+    def dram_free_pages(self) -> int:
+        return int(self.dram_free_bytes() // PAGE_SIZE)
+
+    def access_fractions(self) -> dict[str, float]:
+        return {o.name: o.dram_access_fraction() for o in self}
+
+    def apply_batch(self, batch) -> int:
+        """Per-object byte counts taken once, after the demotions, and
+        only the promoted object's entry refreshed after each move."""
+        moved = 0
+        for name, idx, promote in batch.moves:
+            if promote:
+                continue
+            obj = self.object(name)
+            sel = idx[obj.residency[idx] > 1e-12]
+            obj.residency[sel] = 0.0
+            moved += len(sel)
+        used: dict[str, float] | None = None
+        for name, idx, promote in batch.moves:
+            if not promote:
+                continue
+            obj = self.object(name)
+            sel = idx[obj.residency[idx] < 1.0 - 1e-12]
+            if used is None:
+                used = {o.name: o.dram_bytes() for o in self}
+            free = int((self.dram_capacity_bytes - sum(used.values())) // PAGE_SIZE)
+            if free <= 0:
+                continue
+            sel = sel[:free]
+            obj.residency[sel] = 1.0
+            used[name] = obj.dram_bytes()
+            moved += len(sel)
+        return moved
 
 
 class _TieredObject:

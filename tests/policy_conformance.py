@@ -8,7 +8,8 @@ battery of invariants:
 * **no over-commit**: at every engine hook, no tier holds more pages
   than its capacity (the 2-tier DRAM budget is the degenerate case);
 * **no count drift**: at every hook, an N-tier table's integer per-tier
-  page counts equal a recount of its tier-index arena;
+  page counts equal a recount of its tier-index arena, and a 2-tier
+  table's cached DRAM bytes equal a recount of its residency;
 * **determinism**: two runs with the same seed are identical, tick
   traces included;
 * **degenerate bit-exactness**: on a 2-tier topology the ``topology=``
@@ -109,7 +110,7 @@ class InvariantProbe:
         self.name = inner.name
         self.violations: list[tuple[float, int, float, float]] = []
         #: (time, tier, kept count, recount) where the two disagree
-        self.drift: list[tuple[float, int, float, int]] = []
+        self.drift: list[tuple[float, int, float, float]] = []
 
     def _check(self, ctx) -> None:
         table = ctx.page_table
@@ -130,6 +131,9 @@ class InvariantProbe:
             cap = table.dram_capacity_bytes
             if used > cap + 1e-6 * PAGE_SIZE:
                 self.violations.append((ctx.time, 0, used, float(cap)))
+            recount = sum(float(o.residency.sum()) * PAGE_SIZE for o in table)
+            if used != recount:
+                self.drift.append((ctx.time, 0, used, recount))
 
     def on_workload_start(self, ctx):
         self.inner.on_workload_start(ctx)

@@ -90,20 +90,18 @@ class TestWindowCountFaults:
 
 class TestPTEScanFaults:
     def samples(self):
-        return {"a": (np.arange(100), np.ones(100))}
+        return np.zeros(100, dtype=np.intp), np.arange(100), np.ones(100)
 
     def test_drop_loses_samples(self):
         inj = injector(pte_drop_rate=1.0)
-        out = inj.corrupt_pte_scan(self.samples(), 1.0)
-        idx, cnt = out["a"]
-        assert 0 < len(idx) < 100 and len(idx) == len(cnt)
+        obj, idx, cnt = inj.corrupt_pte_scan(*self.samples(), 1.0)
+        assert 0 < len(idx) < 100 and len(obj) == len(idx) == len(cnt)
         assert inj.log.count("fault.pte_drop") == 1
 
     def test_duplicate_doubles_some_counts(self):
         inj = injector(pte_duplicate_rate=1.0)
-        out = inj.corrupt_pte_scan(self.samples(), 1.0)
-        idx, cnt = out["a"]
-        assert len(idx) == 100
+        obj, idx, cnt = inj.corrupt_pte_scan(*self.samples(), 1.0)
+        assert len(obj) == len(idx) == 100
         assert ((cnt == 2.0).any()) and ((cnt == 1.0).any())
 
     def test_thermostat_drop(self):

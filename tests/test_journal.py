@@ -118,7 +118,7 @@ class TestRollback:
                 },
             )
         ]
-        obj.residency[[0, 1, 2]] = 1.0
+        obj.set_pages([0, 1, 2], 1.0)
         assert _undo_moves(t, moves) == 3
         assert obj.dram_pages() == 0.0
 
@@ -143,7 +143,7 @@ class TestRollback:
                 ],
             },
         )
-        obj.residency[0] = 1.0  # page 1 never copied
+        obj.set_pages(0, 1.0)  # page 1 never copied
         _undo_moves(t, [record])
         assert obj.dram_pages() == 0.0
 
@@ -163,7 +163,7 @@ class TestRollback:
                 ],
             },
         )
-        obj.residency[0] = 1.0
+        obj.set_pages(0, 1.0)
         second = WalRecord(
             2,
             "move",
@@ -175,7 +175,7 @@ class TestRollback:
                 ],
             },
         )
-        obj.residency[0] = 0.0
+        obj.set_pages(0, 0.0)
         _undo_moves(t, [first, second])
         assert obj.residency[0] == 0.0
 
@@ -183,31 +183,31 @@ class TestRollback:
 class TestVerifyPlacement:
     def test_clean_placement_passes(self):
         t = table()
-        t.object("o0").residency[:4] = 1.0
+        t.object("o0").set_pages(slice(None, 4), 1.0)
         assert verify_placement(t, begin_payload(t)) == []
 
     def test_fractional_residency_flagged_when_binary(self):
         t = table()
-        t.object("o0").residency[0] = 0.5
+        t.object("o0").set_pages(0, 0.5)
         violations = verify_placement(t, {"binary": True})
         assert any("no/both tiers" in v for v in violations)
 
     def test_fractional_residency_allowed_for_memory_mode(self):
         t = table()
-        t.object("o0").residency[:] = 0.5
+        t.object("o0").set_pages(slice(None), 0.5)
         assert verify_placement(t, {"binary": False}) == []
 
     def test_capacity_violation_flagged(self):
         t = table(n_objects=2, pages_each=8, capacity_pages=12)
         for obj in t:
-            obj.residency[:] = 1.0  # 16 pages in a 12-page DRAM
+            obj.set_pages(slice(None), 1.0)  # 16 pages in a 12-page DRAM
         violations = verify_placement(t, {"binary": True})
         assert any("over capacity" in v for v in violations)
 
     def test_restoration_mismatch_flagged(self):
         t = table()
         payload = begin_payload(t)
-        t.object("o1").residency[0] = 1.0  # drifted from the epoch snapshot
+        t.object("o1").set_pages(0, 1.0)  # drifted from the epoch snapshot
         violations = verify_placement(t, payload)
         assert any("after rollback" in v for v in violations)
 
@@ -236,7 +236,7 @@ class TestRecoverJournal:
             [{"obj": "o0", "pages": [0, 1], "before": [0.0, 0.0], "promote": True}],
             "policy",
         )
-        obj.residency[[0, 1]] = 1.0
+        obj.set_pages([0, 1], 1.0)
         outcome = recover_journal(wal, t)
         assert outcome.open_epoch == e1
         assert outcome.resume_region == 1
@@ -298,7 +298,7 @@ class TestRecoverJournal:
         t = table()
         wal = WriteAheadLog()
         wal.begin_epoch(begin_payload(t, region=0))
-        t.object("o0").residency[0] = 1.0  # mutation with no move record
+        t.object("o0").set_pages(0, 1.0)  # mutation with no move record
         outcome = recover_journal(wal, t)
         assert outcome.violations
         assert wal.log.count("journal.invariant_violation") >= 1

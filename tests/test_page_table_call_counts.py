@@ -5,10 +5,13 @@ object.  The quota gate used to recompute the fractions for every hot
 object x accessing task, and ``apply_batch`` re-summed residency before
 every promotion; this guard bounds both by the number of hooks instead.
 
-On the N-tier table, fraction vectors are cached per object and
-``tier_free_pages`` reads integer per-tier counts: the second guard bounds
-fraction recomputations by the objects batches actually moved and makes
-every page arena unreadable while ``tier_free_pages`` runs.
+Both tables keep per-object cached terms behind one write path.  On the
+2-tier table ``dram_free_pages``/``dram_used_bytes`` re-sum cached page
+counts and each access fraction is recomputed only after its object was
+written; on the N-tier table fraction vectors are cached per object and
+``tier_free_pages`` reads integer per-tier counts.  The other guards make
+every page array unreadable while those capacity queries run and bound
+fraction recomputations by the objects actually written or moved.
 """
 
 import numpy as np
@@ -20,7 +23,7 @@ from repro.core.model import PerformanceModel
 from repro.policies import PolicyBuildContext, build_policy
 from repro.sim import Engine, MachineModel, optane_hm_config
 from repro.sim.memspec import topology_preset
-from repro.sim.pages import PageTable, TieredPagedObject, TieredPageTable
+from repro.sim.pages import PagedObject, PageTable, TieredPagedObject, TieredPageTable
 
 
 def _counting(monkeypatch, cls, name: str) -> dict:
@@ -62,11 +65,72 @@ class _Unreadable:
     """Stands in for a page array; any use of it fails the test."""
 
     def _fail(self, *args, **kwargs):
-        raise AssertionError("tier_free_pages read per-page state")
+        raise AssertionError("a capacity query read per-page state")
 
     __getattr__ = __getitem__ = __array__ = __iter__ = __len__ = _fail
     __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _fail
     __hash__ = None
+
+
+def _blind(monkeypatch, cls, name: str) -> dict:
+    """Patch ``cls.name`` to run with every per-page array of the table and
+    its objects replaced by :class:`_Unreadable`; counts the calls."""
+    counter = {"calls": 0}
+    original = getattr(cls, name)
+
+    def blind(self, *args):
+        hidden = [
+            (holder, attr, value)
+            for holder in (self, *self)
+            for attr, value in (
+                vars(holder).items()
+                if hasattr(holder, "__dict__")
+                else ((a, getattr(holder, a)) for a in type(holder).__slots__)
+            )
+            if isinstance(value, np.ndarray)
+        ]
+        for holder, attr, _ in hidden:
+            setattr(holder, attr, _Unreadable())
+        try:
+            counter["calls"] += 1
+            return original(self, *args)
+        finally:
+            for holder, attr, value in hidden:
+                setattr(holder, attr, value)
+
+    monkeypatch.setattr(cls, name, blind)
+    return counter
+
+
+def test_dram_queries_never_rescan_pages(monkeypatch, system):
+    app = SpGEMMApp.small(seed=0)
+    wl = app.build_workload(seed=0)
+    policy = system.policy(app.binding(wl), seed=3)
+    seen = {"writes": 0, "recomputes": 0}
+
+    set_pages = PagedObject.set_pages
+
+    def counted_set_pages(self, idx, value):
+        seen["writes"] += 1
+        return set_pages(self, idx, value)
+
+    fraction = PagedObject.dram_access_fraction
+
+    def counted_fraction(self):
+        # a fraction is recomputed exactly when its cache slot is empty
+        seen["recomputes"] += self._fraction is None
+        return fraction(self)
+
+    monkeypatch.setattr(PagedObject, "set_pages", counted_set_pages)
+    monkeypatch.setattr(PagedObject, "dram_access_fraction", counted_fraction)
+    used = _blind(monkeypatch, PageTable, "dram_used_bytes")
+    free = _blind(monkeypatch, PageTable, "dram_free_pages")
+
+    res = Engine(MachineModel(), optane_hm_config()).run(wl, policy, seed=1)
+
+    assert res.pages_migrated > 0 and seen["writes"] > 0
+    assert used["calls"] > 0 and free["calls"] > 0
+    assert 0 < seen["recomputes"] <= len(wl.objects) + seen["writes"]
 
 
 def test_tiered_queries_never_rescan_pages(monkeypatch, system):
@@ -84,7 +148,7 @@ def test_tiered_queries_never_rescan_pages(monkeypatch, system):
         ),
     )
     recomputes = _counting(monkeypatch, TieredPagedObject, "tier_access_fractions")
-    seen = {"objects": 0, "moved_objects": 0, "free_calls": 0}
+    seen = {"objects": 0, "moved_objects": 0}
 
     apply_batch = TieredPageTable.apply_batch
 
@@ -98,34 +162,11 @@ def test_tiered_queries_never_rescan_pages(monkeypatch, system):
         )
         return moved
 
-    tier_free_pages = TieredPageTable.tier_free_pages
-
-    def blind_free_pages(self, k):
-        # hide every per-page array of the table and its objects
-        hidden = [
-            (holder, attr, value)
-            for holder in (self, *self)
-            for attr, value in (
-                vars(holder).items()
-                if hasattr(holder, "__dict__")
-                else ((a, getattr(holder, a)) for a in type(holder).__slots__)
-            )
-            if isinstance(value, np.ndarray)
-        ]
-        for holder, attr, _ in hidden:
-            setattr(holder, attr, _Unreadable())
-        try:
-            seen["free_calls"] += 1
-            return tier_free_pages(self, k)
-        finally:
-            for holder, attr, value in hidden:
-                setattr(holder, attr, value)
-
     monkeypatch.setattr(TieredPageTable, "apply_batch", counted_apply)
-    monkeypatch.setattr(TieredPageTable, "tier_free_pages", blind_free_pages)
+    free = _blind(monkeypatch, TieredPageTable, "tier_free_pages")
 
     res = Engine(MachineModel(), topology=topo).run(wl, policy, seed=1)
 
     assert res.pages_migrated > 0 and seen["moved_objects"] > 0
-    assert seen["free_calls"] > 0
+    assert free["calls"] > 0
     assert 0 < recomputes["calls"] <= seen["objects"] + seen["moved_objects"]

@@ -2,11 +2,15 @@
 
 Every case builds a seeded random table, runs the production routine and
 the reference copy on identical inputs, and requires identical bits:
-residency arenas, moved counts, sampled pages, hot-page picks and the
-interval policy's move queue.  N-tier tables are shadowed by the float
-one-hot residency matrix of :class:`oracles.pages.TieredResidency`:
-moved counts, per-tier used/free pages, fraction-vector bytes, tier
-indices and candidate-page orders must all agree after every batch.
+residency arenas, moved counts, cached DRAM terms, sampled pages, page
+access rates, PTE scan counts (with and without injected faults),
+hot-page picks and the interval policy's move queue.  2-tier tables are
+shadowed by :class:`oracles.pages.Residency`, which owns a float
+residency copy and recomputes every aggregate per call.  N-tier tables
+are shadowed by the float one-hot residency matrix of
+:class:`oracles.pages.TieredResidency`: moved counts, per-tier used/free
+pages, fraction-vector bytes, tier indices and candidate-page orders must
+all agree after every batch.
 """
 
 import pickle
@@ -15,18 +19,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.common import PAGE_SIZE
+from repro.common import PAGE_SIZE, AccessPattern
+from repro.core.journal import _undo_moves
 from repro.policies.interval import IntervalReconfigPolicy
 from repro.profiling.hotpages import top_k_hot_pages
-from repro.profiling.pte import PageSampleEstimate
+from repro.profiling.pte import PageSampleEstimate, PTESampleProfiler
 from repro.policies.base import page_tiers
+from repro.sim.cache import DirectMappedPageCache
+from repro.sim.engine import EngineContext
+from repro.sim.faults import FaultConfig, FaultInjector
 from repro.sim.pages import (
     MigrationBatch,
+    PagedObject,
     PageTable,
     TieredMigrationBatch,
     TieredPageTable,
 )
-from repro.tasks import DataObject
+from repro.tasks import DataObject, Footprint, ObjectAccess, TaskInstanceSpec
 from tests.oracles import pages as oracle
 
 SEEDS = range(12)
@@ -126,6 +135,39 @@ def _batch(table: PageTable, rng) -> MigrationBatch:
     return MigrationBatch(moves=tuple(moves))
 
 
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _assert_cache_current(table: PageTable, ref: oracle.Residency | None = None) -> None:
+    """Cached per-object terms equal a recount, and the table aggregates
+    equal the parent forms over the same (or the shadow's) residency."""
+    ref = oracle.Residency(table) if ref is None else ref
+    assert table.residency_arena.tobytes() == ref.residency_arena.tobytes()
+    for obj in table:
+        assert _bits(obj.dram_pages()) == _bits(float(obj.residency.sum()))
+        assert _bits(obj.dram_access_fraction()) == _bits(
+            float(obj.weight @ obj.residency)
+        )
+    assert _bits(table.dram_used_bytes()) == _bits(ref.dram_used_bytes())
+    assert _bits(table.dram_free_bytes()) == _bits(ref.dram_free_bytes())
+    free, want = table.dram_free_pages(), ref.dram_free_pages()
+    assert type(free) is type(want) is int and free == want
+    got, want = table.access_fractions(), ref.access_fractions()
+    assert list(got) == list(want)
+    assert [_bits(v) for v in got.values()] == [_bits(v) for v in want.values()]
+
+
+def _groups(names, obj: np.ndarray, pages: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """A flat sample regrouped as (object name, pages) in table order."""
+    cuts = np.flatnonzero(np.diff(obj)) + 1
+    return [
+        (names[int(ids[0])], grp)
+        for ids, grp in zip(np.split(obj, cuts), np.split(pages, cuts))
+        if len(ids)
+    ]
+
+
 def _assert_same_groups(got, want) -> None:
     assert [name for name, _ in got] == [name for name, _ in want]
     for (_, a), (_, b) in zip(got, want):
@@ -133,17 +175,63 @@ def _assert_same_groups(got, want) -> None:
         np.testing.assert_array_equal(a, b)
 
 
+def _assert_same_samples(got: dict, want: dict) -> None:
+    """Scan samples agree; an object whose samples were all dropped is a
+    key with empty arrays in the reference and absent in production."""
+    want = {name: v for name, v in want.items() if len(v[0])}
+    assert list(got) == list(want)
+    for name in got:
+        for a, b in zip(got[name], want[name]):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+def _rate_ctx(table, seed: int) -> SimpleNamespace:
+    """Engine-context stand-in for the rate methods: random active
+    instances over a subset of the objects (some objects get no rates,
+    some several terms, one instance has no time estimate yet)."""
+    rng = np.random.default_rng(seed)
+    names = table.names
+    instances = []
+    for j in range(int(rng.integers(1, 5))):
+        accesses = tuple(
+            ObjectAccess(
+                names[int(i)],
+                AccessPattern.RANDOM,
+                reads=int(rng.integers(0, 10**7)),
+                writes=int(rng.integers(0, 10**5)),
+            )
+            for i in rng.integers(0, len(names), size=int(rng.integers(1, 4)))
+            if rng.random() < 0.8
+        )
+        instances.append(
+            TaskInstanceSpec(f"t{j}", Footprint(accesses=accesses, instructions=1))
+        )
+    times = {inst.task_id: float(rng.random() * 3) for inst in instances[1:]}
+    ctx = SimpleNamespace(
+        page_table=table,
+        instance_times=times,
+        active_instances=lambda: instances,
+    )
+    ctx.page_rates = lambda: EngineContext.page_rates(ctx)
+    ctx.page_access_rates = lambda: EngineContext.page_access_rates(ctx)
+    return ctx
+
+
 class TestApplyBatch:
     @pytest.mark.parametrize("fractional", [False, True])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_reference(self, seed, fractional):
         table = _table(seed, fractional)
-        ref = _table(seed, fractional)
+        resum, parent = oracle.Residency(table), oracle.Residency(table)
         rng = np.random.default_rng(1000 + seed)
         for _ in range(6):
             batch = _batch(table, rng)
-            assert table.apply_batch(batch) == oracle.apply_batch(ref, batch)
-            assert table.residency_arena.tobytes() == ref.residency_arena.tobytes()
+            moved = table.apply_batch(batch)
+            assert moved == oracle.apply_batch(resum, batch)
+            assert moved == parent.apply_batch(batch)
+            assert resum.residency_arena.tobytes() == parent.residency_arena.tobytes()
+            _assert_cache_current(table, parent)
 
     def test_free_runs_out_mid_batch(self):
         table = PageTable(
@@ -151,11 +239,7 @@ class TestApplyBatch:
             5 * PAGE_SIZE,
         )
         table.object("a").set_residency(0.25)  # 2 pages' worth, fractional
-        ref = PageTable(
-            [DataObject("a", 8 * PAGE_SIZE), DataObject("b", 8 * PAGE_SIZE)],
-            5 * PAGE_SIZE,
-        )
-        ref.object("a").set_residency(0.25)
+        ref = oracle.Residency(table)
         batch = MigrationBatch(
             moves=(
                 ("b", np.arange(2), True),
@@ -165,19 +249,101 @@ class TestApplyBatch:
         )
         moved = table.apply_batch(batch)
         assert moved == oracle.apply_batch(ref, batch)
-        assert table.residency_arena.tobytes() == ref.residency_arena.tobytes()
+        _assert_cache_current(table, ref)
         assert table.dram_free_pages() <= 0
 
     def test_capacity_change_between_batches_is_seen(self):
         table = _table(3, fractional=True)
-        ref = _table(3, fractional=True)
+        ref = oracle.Residency(table)
         rng = np.random.default_rng(7)
         for shrink in (0, 3, 0, 10):
             batch = _batch(table, rng)
             for t in (table, ref):
                 t.dram_capacity_bytes -= shrink * PAGE_SIZE
             assert table.apply_batch(batch) == oracle.apply_batch(ref, batch)
-            assert table.residency_arena.tobytes() == ref.residency_arena.tobytes()
+            _assert_cache_current(table, ref)
+
+
+class TestResidencyCache:
+    """The cached per-object terms after every kind of writer."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_journal_undo(self, seed):
+        table = _table(seed, fractional=seed % 2 == 1)
+        before = table.residency_arena.copy()
+        rng = np.random.default_rng(4000 + seed)
+        records = []
+        for _ in range(3):
+            batch = _batch(table, rng)
+            moves = [
+                {
+                    "obj": name,
+                    "pages": idx,
+                    "before": table.object(name).residency[idx].copy(),
+                }
+                for name, idx, _ in batch.moves
+            ]
+            records.append(SimpleNamespace(payload={"moves": moves}))
+            table.apply_batch(batch)
+            _assert_cache_current(table)
+        _undo_moves(table, records)
+        assert table.residency_arena.tobytes() == before.tobytes()
+        _assert_cache_current(table)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_memory_mode_update(self, seed):
+        table = _table(seed, fractional=True)
+        table.dram_capacity_bytes = max(table.dram_capacity_bytes, 64 * PAGE_SIZE)
+        ctx = _rate_ctx(table, seed)
+        cache = DirectMappedPageCache(table)
+        rng = np.random.default_rng(seed)
+        per_pass = {o.name: rng.random(o.n_pages) * 400 for o in table}
+        for accesses in (None, per_pass):
+            cache.update_residency(ctx.page_access_rates(), accesses)
+            _assert_cache_current(table)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pickle_round_trip(self, seed):
+        table = _table(seed, fractional=seed % 2 == 1)
+        rng = np.random.default_rng(5000 + seed)
+        for _ in range(3):
+            table.apply_batch(_batch(table, rng))
+            table.access_fractions()  # warm the fraction cache
+            clone = pickle.loads(pickle.dumps(table))
+            for obj in clone:
+                assert obj.residency.base is clone.residency_arena.base
+                assert not obj.residency.flags.writeable
+            _assert_cache_current(clone, oracle.Residency(table))
+            table = clone
+
+    def test_direct_writes_raise(self):
+        table = _table(0, fractional=False)
+        obj = next(iter(table))
+        for write in (
+            lambda: obj.residency.__setitem__(0, 1.0),
+            lambda: obj.residency.__setitem__(slice(None), 0.0),
+            lambda: table.residency_arena.__setitem__(0, 1.0),
+            lambda: np.copyto(obj.residency, 1.0),
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        standalone = PagedObject(DataObject("s", 4 * PAGE_SIZE))
+        with pytest.raises(ValueError, match="read-only"):
+            standalone.residency[0] = 1.0
+        clone = pickle.loads(pickle.dumps(standalone))
+        with pytest.raises(ValueError, match="read-only"):
+            clone.residency[0] = 1.0
+        clone.set_pages([1, 2], 1.0)
+        assert clone.dram_pages() == 2.0 and clone.dram_access_fraction() == 0.5
+
+    def test_rejected_set_residency_writes_nothing(self):
+        table = _table(1, fractional=True)
+        obj = next(iter(table))
+        before = obj.residency.copy()
+        with pytest.raises(ValueError):
+            obj.set_residency(np.full(obj.n_pages, 1.5))
+        assert obj.residency.tobytes() == before.tobytes()
+        _assert_cache_current(table)
 
 
 def _two_objects(caps_pages) -> TieredPageTable:
@@ -283,30 +449,41 @@ class TestSampling:
         table = _table(seed, fractional=False)
         for n in (0, 1, 7, table.total_pages, 3 * table.total_pages):
             got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = table.sample_pages(n, rng=got_rng)
-            _assert_same_groups(got, oracle.sample_pages(table, n, rng=ref_rng))
+            obj, pages = table.sample_pages(n, rng=got_rng)
+            assert obj.dtype == np.intp and len(obj) == len(pages) == max(n, 0)
+            _assert_same_groups(
+                _groups(table.names, obj, pages),
+                oracle.sample_pages(table, n, rng=ref_rng),
+            )
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+            lanes = table.arena_lanes(obj, pages)
+            for i, page, lane in zip(obj, pages, lanes):
+                assert lane == table.object_slice(table.names[i]).start + page
 
     @pytest.mark.parametrize("n_tiers", [2, 4])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_tiered_sample(self, seed, n_tiers):
         table = _tiered(seed, n_tiers)
         for n in (1, 64, 4096):
-            got = table.sample_pages(n, rng=seed)
-            _assert_same_groups(got, oracle.sample_pages(table, n, rng=seed))
+            obj, pages = table.sample_pages(n, rng=seed)
+            _assert_same_groups(
+                _groups(table.names, obj, pages),
+                oracle.sample_pages(table, n, rng=seed),
+            )
 
     def test_empty_table(self):
         table = PageTable([], 0)
-        assert table.sample_pages(10, rng=0) == oracle.sample_pages(table, 10, rng=0) == []
+        obj, pages = table.sample_pages(10, rng=0)
+        assert len(obj) == len(pages) == 0
+        assert oracle.sample_pages(table, 10, rng=0) == []
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_top_k_hot_pages(self, seed):
         rng = np.random.default_rng(seed)
         table = _table(seed, fractional=False)
-        samples = {}
-        for name, idx in table.sample_pages(256, rng=rng):
-            samples[name] = (idx, rng.poisson(2.0, size=len(idx)).astype(np.float64))
-        estimate = PageSampleEstimate(samples=samples, scale=1.0)
+        obj, pages = table.sample_pages(256, rng=rng)
+        counts = rng.poisson(2.0, size=len(pages)).astype(np.float64)
+        estimate = PageSampleEstimate(table.names, obj, pages, counts, scale=1.0)
         for k in (0, 1, 5, 64, 1000):
             for min_count in (1.0, 3.0):
                 _assert_same_groups(
@@ -315,23 +492,111 @@ class TestSampling:
                 )
 
 
+class TestRates:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_page_access_rates(self, seed):
+        table = _table(seed, fractional=True)
+        ctx = _rate_ctx(table, seed)
+        got, want = ctx.page_access_rates(), oracle.page_access_rates(ctx)
+        assert list(got) == list(want)
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes()
+
+    @pytest.mark.parametrize("n_tiers", [2, 3, 4])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rates_at_sampled_lanes(self, seed, n_tiers):
+        table = _table(seed, fractional=True) if n_tiers == 2 else _tiered(seed, n_tiers)
+        ctx = _rate_ctx(table, seed)
+        rates, want = ctx.page_rates(), oracle.page_access_rates(ctx)
+        obj, pages = table.sample_pages(500, rng=seed)
+        live = np.array([table.names[i] in want for i in obj], dtype=bool)
+        if not live.any():
+            return
+        got = rates.at(obj[live], table.arena_lanes(obj[live], pages[live]))
+        ref = np.concatenate(
+            [want[name][idx] for name, idx in _groups(table.names, obj[live], pages[live])]
+        )
+        assert got.tobytes() == ref.tobytes()
+
+
+class TestPTEScan:
+    """One flat scan pass vs the per-object sample -> Poisson loop."""
+
+    @staticmethod
+    def _scan(seed, table, ctx, faults_cfg, max_pages, interval_s):
+        prof = PTESampleProfiler(max_pages=max_pages, seed=seed)
+        ref_rng = np.random.default_rng(seed)
+        prof_faults = ref_faults = None
+        if faults_cfg is not None:
+            prof.faults = prof_faults = FaultInjector(faults_cfg, seed=seed)
+            ref_faults = FaultInjector(faults_cfg, seed=seed)
+        got = prof.sample(table, ctx.page_rates(), interval_s, now=1.0)
+        samples, scale = oracle.pte_sample(
+            ref_rng,
+            max_pages,
+            table,
+            oracle.page_access_rates(ctx),
+            interval_s,
+            faults=ref_faults,
+            now=1.0,
+        )
+        assert prof._rng.bit_generator.state == ref_rng.bit_generator.state
+        if faults_cfg is not None:
+            assert prof_faults._rng.bit_generator.state == ref_faults._rng.bit_generator.state
+            assert [e.kind for e in prof_faults.log.events] == [
+                e.kind for e in ref_faults.log.events
+            ]
+        return got, SimpleNamespace(samples=samples, scale=scale)
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            None,
+            FaultConfig(pte_drop_rate=1.0, pte_fault_fraction=0.4),
+            FaultConfig(pte_duplicate_rate=1.0, pte_fault_fraction=0.3),
+            FaultConfig(pte_drop_rate=0.5, pte_duplicate_rate=0.5),
+        ],
+        ids=["healthy", "drop", "duplicate", "mixed"],
+    )
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_reference(self, seed, faults):
+        table = _table(seed, fractional=True)
+        ctx = _rate_ctx(table, seed)
+        for max_pages, interval_s in ((1, 0.5), (64, 1e-3), (4096, 0.25)):
+            got, want = self._scan(seed, table, ctx, faults, max_pages, interval_s)
+            assert got.counts.dtype == np.float64
+            assert _bits(got.scale) == _bits(want.scale)
+            _assert_same_samples(got.samples, want.samples)
+            for k in (0, 1, 5, 64, 1000):
+                for min_count in (1.0, 3.0):
+                    _assert_same_groups(
+                        top_k_hot_pages(got, k, min_count),
+                        oracle.top_k_hot_pages(want, k, min_count),
+                    )
+
+    def test_objects_without_rates_draw_nothing(self):
+        table = _table(2, fractional=False)
+        ctx = _rate_ctx(table, 2)
+        ctx.instance_times.clear()
+        ctx.active_instances = lambda: []
+        got, want = self._scan(2, table, ctx, None, 256, 1.0)
+        assert not got.counts.any()
+        _assert_same_samples(got.samples, want.samples)
+
+
 class TestIntervalReplan:
     @staticmethod
     def _ctx(table, seed):
-        rng = np.random.default_rng(seed)
         # some objects carry no rates (not touched by an active task)
-        rates = {
-            o.name: rng.random(o.n_pages) * 100 for o in table if rng.random() < 0.8
-        }
-        return SimpleNamespace(page_table=table, page_access_rates=lambda: rates)
+        return _rate_ctx(table, seed)
 
     def _check(self, table, seed, sample_pages, ref=None):
         ctx = self._ctx(table, seed)
         policy = IntervalReconfigPolicy(sample_pages=sample_pages, seed=seed)
         policy._replan(ctx)
-        sample = table.sample_pages(sample_pages, rng=seed)
+        sample = oracle.sample_pages(table, sample_pages, rng=seed)
         want = oracle.interval_replan(
-            table if ref is None else ref, ctx.page_access_rates(), sample
+            table if ref is None else ref, oracle.page_access_rates(ctx), sample
         )
         got = policy._queue
         assert [(n, d) for n, _, d in got] == [(n, d) for n, _, d in want]
@@ -344,7 +609,7 @@ class TestIntervalReplan:
     def test_two_tier_table(self, seed, sample_pages):
         self._check(_table(seed, fractional=True), seed, sample_pages)
 
-    @pytest.mark.parametrize("n_tiers", [2, 4])
+    @pytest.mark.parametrize("n_tiers", [2, 3, 4])
     @pytest.mark.parametrize("sample_pages", [1, 32, 4096])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_tiered_table(self, seed, sample_pages, n_tiers):

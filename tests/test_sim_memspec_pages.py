@@ -128,14 +128,14 @@ class TestPagedObject:
 
     def test_hottest_excludes_resident(self):
         obj = PagedObject(DataObject("a", 4 * PAGE_SIZE))
-        obj.residency[:2] = 1.0
+        obj.set_pages(slice(0, 2), 1.0)
         idx = obj.hottest_pm_pages()
         assert set(idx) == {2, 3}
 
     def test_coldest_dram_pages(self):
         obj = PagedObject(DataObject("a", 4 * PAGE_SIZE))
         obj.weight = np.array([0.4, 0.3, 0.2, 0.1])
-        obj.residency[:] = 1.0
+        obj.set_residency(1.0)
         assert list(obj.coldest_dram_pages(limit=2)) == [3, 2]
 
 
@@ -193,20 +193,20 @@ class TestPageTable:
 
     def test_sample_pages_within_bounds(self):
         table = make_table(sizes=(10, 20))
-        picked = table.sample_pages(500, rng=make_rng(1))
-        for name, idx in picked:
-            assert (idx >= 0).all()
-            assert (idx < table.object(name).n_pages).all()
+        obj, idx = table.sample_pages(500, rng=make_rng(1))
+        n_pages = np.array([o.n_pages for o in table])
+        assert (idx >= 0).all()
+        assert (idx < n_pages[obj]).all()
 
     def test_sample_pages_total_count(self):
         table = make_table(sizes=(10, 20))
-        picked = table.sample_pages(100, rng=make_rng(1))
-        assert sum(len(idx) for _, idx in picked) == 100
+        obj, idx = table.sample_pages(100, rng=make_rng(1))
+        assert len(obj) == len(idx) == 100
 
     def test_sample_pages_roughly_proportional(self):
         table = make_table(sizes=(10, 90))
-        picked = dict(table.sample_pages(5000, rng=make_rng(2)))
-        share = len(picked["o1"]) / 5000
+        obj, _ = table.sample_pages(5000, rng=make_rng(2))
+        share = np.count_nonzero(obj == table.names.index("o1")) / 5000
         assert 0.8 < share / 0.9 < 1.2
 
     @given(residency=st.floats(0.0, 1.0))
