@@ -105,7 +105,9 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
     server = build_server(
         config, model, clock=clock, telemetry=ctx.telemetry, recorder=recorder
     )
-    sim = _simulate(server, clock, arrivals)
+    # deterministic service times: measured planning wall time would make
+    # the batching, and so the recorded statuses, depend on the host
+    sim = _simulate(server, clock, arrivals, cost=CostModel())
     assert recorder.dropped == 0, "ring recorder overflowed; raise capacity"
     recording = recorder.recording()
     report = replay_recording(recording, model, telemetry=ctx.telemetry)

@@ -124,14 +124,17 @@ def _simulate(
     server: PlacementServer,
     clock: _VirtualClock,
     arrivals: list[tuple[float, PlacementRequest]],
+    cost=None,
 ) -> dict[str, object]:
     """Single-worker virtual-time simulation of one arrival stream.
 
     The one worker fires the oldest batch as soon as it is both *due*
     (window elapsed or ``max_batch`` reached) and the worker is free;
     the batch's measured planning wall time becomes its virtual service
-    time.  Requests shed at admission complete instantly (the daemon
-    fallback needs no planner).
+    time, or ``cost.batch_service_s(decisions)`` when a deterministic
+    cost model (:class:`~repro.replay.backtest.CostModel`) is given, so
+    the run does not depend on the host's speed.  Requests shed at
+    admission complete instantly (the daemon fallback needs no planner).
     """
     sched = server.scheduler
     arrival_at: dict[str, float] = {}
@@ -159,7 +162,10 @@ def _simulate(
         clock.now = max(clock.now, fire_at)
         walls_before = len(server.batch_wall_s)
         decisions = server.step(now=fire_at)
-        service_s = sum(server.batch_wall_s[walls_before:])
+        if cost is None:
+            service_s = sum(server.batch_wall_s[walls_before:])
+        else:
+            service_s = cost.batch_service_s(decisions)
         finish = fire_at + service_s
         worker_free = finish
         for dec in decisions:

@@ -19,6 +19,8 @@ are derived from it.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -35,7 +37,78 @@ __all__ = [
     "TieredPagedObject",
     "TieredPageTable",
     "TieredMigrationBatch",
+    "page_weights",
 ]
+
+#: cache lines per page: element-level popularity is averaged over this many
+#: draws per page, because a 4 KiB page mixes hot and cold lines
+LINES_PER_PAGE = 64
+
+#: pages of weights :func:`page_weights` keeps (8 B each, so 4 MiB); the
+#: least recently used entries go first
+WEIGHT_MEMO_PAGES = 1 << 19
+
+# (bit-generator state, n_pages, zipf_s) -> (weights, state after the draw)
+_weight_memo: OrderedDict[tuple, tuple[np.ndarray, dict]] = OrderedDict()
+_weight_memo_pages = 0
+_weight_memo_lock = threading.Lock()
+
+
+def _frozen(state):
+    """A hashable form of a bit generator's ``state`` dict."""
+    if isinstance(state, dict):
+        return tuple((k, _frozen(v)) for k, v in sorted(state.items()))
+    if isinstance(state, np.ndarray):
+        return (state.dtype.str, state.shape, state.tobytes())
+    return state
+
+
+def _zipf_page_weights(n_pages: int, zipf_s: float, rng) -> np.ndarray:
+    # Zipf popularity lives at cache-line granularity; page-level hotness
+    # is the sum of the page's line weights.  Drawing Zipf directly per
+    # page would overstate page skew by ~64x and make hardware caching look
+    # far better than it is.
+    lines = zipf_weights(n_pages * LINES_PER_PAGE, zipf_s, rng=rng)
+    weight = lines.reshape(n_pages, LINES_PER_PAGE).sum(axis=1)
+    weight /= weight.sum()
+    return weight
+
+
+def page_weights(spec: DataObject, rng=None) -> np.ndarray:
+    """Per-page access weights of ``spec`` (sums to 1), a fresh array.
+
+    A Zipf draw consumes ``rng``.  Experiments rerun one workload under
+    several policies from one seed, so the draw is memoised on the
+    generator's full bit-generator state: a hit sets ``rng`` to the state
+    the draw would have left it in and returns the weights the draw would
+    have made, so neither the weights nor any later stream can tell a hit
+    from a draw.  ``rng=None`` (fresh entropy) never recurs and is never
+    memoised.
+    """
+    global _weight_memo_pages
+    n_pages = spec.n_pages
+    if spec.hotness != "zipf":
+        return np.full(n_pages, 1.0 / n_pages)
+    if rng is None:
+        return _zipf_page_weights(n_pages, spec.zipf_s, make_rng(None))
+    rng = make_rng(rng)
+    key = (_frozen(rng.bit_generator.state), n_pages, spec.zipf_s)
+    with _weight_memo_lock:
+        hit = _weight_memo.get(key)
+        if hit is not None:
+            _weight_memo.move_to_end(key)
+            weight, after = hit
+            rng.bit_generator.state = after
+            return weight.copy()
+    weight = _zipf_page_weights(n_pages, spec.zipf_s, rng)
+    with _weight_memo_lock:
+        if key not in _weight_memo:
+            _weight_memo[key] = (weight.copy(), rng.bit_generator.state)
+            _weight_memo_pages += n_pages
+            while _weight_memo_pages > WEIGHT_MEMO_PAGES:
+                _, (old, _) = _weight_memo.popitem(last=False)
+                _weight_memo_pages -= len(old)
+    return weight
 
 
 def _sample_uniform(
@@ -93,25 +166,10 @@ class PagedObject:
         "_fraction",
     )
 
-    #: cache lines per page: element-level popularity is averaged over this
-    #: many draws per page, because a 4 KiB page mixes hot and cold lines
-    LINES_PER_PAGE = 64
-
     def __init__(self, spec: DataObject, rng=None) -> None:
         self.spec = spec
         self.n_pages = spec.n_pages
-        if spec.hotness == "zipf":
-            # Zipf popularity lives at cache-line granularity; page-level
-            # hotness is the sum of the page's line weights.  Drawing Zipf
-            # directly per page would overstate page skew by ~64x and make
-            # hardware caching look far better than it is.
-            lines = zipf_weights(
-                self.n_pages * self.LINES_PER_PAGE, spec.zipf_s, rng=make_rng(rng)
-            )
-            self.weight = lines.reshape(self.n_pages, self.LINES_PER_PAGE).sum(axis=1)
-            self.weight /= self.weight.sum()
-        else:
-            self.weight = np.full(self.n_pages, 1.0 / self.n_pages)
+        self.weight = page_weights(spec, rng)
         self._bind(np.zeros(self.n_pages, dtype=np.float64))
 
     def _bind(self, writable: np.ndarray) -> None:
@@ -514,18 +572,7 @@ class TieredPagedObject:
         self.spec = spec
         self.n_pages = spec.n_pages
         self.n_tiers = n_tiers
-        if spec.hotness == "zipf":
-            lines = zipf_weights(
-                self.n_pages * PagedObject.LINES_PER_PAGE,
-                spec.zipf_s,
-                rng=make_rng(rng),
-            )
-            self.weight = lines.reshape(
-                self.n_pages, PagedObject.LINES_PER_PAGE
-            ).sum(axis=1)
-            self.weight /= self.weight.sum()
-        else:
-            self.weight = np.full(self.n_pages, 1.0 / self.n_pages)
+        self.weight = page_weights(spec, rng)
         # born in the slowest tier
         self.page_tier = np.full(self.n_pages, n_tiers - 1, dtype=np.int8)
 

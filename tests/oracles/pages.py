@@ -17,15 +17,17 @@ sample -> Poisson loop and the per-object fault draws.
 :class:`TieredResidency` is the N-tier table's float form: a one-hot
 ``(n_tiers, lanes)`` residency matrix it owns, with the table's
 migration, capacity, fraction and candidate-page routines as they were
-before page state became one tier index per page.  The production
-versions must match all of them bit for bit.
+before page state became one tier index per page.  :func:`page_weights`
+is the per-object Zipf weight draw every table build made before draws
+were memoised.  The production versions must match all of them bit for
+bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.common import PAGE_SIZE, make_rng
+from repro.common import PAGE_SIZE, make_rng, zipf_weights
 
 __all__ = [
     "apply_batch",
@@ -38,7 +40,20 @@ __all__ = [
     "corrupt_pte_scan",
     "Residency",
     "TieredResidency",
+    "page_weights",
 ]
+
+
+def page_weights(spec, rng=None) -> np.ndarray:
+    """Per-page weights of ``spec``: a Zipf object draws its line weights
+    from ``rng`` on every call (``PagedObject.__init__`` before the memo)."""
+    n_pages = spec.n_pages
+    if spec.hotness == "zipf":
+        lines = zipf_weights(n_pages * 64, spec.zipf_s, rng=make_rng(rng))
+        weight = lines.reshape(n_pages, 64).sum(axis=1)
+        weight /= weight.sum()
+        return weight
+    return np.full(n_pages, 1.0 / n_pages)
 
 
 def apply_batch(table, batch) -> int:

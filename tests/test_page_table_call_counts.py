@@ -12,7 +12,14 @@ written; on the N-tier table fraction vectors are cached per object and
 ``tier_free_pages`` reads integer per-tier counts.  The other guards make
 every page array unreadable while those capacity queries run and bound
 fraction recomputations by the objects actually written or moved.
+
+Zipf page weights are drawn once per generator state: a rerun of a
+workload from the same seed draws none, and the draw memo never holds
+more pages than its budget.
 """
+
+import dataclasses
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -22,6 +29,7 @@ from repro.core import default_system
 from repro.core.model import PerformanceModel
 from repro.policies import PolicyBuildContext, build_policy
 from repro.sim import Engine, MachineModel, optane_hm_config
+from repro.sim import pages
 from repro.sim.memspec import topology_preset
 from repro.sim.pages import PagedObject, PageTable, TieredPagedObject, TieredPageTable
 
@@ -170,3 +178,41 @@ def test_tiered_queries_never_rescan_pages(monkeypatch, system):
     assert res.pages_migrated > 0 and seen["moved_objects"] > 0
     assert free["calls"] > 0
     assert 0 < recomputes["calls"] <= seen["objects"] + seen["moved_objects"]
+
+
+def test_repeat_runs_never_redraw_weights(monkeypatch, system):
+    monkeypatch.setattr(pages, "_weight_memo", OrderedDict())
+    monkeypatch.setattr(pages, "_weight_memo_pages", 0)
+    app = SpGEMMApp.small(seed=0)
+    wl = app.build_workload(seed=0)
+    assert any(spec.hotness == "zipf" for spec in wl.objects)
+
+    def run():
+        policy = system.policy(app.binding(wl), seed=3)
+        return Engine(MachineModel(), optane_hm_config()).run(wl, policy, seed=1)
+
+    first = run()
+    draws = _counting(monkeypatch, pages, "zipf_weights")
+    second = run()
+
+    assert draws["calls"] == 0
+    for f in dataclasses.fields(first):
+        a, b = getattr(first, f.name), getattr(second, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+def test_weight_memo_stays_within_budget(monkeypatch):
+    monkeypatch.setattr(pages, "_weight_memo", OrderedDict())
+    monkeypatch.setattr(pages, "_weight_memo_pages", 0)
+    wl = SpGEMMApp.small(seed=0).build_workload(seed=0)
+    per_table = sum(s.n_pages for s in wl.objects if s.hotness == "zipf")
+    budget = 5 * per_table // 2
+    monkeypatch.setattr(pages, "WEIGHT_MEMO_PAGES", budget)
+    for seed in range(8):
+        PageTable(wl.objects, 0, rng=seed)
+        held = sum(len(w) for w, _ in pages._weight_memo.values())
+        assert held == pages._weight_memo_pages <= budget
+    assert held > per_table

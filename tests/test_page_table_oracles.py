@@ -14,17 +14,21 @@ all agree after every batch.
 """
 
 import pickle
+import sys
+import threading
+from collections import OrderedDict
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.common import PAGE_SIZE, AccessPattern
+from repro.common import PAGE_SIZE, AccessPattern, make_rng
 from repro.core.journal import _undo_moves
 from repro.policies.interval import IntervalReconfigPolicy
 from repro.profiling.hotpages import top_k_hot_pages
 from repro.profiling.pte import PageSampleEstimate, PTESampleProfiler
 from repro.policies.base import page_tiers
+from repro.sim import pages
 from repro.sim.cache import DirectMappedPageCache
 from repro.sim.engine import EngineContext
 from repro.sim.faults import FaultConfig, FaultInjector
@@ -621,3 +625,159 @@ class TestIntervalReplan:
             batch = _tiered_batch(table, rng)
             assert table.apply_batch(batch) == ref.apply_batch(batch)
         self._check(table, seed, sample_pages, ref)
+
+
+class TestPageWeights:
+    """``page_weights`` memoises Zipf draws on the generator's state; a hit
+    must be indistinguishable from the parent draw it replaces."""
+
+    ZIPF = DataObject("z", 40 * PAGE_SIZE, hotness="zipf")
+
+    @pytest.fixture
+    def draws(self, monkeypatch) -> dict:
+        """An empty memo; counts the production Zipf draws."""
+        monkeypatch.setattr(pages, "_weight_memo", OrderedDict())
+        monkeypatch.setattr(pages, "_weight_memo_pages", 0)
+        counter = {"calls": 0}
+        draw = pages.zipf_weights
+
+        def counted(*args, **kwargs):
+            counter["calls"] += 1
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(pages, "zipf_weights", counted)
+        return counter
+
+    @staticmethod
+    def _check(spec, rng, ref_rng) -> np.ndarray:
+        got = pages.page_weights(spec, rng)
+        want = oracle.page_weights(spec, ref_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random(8).tobytes() == ref_rng.random(8).tobytes()
+        return got
+
+    def test_miss_then_hit(self, draws):
+        self._check(self.ZIPF, make_rng(5), make_rng(5))
+        assert draws["calls"] == 1
+        self._check(self.ZIPF, make_rng(5), make_rng(5))
+        assert draws["calls"] == 1
+
+    def test_generator_mid_stream(self, draws):
+        for _ in range(2):
+            rng, ref_rng = make_rng(9), make_rng(9)
+            rng.random(13), ref_rng.random(13)
+            rng.integers(0, 7, size=3), ref_rng.integers(0, 7, size=3)
+            self._check(self.ZIPF, rng, ref_rng)
+        assert draws["calls"] == 1
+
+    def test_key_holds_size_and_exponent(self, draws):
+        specs = [
+            self.ZIPF,
+            DataObject("z", 41 * PAGE_SIZE, hotness="zipf"),
+            DataObject("z", 40 * PAGE_SIZE, hotness="zipf", zipf_s=0.8),
+        ]
+        for _ in range(2):
+            for spec in specs:
+                self._check(spec, make_rng(3), make_rng(3))
+        assert draws["calls"] == len(specs)
+
+    def test_hit_after_eviction(self, draws, monkeypatch):
+        big = DataObject("b", 100 * PAGE_SIZE, hotness="zipf")
+        monkeypatch.setattr(pages, "WEIGHT_MEMO_PAGES", 120)
+        self._check(self.ZIPF, make_rng(1), make_rng(1))
+        self._check(big, make_rng(2), make_rng(2))  # evicts the first entry
+        assert pages._weight_memo_pages == 100
+        self._check(self.ZIPF, make_rng(1), make_rng(1))  # redrawn, evicts big
+        self._check(self.ZIPF, make_rng(1), make_rng(1))  # hit
+        assert draws["calls"] == 3
+        assert pages._weight_memo_pages == 40
+
+    def test_mutated_result_does_not_poison_memo(self, draws):
+        self._check(self.ZIPF, make_rng(4), make_rng(4))[:] = 0.0
+        self._check(self.ZIPF, make_rng(4), make_rng(4)).sort()
+        self._check(self.ZIPF, make_rng(4), make_rng(4))
+        assert draws["calls"] == 1
+
+    def test_fresh_entropy_is_not_memoised(self, draws):
+        pages.page_weights(self.ZIPF)
+        pages.page_weights(self.ZIPF)
+        assert draws["calls"] == 2 and not pages._weight_memo
+
+    @staticmethod
+    def _expected_arena(table, specs, ref_rng) -> bytes:
+        arena = np.zeros_like(table.weight_arena)
+        for spec in specs:
+            arena[table.object_slice(spec.name)] = oracle.page_weights(spec, ref_rng)
+        return arena.tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mixed_table(self, draws, seed):
+        specs = _specs(np.random.default_rng(seed), 7)
+        n_zipf = sum(s.hotness == "zipf" for s in specs)
+        for calls in (n_zipf, n_zipf):  # a miss, then a hit per Zipf object
+            rng, ref_rng = make_rng(seed), make_rng(seed)
+            table = PageTable(specs, 0, rng=rng)
+            assert table.weight_arena.tobytes() == self._expected_arena(
+                table, specs, ref_rng
+            )
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert rng.random(8).tobytes() == ref_rng.random(8).tobytes()
+        assert draws["calls"] == n_zipf
+
+    @pytest.mark.parametrize("n_tiers", [2, 4])
+    def test_two_tier_and_n_tier_share_entries(self, draws, n_tiers):
+        specs = [
+            DataObject("u", 8 * PAGE_SIZE),
+            DataObject("a", 24 * PAGE_SIZE, hotness="zipf"),
+            DataObject("b", 10 * PAGE_SIZE, hotness="zipf", zipf_s=0.9),
+        ]
+        caps = [4 * PAGE_SIZE] * (n_tiers - 1) + [64 * PAGE_SIZE]
+        for build in (
+            lambda rng: PageTable(specs, 0, rng=rng),
+            lambda rng: TieredPageTable(specs, caps, rng=rng),
+        ):
+            rng, ref_rng = make_rng(11), make_rng(11)
+            rng.random(2), ref_rng.random(2)
+            table = build(rng)
+            assert table.weight_arena.tobytes() == self._expected_arena(
+                table, specs, ref_rng
+            )
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert rng.random(8).tobytes() == ref_rng.random(8).tobytes()
+        assert draws["calls"] == 2
+
+    def test_concurrent_draws_keep_the_memo_consistent(self, draws, monkeypatch):
+        """Threads sharing the memo, with eviction under way, still get the
+        parent draw and leave the page count equal to what the memo holds."""
+        # tiny objects and a tiny budget: threads spend their time in the
+        # memo's bookkeeping, evicting all the while
+        monkeypatch.setattr(pages, "WEIGHT_MEMO_PAGES", 5)
+        specs = [DataObject(f"o{n}", n * PAGE_SIZE, hotness="zipf") for n in (1, 2, 3)]
+        errors = []
+
+        def work(worker: int) -> None:
+            try:
+                for i in range(1200):
+                    spec, seed = specs[(worker + i) % 3], i % 7
+                    rng, ref_rng = make_rng(seed), make_rng(seed)
+                    got = pages.page_weights(spec, rng)
+                    assert got.tobytes() == oracle.page_weights(spec, ref_rng).tobytes()
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+            except Exception as exc:  # a lost update may raise; reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        held = sum(len(w) for w, _ in pages._weight_memo.values())
+        assert held == pages._weight_memo_pages <= 5

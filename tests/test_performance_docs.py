@@ -75,14 +75,15 @@ def test_reference_covers_exactly_the_entry_points():
 
 
 def test_reference_implementations_are_documented():
-    """The doc must point at the scalar and tree references, name every
-    one of them, and state the bit-identity guarantee the tests enforce."""
-    from tests.oracles import scalar, tree
+    """The doc must point at the scalar, tree and page-table references,
+    name every one of them, and state the bit-identity guarantee the tests
+    enforce."""
+    from tests.oracles import pages, scalar, tree
 
     text = DOC.read_text()
     assert "tests/oracles/" in text
     assert "bit-identical" in text or "bit identical" in text
-    names = [*scalar.__all__, *tree.__all__]
+    names = [*scalar.__all__, *tree.__all__, *pages.__all__]
     missing = [name for name in names if not re.search(rf"[`.]{name}\b", text)]
     assert not missing, f"references missing from PERFORMANCE.md: {missing}"
 
