@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.common import make_rng, spawn_rng
-from repro.ml.kernels import stacked_features
+from repro.ml.kernels import forest_predict_grid
 from repro.ml import (
     DecisionTreeRegressor,
     GradientBoostedRegressor,
@@ -262,20 +262,11 @@ class CorrelationFunction:
     def predict_batch(self, pmcs: Mapping[str, float], ratios) -> np.ndarray:
         """Vectorised f(.) over many ratios with the same counters.
 
-        One stacked model evaluation instead of a call per ratio: this is
-        what keeps Algorithm 1's per-region planning cheap (the paper
-        reports 0.031 ms per prediction on its C implementation).
+        One grid-kernel call instead of a call per ratio: this is what
+        keeps Algorithm 1's per-region planning cheap (the paper reports
+        0.031 ms per prediction on its C implementation).
         """
-        ratios = np.asarray(ratios, dtype=np.float64)
-        if ratios.ndim != 1:
-            raise ValueError("ratios must be 1-D")
-        if ((ratios < 0) | (ratios > 1)).any():
-            raise ValueError("ratios must be within [0, 1]")
-        base = np.array([pmcs[e] for e in self.events], dtype=np.float64)
-        X = np.empty((len(ratios), len(base) + 1))
-        X[:, :-1] = base
-        X[:, -1] = ratios
-        return np.clip(self.model.predict(X), 0.05, 5.0)
+        return self._grid([pmcs], ratios)[0]
 
     def predict_stacked(
         self, pmcs_seq: Sequence[Mapping[str, float]], ratios
@@ -283,29 +274,31 @@ class CorrelationFunction:
         """f(.) for many counter sets over one shared ratio grid.
 
         Returns shape ``(len(pmcs_seq), len(ratios))``.  The whole batch is
-        evaluated with a *single* model call: the GBR walks its estimator
-        list once per call, so stacking k tasks' grids amortises that
-        per-call cost k ways.  This is the kernel behind the placement
+        one :func:`~repro.ml.kernels.forest_predict_grid` call: each tree
+        node is compared once per task or once per ratio, never once per
+        (task, ratio) pair.  This is the kernel behind the placement
         service's batched planning (one call per request batch instead of
         one per task).
         """
+        return self._grid(pmcs_seq, ratios)
+
+    def _grid(
+        self, pmcs_seq: Sequence[Mapping[str, float]], ratios
+    ) -> np.ndarray:
         ratios = np.asarray(ratios, dtype=np.float64)
         if ratios.ndim != 1:
             raise ValueError("ratios must be 1-D")
         if ((ratios < 0) | (ratios > 1)).any():
             raise ValueError("ratios must be within [0, 1]")
-        if len(pmcs_seq) == 0:
-            return np.empty((0, len(ratios)))
-        # one (tasks, events) base matrix, then a single repeat/tile
-        # placement -- the same bytes as filling the matrix block by block
-        # (PERFORMANCE.md, "stacked_features")
         base = np.array(
             [[pmcs[e] for e in self.events] for pmcs in pmcs_seq],
             dtype=np.float64,
+        ).reshape(len(pmcs_seq), len(self.events))
+        gbr = self.model
+        f = forest_predict_grid(
+            gbr.leaf_masks(), base, ratios, gbr.init_, gbr.learning_rate
         )
-        X = stacked_features(base, ratios)
-        flat = np.clip(self.model.predict(X), 0.05, 5.0)
-        return flat.reshape(len(pmcs_seq), len(ratios))
+        return np.clip(f, 0.05, 5.0)
 
     # -- feature selection ---------------------------------------------
     @staticmethod

@@ -109,14 +109,13 @@ class PerformanceModel:
             return {t.task_id: self.ratio_grid(t, ratios) for t in tasks}
         ratios = np.asarray(ratios, dtype=np.float64)
         f_rows = stacked([t.pmcs for t in tasks], ratios)
-        out: dict[str, np.ndarray] = {}
-        for t, f_vals in zip(tasks, f_rows):
-            times = (
-                t.t_pm_only * (1.0 - ratios) * f_vals
-                + t.t_dram_only * ratios
-            )
-            out[t.task_id] = np.where(ratios >= 1.0, t.t_dram_only, times)
-        return out
+        # one (tasks, ratios) expression with ratio_grid's per-element
+        # operation order, so every row keeps its per-task bits
+        t_pm = np.array([t.t_pm_only for t in tasks], dtype=np.float64)[:, None]
+        t_dram = np.array([t.t_dram_only for t in tasks], dtype=np.float64)[:, None]
+        times = t_pm * (1.0 - ratios) * f_rows + t_dram * ratios
+        grids = np.where(ratios >= 1.0, t_dram, times)
+        return {t.task_id: row for t, row in zip(tasks, grids)}
 
 # ----------------------------------------------------------------------
 # N-tier generalisation (effective-ratio reduction)

@@ -644,7 +644,7 @@ def tiered_greedy_plan(
                 break
 
     levels = _step_levels(step)
-    grid = {t.task_id: tmodel.ratio_grid(t, levels) for t in tasks}
+    grid = tmodel.model.ratio_grids(two_tier, levels)
     weights = {t.task_id: t.slowdown_weights() for t in tasks}
 
     def level_index(value: float) -> int:

@@ -48,6 +48,7 @@ from repro.replay.fixtures import (
     GOLDEN_NAME,
     record_loopback_trace,
 )
+from repro.replay.gate import CHECKOUT_ROOT, DEFAULT_BASELINE_PATH
 from repro.sim import optane_hm_config
 
 #: fallback thresholds when the baseline file is absent (e.g. running
@@ -65,9 +66,8 @@ DEFAULT_BASELINE = {
 
 
 def _baseline() -> dict:
-    path = Path(".github/slo-baseline.json")
-    if path.exists():
-        return json.loads(path.read_text())
+    if DEFAULT_BASELINE_PATH.exists():
+        return json.loads(DEFAULT_BASELINE_PATH.read_text())
     return DEFAULT_BASELINE
 
 
@@ -170,8 +170,11 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
     # ------------------------------------------------------------------
     # part 3: the committed golden fixture
     # ------------------------------------------------------------------
-    golden_path = DEFAULT_OUT_DIR / GOLDEN_NAME
-    golden: dict[str, object] = {"present": golden_path.exists(), "path": str(golden_path)}
+    golden_path = CHECKOUT_ROOT / DEFAULT_OUT_DIR / GOLDEN_NAME
+    golden: dict[str, object] = {
+        "present": golden_path.exists(),
+        "path": str(DEFAULT_OUT_DIR / GOLDEN_NAME),
+    }
     if golden_path.exists():
         g_rec = Recording.load(golden_path)
         meta_seed = g_rec.meta.get("model_seed")

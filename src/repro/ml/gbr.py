@@ -9,7 +9,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common import make_rng
-from repro.ml.kernels import ForestArrays, forest_predict, pack_forest
+from repro.ml.kernels import (
+    ForestArrays,
+    LeafMaskForest,
+    forest_predict,
+    pack_forest,
+    pack_leaf_masks,
+)
 from repro.ml.tree import DecisionTreeRegressor
 
 __all__ = ["GradientBoostedRegressor"]
@@ -44,6 +50,7 @@ class GradientBoostedRegressor:
         self.train_losses_: list[float] = []
         self.feature_importances_: np.ndarray | None = None
         self._forest: ForestArrays | None = None
+        self._leaf_masks: LeafMaskForest | None = None
 
     def fit(self, X, y) -> "GradientBoostedRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -56,6 +63,7 @@ class GradientBoostedRegressor:
         self.trees_ = []
         self.train_losses_ = []
         self._forest = None
+        self._leaf_masks = None
         importances = np.zeros(X.shape[1])
         n_sub = max(2, int(round(self.subsample * n)))
         for _ in range(self.n_estimators):
@@ -90,6 +98,19 @@ class GradientBoostedRegressor:
         if self._forest is None or self._forest.n_trees != len(self.trees_):
             self._forest = pack_forest(self.trees_)
         return self._forest
+
+    def leaf_masks(self) -> LeafMaskForest:
+        """Leaf-mask encoding of :meth:`forest` for tasks x grid inputs.
+
+        The grid column is the last feature (``r_dram`` for f(.)).  Packed
+        lazily and reused until the next ``fit``, like :meth:`forest`.
+        """
+        forest = self.forest()
+        if self._leaf_masks is None or self._leaf_masks.n_trees != forest.n_trees:
+            self._leaf_masks = pack_leaf_masks(
+                forest, grid_feature=self.trees_[0].n_features_ - 1
+            )
+        return self._leaf_masks
 
     def predict(self, X) -> np.ndarray:
         if not self.trees_:

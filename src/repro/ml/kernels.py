@@ -16,10 +16,14 @@ never touches Python node objects:
   exact float-accumulation order of the scalar boosting loop
   (``pred += learning_rate * tree_k(X)`` for k = 0, 1, ...), which is what
   keeps the vectorized path bit-identical to the scalar one;
-* :func:`stacked_features` builds the tasks x ratio-grid feature matrix
-  the correlation function feeds the ensemble (the batching contract:
-  predictions are row-wise independent, so stacking k tasks' grids into
-  one call returns the same bits as k separate calls).
+* :func:`pack_leaf_masks` / :func:`forest_predict_grid` evaluate the
+  ensemble over a tasks x ratio grid -- k rows of base features, each
+  paired with every value of one shared grid column -- without building
+  the ``(k * n_grid, d + 1)`` matrix: a split tests one feature, so each
+  node is compared once per task or once per grid value, and a tree's
+  leaf for (task, grid value) is the one leaf both sets of decisions
+  keep.  Predictions are row-wise independent, so stacking k tasks'
+  grids into one call returns the same bits as k separate calls.
 
 These kernels are the only production path.  The scalar forms they
 replaced live in ``tests/oracles/scalar.py`` as the differential
@@ -28,7 +32,7 @@ specification ``tests/test_kernels.py`` compares them against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -44,7 +48,9 @@ __all__ = [
     "tree_apply",
     "forest_apply",
     "forest_predict",
-    "stacked_features",
+    "LeafMaskForest",
+    "pack_leaf_masks",
+    "forest_predict_grid",
     "KERNEL_ENTRY_POINTS",
 ]
 
@@ -287,29 +293,246 @@ def forest_predict(
     return pred
 
 
-def stacked_features(base: np.ndarray, ratios: np.ndarray) -> np.ndarray:
-    """Tasks x grid feature matrix: ``(k * len(ratios), d + 1)``.
+#: The widest leaf mask: a tree packed by :func:`pack_leaf_masks` may have
+#: at most this many leaves (depth <= 6 for a binary tree).
+MASK_BITS = 64
+#: Mask width -> (word dtype, de Bruijn multiplier, shift).  For a word
+#: with exactly one bit set, ``(word * multiplier) >> shift`` (modulo
+#: 2**width) is a distinct slot per bit position -- a branch-free
+#: count-trailing-zeros up to a fixed permutation, which the packed value
+#: table absorbs.  A forest packs at the narrowest width its widest tree
+#: fits: depth-4 trees use 16-bit words, a quarter of the memory traffic
+#: and value table of 64-bit ones.
+_DEBRUIJN: dict[int, tuple[type, int, int]] = {
+    16: (np.uint16, 0x09AF, 12),
+    32: (np.uint32, 0x077CB531, 27),
+    64: (np.uint64, 0x03F79D71B4CB0A89, 58),
+}
+#: Distinct grids whose grid-side masks a :class:`LeafMaskForest` keeps.
+GRID_MEMO_SIZE = 8
 
-    ``base`` holds one row of counter features per task; each row is
-    repeated across the shared ratio grid and the grid becomes the last
-    column.  Values are placed, never recomputed, so the matrix is
-    byte-identical to the per-task construction loop it replaces.  This
-    is the batching contract's input side: because ensemble inference is
-    row-wise independent, evaluating this one matrix returns the same
-    bits as evaluating each task's grid separately.
+
+def _leaf_slot(bit: int, width: int) -> int:
+    """Value-table slot of the leaf that owns mask bit ``bit``."""
+    _, multiplier, shift = _DEBRUIJN[width]
+    return (((1 << bit) * multiplier) & ((1 << width) - 1)) >> shift
+
+
+@dataclass(frozen=True)
+class LeafMaskForest:
+    """Leaf-mask encoding of an ensemble for tasks x grid inputs.
+
+    Each tree numbers its leaves in node order; bit ``j`` of a mask is the
+    tree's ``j``-th leaf.  Every split node carries two masks: the leaves
+    still reachable after a "left" decision there (all leaves but the
+    right subtree's) and after a "right" decision (all but the left
+    subtree's).  ANDing the chosen mask of every split node of a tree
+    leaves exactly one bit set, the leaf a descent reaches: the descent's
+    leaf loses no decision, and any other leaf loses the decision at the
+    node where its path leaves the descent's.
+
+    The nodes are split by feature.  ``base_*`` nodes test one of the
+    ``grid_feature`` base columns, ``grid_*`` nodes test the grid column
+    (the last feature).  Each side is a flat node list with one pad node
+    at the front of every tree's segment (``*_starts[t]``); a pad's left
+    and right masks both hold all of the tree's leaves, so a tree without
+    nodes on one side still reduces to its full leaf set.
+
+    Masks are ``mask_width``-bit words.  ``value`` holds the leaf values,
+    ``mask_width`` slots per tree, each leaf at the slot
+    :func:`_leaf_slot` gives its bit; unused slots are never read.
+
+    The grid side depends on the grid alone, and the planners price one
+    fixed ratio grid call after call, so its ``(n_trees, n_grid)`` masks
+    are memoised per grid (by its bytes, at most ``GRID_MEMO_SIZE``
+    grids) in ``grid_memo``.
+    """
+
+    base_feature: np.ndarray     # (n_base,) intp, 0 at pads
+    base_threshold: np.ndarray   # (n_base,) float64, +inf at pads
+    base_left: np.ndarray        # (n_base,) mask words, leaves kept going left
+    base_right: np.ndarray       # (n_base,) mask words, leaves kept going right
+    base_starts: np.ndarray      # (n_trees,) intp, each tree's pad
+    grid_threshold: np.ndarray   # (n_grid,) float64, +inf at pads
+    grid_left: np.ndarray        # (n_grid,) mask words
+    grid_right: np.ndarray       # (n_grid,) mask words
+    grid_starts: np.ndarray      # (n_trees,) intp
+    value: np.ndarray            # (n_trees * mask_width,) float64, slot order
+    mask_width: int              # 16, 32 or 64
+    grid_feature: int            # index of the grid column = base columns
+    grid_memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def n_trees(self) -> int:
+        return int(self.base_starts.shape[0])
+
+    def grid_masks(self, grid: np.ndarray) -> np.ndarray:
+        """``(n_trees, n_grid)`` AND of each tree's grid-node masks."""
+        key = grid.tobytes()
+        masks = self.grid_memo.get(key)
+        if masks is None:
+            go_right = grid[:, None] > self.grid_threshold
+            masks = np.bitwise_and.reduceat(
+                np.where(go_right, self.grid_right, self.grid_left),
+                self.grid_starts,
+                axis=1,
+            ).T.copy()
+            masks.flags.writeable = False
+            if len(self.grid_memo) >= GRID_MEMO_SIZE:
+                self.grid_memo.clear()
+            self.grid_memo[key] = masks
+        return masks
+
+
+def pack_leaf_masks(forest: ForestArrays, grid_feature: int) -> LeafMaskForest:
+    """Freeze a packed forest into :class:`LeafMaskForest`.
+
+    ``grid_feature`` is the index of the grid column, which must be the
+    forest's last feature.  Raises ``ValueError`` when a tree has more
+    than ``MASK_BITS`` leaves or a node splits on a column after the grid
+    column.  A one-time cost per fitted ensemble (the GBR caches it).
+    """
+    feature = forest.feature.tolist()
+    left = forest.left.tolist()
+    right = forest.right.tolist()
+    threshold = forest.threshold.tolist()
+    values = forest.value.tolist()
+    if max(feature) > grid_feature:
+        raise ValueError("the grid column must be the forest's last feature")
+    roots = forest.roots.tolist()
+    ends = roots[1:] + [len(feature)]
+    leaf_nodes = [
+        [i for i in range(lo, hi) if feature[i] < 0]
+        for lo, hi in zip(roots, ends)
+    ]
+    widest = max(len(nodes) for nodes in leaf_nodes)
+    if widest > MASK_BITS:
+        raise ValueError(
+            f"a tree has {widest} leaves; a leaf mask holds {MASK_BITS}"
+        )
+    width = min(w for w in _DEBRUIJN if w >= widest)
+    leaves = [0] * len(feature)  # leaf bits under each node
+    value = np.zeros(forest.n_trees * width, dtype=np.float64)
+    base_feature: list[int] = []
+    base_threshold: list[float] = []
+    base_left: list[int] = []
+    base_right: list[int] = []
+    base_starts: list[int] = []
+    grid_threshold: list[float] = []
+    grid_left: list[int] = []
+    grid_right: list[int] = []
+    grid_starts: list[int] = []
+    for t, (lo, hi) in enumerate(zip(roots, ends)):
+        for bit, i in enumerate(leaf_nodes[t]):
+            leaves[i] = 1 << bit
+            value[t * width + _leaf_slot(bit, width)] = values[i]
+        # children follow their parent in fit order, so a reverse pass
+        # reaches both children of a node before the node itself
+        for i in range(hi - 1, lo - 1, -1):
+            if feature[i] >= 0:
+                leaves[i] = leaves[left[i]] | leaves[right[i]]
+        every = leaves[lo]
+        base_starts.append(len(base_feature))
+        base_feature.append(0)
+        base_threshold.append(np.inf)
+        base_left.append(every)
+        base_right.append(every)
+        grid_starts.append(len(grid_threshold))
+        grid_threshold.append(np.inf)
+        grid_left.append(every)
+        grid_right.append(every)
+        for i in range(lo, hi):
+            f = feature[i]
+            if f < 0:
+                continue
+            go_left = every & ~leaves[right[i]]
+            go_right = every & ~leaves[left[i]]
+            if f == grid_feature:
+                grid_threshold.append(threshold[i])
+                grid_left.append(go_left)
+                grid_right.append(go_right)
+            else:
+                base_feature.append(f)
+                base_threshold.append(threshold[i])
+                base_left.append(go_left)
+                base_right.append(go_right)
+    word = _DEBRUIJN[width][0]
+    return LeafMaskForest(
+        base_feature=np.array(base_feature, dtype=np.intp),
+        base_threshold=np.array(base_threshold, dtype=np.float64),
+        base_left=np.array(base_left, dtype=word),
+        base_right=np.array(base_right, dtype=word),
+        base_starts=np.array(base_starts, dtype=np.intp),
+        grid_threshold=np.array(grid_threshold, dtype=np.float64),
+        grid_left=np.array(grid_left, dtype=word),
+        grid_right=np.array(grid_right, dtype=word),
+        grid_starts=np.array(grid_starts, dtype=np.intp),
+        value=value,
+        mask_width=width,
+        grid_feature=grid_feature,
+    )
+
+
+def forest_predict_grid(
+    packed: LeafMaskForest,
+    base: np.ndarray,
+    grid: np.ndarray,
+    init: float,
+    learning_rate: float,
+) -> np.ndarray:
+    """Boosted predictions over a tasks x grid surface: ``(k, len(grid))``.
+
+    Entry ``[i, j]`` is the prediction for base row ``i`` with the grid
+    column set to ``grid[j]`` -- row ``i * len(grid) + j`` of the
+    repeat/tile stacked matrix -- and has the same bits as
+    :func:`forest_predict` over that matrix.  Every split compares
+    ``x > threshold`` as the descent does (NaN goes left), each base node
+    once per task and each grid node once per grid value (memoised per
+    grid, see :class:`LeafMaskForest`).  The AND of a tree's chosen masks
+    (``np.bitwise_and.reduceat`` over its segment) gives one base mask
+    per (task, tree) and one grid mask per (tree, grid value), and their
+    AND per (tree, task, grid value) has exactly the reached leaf's bit
+    set.  Its de Bruijn slot indexes the scaled value table directly, and
+    the trees are accumulated one at a time in tree order, as in
+    :func:`forest_predict`.
     """
     base = np.asarray(base, dtype=np.float64)
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if base.ndim != 2:
-        raise ValueError("base must be 2-D (tasks x counter features)")
-    if ratios.ndim != 1:
-        raise ValueError("ratios must be 1-D")
-    k, d = base.shape
-    n_r = ratios.shape[0]
-    X = np.empty((k * n_r, d + 1), dtype=np.float64)
-    X[:, :-1] = np.repeat(base, n_r, axis=0)
-    X[:, -1] = np.tile(ratios, k)
-    return X
+    grid = np.asarray(grid, dtype=np.float64)
+    if base.ndim != 2 or base.shape[1] != packed.grid_feature:
+        raise ValueError(
+            f"base must be 2-D with {packed.grid_feature} feature columns"
+        )
+    if grid.ndim != 1:
+        raise ValueError("grid must be 1-D")
+    k, n_grid = base.shape[0], grid.shape[0]
+    n_trees, width = packed.n_trees, packed.mask_width
+    word, multiplier, shift = _DEBRUIJN[width]
+    go_right = base[:, packed.base_feature] > packed.base_threshold
+    base_masks = np.bitwise_and.reduceat(
+        np.where(go_right, packed.base_right, packed.base_left),
+        packed.base_starts,
+        axis=1,
+    )  # (k, T)
+    grid_masks = packed.grid_masks(grid)  # (T, n_grid)
+    # (T, k, n_grid); C order, or numpy lays the result out like the
+    # transposed base masks and every pass below strides through memory
+    leaf = np.bitwise_and(
+        base_masks.T[:, :, None], grid_masks[:, None, :], order="C"
+    )
+    leaf *= word(multiplier)
+    leaf >>= word(shift)
+    slot = np.add(
+        leaf,
+        (np.arange(n_trees, dtype=np.int64) * width)[:, None, None],
+        dtype=np.int64,
+    )
+    # scaling the value table is elementwise, so it gives the bits of
+    # scaling the gathered leaf matrix (forest_predict's ``lr * leaves``)
+    scaled = (learning_rate * packed.value).take(slot).reshape(n_trees, k * n_grid)
+    pred = np.full(k * n_grid, init, dtype=np.float64)
+    for t in range(n_trees):
+        pred += scaled[t]
+    return pred.reshape(k, n_grid)
 
 
 #: Public kernel entry points of the vectorized hot path.  Every dotted
@@ -323,9 +546,11 @@ KERNEL_ENTRY_POINTS: tuple[str, ...] = (
     "repro.ml.kernels.tree_apply",
     "repro.ml.kernels.forest_apply",
     "repro.ml.kernels.forest_predict",
-    "repro.ml.kernels.stacked_features",
+    "repro.ml.kernels.pack_leaf_masks",
+    "repro.ml.kernels.forest_predict_grid",
     "repro.ml.tree.DecisionTreeRegressor.arrays",
     "repro.ml.gbr.GradientBoostedRegressor.forest",
+    "repro.ml.gbr.GradientBoostedRegressor.leaf_masks",
     "repro.core.correlation.CorrelationFunction.predict_batch",
     "repro.core.correlation.CorrelationFunction.predict_stacked",
     "repro.core.model.PerformanceModel.ratio_grids",

@@ -39,7 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["DEFAULT_BASELINE_PATH", "evaluate_gate", "load_baseline", "main"]
 
-DEFAULT_BASELINE_PATH = Path(".github/slo-baseline.json")
+#: The checkout this module runs from (``src/repro/replay/gate.py`` ->
+#: repository root): committed inputs are found from here, not from the
+#: working directory, so results do not depend on where a run starts.
+CHECKOUT_ROOT = Path(__file__).resolve().parents[3]
+DEFAULT_BASELINE_PATH = CHECKOUT_ROOT / ".github" / "slo-baseline.json"
 
 
 def load_baseline(path: str | Path = DEFAULT_BASELINE_PATH) -> dict:

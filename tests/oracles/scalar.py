@@ -9,8 +9,9 @@ executable specification the kernels are compared against:
 * :func:`tree_predict` -- one node walk per sample over the Python node
   list of a fitted ``DecisionTreeRegressor``;
 * :func:`gbr_predict` -- the boosting sum as a per-tree loop;
-* :func:`predict_stacked` -- the stacked correlation matrix filled block
-  by block, one task per block;
+* :func:`predict_batch` / :func:`predict_stacked` -- the correlation
+  function's feature matrix filled row by row (one task) or block by
+  block (one task per block) and handed to the model's ``predict``;
 * :class:`ScalarBreakdown` / :class:`ScalarTieredBreakdown` -- stand-ins
   for the engine's tick kernels that price every instance with its own
   ``MachineModel.breakdown`` / ``breakdown_tiered`` call.
@@ -61,6 +62,7 @@ __all__ = [
     "throughput_plan",
     "tree_predict",
     "gbr_predict",
+    "predict_batch",
     "predict_stacked",
     "ScalarBreakdown",
     "ScalarTieredBreakdown",
@@ -353,8 +355,10 @@ def _throughput_plan_scalar(
 def tree_predict(self: DecisionTreeRegressor, X) -> np.ndarray:
     """``DecisionTreeRegressor.predict`` as a per-sample node walk.
 
-    Split comparisons are the batched kernel's (``x <= threshold`` on the
-    same float64 values), so both land each sample on the same leaf.
+    Split comparisons are the batched kernels' (``x > threshold`` goes
+    right, anything else left, on the same float64 values), so both land
+    each sample on the same leaf.  A NaN feature compares false and goes
+    left.
     """
     if not self._nodes:
         raise RuntimeError("tree not fitted")
@@ -367,10 +371,10 @@ def tree_predict(self: DecisionTreeRegressor, X) -> np.ndarray:
     for i in range(X.shape[0]):
         node = self._nodes[0]
         while node.feature >= 0:
-            if X[i, node.feature] <= node.threshold:
-                node = self._nodes[node.left]
-            else:
+            if X[i, node.feature] > node.threshold:
                 node = self._nodes[node.right]
+            else:
+                node = self._nodes[node.left]
         out[i] = node.value
     return out
 
@@ -386,6 +390,22 @@ def gbr_predict(self: GradientBoostedRegressor, X) -> np.ndarray:
     for tree in self.trees_:
         pred += self.learning_rate * tree.predict(X)
     return pred
+
+
+def predict_batch(
+    self: CorrelationFunction, pmcs: Mapping[str, float], ratios
+) -> np.ndarray:
+    """``CorrelationFunction.predict_batch`` with a row-filled matrix."""
+    ratios = np.asarray(ratios, dtype=np.float64)
+    if ratios.ndim != 1:
+        raise ValueError("ratios must be 1-D")
+    if ((ratios < 0) | (ratios > 1)).any():
+        raise ValueError("ratios must be within [0, 1]")
+    base = np.array([pmcs[e] for e in self.events], dtype=np.float64)
+    X = np.empty((len(ratios), len(base) + 1))
+    X[:, :-1] = base
+    X[:, -1] = ratios
+    return np.clip(self.model.predict(X), 0.05, 5.0)
 
 
 def predict_stacked(
@@ -474,6 +494,7 @@ def scalar_reference() -> Iterator[None]:
         for cls, attr, ref in (
             (DecisionTreeRegressor, "predict", tree_predict),
             (GradientBoostedRegressor, "predict", gbr_predict),
+            (CorrelationFunction, "predict_batch", predict_batch),
             (CorrelationFunction, "predict_stacked", predict_stacked),
         ):
             undo.append((cls, attr, cls.__dict__[attr]))

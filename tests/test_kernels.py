@@ -26,14 +26,22 @@ from repro.apps.codesamples import generate_corpus
 from repro.apps.spgemm import SpGEMMApp
 from repro.common import make_rng
 from repro.core import planner as planner_module
-from repro.core.model import TaskModelInputs
-from repro.core.planner import greedy_plan
+from repro.core.correlation import CorrelationFunction
+from repro.core.model import (
+    PerformanceModel,
+    TaskModelInputs,
+    TieredPerformanceModel,
+    TieredTaskInputs,
+)
+from repro.core.planner import greedy_plan, tiered_greedy_plan
 from repro.ml.gbr import GradientBoostedRegressor
 from repro.ml.kernels import (
+    MASK_BITS,
     forest_apply,
     forest_predict,
+    forest_predict_grid,
     pack_forest,
-    stacked_features,
+    pack_leaf_masks,
     tree_apply,
 )
 from repro.ml.tree import DecisionTreeRegressor
@@ -56,6 +64,21 @@ def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
 
 
+def _with_non_finite(X: np.ndarray, rng) -> np.ndarray:
+    """``X`` with ~10% NaN and a few +inf / -inf entries.
+
+    A NaN feature compares false against every threshold and goes left,
+    +inf goes right and -inf left, on the kernels and the references
+    alike (the fault injector's corrupt counter reads are NaN).
+    """
+    X = X.copy()
+    u = rng.uniform(size=X.shape)
+    X[u < 0.10] = np.nan
+    X[(u >= 0.10) & (u < 0.13)] = np.inf
+    X[(u >= 0.13) & (u < 0.16)] = -np.inf
+    return X
+
+
 # ---------------------------------------------------------------------------
 # ml: tree / forest kernels
 # ---------------------------------------------------------------------------
@@ -74,7 +97,7 @@ def _fitted_models(seed: int, n: int = 240, d: int = 9):
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_tree_predictions_bit_identical(seed):
     tree, _, rng = _fitted_models(seed)
-    Xq = rng.normal(size=(300, 9))
+    Xq = _with_non_finite(rng.normal(size=(300, 9)), rng)
     with scalar_reference():
         ref = tree.predict(Xq)
     vec = tree.predict(Xq)
@@ -84,7 +107,7 @@ def test_tree_predictions_bit_identical(seed):
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_gbr_predictions_bit_identical(seed):
     _, gbr, rng = _fitted_models(seed)
-    Xq = rng.normal(size=(500, 9))
+    Xq = _with_non_finite(rng.normal(size=(500, 9)), rng)
     with scalar_reference():
         ref = gbr.predict(Xq)
     vec = gbr.predict(Xq)
@@ -129,18 +152,166 @@ def test_fitted_models_survive_pickle():
     assert gbr2.predict(Xq).tobytes() == gbr.predict(Xq).tobytes()
 
 
-def test_stacked_features_matches_block_loop():
-    rng = make_rng(4)
-    base = rng.normal(size=(6, 8))
-    ratios = np.round(np.arange(0.0, 1.0001, 0.05), 10)
-    X = stacked_features(base, ratios)
-    n_r = len(ratios)
-    ref = np.empty((6 * n_r, 9))
-    for i in range(6):
-        block = slice(i * n_r, (i + 1) * n_r)
-        ref[block, :-1] = base[i]
-        ref[block, -1] = ratios
-    assert X.tobytes() == ref.tobytes()
+# ---------------------------------------------------------------------------
+# ml: the tasks x grid kernel
+# ---------------------------------------------------------------------------
+
+#: base (counter) columns of the grid-kernel test forests; column _D is
+#: the grid column
+_D = 4
+_STEP_GRID = np.round(np.arange(0.0, 1.0001, 0.05), 10)
+
+
+def _stacked(base: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The repeat/tile tasks x grid matrix: row ``i * len(grid) + j``."""
+    X = np.empty((base.shape[0] * len(grid), base.shape[1] + 1))
+    X[:, :-1] = np.repeat(base, len(grid), axis=0)
+    X[:, -1] = np.tile(grid, base.shape[0])
+    return X
+
+
+def _split_pattern_forest(seed: int, depth: int) -> GradientBoostedRegressor:
+    """A boosted ensemble whose trees cycle through every split pattern
+    the leaf-mask packing separates: base and grid splits mixed, base
+    splits only (constant grid column), grid splits only (constant base
+    columns), and root-only trees (fit on one row)."""
+    rng = make_rng(seed)
+    n = 160
+    X = rng.normal(size=(n, _D + 1))
+    X[:, _D] = np.round(rng.uniform(0.0, 1.0, n), 2)
+    # a grid step and a base step, so a depth-2 tree splits on both
+    y = 2.0 * (X[:, _D] > 0.5) + (X[:, 0] > 0.0) + np.sin(3.0 * X[:, _D])
+    y += 0.3 * X[:, 1] + 0.1 * rng.normal(size=n)
+    base_only = X.copy()
+    base_only[:, _D] = 0.5
+    grid_only = X.copy()
+    grid_only[:, :_D] = 0.0
+    patterns = ((X, y), (base_only, y), (grid_only, y), (X[:1], y[:1]))
+    trees = []
+    for i in range(24):
+        data, target = patterns[i % 4]
+        tree = DecisionTreeRegressor(max_depth=depth, rng=make_rng(seed + i))
+        trees.append(tree.fit(data, target * (1.0 + 0.1 * i)))
+    gbr = GradientBoostedRegressor(n_estimators=len(trees), learning_rate=0.1)
+    gbr.trees_ = trees
+    gbr.init_ = float(y.mean())
+    return gbr
+
+
+def _grid_queries(gbr, k: int, seed: int):
+    """``k`` base rows with non-finite values and exact split thresholds,
+    and a grid holding 0.0, 1.0 and the forest's own grid thresholds."""
+    rng = make_rng(seed)
+    forest = gbr.forest()
+    base = _with_non_finite(rng.normal(size=(k, _D)), rng)
+    split = forest.feature >= 0
+    for i in range(k):
+        j = int(rng.integers(split.sum()))
+        f = int(forest.feature[split][j])
+        if f < _D:  # a value equal to a threshold compares "not greater"
+            base[i, f] = forest.threshold[split][j]
+    grid_thresholds = forest.threshold[forest.feature == _D]
+    grid = np.concatenate([
+        [0.0, 1.0], rng.uniform(0.0, 1.0, 5), grid_thresholds[:4], _STEP_GRID,
+    ])
+    return base, grid
+
+
+def test_leaf_mask_cache_invalidated_by_refit():
+    _, gbr, rng = _fitted_models(2)
+    first = gbr.leaf_masks()
+    assert gbr.leaf_masks() is first
+    X = rng.normal(size=(100, 9))
+    gbr.fit(X, X[:, 0])
+    packed = gbr.leaf_masks()
+    assert packed is not first
+    base = rng.normal(size=(3, 8))
+    grid = np.array([0.0, 0.3, 1.0])
+    vec = forest_predict_grid(packed, base, grid, gbr.init_, gbr.learning_rate)
+    ref = forest_predict(gbr.forest(), _stacked(base, grid), gbr.init_, gbr.learning_rate)
+    assert vec.tobytes() == ref.tobytes()
+
+
+def test_pack_leaf_masks_rejects_trees_wider_than_a_mask():
+    rng = make_rng(6)
+    X = rng.normal(size=(400, 3))
+    tree = DecisionTreeRegressor(max_depth=12).fit(X, rng.normal(size=400))
+    assert int((tree.arrays().feature < 0).sum()) > MASK_BITS
+    with pytest.raises(ValueError, match="leaves"):
+        pack_leaf_masks(pack_forest([tree]), grid_feature=2)
+
+
+#: tree depth of the test forests -> the mask width they pack at
+_DEPTH_WIDTH = {1: 16, 2: 16, 3: 16, 4: 16, 5: 32, 6: 64}
+
+
+@pytest.mark.parametrize("depth", sorted(_DEPTH_WIDTH))
+def test_split_pattern_forest_covers_every_pattern(depth):
+    packed = _split_pattern_forest(depth, depth).leaf_masks()
+    assert packed.mask_width == _DEPTH_WIDTH[depth]
+    n_base = np.diff(np.append(packed.base_starts, len(packed.base_feature)))
+    n_grid = np.diff(np.append(packed.grid_starts, len(packed.grid_threshold)))
+    # counts include each tree's pad node; a depth-1 tree has one split
+    assert ((n_base > 1) & (n_grid > 1)).any() == (depth > 1)
+    assert ((n_base > 1) & (n_grid == 1)).any()
+    assert ((n_base == 1) & (n_grid > 1)).any()
+    assert ((n_base == 1) & (n_grid == 1)).any()
+
+
+@pytest.mark.parametrize("k", [0, 1, 7])
+@pytest.mark.parametrize("depth", sorted(_DEPTH_WIDTH))
+def test_forest_predict_grid_matches_stacked_forest_predict(depth, k):
+    gbr = _split_pattern_forest(depth, depth)
+    base, grid = _grid_queries(gbr, k, seed=10 * depth + k)
+    # a second grid of the same length must not hit the first's memo
+    for g in (grid, grid[::-1].copy(), grid):
+        vec = forest_predict_grid(
+            gbr.leaf_masks(), base, g, gbr.init_, gbr.learning_rate
+        )
+        ref = forest_predict(
+            gbr.forest(), _stacked(base, g), gbr.init_, gbr.learning_rate
+        )
+        assert vec.shape == (k, len(g))
+        assert vec.tobytes() == ref.reshape(k, len(g)).tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 7])
+@pytest.mark.parametrize("depth", sorted(_DEPTH_WIDTH))
+def test_grid_correlation_matches_scalar_reference(depth, k):
+    """``predict_stacked``/``predict_batch`` on the grid kernel against
+    the block-filled matrix walked tree by tree, node by node."""
+    gbr = _split_pattern_forest(depth, depth)
+    base, grid = _grid_queries(gbr, k, seed=10 * depth + k + 5)
+    corr = CorrelationFunction(gbr, events=[f"e{j}" for j in range(_D)])
+    pmcs_seq = [dict(zip(corr.events, row)) for row in base]
+    with scalar_reference():
+        ref = corr.predict_stacked(pmcs_seq, grid)
+        ref_rows = [corr.predict_batch(p, grid) for p in pmcs_seq]
+    vec = corr.predict_stacked(pmcs_seq, grid)
+    assert vec.shape == (k, len(grid))
+    assert vec.tobytes() == ref.tobytes()
+    for p, row in zip(pmcs_seq, ref_rows):
+        assert corr.predict_batch(p, grid).tobytes() == row.tobytes()
+
+
+def test_grid_predictions_never_descend_the_forest(system, monkeypatch):
+    """Every Eq. 2 grid goes through the leaf masks: no per-(task, ratio)
+    row descent behind ``predict_stacked``, ``predict_batch`` or the
+    planners."""
+    calls: Counter = Counter()
+    for name in ("forest_apply", "forest_predict"):
+        fn = getattr(repro.ml.kernels, name)
+        for mod, attr in scalar.bindings(fn):
+            monkeypatch.setattr(mod, attr, _counted(calls, name, fn))
+    tasks, task_bytes = _random_tasks(system, 6, seed=17)
+    corr, model = system.correlation, system.performance_model
+    corr.predict_stacked([t.pmcs for t in tasks], _STEP_GRID)
+    corr.predict_batch(tasks[0].pmcs, _STEP_GRID)
+    model.ratio_grid(tasks[0], _STEP_GRID)
+    greedy_plan(tasks, model, int(sum(task_bytes.values()) * 0.3), task_bytes)
+    assert not calls, dict(calls)
+    corr.model.predict(np.zeros((2, len(corr.events) + 1)))  # control
+    assert calls == Counter(forest_apply=1, forest_predict=1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +366,46 @@ def test_ratio_grids_match_per_task_grids(system):
     grids = model.ratio_grids(tasks, levels)
     for t in tasks:
         assert grids[t.task_id].tobytes() == model.ratio_grid(t, levels).tobytes()
+
+
+def test_tiered_ratio_grids_match_per_task_grids(system, monkeypatch):
+    """The tiered twin: the N-tier planner prices all tasks with one
+    ``ratio_grids`` call, and its plan equals pricing each task's
+    effective-ratio grid on its own."""
+    tasks, task_bytes = _random_tasks(system, 7, seed=19)
+    tiered = [
+        TieredTaskInputs(
+            task_id=t.task_id,
+            tier_times=(
+                0.8 * t.t_dram_only,
+                t.t_dram_only,
+                0.5 * (t.t_dram_only + t.t_pm_only),
+                t.t_pm_only,
+            ),
+            total_accesses=t.total_accesses,
+            pmcs=t.pmcs,
+        )
+        for t in tasks
+    ]
+    model = system.performance_model
+    tmodel = TieredPerformanceModel(model)
+    grids = model.ratio_grids([t.as_two_tier() for t in tiered], _STEP_GRID)
+    for t in tiered:
+        assert grids[t.task_id].tobytes() == tmodel.ratio_grid(t, _STEP_GRID).tobytes()
+    total = sum(task_bytes.values())
+    caps = (int(0.1 * total), int(0.15 * total), int(0.25 * total), 2 * total)
+    vec = tiered_greedy_plan(tiered, model, caps, task_bytes)
+    calls: list[int] = []
+
+    def per_task_ratio_grids(self, tasks, ratios):
+        calls.append(len(tasks))
+        return {t.task_id: self.ratio_grid(t, ratios) for t in tasks}
+
+    monkeypatch.setattr(PerformanceModel, "ratio_grids", per_task_ratio_grids)
+    ref = tiered_greedy_plan(tiered, model, caps, task_bytes)
+    assert calls == [len(tiered)]  # one call prices every task
+    assert vec.rounds > 1
+    assert vec == ref
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +668,7 @@ _PRODUCTION = (
     (repro.sim.kernels.TieredBreakdownKernel, "__init__"),
     (repro.ml.kernels, "tree_apply"),
     (repro.ml.kernels, "forest_predict"),
-    (repro.ml.kernels, "stacked_features"),
+    (repro.ml.kernels, "forest_predict_grid"),
     (planner_module, "_greedy_plan_kernel"),
     (planner_module, "_optimal_quotas_kernel"),
     (planner_module, "_throughput_plan_kernel"),
@@ -520,6 +731,7 @@ def test_scalar_reference_leaves_production_idle(system, monkeypatch):
         getattr(planner_module, name)(tasks, model, cap, task_bytes)
     tree = system.correlation.model.trees_[0]
     tree.predict(np.zeros((2, tree.n_features_)))
+    system.correlation.model.predict(np.zeros((2, tree.n_features_)))
     fps = [("t0", generate_corpus(1, seed=5)[0].footprint(1.0))]
     repro.sim.kernels.BreakdownKernel(system.machine, system.hm, fps)
     repro.sim.kernels.TieredBreakdownKernel(

@@ -3,6 +3,7 @@ and the SLO regression gate (``repro/replay/``)."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,6 +486,21 @@ class TestEvaluateGate:
             for v in evaluate_gate(BASELINE, incumbent=inc, candidate=cand2)
         }
         assert "slo.p95_latency_ratio_max" in names
+
+
+class TestBaselineLocation:
+    def test_baseline_read_from_the_checkout_not_the_cwd(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments.replay_gate import _baseline
+
+        checkout = Path(__file__).resolve().parents[1]
+        committed = json.loads(
+            (checkout / ".github" / "slo-baseline.json").read_text()
+        )
+        monkeypatch.chdir(tmp_path)
+        assert _baseline() == committed
+        assert gate_cli.load_baseline() == committed
 
 
 class TestGateCli:
