@@ -310,50 +310,6 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
         "Retried request ids that arrived after their idempotency "
         "record was evicted and had to be re-planned.",
     ),
-    # -- cluster control plane -------------------------------------------
-    MetricSpec(
-        "merch_cluster_shards", "gauge",
-        "Live placement shards behind the cluster router.",
-    ),
-    MetricSpec(
-        "merch_cluster_requests_total", "counter",
-        "Requests entering shards, by path.",
-        labels=("path",),  # routed | idempotent | failover_retry
-    ),
-    MetricSpec(
-        "merch_cluster_heartbeat_misses_total", "counter",
-        "Heartbeat probes a shard failed to answer.",
-    ),
-    MetricSpec(
-        "merch_cluster_promotions_total", "counter",
-        "Replication followers promoted to primary after a shard death.",
-    ),
-    MetricSpec(
-        "merch_cluster_failover_replayed_decisions", "histogram",
-        "Decisions reconstructed from the replicated journal at each "
-        "promotion (checkpoint restore + committed-epoch replay).",
-        buckets=COUNT,
-    ),
-    MetricSpec(
-        "merch_cluster_lease_events_total", "counter",
-        "Quota-lease lifecycle events at the coordinator, by outcome.",
-        labels=("event",),  # granted | renewed | rejected | expired | released
-    ),
-    MetricSpec(
-        "merch_cluster_leased_pages", "gauge",
-        "Sum of live leased DRAM pages across shards (never exceeds the "
-        "global quota).",
-    ),
-    MetricSpec(
-        "merch_cluster_replication_entries_total", "counter",
-        "WAL entries on the replication stream, by outcome.",
-        labels=("outcome",),  # shipped | applied | lost
-    ),
-    MetricSpec(
-        "merch_cluster_replication_lag_entries", "gauge",
-        "Entries the follower's acknowledged-LSN floor trails its "
-        "primary's journal, sampled after each shipment.",
-    ),
     # -- transport teardown accounting -----------------------------------
     MetricSpec(
         "merch_transport_teardown_errors_total", "counter",

@@ -37,7 +37,6 @@ from pathlib import Path
 
 from repro.experiments import (
     ablation,
-    cluster_failover,
     dag_apps,
     extensibility,
     fig3,
@@ -81,7 +80,6 @@ EXPERIMENTS = {
     "observability": observability.run,
     "service_load": service_load.run,
     "transport_load": transport_load.run,
-    "cluster_failover": cluster_failover.run,
     "replay_gate": replay_gate.run,
     "dag_apps": dag_apps.run,
 }
@@ -107,7 +105,6 @@ DEFAULT_ORDER = (
     "observability",
     "service_load",
     "transport_load",
-    "cluster_failover",
     "replay_gate",
     "dag_apps",
 )

@@ -9,9 +9,9 @@ and refuses to write a fixture that is not bit-exact.  The resulting
 nightly A/B job replay.
 
 The recording's meta carries ``model_seed``/``fast`` instead of model
-weights: the trained model is a deterministic function of those (the same
-assumption the cluster bit-exactness tests already rely on), so any
-checkout can rebuild the exact planner the fixture was recorded against.
+weights: the trained model is a deterministic function of those (see
+:mod:`repro.replay.config`), so any checkout can rebuild the exact
+planner the fixture was recorded against.
 """
 
 from __future__ import annotations

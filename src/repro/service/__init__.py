@@ -20,9 +20,6 @@ fast-memory budget:
 * :mod:`repro.service.transport` -- the network face: CRC-framed asyncio
   TCP server plus a resilient retrying client with degrade-to-daemon
   fallback;
-* :mod:`repro.service.cluster`   -- the sharded control plane: consistent
-  hashing, TTL quota leases, WAL replication to warm followers, and
-  kill-tested failover through the journal replay path.
 
 Everything is dependency-free, clock-injectable and telemetry-optional,
 like the rest of the repo.  ``python -m repro.experiments.runner
@@ -53,14 +50,6 @@ from repro.service.transport import (
     RetryPolicy,
     TransportError,
 )
-from repro.service.cluster import (
-    ClusterRouter,
-    ConsistentHashRing,
-    PlacementShard,
-    QuotaCoordinator,
-    QuotaLease,
-    ShardCrashed,
-)
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -88,10 +77,4 @@ __all__ = [
     "PlacementClient",
     "RetryPolicy",
     "TransportError",
-    "ConsistentHashRing",
-    "QuotaLease",
-    "QuotaCoordinator",
-    "PlacementShard",
-    "ShardCrashed",
-    "ClusterRouter",
 ]

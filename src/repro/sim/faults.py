@@ -21,7 +21,7 @@ through :class:`~repro.sim.engine.RunResult`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -111,6 +111,11 @@ class RobustnessReport:
 # ----------------------------------------------------------------------
 # fault models
 # ----------------------------------------------------------------------
+#: the places a kill can land: the engine consults "tick", "mid_batch" and
+#: "wal_append", the placement server "service_batch"
+CRASH_POINTS = ("tick", "mid_batch", "wal_append", "service_batch")
+
+
 @dataclass(frozen=True)
 class FaultConfig:
     """Rates and magnitudes of every injectable fault (all off by default).
@@ -183,36 +188,15 @@ class FaultConfig:
     #: per-reply probability the connection dies before any reply bytes
     wire_disconnect_rate: float = 0.0
 
-    # -- cluster faults (sharded control plane) -------------------------
-    #: per-tick probability a router<->coordinator partition window starts
-    #: (lease acquire/renew traffic is lost while the window is open, so
-    #: leases may expire under the shards holding them)
-    partition_rate: float = 0.0
-    #: length of one partition window in virtual seconds
-    partition_duration_s: float = 0.5
-    #: per-shipment probability the replication stream loses its tail
-    #: (the follower falls behind the primary's acknowledged-LSN floor)
-    replication_truncate_rate: float = 0.0
-    #: fraction of a shipment's entries lost when truncation fires
-    replication_truncate_fraction: float = 0.5
-    #: per-renewal probability one lease-renewal message is lost in flight
-    #: (the lease-expiry race: the coordinator reclaims a lease its shard
-    #: still believes it holds)
-    lease_renewal_drop_rate: float = 0.0
-
     # -- crash/kill faults ---------------------------------------------
     #: kill the control plane at the Nth occurrence (1-based) of
     #: ``crash_point``; ``None`` disables crashing.  Unlike the rate-based
     #: faults above, a kill fires exactly once per injector.
     crash_at: int | None = None
-    #: where the kill lands: "tick" (top of an engine tick), "mid_batch"
-    #: (half a migration batch copied, the rest lost), "wal_append"
-    #: (mid-write of a journal record), "service_batch" (a planning worker
-    #: dies), or one of the cluster shard points -- "shard_pump" (top of a
-    #: shard pump), "shard_mid_epoch" (decisions planned, commit record not
-    #: yet journaled), "shard_post_commit" (epoch committed, replies not
-    #: yet sent) and "shard_lease_renew" (the coordinator applied the
-    #: renewal, the shard died before recording it)
+    #: where the kill lands (one of :data:`CRASH_POINTS`): "tick" (top of
+    #: an engine tick), "mid_batch" (half a migration batch copied, the
+    #: rest lost), "wal_append" (mid-write of a journal record) or
+    #: "service_batch" (a placement-service planning worker dies)
     crash_point: str = "tick"
     #: with ``crash_point="wal_append"``: tear the record being written
     #: (partial bytes on disk) instead of dying just after the write
@@ -222,58 +206,29 @@ class FaultConfig:
     start_s: float = 0.0
     end_s: float = math.inf
 
+    def __post_init__(self) -> None:
+        if self.crash_point not in CRASH_POINTS:
+            raise ValueError(
+                f"unknown crash_point {self.crash_point!r}; "
+                f"expected one of {CRASH_POINTS}"
+            )
+        if self.crash_at is not None and self.crash_at < 1:
+            raise ValueError(f"crash_at is 1-based, got {self.crash_at}")
+
     @property
     def any_enabled(self) -> bool:
-        return any(
-            getattr(self, name) > 0.0
-            for name in (
-                "pebs_drop_rate",
-                "pebs_duplicate_rate",
-                "pte_drop_rate",
-                "pte_duplicate_rate",
-                "pmc_stale_rate",
-                "pmc_corrupt_rate",
-                "migration_fail_rate",
-                "migration_reject_rate",
-                "pm_bw_degradation_rate",
-                "dram_pressure_rate",
-                "object_size_error_rate",
-                "wire_torn_frame_rate",
-                "wire_corrupt_rate",
-                "wire_stall_rate",
-                "wire_disconnect_rate",
-                "partition_rate",
-                "replication_truncate_rate",
-                "lease_renewal_drop_rate",
-            )
-        )
+        return any(getattr(self, name) > 0.0 for name in RATE_FIELDS)
 
     def scaled(self, severity: float) -> "FaultConfig":
         """This config with every rate multiplied by ``severity``."""
         rates = {
-            name: min(1.0, getattr(self, name) * severity)
-            for name in (
-                "pebs_drop_rate",
-                "pebs_duplicate_rate",
-                "pte_drop_rate",
-                "pte_duplicate_rate",
-                "pmc_stale_rate",
-                "pmc_corrupt_rate",
-                "migration_fail_rate",
-                "migration_reject_rate",
-                "pm_bw_degradation_rate",
-                "dram_pressure_rate",
-                "object_size_error_rate",
-                "wire_torn_frame_rate",
-                "wire_corrupt_rate",
-                "wire_stall_rate",
-                "wire_disconnect_rate",
-                "partition_rate",
-                "replication_truncate_rate",
-                "lease_renewal_drop_rate",
-            )
+            name: min(1.0, getattr(self, name) * severity) for name in RATE_FIELDS
         }
         return replace(self, **rates)
+
+
+#: every per-opportunity probability of :class:`FaultConfig`
+RATE_FIELDS = tuple(f.name for f in fields(FaultConfig) if f.name.endswith("_rate"))
 
 
 class FaultInjector:
@@ -293,7 +248,6 @@ class FaultInjector:
         self._pm_bw_until_s = -math.inf
         self._dram_pressure_until_s = -math.inf
         self._dram_pressure_bytes = 0
-        self._partition_until_s = -math.inf
         self._crash_count = 0
         self._crash_fired = False
 
@@ -304,7 +258,6 @@ class FaultInjector:
         self._pm_bw_until_s = -math.inf
         self._dram_pressure_until_s = -math.inf
         self._dram_pressure_bytes = 0
-        self._partition_until_s = -math.inf
         self._crash_count = 0
         self._crash_fired = False
 
@@ -466,68 +419,14 @@ class FaultInjector:
         return None
 
     # ------------------------------------------------------------------
-    # cluster (sharded control plane) faults
-    # ------------------------------------------------------------------
-    def coordinator_partition(self, now: float) -> bool:
-        """Whether the router<->coordinator link is partitioned at ``now``.
-
-        Windowed like the environment faults: a partition opens with
-        ``partition_rate`` per consultation and stays open for
-        ``partition_duration_s`` virtual seconds.  While open, lease
-        acquire/renew traffic is lost, so TTL leases can expire under the
-        shards that hold them (which must then degrade to zero quota).
-        """
-        if now <= self._partition_until_s:
-            return True
-        if self._fire(self.config.partition_rate, now):
-            self._partition_until_s = now + self.config.partition_duration_s
-            self.log.record(
-                "fault.coordinator_partition",
-                now,
-                until_s=self._partition_until_s,
-            )
-            return True
-        return False
-
-    def replication_truncation(self, n_entries: int, now: float) -> int:
-        """How many tail entries of one replication shipment are lost.
-
-        Returns 0 (healthy) or a positive count < ``n_entries``; the
-        sender's acknowledged-LSN floor means lost entries are simply
-        re-shipped later, so truncation costs lag, never correctness.
-        """
-        if n_entries <= 0:
-            return 0
-        if not self._fire(self.config.replication_truncate_rate, now):
-            return 0
-        lost = max(1, int(round(self.config.replication_truncate_fraction * n_entries)))
-        lost = min(lost, n_entries)
-        self.log.record(
-            "fault.replication_truncated", now, entries_lost=lost, shipped=n_entries
-        )
-        return lost
-
-    def lease_renewal_lost(self, now: float) -> bool:
-        """Whether one lease-renewal message is dropped in flight.
-
-        The shard keeps believing in its old lease while the coordinator's
-        TTL keeps running -- the lease-expiry race the coordinator resolves
-        by reclaiming on expiry and rejecting stale renewal ids.
-        """
-        if self._fire(self.config.lease_renewal_drop_rate, now):
-            self.log.record("fault.lease_renewal_lost", now)
-            return True
-        return False
-
-    # ------------------------------------------------------------------
     # crash/kill faults
     # ------------------------------------------------------------------
     def crash_due(self, point: str, now: float) -> bool:
         """Whether the control plane dies at this ``point`` occurrence.
 
-        The engine consults this at its crash points ("tick", "mid_batch",
-        "wal_append"); occurrences of the configured point are counted and
-        the kill fires once, at the ``crash_at``-th one.
+        The engine and the placement server consult this at the
+        :data:`CRASH_POINTS`; occurrences of the configured point are
+        counted and the kill fires once, at the ``crash_at``-th one.
         """
         cfg = self.config
         if cfg.crash_at is None or self._crash_fired or cfg.crash_point != point:

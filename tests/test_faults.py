@@ -7,6 +7,8 @@ import pytest
 
 from repro.common import PAGE_SIZE
 from repro.sim.faults import (
+    CRASH_POINTS,
+    RATE_FIELDS,
     FaultConfig,
     FaultInjector,
     RobustnessEvent,
@@ -292,71 +294,34 @@ class TestDeterminism:
         assert trace(7) != trace(8)
 
 
-class TestClusterFaults:
-    """The sharded-control-plane fault models (partition, replication
-    truncation, lost lease renewals, shard crash points)."""
+class TestRateFields:
+    @pytest.mark.parametrize("name", RATE_FIELDS)
+    def test_every_rate_counts_as_enabled_and_scales(self, name):
+        cfg = FaultConfig(**{name: 0.4})
+        assert cfg.any_enabled
+        assert getattr(cfg.scaled(0.5), name) == pytest.approx(0.2)
 
-    def test_partition_window_opens_and_closes(self):
-        inj = injector(partition_rate=1.0, partition_duration_s=0.5)
-        assert inj.coordinator_partition(0.0)
-        assert inj.coordinator_partition(0.49)  # inside the window
-        assert inj.log.count("fault.coordinator_partition") == 1
-        healthy = injector(partition_rate=0.0)
-        assert not any(
-            healthy.coordinator_partition(t * 0.1) for t in range(20)
-        )
 
-    def test_partition_respects_the_activity_window(self):
-        inj = FaultInjector(
-            FaultConfig(partition_rate=1.0, partition_duration_s=0.1,
-                        start_s=5.0),
-            seed=42,
-        )
-        assert not inj.coordinator_partition(1.0)  # before start_s
-        assert inj.coordinator_partition(5.0)
+class TestCrashPoints:
+    @pytest.mark.parametrize("point", CRASH_POINTS)
+    def test_crash_points_fire_once_at_the_nth_occurrence(self, point):
+        inj = injector(crash_at=3, crash_point=point)
+        fired = [inj.crash_due(point, float(t)) for t in range(6)]
+        assert fired == [False, False, True, False, False, False]
+        assert inj.crash_fired
+        assert inj.log.count("fault.crash_kill") == 1
+        # other points never trip a differently-configured kill
+        other = next(p for p in CRASH_POINTS if p != point)
+        assert not injector(crash_at=1, crash_point=point).crash_due(other, 0.0)
 
-    def test_replication_truncation_is_bounded(self):
-        inj = injector(replication_truncate_rate=1.0,
-                       replication_truncate_fraction=0.5)
-        assert inj.replication_truncation(10, now=0.0) == 5
-        assert inj.replication_truncation(1, now=0.0) == 1  # at least one
-        assert inj.replication_truncation(0, now=0.0) == 0  # nothing to lose
-        lost = inj.replication_truncation(7, now=0.0)
-        assert 1 <= lost <= 7
-        assert inj.log.count("fault.replication_truncated") == 3
-
-    def test_lease_renewal_loss_fires_and_logs(self):
-        inj = injector(lease_renewal_drop_rate=1.0)
-        assert inj.lease_renewal_lost(0.0)
-        assert inj.log.count("fault.lease_renewal_lost") == 1
-        assert not injector(lease_renewal_drop_rate=0.0).lease_renewal_lost(0.0)
-
-    def test_shard_crash_points_fire_once_at_the_nth_occurrence(self):
-        for point in (
-            "shard_pump",
-            "shard_mid_epoch",
-            "shard_post_commit",
-            "shard_lease_renew",
-        ):
-            inj = injector(crash_at=3, crash_point=point)
-            fired = [inj.crash_due(point, float(t)) for t in range(6)]
-            assert fired == [False, False, True, False, False, False]
-            assert inj.crash_fired
-            # other points never trip a differently-configured kill
-            assert not inj.crash_due("tick", 9.0)
-
-    def test_cluster_rates_count_as_enabled_and_scale(self):
-        assert FaultConfig(partition_rate=0.2).any_enabled
-        assert FaultConfig(replication_truncate_rate=0.2).any_enabled
-        assert FaultConfig(lease_renewal_drop_rate=0.2).any_enabled
-        scaled = FaultConfig(
-            partition_rate=0.4,
-            replication_truncate_rate=0.8,
-            lease_renewal_drop_rate=1.0,
-        ).scaled(0.5)
-        assert scaled.partition_rate == pytest.approx(0.2)
-        assert scaled.replication_truncate_rate == pytest.approx(0.4)
-        assert scaled.lease_renewal_drop_rate == pytest.approx(0.5)
+    @pytest.mark.parametrize(
+        "bad",
+        [{"crash_point": "mid-batch"}, {"crash_at": 0}, {"crash_at": -2}],
+        ids=["typo_point", "crash_at_zero", "crash_at_negative"],
+    )
+    def test_unknown_point_or_non_positive_occurrence_is_rejected(self, bad):
+        with pytest.raises(ValueError):
+            FaultConfig(**bad)
 
 
 class TestTierEnvironmentFaults:

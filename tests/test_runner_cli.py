@@ -1,6 +1,7 @@
 """Tests for the experiment runner CLI and the cheap end of its registry."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +17,17 @@ class TestRegistry:
                      "fig7", "table3", "table4", "overhead", "ablation",
                      "extensibility", "sensitivity", "robustness",
                      "recovery", "observability", "service_load",
-                     "transport_load", "cluster_failover", "replay_gate"):
+                     "transport_load", "replay_gate"):
             assert name in runner.EXPERIMENTS
+
+    def test_every_published_result_has_a_registered_experiment(self):
+        """A deleted experiment must not leave its result file behind.
+        ``kernel_speedups.json`` is written by ``benchmarks/``, not the
+        runner."""
+        results = Path(__file__).resolve().parents[1] / "results"
+        names = {p.stem for p in results.glob("*.json")} - {"kernel_speedups"}
+        assert names, "no published results found"
+        assert names <= set(runner.EXPERIMENTS), names - set(runner.EXPERIMENTS)
 
 
 class TestCli:
