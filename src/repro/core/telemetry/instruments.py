@@ -295,12 +295,6 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
         "fallback after exhausting retries.",
     ),
     MetricSpec(
-        "merch_transport_health_probes_total", "counter",
-        "Health/heartbeat probes handled, by result (server answers "
-        "count as ok; client-side probe failures as failed).",
-        labels=("result",),  # ok | failed
-    ),
-    MetricSpec(
         "merch_transport_decided_evictions_total", "counter",
         "Decided-request-id idempotency records evicted from the "
         "bounded window.",

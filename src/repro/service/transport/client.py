@@ -48,10 +48,7 @@ from repro.service.transport.framing import (
     DEFAULT_MAX_FRAME,
     FrameAssembler,
     FrameError,
-    decode_health,
     encode_frame,
-    encode_health,
-    is_health,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -137,14 +134,11 @@ class PlacementClient:
         )
         self._sock: socket.socket | None = None
         self._assembler: FrameAssembler | None = None
-        self._probe_nonce = 0
         self.log = RobustnessLog()
         #: resilience accounting (asserted on by the chaos tests)
         self.retries = 0
         self.fallbacks = 0
         self.stale_replies = 0
-        self.probes_ok = 0
-        self.probe_failures = 0
         self.connections = 0
 
     # ------------------------------------------------------------------
@@ -207,62 +201,6 @@ class PlacementClient:
         ) from last_error
 
     # ------------------------------------------------------------------
-    def probe(self, timeout_s: float | None = None) -> bool:
-        """One health/heartbeat round-trip; never raises.
-
-        Sends a nonce'd health frame and waits for the echoing reply.
-        ``True`` means the server's event loop answered within the
-        timeout; anything else (refused connection, timeout, torn or
-        corrupt frame, wrong nonce never arriving) closes the socket and
-        returns ``False`` -- one missed heartbeat.  Routers call this on a
-        schedule so a dead server is detected by *probes*, not by the
-        first real request to time out against it.
-        """
-        timeout = (
-            self.retry.request_timeout_s if timeout_s is None else timeout_s
-        )
-        self._probe_nonce += 1
-        nonce = self._probe_nonce
-        try:
-            self._ensure_connected()
-            assert self._sock is not None and self._assembler is not None
-            self._sock.settimeout(timeout)
-            self._sock.sendall(encode_frame(encode_health(nonce)))
-            deadline = time.monotonic() + timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TransportError(
-                        f"health probe {nonce} timed out after {timeout}s"
-                    )
-                self._sock.settimeout(remaining)
-                data = self._sock.recv(1 << 16)
-                if not data:
-                    raise TransportError(
-                        "server closed the connection mid-probe"
-                    )
-                for message in self._assembler.feed(data):
-                    if not is_health(message):
-                        continue  # a late decision frame; not our answer
-                    got_nonce, is_reply, status = decode_health(message)
-                    if is_reply and got_nonce == nonce and status == "ok":
-                        self.probes_ok += 1
-                        if self.telemetry is not None:
-                            self.telemetry.inc(
-                                "merch_transport_health_probes_total",
-                                result="ok",
-                            )
-                        return True
-        except (TransportError, FrameError, ProtocolError, OSError):
-            self.close()
-            self.probe_failures += 1
-            if self.telemetry is not None:
-                self.telemetry.inc(
-                    "merch_transport_health_probes_total", result="failed"
-                )
-            return False
-
-    # ------------------------------------------------------------------
     def _ensure_connected(self) -> None:
         if self._sock is not None:
             return
@@ -306,8 +244,6 @@ class PlacementClient:
     def _route(
         self, message: dict, request: PlacementRequest
     ) -> PlacementDecision | None:
-        if is_health(message):
-            return None  # a late reply to an abandoned probe
         if message.get("kind") == "error":
             error, rid = decode_error(message)
             if rid in (None, request.request_id):

@@ -32,23 +32,19 @@ import asyncio
 import struct
 import zlib
 
-from repro.service.protocol import PROTOCOL_VERSION, ProtocolError, from_json, to_json
+from repro.service.protocol import from_json, to_json
 
 __all__ = [
     "FRAME_VERSION",
     "DEFAULT_MAX_FRAME",
     "HEADER_SIZE",
     "TRAILER_SIZE",
-    "HEALTH_KIND",
     "FrameError",
     "FrameCorrupt",
     "FrameTruncated",
     "FrameTooLarge",
     "encode_frame",
     "decode_frame",
-    "encode_health",
-    "decode_health",
-    "is_health",
     "FrameAssembler",
     "read_frame",
     "write_frame",
@@ -92,57 +88,6 @@ def encode_frame(message: dict) -> bytes:
             _TRAILER.pack(zlib.crc32(payload)),
         )
     )
-
-
-#: message kind of health/heartbeat probes and their replies
-HEALTH_KIND = "health"
-
-
-def encode_health(nonce: int, *, reply: bool = False, status: str = "ok") -> dict:
-    """A health probe (or its reply) as a protocol message.
-
-    Probes carry a client-chosen ``nonce`` the reply must echo, so a
-    liveness answer can never be satisfied by a stale or foreign frame.
-    Health messages are answered by the transport server *before* request
-    decoding: they measure "is the control loop alive", not "can a request
-    be planned".
-    """
-    message = {
-        "v": PROTOCOL_VERSION,
-        "kind": HEALTH_KIND,
-        "nonce": int(nonce),
-        "reply": bool(reply),
-    }
-    if reply:
-        message["status"] = status
-    return message
-
-
-def is_health(message: dict) -> bool:
-    """Whether a decoded frame is a health probe/reply."""
-    return isinstance(message, dict) and message.get("kind") == HEALTH_KIND
-
-
-def decode_health(message: dict) -> tuple[int, bool, str]:
-    """(nonce, is_reply, status) of a health message; raises
-    :class:`~repro.service.protocol.ProtocolError` on malformed ones."""
-    if message.get("v") != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"unsupported protocol version {message.get('v')!r} in a "
-            f"health message"
-        )
-    if message.get("kind") != HEALTH_KIND:
-        raise ProtocolError(
-            f"expected a health message, got kind {message.get('kind')!r}"
-        )
-    try:
-        return (
-            int(message["nonce"]),
-            bool(message.get("reply", False)),
-            str(message.get("status", "ok")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed health message: {exc!r}") from exc
 
 
 def _check_header(buf: bytes, max_frame: int) -> int:

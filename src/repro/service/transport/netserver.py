@@ -56,10 +56,7 @@ from repro.service.transport.framing import (
     FrameError,
     FrameTooLarge,
     FrameTruncated,
-    decode_health,
     encode_frame,
-    encode_health,
-    is_health,
     read_frame,
 )
 from repro.sim.faults import RobustnessLog
@@ -164,7 +161,6 @@ class PlacementTransportServer:
             "protocol_errors": 0,
             "idle_timeouts": 0,
             "backpressure_pauses": 0,
-            "health_probes": 0,
             "decided_evictions": 0,
             "evicted_replans": 0,
             "teardown_errors": 0,
@@ -341,25 +337,6 @@ class PlacementTransportServer:
             await self._close_conn(conn)
 
     async def _handle_message(self, conn: _Connection, payload: dict) -> None:
-        if is_health(payload):
-            # liveness probe: echo the nonce straight back, before the
-            # request path (measures "is the loop alive", costs no plan).
-            # The reply rides the faulted send path on purpose: a wire
-            # fault corrupting it reads as a missed heartbeat, which is
-            # exactly the failure heartbeats exist to detect.
-            self.stats["health_probes"] += 1
-            try:
-                nonce, _, _ = decode_health(payload)
-            except ProtocolError as exc:
-                self.stats["protocol_errors"] += 1
-                await self._send(conn, encode_error(str(exc)), faulted=False)
-                return
-            if self.telemetry is not None:
-                self.telemetry.inc(
-                    "merch_transport_health_probes_total", result="ok"
-                )
-            await self._send(conn, encode_health(nonce, reply=True))
-            return
         try:
             request = decode_request(payload)
         except ProtocolError as exc:

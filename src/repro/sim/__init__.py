@@ -19,7 +19,7 @@ package is its software stand-in (see DESIGN.md Section 2).  It provides:
 
 from repro.sim.memspec import HMConfig, TierSpec, cxl_hm_config, optane_hm_config
 from repro.sim.pages import PagedObject, PageTable
-from repro.sim.machine import MachineModel, MachineSpec, TimeBreakdown
+from repro.sim.machine import MachineModel, MachineSpec, TieredBreakdown
 from repro.sim.counters import PMC_EVENTS, collect_pmcs
 from repro.sim.engine import Engine, EngineConfig, PlacementPolicy, RunResult
 from repro.sim.faults import (
@@ -39,7 +39,7 @@ __all__ = [
     "PageTable",
     "MachineSpec",
     "MachineModel",
-    "TimeBreakdown",
+    "TieredBreakdown",
     "PMC_EVENTS",
     "collect_pmcs",
     "Engine",

@@ -29,7 +29,7 @@ import numpy as np
 from repro.common import PAGE_SIZE, make_rng
 from repro.sim.faults import FaultInjector, RobustnessReport
 from repro.sim.kernels import BreakdownKernel, TieredBreakdownKernel
-from repro.sim.machine import MachineModel, TieredBreakdown, TimeBreakdown
+from repro.sim.machine import MachineModel, TieredBreakdown
 from repro.sim.memspec import HMConfig, TopologySpec
 from repro.sim.pages import (
     MigrationBatch,
@@ -716,7 +716,8 @@ class Engine:
 
         # batched tick kernel: hoists the placement-independent parts of
         # every instance's breakdown out of the tick loop (PERFORMANCE.md);
-        # bit-identical to one MachineModel.breakdown call per instance
+        # the n = 2 case of the tiered kernel, bit-identical to one
+        # MachineModel.breakdown call per instance
         kernel = BreakdownKernel(
             self.machine,
             self.hm,
@@ -753,19 +754,21 @@ class Engine:
             # Demand sums stay sequential Python adds in instance order, as
             # in the per-instance reference.
             dprog: dict[str, float] = {}
-            bds: dict[str, TimeBreakdown] = {}
+            # task id -> whole-instance (DRAM, PM) bytes, tiers 0 and 1
+            inst_bytes: dict[str, tuple[float, float]] = {}
             demand_dram = 0.0
             demand_pm = 0.0
             bd_batch = kernel.breakdown_batch(
                 [inst.task_id for inst in active], fractions
             )
             for inst, bd in zip(active, bd_batch):
-                bds[inst.task_id] = bd
                 ctx.instance_times[inst.task_id] = bd.total_s
                 d = dt / max(bd.total_s, 1e-12)
                 dprog[inst.task_id] = d
-                demand_dram += d * bd.dram_bytes
-                demand_pm += d * bd.pm_bytes
+                b_dram, b_pm = bd.tier_bytes(0), bd.tier_bytes(1)
+                inst_bytes[inst.task_id] = (b_dram, b_pm)
+                demand_dram += d * b_dram
+                demand_pm += d * b_pm
 
             # phase 2: bandwidth contention scaling per tier.  Transient
             # PM-bandwidth degradation (an injected environment fault)
@@ -783,10 +786,10 @@ class Engine:
             tick_dram_bytes = 0.0
             tick_pm_bytes = 0.0
             for inst in active:
-                bd = bds[inst.task_id]
-                total_bytes = bd.dram_bytes + bd.pm_bytes
+                b_dram, b_pm = inst_bytes[inst.task_id]
+                total_bytes = b_dram + b_pm
                 if total_bytes > 0:
-                    w_d = bd.dram_bytes / total_bytes
+                    w_d = b_dram / total_bytes
                     scale = w_d * s_dram + (1.0 - w_d) * s_pm
                 else:
                     scale = 1.0
@@ -800,10 +803,10 @@ class Engine:
                     new = 1.0
                 ctx.progress[inst.task_id] = new
                 done = new - prev
-                # bd.*_bytes are whole-instance totals; this tick moved the
+                # the bytes are whole-instance totals; this tick moved the
                 # completed fraction of them
-                tick_dram_bytes += done * bd.dram_bytes
-                tick_pm_bytes += done * bd.pm_bytes
+                tick_dram_bytes += done * b_dram
+                tick_pm_bytes += done * b_pm
 
             # DRAM capacity-pressure spike: an external allocation steals
             # capacity, so the kernel demotes our coldest pages to make room

@@ -1,27 +1,36 @@
 """Batched tick kernel for the virtual-time engine (PERFORMANCE.md).
 
-The engine's phase-1 loop computes a :class:`~repro.sim.machine.TimeBreakdown`
-for every active instance on every tick.  The scalar
-:meth:`MachineModel.breakdown` re-derives, per call, everything that does
-not depend on the placement: the per-pattern accumulation structure, tier
-latencies, MLP constants, pure-compute time and the compute/memory overlap
-factor.  :class:`BreakdownKernel` hoists all of that to region start:
+The engine's phase-1 loop prices every active instance on every tick.  The
+scalar :meth:`MachineModel.breakdown_tiered` re-derives, per call,
+everything that does not depend on the placement: the per-pattern
+accumulation structure, tier latencies, MLP constants, pure-compute time
+and the compute/memory overlap factor.  :class:`TieredBreakdownKernel`
+hoists all of that to region start:
 
 * access tensors -- flat arrays of (instance row, pattern slot, object
   column, reads, writes) covering every ``ObjectAccess`` of the region, in
   footprint order;
-* per-(instance, slot) latency/MLP constants, where a "slot" is a pattern's
-  first-appearance rank within its footprint (<= 4 slots, one per
-  :class:`~repro.common.AccessPattern`);
+* per-(tier, instance, slot) latency and per-(instance, slot) MLP
+  constants, where a "slot" is a pattern's first-appearance rank within
+  its footprint (<= 4 slots, one per :class:`~repro.common.AccessPattern`);
 * per-instance ``cpu_s`` and overlap ``beta`` scalars.
 
-Per tick, one ordered ``np.add.at`` scatter-add rebuilds the per-tier
-(reads, writes) buckets for *all* instances at once, and the rest of the
-model is elementwise over instances.  Bit-identity with the scalar model
-holds because every float reduction keeps the scalar loop's order:
-``np.add.at`` adds in element order (= access order), slot accumulation
-walks slots in first-appearance order, and unused slots contribute an
-exact ``+0.0`` (an identity on the non-negative values involved).
+Per tick, one ordered ``np.add.at`` scatter-add each for reads and writes
+rebuilds the buckets of every tier and instance at once, and the rest of the
+model is elementwise over tiers and instances.  Bit-identity with the
+scalar model holds because every float reduction keeps the scalar loop's
+order: ``np.add.at`` adds in element order (= access order within a tier),
+slot accumulation walks slots in first-appearance order, and unused slots
+contribute an exact ``+0.0`` (an identity on the non-negative values
+involved).  The q-norm across tiers stays a scalar Python ``pow`` per
+instance (PERFORMANCE.md §4).
+
+A 2-tier DRAM/PM placement is the n = 2 case of the same body:
+:class:`BreakdownKernel` turns per-object DRAM ratios ``r`` into fraction
+vectors ``(r, 1.0 - r)``.  That matches the scalar 2-tier model
+:meth:`MachineModel.breakdown` bit for bit, because the q-norm sum starts
+at 0 and ``0 + a`` is exact.  Bandwidth contention is not priced here on
+either path; the engine applies it after the breakdown.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.common import CACHE_LINE
-from repro.sim.machine import MachineModel, TieredBreakdown, TimeBreakdown
+from repro.sim.machine import MachineModel, TieredBreakdown
 from repro.sim.memspec import HMConfig, TopologySpec
 from repro.tasks.task import Footprint
 
@@ -41,196 +50,15 @@ __all__ = ["BreakdownKernel", "TieredBreakdownKernel"]
 _MAX_SLOTS = 4
 
 
-class BreakdownKernel:
-    """Region-scoped batched replacement for per-instance ``breakdown``.
+class TieredBreakdownKernel:
+    """Region-scoped batched replacement for per-instance
+    ``breakdown_tiered``.
 
     Built once per region from ``(task_id, footprint)`` pairs; each
     :meth:`breakdown_batch` call then prices any subset of those instances
-    under the current placement with a handful of numpy passes.  Only the
-    engine's configuration is supported (``bandwidth_derate == 1.0``);
-    contention is applied by the engine after the breakdown, exactly as on
-    the scalar path.
-    """
-
-    def __init__(
-        self,
-        machine: MachineModel,
-        hm: HMConfig,
-        footprints: Sequence[tuple[str, Footprint]],
-    ) -> None:
-        spec = machine.spec
-        self._rows: dict[str, int] = {}
-        self._obj_cols: dict[str, int] = {}
-        n_inst = len(footprints)
-
-        inst_idx: list[int] = []
-        slot_idx: list[int] = []
-        obj_idx: list[int] = []
-        reads: list[float] = []
-        writes: list[float] = []
-        lat_dram = np.zeros((n_inst, _MAX_SLOTS))
-        lat_pm = np.zeros((n_inst, _MAX_SLOTS))
-        mlp = np.ones((n_inst, _MAX_SLOTS))
-        cpu = np.zeros(n_inst)
-        beta = np.zeros(n_inst)
-
-        for i, (task_id, fp) in enumerate(footprints):
-            if task_id in self._rows:
-                raise ValueError(f"duplicate task id {task_id!r}")
-            self._rows[task_id] = i
-            slots: dict = {}
-            for a in fp.accesses:
-                s = slots.setdefault(a.pattern, len(slots))
-                inst_idx.append(i)
-                slot_idx.append(s)
-                obj_idx.append(self._obj_cols.setdefault(a.obj, len(self._obj_cols)))
-                reads.append(float(a.reads))
-                writes.append(float(a.writes))
-            for pattern, s in slots.items():
-                random = pattern.value == "random"
-                lat_dram[i, s] = hm.dram.latency_ns(random=random)
-                lat_pm[i, s] = hm.pm.latency_ns(random=random)
-                mlp[i, s] = spec.mlp[pattern]
-            cpu[i] = machine.cpu_time(fp)
-            mix = fp.pattern_mix()
-            beta[i] = (
-                sum(spec.overlap[p] * w for p, w in mix.items()) if mix else 0.0
-            )
-
-        self._inst_idx = np.asarray(inst_idx, dtype=np.intp)
-        self._slot_idx = np.asarray(slot_idx, dtype=np.intp)
-        self._obj_idx = np.asarray(obj_idx, dtype=np.intp)
-        self._reads = np.asarray(reads, dtype=np.float64)
-        self._writes = np.asarray(writes, dtype=np.float64)
-        self._lat_dram = lat_dram
-        self._lat_pm = lat_pm
-        self._mlp = mlp
-        self._cpu = cpu
-        self._beta = beta
-        self._q = spec.tier_overlap_q
-        self._dram_rbw = hm.dram.read_bandwidth
-        self._dram_wbw = hm.dram.write_bandwidth
-        self._pm_rbw = hm.pm.read_bandwidth
-        self._pm_wbw = hm.pm.write_bandwidth
-        self._n_inst = n_inst
-
-    @property
-    def task_ids(self) -> tuple[str, ...]:
-        return tuple(self._rows)
-
-    def _object_ratios(self, dram_fractions: Mapping[str, float]) -> np.ndarray:
-        # _obj_cols maps names to 0..n-1 in insertion order, so iterating
-        # its keys fills column order directly; clip(v, 0, 1) returns the
-        # same bits as min(1.0, max(0.0, v)) for every float
-        vals = np.fromiter(
-            (dram_fractions.get(name, 0.0) for name in self._obj_cols),
-            dtype=np.float64,
-            count=len(self._obj_cols),
-        )
-        return np.clip(vals, 0.0, 1.0)
-
-    def breakdown_batch(
-        self,
-        task_ids: Sequence[str],
-        dram_fractions: Mapping[str, float],
-    ) -> list[TimeBreakdown]:
-        """Breakdowns for ``task_ids`` under the given placement.
-
-        Returns one :class:`TimeBreakdown` per requested id, in order,
-        bit-identical to calling the scalar ``machine.breakdown`` per
-        instance with the same fractions.
-        """
-        r_obj = self._object_ratios(dram_fractions)
-        r = r_obj[self._obj_idx]
-
-        shape = (self._n_inst, _MAX_SLOTS)
-        dr = np.zeros(shape)
-        dw = np.zeros(shape)
-        pr = np.zeros(shape)
-        pw = np.zeros(shape)
-        at = (self._inst_idx, self._slot_idx)
-        # ordered scatter-add: element order == footprint access order, so
-        # each (instance, slot) bucket accumulates exactly like the scalar
-        # dict loop in MachineModel.breakdown
-        np.add.at(dr, at, self._reads * r)
-        np.add.at(dw, at, self._writes * r)
-        np.add.at(pr, at, self._reads * (1 - r))
-        np.add.at(pw, at, self._writes * (1 - r))
-
-        t_dram, d_rb, d_wb = self._tier_time_batch(
-            dr, dw, self._lat_dram, self._dram_rbw, self._dram_wbw
-        )
-        t_pm, p_rb, p_wb = self._tier_time_batch(
-            pr, pw, self._lat_pm, self._pm_rbw, self._pm_wbw
-        )
-        # the q-norm stays scalar per instance: numpy's SIMD pow differs
-        # from libm pow in the last bit for ~5% of inputs, which would
-        # break bit-identity with the scalar model.  Everything else here
-        # is exactly-rounded IEEE arithmetic (add/mul/div/min/max), where
-        # vector and scalar paths agree bit for bit.
-        q = self._q
-        t_mem = np.empty(self._n_inst)
-        for i in range(self._n_inst):
-            td, tp = float(t_dram[i]), float(t_pm[i])
-            t_mem[i] = (td**q + tp**q) ** (1.0 / q) if (td or tp) else 0.0
-        total = np.maximum(self._cpu, t_mem) + (1.0 - self._beta) * np.minimum(
-            self._cpu, t_mem
-        )
-
-        out = []
-        for tid in task_ids:
-            i = self._rows[tid]
-            out.append(
-                TimeBreakdown(
-                    total_s=float(total[i]),
-                    cpu_s=float(self._cpu[i]),
-                    mem_s=float(t_mem[i]),
-                    dram_s=float(t_dram[i]),
-                    pm_s=float(t_pm[i]),
-                    dram_read_bytes=float(d_rb[i]),
-                    dram_write_bytes=float(d_wb[i]),
-                    pm_read_bytes=float(p_rb[i]),
-                    pm_write_bytes=float(p_wb[i]),
-                )
-            )
-        return out
-
-    def _tier_time_batch(
-        self,
-        reads: np.ndarray,
-        writes: np.ndarray,
-        lat_ns: np.ndarray,
-        read_bw: float,
-        write_bw: float,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vector twin of ``MachineModel._tier_time`` over all instances.
-
-        Slots are reduced sequentially (first-appearance order, like the
-        scalar dict walk).  Empty slots have zero counts, so their terms
-        are an exact ``+0.0``; the per-term expression keeps the scalar's
-        operation order ``((n * lat) * 1e-9) / mlp``.
-        """
-        latency = np.zeros(reads.shape[0])
-        read_bytes = np.zeros(reads.shape[0])
-        write_bytes = np.zeros(reads.shape[0])
-        for s in range(reads.shape[1]):
-            n = reads[:, s] + writes[:, s]
-            latency += n * lat_ns[:, s] * 1e-9 / self._mlp[:, s]
-            read_bytes += reads[:, s] * CACHE_LINE
-            write_bytes += writes[:, s] * CACHE_LINE
-        bandwidth = read_bytes / read_bw + write_bytes / write_bw
-        return np.maximum(latency, bandwidth), read_bytes, write_bytes
-
-
-class TieredBreakdownKernel:
-    """N-tier twin of :class:`BreakdownKernel`.
-
-    Same hoisted access tensors, but latency constants and scatter targets
-    exist per tier, and placements are per-object *fraction vectors*
-    (fastest tier first) instead of scalar DRAM ratios.  Bit-identical to
-    scalar :meth:`MachineModel.breakdown_tiered` by the same argument as
-    the 2-tier kernel: ordered scatter-adds, first-appearance slot
-    reduction, scalar per-instance q-norm.
+    under the current placement, given as per-object *fraction vectors*
+    (fastest tier first), with a handful of numpy passes over a
+    ``(tier, instance, slot)`` bucket tensor.
     """
 
     def __init__(
@@ -240,7 +68,6 @@ class TieredBreakdownKernel:
         footprints: Sequence[tuple[str, Footprint]],
     ) -> None:
         spec = machine.spec
-        self._topo = topo
         n_tiers = topo.n_tiers
         self._rows: dict[str, int] = {}
         self._obj_cols: dict[str, int] = {}
@@ -251,7 +78,7 @@ class TieredBreakdownKernel:
         obj_idx: list[int] = []
         reads: list[float] = []
         writes: list[float] = []
-        lat = [np.zeros((n_inst, _MAX_SLOTS)) for _ in range(n_tiers)]
+        lat = np.zeros((n_tiers, n_inst, _MAX_SLOTS))
         mlp = np.ones((n_inst, _MAX_SLOTS))
         cpu = np.zeros(n_inst)
         beta = np.zeros(n_inst)
@@ -271,7 +98,7 @@ class TieredBreakdownKernel:
             for pattern, s in slots.items():
                 random = pattern.value == "random"
                 for k, tier in enumerate(topo.tiers):
-                    lat[k][i, s] = tier.latency_ns(random=random)
+                    lat[k, i, s] = tier.latency_ns(random=random)
                 mlp[i, s] = spec.mlp[pattern]
             cpu[i] = machine.cpu_time(fp)
             mix = fp.pattern_mix()
@@ -279,19 +106,25 @@ class TieredBreakdownKernel:
                 sum(spec.overlap[p] * w for p, w in mix.items()) if mix else 0.0
             )
 
-        self._inst_idx = np.asarray(inst_idx, dtype=np.intp)
-        self._slot_idx = np.asarray(slot_idx, dtype=np.intp)
+        # scatter targets for every (tier, access) pair, tier-major so each
+        # (tier, instance, slot) bucket receives its accesses in order
+        n_acc = len(inst_idx)
+        self._at = (
+            np.repeat(np.arange(n_tiers, dtype=np.intp), n_acc),
+            np.tile(np.asarray(inst_idx, dtype=np.intp), n_tiers),
+            np.tile(np.asarray(slot_idx, dtype=np.intp), n_tiers),
+        )
         self._obj_idx = np.asarray(obj_idx, dtype=np.intp)
         self._reads = np.asarray(reads, dtype=np.float64)
         self._writes = np.asarray(writes, dtype=np.float64)
         self._lat = lat
         self._mlp = mlp
         self._cpu = cpu
+        self._cpu_list = cpu.tolist()
         self._beta = beta
         self._q = spec.tier_overlap_q
-        self._rbw = tuple(t.read_bandwidth for t in topo.tiers)
-        self._wbw = tuple(t.write_bandwidth for t in topo.tiers)
-        self._n_inst = n_inst
+        self._rbw = np.array([[t.read_bandwidth] for t in topo.tiers])
+        self._wbw = np.array([[t.write_bandwidth] for t in topo.tiers])
         self._n_tiers = n_tiers
 
     @property
@@ -326,49 +159,111 @@ class TieredBreakdownKernel:
     ) -> list[TieredBreakdown]:
         """Tiered breakdowns for ``task_ids``, bit-identical to calling the
         scalar ``machine.breakdown_tiered`` per instance."""
-        f_obj = self._object_fractions(tier_fractions)
-        shape = (self._n_inst, _MAX_SLOTS)
-        at = (self._inst_idx, self._slot_idx)
+        return self._price(task_ids, self._object_fractions(tier_fractions))
 
-        tier_t = []
-        tier_rb = []
-        tier_wb = []
-        for k in range(self._n_tiers):
-            fk = f_obj[self._obj_idx, k]
-            rk = np.zeros(shape)
-            wk = np.zeros(shape)
-            # element order == footprint access order, like the scalar loop
-            np.add.at(rk, at, self._reads * fk)
-            np.add.at(wk, at, self._writes * fk)
-            t, rb, wb = self._tier_time_batch(rk, wk, self._lat[k], self._rbw[k], self._wbw[k])
-            tier_t.append(t)
-            tier_rb.append(rb)
-            tier_wb.append(wb)
+    def _price(
+        self, task_ids: Sequence[str], f_obj: np.ndarray
+    ) -> list[TieredBreakdown]:
+        """Breakdowns for ``task_ids`` from the clipped ``(n_obj, n_tiers)``
+        fraction matrix, one :class:`TieredBreakdown` per id, in order."""
+        f_acc = f_obj.T[:, self._obj_idx]
+        shape = self._lat.shape
+        reads = np.zeros(shape)
+        writes = np.zeros(shape)
+        # ordered scatter-add: element order == footprint access order
+        # within each tier, like the scalar loop
+        np.add.at(reads, self._at, (self._reads * f_acc).ravel())
+        np.add.at(writes, self._at, (self._writes * f_acc).ravel())
+        tier_t, tier_rb, tier_wb = self._tier_time_batch(reads, writes)
 
-        # scalar per-instance q-norm: the generator sum in breakdown_tiered
-        # reduces tiers sequentially starting at 0, mirrored exactly here
+        # the q-norm stays scalar per instance: numpy's SIMD pow differs
+        # from libm pow in the last bit for ~5% of inputs.  The sum starts
+        # at 0 and adds tiers in order, like the generator sum in
+        # breakdown_tiered; everything else here is exactly-rounded IEEE
+        # arithmetic (add/mul/div/min/max), where vector and scalar agree.
         q = self._q
-        t_mem = np.empty(self._n_inst)
-        for i in range(self._n_inst):
-            ts = [float(t[i]) for t in tier_t]
-            t_mem[i] = sum(t**q for t in ts) ** (1.0 / q) if any(ts) else 0.0
-        total = np.maximum(self._cpu, t_mem) + (1.0 - self._beta) * np.minimum(
-            self._cpu, t_mem
-        )
+        inv_q = 1.0 / q
+        inst_t = list(map(tuple, tier_t.T.tolist()))
+        mem = [sum([t**q for t in ts]) ** inv_q if any(ts) else 0.0 for ts in inst_t]
+        t_mem = np.array(mem)
+        total = (
+            np.maximum(self._cpu, t_mem) + (1.0 - self._beta) * np.minimum(self._cpu, t_mem)
+        ).tolist()
+        cpu = self._cpu_list
+        inst_rb = list(map(tuple, tier_rb.T.tolist()))
+        inst_wb = list(map(tuple, tier_wb.T.tolist()))
 
         out = []
         for tid in task_ids:
             i = self._rows[tid]
             out.append(
                 TieredBreakdown(
-                    total_s=float(total[i]),
-                    cpu_s=float(self._cpu[i]),
-                    mem_s=float(t_mem[i]),
-                    tier_s=tuple(float(t[i]) for t in tier_t),
-                    tier_read_bytes=tuple(float(b[i]) for b in tier_rb),
-                    tier_write_bytes=tuple(float(b[i]) for b in tier_wb),
+                    total_s=total[i],
+                    cpu_s=cpu[i],
+                    mem_s=mem[i],
+                    tier_s=inst_t[i],
+                    tier_read_bytes=inst_rb[i],
+                    tier_write_bytes=inst_wb[i],
                 )
             )
         return out
 
-    _tier_time_batch = BreakdownKernel._tier_time_batch
+    def _tier_time_batch(
+        self, reads: np.ndarray, writes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vector twin of ``MachineModel._tier_time`` over all tiers and
+        instances: ``(n_tiers, n_inst)`` times, read bytes, write bytes.
+
+        Slots are reduced sequentially, in first-appearance order like the
+        scalar dict walk; the scalar's leading ``0.0 + term`` is exact, so
+        the sums start at slot 0.  Empty slots have zero counts, so their
+        terms are an exact ``+0.0``; the per-term expression keeps the
+        scalar's operation order ``((n * lat) * 1e-9) / mlp``.
+        """
+        terms = (reads + writes) * self._lat * 1e-9 / self._mlp
+        rb = reads * CACHE_LINE
+        wb = writes * CACHE_LINE
+        latency = terms[..., 0]
+        read_bytes = rb[..., 0]
+        write_bytes = wb[..., 0]
+        for s in range(1, _MAX_SLOTS):
+            latency = latency + terms[..., s]
+            read_bytes = read_bytes + rb[..., s]
+            write_bytes = write_bytes + wb[..., s]
+        bandwidth = read_bytes / self._rbw + write_bytes / self._wbw
+        return np.maximum(latency, bandwidth), read_bytes, write_bytes
+
+
+class BreakdownKernel(TieredBreakdownKernel):
+    """The n = 2 front end: prices per-object DRAM ratios ``r`` on an
+    :class:`HMConfig` as fraction vectors ``(r, 1.0 - r)``, bit-identical
+    to calling the scalar ``machine.breakdown`` per instance."""
+
+    def __init__(
+        self,
+        machine: MachineModel,
+        hm: HMConfig,
+        footprints: Sequence[tuple[str, Footprint]],
+    ) -> None:
+        super().__init__(machine, TopologySpec.from_hm(hm), footprints)
+
+    def breakdown_batch(
+        self,
+        task_ids: Sequence[str],
+        dram_fractions: Mapping[str, float],
+    ) -> list[TieredBreakdown]:
+        # _obj_cols maps names to 0..n-1 in insertion order, so iterating
+        # its keys fills column order directly; clip(v, 0, 1) returns the
+        # same bits as min(1.0, max(0.0, v)) for every non-NaN float.
+        # _price, not the tiered breakdown_batch, so each entry point is
+        # timed on its own by profilers that wrap it
+        n_obj = len(self._obj_cols)
+        r = np.fromiter(
+            (dram_fractions.get(name, 0.0) for name in self._obj_cols),
+            dtype=np.float64,
+            count=n_obj,
+        )
+        f = np.empty((n_obj, 2))
+        np.clip(r, 0.0, 1.0, out=f[:, 0])
+        np.subtract(1.0, f[:, 0], out=f[:, 1])
+        return self._price(task_ids, f)

@@ -21,15 +21,13 @@ problem, just as learning it from real hardware is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
-
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.common import CACHE_LINE, AccessPattern
 from repro.sim.memspec import HMConfig, TierSpec, TopologySpec
 from repro.tasks.task import Footprint
 
-__all__ = ["MachineSpec", "TimeBreakdown", "TieredBreakdown", "MachineModel"]
+__all__ = ["MachineSpec", "TieredBreakdown", "MachineModel"]
 
 
 @dataclass(frozen=True)
@@ -77,35 +75,11 @@ class MachineSpec:
 
 
 @dataclass(frozen=True)
-class TimeBreakdown:
-    """Where an instance's time goes, plus tier traffic for the engine."""
-
-    total_s: float
-    cpu_s: float
-    mem_s: float
-    dram_s: float
-    pm_s: float
-    dram_read_bytes: float
-    dram_write_bytes: float
-    pm_read_bytes: float
-    pm_write_bytes: float
-
-    @property
-    def dram_bytes(self) -> float:
-        return self.dram_read_bytes + self.dram_write_bytes
-
-    @property
-    def pm_bytes(self) -> float:
-        return self.pm_read_bytes + self.pm_write_bytes
-
-
-@dataclass(frozen=True)
 class TieredBreakdown:
     """Where an instance's time goes on an N-tier topology.
 
-    Per-tier tuples are ordered like the topology (fastest first).  On a
-    2-tier topology every field matches :class:`TimeBreakdown` bit-exactly
-    when the fraction vectors are ``(r, 1 - r)``.
+    Per-tier tuples are ordered like the topology (fastest first); on an
+    :class:`HMConfig` tier 0 is DRAM and tier 1 is PM.
     """
 
     total_s: float
@@ -171,59 +145,19 @@ class MachineModel:
         footprint: Footprint,
         hm: HMConfig,
         dram_fractions: Mapping[str, float],
-        bandwidth_derate: float = 1.0,
-    ) -> TimeBreakdown:
-        """Full time breakdown for an instance under a placement.
+    ) -> TieredBreakdown:
+        """Full time breakdown for an instance under a 2-tier placement.
 
         ``dram_fractions[obj]`` is the access-weighted DRAM fraction of each
-        object (missing objects default to 0 = all-PM).  ``bandwidth_derate``
-        models contention: effective bandwidth is ``bw * derate``.
+        object (missing objects default to 0 = all-PM).  This is the n = 2
+        case of :meth:`breakdown_tiered`: each ratio, clipped to [0, 1],
+        becomes the fraction vector ``(r, 1.0 - r)``.
         """
-        if not 0.0 < bandwidth_derate <= 1.0:
-            raise ValueError("bandwidth_derate must be in (0, 1]")
-        dram_acc: dict[AccessPattern, tuple[float, float]] = {}
-        pm_acc: dict[AccessPattern, tuple[float, float]] = {}
-        for a in footprint.accesses:
-            r = float(dram_fractions.get(a.obj, 0.0))
-            r = min(1.0, max(0.0, r))
-            dr, dw = dram_acc.get(a.pattern, (0.0, 0.0))
-            dram_acc[a.pattern] = (dr + a.reads * r, dw + a.writes * r)
-            pr, pw = pm_acc.get(a.pattern, (0.0, 0.0))
-            pm_acc[a.pattern] = (pr + a.reads * (1 - r), pw + a.writes * (1 - r))
-
-        # apply contention by scaling bandwidths down
-        def derated(tier: TierSpec) -> TierSpec:
-            if bandwidth_derate >= 1.0:
-                return tier
-            return TierSpec(
-                name=tier.name,
-                capacity_bytes=tier.capacity_bytes,
-                seq_read_latency_ns=tier.seq_read_latency_ns,
-                rand_read_latency_ns=tier.rand_read_latency_ns,
-                read_bandwidth=tier.read_bandwidth * bandwidth_derate,
-                write_bandwidth=tier.write_bandwidth * bandwidth_derate,
-            )
-
-        t_dram, d_rb, d_wb = self._tier_time(derated(hm.dram), dram_acc)
-        t_pm, p_rb, p_wb = self._tier_time(derated(hm.pm), pm_acc)
-        q = self.spec.tier_overlap_q
-        t_mem = (t_dram**q + t_pm**q) ** (1.0 / q) if (t_dram or t_pm) else 0.0
-
-        t_cpu = self.cpu_time(footprint)
-        mix = footprint.pattern_mix()
-        beta = sum(self.spec.overlap[p] * w for p, w in mix.items()) if mix else 0.0
-        total = max(t_cpu, t_mem) + (1.0 - beta) * min(t_cpu, t_mem)
-        return TimeBreakdown(
-            total_s=total,
-            cpu_s=t_cpu,
-            mem_s=t_mem,
-            dram_s=t_dram,
-            pm_s=t_pm,
-            dram_read_bytes=d_rb,
-            dram_write_bytes=d_wb,
-            pm_read_bytes=p_rb,
-            pm_write_bytes=p_wb,
-        )
+        vectors = {}
+        for o in footprint.objects:
+            r = min(1.0, max(0.0, float(dram_fractions.get(o, 0.0))))
+            vectors[o] = (r, 1.0 - r)
+        return self.breakdown_tiered(footprint, TopologySpec.from_hm(hm), vectors)
 
     # ------------------------------------------------------------------
     def breakdown_tiered(
@@ -231,24 +165,15 @@ class MachineModel:
         footprint: Footprint,
         topo: TopologySpec,
         tier_fractions: Mapping[str, Sequence[float]],
-        bandwidth_derates: Sequence[float] | None = None,
     ) -> TieredBreakdown:
-        """N-tier generalisation of :meth:`breakdown`.
+        """Full time breakdown for an instance on an N-tier topology.
 
         ``tier_fractions[obj]`` is the object's access-fraction vector
         across the topology's tiers, fastest first (missing objects default
-        to all-in-slowest).  ``bandwidth_derates`` optionally derates each
-        tier's bandwidth independently (contention).  The arithmetic
-        mirrors :meth:`breakdown` operation-for-operation so the 2-tier
-        case with vectors ``(r, 1 - r)`` is bit-identical.
+        to all-in-slowest).  Contention is not priced here: the engine
+        scales progress by per-tier bandwidth after the breakdown.
         """
         n = topo.n_tiers
-        if bandwidth_derates is not None:
-            if len(bandwidth_derates) != n:
-                raise ValueError("one bandwidth derate per tier required")
-            for d in bandwidth_derates:
-                if not 0.0 < d <= 1.0:
-                    raise ValueError("bandwidth derates must be in (0, 1]")
         default = (0.0,) * (n - 1) + (1.0,)
         accs: list[dict[AccessPattern, tuple[float, float]]] = [{} for _ in range(n)]
         for a in footprint.accesses:
@@ -263,24 +188,11 @@ class MachineModel:
                 r, w = accs[k].get(a.pattern, (0.0, 0.0))
                 accs[k][a.pattern] = (r + a.reads * fk, w + a.writes * fk)
 
-        def derated(tier: TierSpec, d: float) -> TierSpec:
-            if d >= 1.0:
-                return tier
-            return TierSpec(
-                name=tier.name,
-                capacity_bytes=tier.capacity_bytes,
-                seq_read_latency_ns=tier.seq_read_latency_ns,
-                rand_read_latency_ns=tier.rand_read_latency_ns,
-                read_bandwidth=tier.read_bandwidth * d,
-                write_bandwidth=tier.write_bandwidth * d,
-            )
-
         times: list[float] = []
         read_b: list[float] = []
         write_b: list[float] = []
         for k, tier in enumerate(topo.tiers):
-            d = 1.0 if bandwidth_derates is None else float(bandwidth_derates[k])
-            t, rb, wb = self._tier_time(derated(tier, d), accs[k])
+            t, rb, wb = self._tier_time(tier, accs[k])
             times.append(t)
             read_b.append(rb)
             write_b.append(wb)
@@ -321,10 +233,9 @@ class MachineModel:
         footprint: Footprint,
         hm: HMConfig,
         dram_fractions: Mapping[str, float],
-        bandwidth_derate: float = 1.0,
     ) -> float:
         """Execution time in seconds (convenience wrapper)."""
-        return self.breakdown(footprint, hm, dram_fractions, bandwidth_derate).total_s
+        return self.breakdown(footprint, hm, dram_fractions).total_s
 
     def endpoint_times(self, footprint: Footprint, hm: HMConfig) -> tuple[float, float]:
         """(T_dram_only, T_pm_only) -- the bounds of Equation 2."""

@@ -12,9 +12,12 @@ executable specification the kernels are compared against:
 * :func:`predict_batch` / :func:`predict_stacked` -- the correlation
   function's feature matrix filled row by row (one task) or block by
   block (one task per block) and handed to the model's ``predict``;
+* :func:`breakdown_2tier` -- the dedicated 2-tier time model that
+  ``MachineModel.breakdown`` now prices as the n = 2 case of
+  ``breakdown_tiered``;
 * :class:`ScalarBreakdown` / :class:`ScalarTieredBreakdown` -- stand-ins
   for the engine's tick kernels that price every instance with its own
-  ``MachineModel.breakdown`` / ``breakdown_tiered`` call.
+  :func:`breakdown_2tier` / ``MachineModel.breakdown_tiered`` call.
 
 :func:`scalar_reference` puts all of them in place of the production code
 for the duration of a ``with`` block, so a whole engine run (or a planner
@@ -42,7 +45,7 @@ import repro.experiments.ablation  # noqa: F401
 import repro.runtime.planning  # noqa: F401
 import repro.service.scheduler  # noqa: F401
 import repro.sim.engine
-from repro.common import PAGE_SIZE
+from repro.common import PAGE_SIZE, AccessPattern
 from repro.core import planner
 from repro.core.correlation import CorrelationFunction
 from repro.core.model import PerformanceModel, TaskModelInputs
@@ -55,6 +58,9 @@ from repro.core.planner import (
 )
 from repro.ml.gbr import GradientBoostedRegressor
 from repro.ml.tree import DecisionTreeRegressor
+from repro.sim.machine import MachineModel, TieredBreakdown
+from repro.sim.memspec import HMConfig
+from repro.tasks.task import Footprint
 
 __all__ = [
     "greedy_plan",
@@ -64,6 +70,7 @@ __all__ = [
     "gbr_predict",
     "predict_batch",
     "predict_stacked",
+    "breakdown_2tier",
     "ScalarBreakdown",
     "ScalarTieredBreakdown",
     "scalar_reference",
@@ -433,9 +440,48 @@ def predict_stacked(
 # sim: per-instance tick pricing
 # ---------------------------------------------------------------------------
 
+def breakdown_2tier(
+    machine: MachineModel,
+    footprint: Footprint,
+    hm: HMConfig,
+    dram_fractions: Mapping[str, float],
+) -> TieredBreakdown:
+    """The dedicated 2-tier time model: per-access DRAM/PM buckets built
+    from the ratio ``r`` and ``1 - r``, two tier times and a two-term
+    q-norm.  ``MachineModel.breakdown`` prices the same placement as the
+    n = 2 case of ``breakdown_tiered`` and must match it bit for bit."""
+    dram_acc: dict[AccessPattern, tuple[float, float]] = {}
+    pm_acc: dict[AccessPattern, tuple[float, float]] = {}
+    for a in footprint.accesses:
+        r = float(dram_fractions.get(a.obj, 0.0))
+        r = min(1.0, max(0.0, r))
+        dr, dw = dram_acc.get(a.pattern, (0.0, 0.0))
+        dram_acc[a.pattern] = (dr + a.reads * r, dw + a.writes * r)
+        pr, pw = pm_acc.get(a.pattern, (0.0, 0.0))
+        pm_acc[a.pattern] = (pr + a.reads * (1 - r), pw + a.writes * (1 - r))
+
+    t_dram, d_rb, d_wb = machine._tier_time(hm.dram, dram_acc)
+    t_pm, p_rb, p_wb = machine._tier_time(hm.pm, pm_acc)
+    q = machine.spec.tier_overlap_q
+    t_mem = (t_dram**q + t_pm**q) ** (1.0 / q) if (t_dram or t_pm) else 0.0
+
+    t_cpu = machine.cpu_time(footprint)
+    mix = footprint.pattern_mix()
+    beta = sum(machine.spec.overlap[p] * w for p, w in mix.items()) if mix else 0.0
+    total = max(t_cpu, t_mem) + (1.0 - beta) * min(t_cpu, t_mem)
+    return TieredBreakdown(
+        total_s=total,
+        cpu_s=t_cpu,
+        mem_s=t_mem,
+        tier_s=(t_dram, t_pm),
+        tier_read_bytes=(d_rb, p_rb),
+        tier_write_bytes=(d_wb, p_wb),
+    )
+
+
 class ScalarBreakdown:
-    """Stand-in for ``BreakdownKernel``: one ``MachineModel.breakdown``
-    call per instance, in the order the engine asks for them."""
+    """Stand-in for ``BreakdownKernel``: one :func:`breakdown_2tier` call
+    per instance, in the order the engine asks for them."""
 
     def __init__(self, machine, hm, footprints) -> None:
         self.machine = machine
@@ -444,7 +490,7 @@ class ScalarBreakdown:
 
     def breakdown_batch(self, task_ids, fractions):
         return [
-            self.machine.breakdown(self.footprints[tid], self.hm, fractions)
+            breakdown_2tier(self.machine, self.footprints[tid], self.hm, fractions)
             for tid in task_ids
         ]
 

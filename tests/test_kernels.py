@@ -54,14 +54,18 @@ from repro.sim.pages import PageTable
 from tests.oracles import scalar
 from tests.oracles.scalar import scalar_reference
 
-_BD_FIELDS = (
-    "total_s", "cpu_s", "mem_s", "dram_s", "pm_s",
-    "dram_read_bytes", "dram_write_bytes", "pm_read_bytes", "pm_write_bytes",
-)
-
-
 def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
+
+
+def _bd_fingerprint(bd) -> tuple:
+    """Total, cpu, mem and per-tier time and bytes of a breakdown, as bits."""
+    return (
+        _bits(bd.total_s), _bits(bd.cpu_s), _bits(bd.mem_s),
+        tuple(_bits(t) for t in bd.tier_s),
+        tuple(_bits(b) for b in bd.tier_read_bytes),
+        tuple(_bits(b) for b in bd.tier_write_bytes),
+    )
 
 
 def _with_non_finite(X: np.ndarray, rng) -> np.ndarray:
@@ -461,7 +465,21 @@ def test_greedy_plan_with_precomputed_grids_bit_identical(system):
 # sim: breakdown kernel, page-table arena, engine runs
 # ---------------------------------------------------------------------------
 
-def test_breakdown_kernel_bit_identical():
+#: DRAM ratios on and outside the [0, 1] edges; ``None`` leaves the object
+#: out of the placement map (priced as all-PM)
+_EDGE_RATIOS = (0.0, -0.0, 1.0, -0.5, 1.0000000000000002, 2.0, None)
+
+
+def test_breakdown_kernel_bit_identical(monkeypatch):
+    """The n = 2 front end and the scalar model both equal the dedicated
+    2-tier reference, without going through the public tiered entry."""
+    from repro.sim.kernels import TieredBreakdownKernel
+
+    tiered_calls: Counter = Counter()
+    monkeypatch.setattr(
+        TieredBreakdownKernel, "breakdown_batch",
+        _counted(tiered_calls, "tiered", TieredBreakdownKernel.breakdown_batch),
+    )
     machine, hm = MachineModel(), optane_hm_config()
     fps = [
         (f"t{i}", s.footprint(1.0))
@@ -470,13 +488,23 @@ def test_breakdown_kernel_bit_identical():
     kernel = BreakdownKernel(machine, hm, fps)
     rng = make_rng(7)
     objs = sorted({o for _, fp in fps for o in fp.objects})
-    for _ in range(10):
-        fractions = {o: float(rng.uniform(0.0, 1.0)) for o in objs}
+    placements = [{o: float(rng.uniform(0.0, 1.0)) for o in objs} for _ in range(10)]
+    placements += [{} if e is None else dict.fromkeys(objs, e) for e in _EDGE_RATIOS]
+    for _ in range(4):
+        # each object at an edge, missing, or inside [0, 1]
+        mixed = {}
+        for o, c in zip(objs, rng.integers(len(_EDGE_RATIOS) + 1, size=len(objs))):
+            v = _EDGE_RATIOS[c] if c < len(_EDGE_RATIOS) else float(rng.uniform())
+            if v is not None:
+                mixed[o] = v
+        placements.append(mixed)
+    for n, fractions in enumerate(placements):
         batch = kernel.breakdown_batch([tid for tid, _ in fps], fractions)
         for (tid, fp), bd in zip(fps, batch):
-            ref = machine.breakdown(fp, hm, fractions)
-            for f in _BD_FIELDS:
-                assert _bits(getattr(ref, f)) == _bits(getattr(bd, f)), (tid, f)
+            ref = _bd_fingerprint(scalar.breakdown_2tier(machine, fp, hm, fractions))
+            assert _bd_fingerprint(bd) == ref, (n, tid)
+            assert _bd_fingerprint(machine.breakdown(fp, hm, fractions)) == ref, (n, tid)
+    assert not tiered_calls
 
 
 def test_page_table_arena_aliases_objects():
@@ -585,15 +613,6 @@ def test_engine_run_bit_identical_under_faults(system):
 # sim: N-tier breakdown kernel and tiered engine runs
 # ---------------------------------------------------------------------------
 
-def _tiered_bd_fingerprint(bd) -> tuple:
-    return (
-        _bits(bd.total_s), _bits(bd.cpu_s), _bits(bd.mem_s),
-        tuple(_bits(t) for t in bd.tier_s),
-        tuple(_bits(b) for b in bd.tier_read_bytes),
-        tuple(_bits(b) for b in bd.tier_write_bytes),
-    )
-
-
 @pytest.mark.parametrize("preset", ["dram_pm", "hbm_dram_pm", "hbm_dram_cxl_pm"])
 def test_tiered_breakdown_kernel_bit_identical(preset):
     from repro.sim.kernels import TieredBreakdownKernel
@@ -617,7 +636,7 @@ def test_tiered_breakdown_kernel_bit_identical(preset):
         batch = kernel.breakdown_batch([tid for tid, _ in fps], fractions)
         for (tid, fp), bd in zip(fps, batch):
             ref = machine.breakdown_tiered(fp, topo, fractions)
-            assert _tiered_bd_fingerprint(ref) == _tiered_bd_fingerprint(bd), tid
+            assert _bd_fingerprint(ref) == _bd_fingerprint(bd), tid
 
 
 def _tiered_engine_fingerprint(system, preset: str, policy_name: str) -> tuple:

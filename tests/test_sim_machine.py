@@ -104,34 +104,24 @@ class TestBreakdown:
     def test_bytes_split_by_fraction(self):
         f = footprint(reads=1000, writes=0)
         bd = MODEL.breakdown(f, HM, {"x": 0.25})
-        assert bd.dram_read_bytes == pytest.approx(0.25 * 1000 * 64)
-        assert bd.pm_read_bytes == pytest.approx(0.75 * 1000 * 64)
+        assert bd.tier_read_bytes[0] == pytest.approx(0.25 * 1000 * 64)
+        assert bd.tier_read_bytes[1] == pytest.approx(0.75 * 1000 * 64)
 
     def test_write_bytes_tracked(self):
         f = footprint(reads=0, writes=100)
         bd = MODEL.breakdown(f, HM, {"x": 1.0})
-        assert bd.dram_write_bytes == pytest.approx(100 * 64)
-        assert bd.pm_write_bytes == 0
+        assert bd.tier_write_bytes[0] == pytest.approx(100 * 64)
+        assert bd.tier_write_bytes[1] == 0
 
     def test_missing_object_defaults_to_pm(self):
         f = footprint()
         bd = MODEL.breakdown(f, HM, {})
-        assert bd.dram_bytes == 0
-        assert bd.pm_bytes > 0
-
-    def test_bandwidth_derate_slows_memory(self):
-        f = footprint(reads=5_000_000, instr=1000)
-        t_full = MODEL.breakdown(f, HM, {"x": 0.0}).total_s
-        t_half = MODEL.breakdown(f, HM, {"x": 0.0}, bandwidth_derate=0.01).total_s
-        assert t_half > t_full
-
-    def test_derate_validation(self):
-        with pytest.raises(ValueError):
-            MODEL.breakdown(footprint(), HM, {}, bandwidth_derate=0)
+        assert bd.tier_bytes(0) == 0
+        assert bd.tier_bytes(1) > 0
 
     def test_fraction_clamped(self):
         bd = MODEL.breakdown(footprint(), HM, {"x": 2.0})
-        assert bd.pm_bytes == pytest.approx(0.0)
+        assert bd.tier_bytes(1) == pytest.approx(0.0)
 
 
 class TestComputeModel:

@@ -271,19 +271,22 @@ class TestLoopback:
 
     def test_malformed_request_keeps_connection(self):
         server = make_server()
+        bad_version = encode_request(make_request("bad-1"))
+        bad_version["v"] = 99  # protocol (not framing) violation
+        # the transport has no heartbeat kind: a "health" frame is one too
+        health = {"v": 1, "kind": "health", "nonce": 7}
         with PlacementTransportServer(server) as transport:
             with PlacementClient(*transport.address, retry=FAST_RETRY) as c:
-                bad = encode_request(make_request("bad-1"))
-                bad["v"] = 99  # protocol (not framing) violation
-                c._ensure_connected()
-                c._sock.sendall(encode_frame(bad))
-                with pytest.raises(ProtocolError, match="rejected"):
-                    c.request(make_request("bad-1"))
-                # the connection survived the protocol error (a distinct
-                # shape, so in-flight dedup cannot blur the status)
-                ok = c.request(make_request("ok-1", shape=2))
-                assert ok.status == "planned"
-        assert transport.stats["protocol_errors"] == 1
+                for k, bad in enumerate((bad_version, health), start=1):
+                    c._ensure_connected()
+                    c._sock.sendall(encode_frame(bad))
+                    with pytest.raises(ProtocolError, match="rejected"):
+                        c.request(make_request(f"bad-{k}"))
+                    # the connection survived the protocol error (a distinct
+                    # shape, so in-flight dedup cannot blur the status)
+                    ok = c.request(make_request(f"ok-{k}", shape=1 + k))
+                    assert ok.status == "planned"
+        assert transport.stats["protocol_errors"] == 2
 
     def test_framing_garbage_drops_connection(self):
         server = make_server()
@@ -534,78 +537,6 @@ class TestSoak:
 
 
 # ======================================================================
-# health/heartbeat frames + client liveness probing
-# ======================================================================
-class TestHealthProbes:
-    def test_health_frame_round_trip(self):
-        from repro.service.transport.framing import (
-            decode_health,
-            encode_health,
-            is_health,
-        )
-
-        probe = encode_health(7)
-        assert is_health(probe)
-        assert decode_health(probe) == (7, False, "ok")
-        reply = encode_health(7, reply=True, status="ok")
-        assert decode_health(reply) == (7, True, "ok")
-        frame = encode_frame(reply)  # rides the standard CRC framing
-        assert decode_health(decode_frame(frame)) == (7, True, "ok")
-        assert not is_health({"v": 1, "kind": "request"})
-
-    def test_malformed_health_rejected(self):
-        from repro.service.transport.framing import decode_health
-
-        with pytest.raises(ProtocolError):
-            decode_health({"v": 999, "kind": "health", "nonce": 1})
-        with pytest.raises(ProtocolError):
-            decode_health({"v": 1, "kind": "request", "nonce": 1})
-        with pytest.raises(ProtocolError):
-            decode_health({"v": 1, "kind": "health", "nonce": "not-an-int"})
-
-    def test_probe_against_live_server(self):
-        telemetry = Telemetry()
-        server = make_server()
-        with PlacementTransportServer(server) as transport:
-            with PlacementClient(
-                *transport.address, retry=FAST_RETRY, telemetry=telemetry
-            ) as c:
-                assert c.probe()
-                assert c.probe()
-                # probing and requesting share the connection cleanly
-                assert c.request(make_request("hp-1")).request_id == "hp-1"
-                assert c.probe()
-            assert c.probes_ok == 3 and c.probe_failures == 0
-            assert transport.stats["health_probes"] == 3
-        assert (
-            telemetry.registry.get(
-                "merch_transport_health_probes_total"
-            ).value(result="ok")
-            == 3
-        )
-
-    def test_probe_fails_with_nobody_listening(self):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-        sock.close()
-        with PlacementClient("127.0.0.1", port, retry=FAST_RETRY) as c:
-            assert not c.probe(timeout_s=0.2)
-        assert c.probe_failures == 1 and c.probes_ok == 0
-
-    def test_probe_fails_under_wire_disconnects(self):
-        # the reply rides the faulted send path: a disconnect fault on the
-        # wire reads as a missed heartbeat at the prober
-        injector = wire_injector(seed=3, wire_disconnect_rate=1.0)
-        server = make_server()
-        with PlacementTransportServer(server, faults=injector) as transport:
-            with PlacementClient(*transport.address, retry=FAST_RETRY) as c:
-                assert not c.probe(timeout_s=0.3)
-        assert c.probe_failures == 1
-        assert injector.log.count("fault.wire_disconnect") >= 1
-
-
-# ======================================================================
 # bounded decided-id record: eviction is detected and loud
 # ======================================================================
 class TestDecidedEviction:
@@ -714,7 +645,9 @@ class TestBackoffDeterminism:
             a = PlacementClient(*transport.address, retry=FAST_RETRY, seed=11)
             b = PlacementClient(*transport.address, retry=FAST_RETRY, seed=11)
             with a, b:
-                assert a.probe() and b.probe()  # connection 1 for both
+                # connection 1 for both
+                a.request(make_request("rs-a1"))
+                b.request(make_request("rs-b1"))
                 # a's stream drifts: it burns three extra jitter draws
                 for k in (1, 2, 3):
                     policy.backoff_s(k, a._rng)
@@ -723,7 +656,9 @@ class TestBackoffDeterminism:
                 )
                 a.close()
                 b.close()
-                assert a.probe() and b.probe()  # connection 2: respawned
+                # connection 2: respawned
+                a.request(make_request("rs-a2"))
+                b.request(make_request("rs-b2"))
                 assert a.connections == b.connections == 2
                 schedule_a = [policy.backoff_s(k, a._rng) for k in (1, 2, 3)]
                 schedule_b = [policy.backoff_s(k, b._rng) for k in (1, 2, 3)]
