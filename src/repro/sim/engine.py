@@ -11,9 +11,19 @@ in small virtual-time ticks:
   traffic; if it exceeds the tier's capability, progress is scaled back
   (bandwidth contention);
 * the placement policy's ``on_tick`` hook may request page migrations,
-  throttled to a configurable fraction of PM bandwidth;
+  throttled to a configurable fraction of the slowest tier's bandwidth;
 * the region's barrier releases when every instance reaches progress 1;
   per-task busy and barrier-wait times are recorded (Figure 5's data).
+
+One tick loop serves every tier count.  The 2-tier DRAM/PM machine is its
+n = 2 case: a :class:`PageTable` and :class:`BreakdownKernel` replace the
+N-tier table and kernel, chosen once per region, and every float of the
+loop keeps the 2-tier order, so 2-tier results are bit-exact.  Where the
+two tables differ -- pressure-eviction planning, the capacity squeeze
+during a batch, the occupancy gauge -- the table does the work.
+Environment faults keep the 2-tier model's mapping on any topology:
+bandwidth degradation hits the slowest tier, capacity pressure the
+fastest.
 
 All time is virtual; nothing depends on the wall clock, and the only
 randomness comes from the seeded generator in :class:`EngineContext`.
@@ -22,22 +32,17 @@ randomness comes from the seeded generator in :class:`EngineContext`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from operator import add
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.common import PAGE_SIZE, make_rng
 from repro.sim.faults import FaultInjector, RobustnessReport
 from repro.sim.kernels import BreakdownKernel, TieredBreakdownKernel
-from repro.sim.machine import MachineModel, TieredBreakdown
+from repro.sim.machine import MachineModel
 from repro.sim.memspec import HMConfig, TopologySpec
-from repro.sim.pages import (
-    MigrationBatch,
-    PageRates,
-    PageTable,
-    TieredMigrationBatch,
-    TieredPageTable,
-)
+from repro.sim.pages import MigrationBatch, PageRates, PageTable, TieredPageTable
 from repro.tasks.task import ParallelRegion, TaskInstanceSpec, Workload
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,7 +70,8 @@ class EngineConfig:
     ticks_per_instance: int = 60
     #: Hard cap on ticks per region (runaway guard).
     max_ticks_per_region: int = 50_000
-    #: Fraction of PM read bandwidth migrations may consume per tick.
+    #: Fraction of the slowest tier's read bandwidth migrations may consume
+    #: per tick.
     migration_bandwidth_fraction: float = 0.25
     #: Record the per-tick bandwidth trace (Figure 6) when True.
     record_bandwidth: bool = True
@@ -285,16 +291,16 @@ class Engine:
                 raise ValueError("pass either hm or topology, not both")
             self.topology = topology
             if topology.n_tiers == 2:
-                # degenerate case: run the classic 2-tier engine verbatim so
-                # every float matches the HMConfig pipeline bit for bit
+                # degenerate case: the same tiers as the HMConfig pipeline,
+                # so every float matches it bit for bit
                 self.hm = topology.to_hm()
             else:
                 if journal is not None:
                     raise ValueError(
                         "crash journaling is only supported on 2-tier topologies"
                     )
-                # fastest/slowest compatibility view; only consulted for
-                # knobs shared with the 2-tier loop (never for pricing)
+                # fastest/slowest compatibility view for policies that read
+                # ctx.hm; the tick loop reads self.topology
                 self.hm = HMConfig(
                     dram=topology.fastest,
                     pm=topology.slowest,
@@ -500,14 +506,9 @@ class Engine:
             begin_payload: dict | None = None
             if self.journal is not None:
                 epoch, begin_payload = self._journal_epoch_begin(ctx, policy)
-            if self._tiered:
-                result = self._run_tiered_region(
-                    ctx, policy, trace_t, trace_d, trace_p, trace_m
-                )
-            else:
-                result = self._run_region(
-                    ctx, policy, epoch, trace_t, trace_d, trace_p, trace_m
-                )
+            result = self._run_region(
+                ctx, policy, epoch, trace_t, trace_d, trace_p, trace_m
+            )
             regions.append(result)
             policy.on_region_end(ctx)
             if self.journal is not None:
@@ -690,8 +691,11 @@ class Engine:
         trace_m: list[float],
     ) -> RegionResult:
         cfg = self.config
+        topo = self.topology
+        n = topo.n_tiers
         region = ctx.region
         assert region is not None
+        table = ctx.page_table
         tel = self.telemetry
         start = ctx.time
         finish: dict[str, float] = {}
@@ -710,19 +714,23 @@ class Engine:
         # budgets) arbitrarily under heavy skew.
         max_t = max(ctx.instance_times[i.task_id] for i in region.instances)
         dt = max(max_t / cfg.ticks_per_instance, 1e-9)
-        mig_budget_bytes = cfg.migration_bandwidth_fraction * self.hm.pm.read_bandwidth * dt
+        bandwidths = [tier.read_bandwidth for tier in topo.tiers]
+        mig_budget_bytes = cfg.migration_bandwidth_fraction * bandwidths[-1] * dt
         ctx.migration_budget_pages = max(1, int(mig_budget_bytes // PAGE_SIZE))
         ctx.failed_migrations.clear()
 
         # batched tick kernel: hoists the placement-independent parts of
-        # every instance's breakdown out of the tick loop (PERFORMANCE.md);
-        # the n = 2 case of the tiered kernel, bit-identical to one
-        # MachineModel.breakdown call per instance
-        kernel = BreakdownKernel(
-            self.machine,
-            self.hm,
-            [(inst.task_id, inst.footprint) for inst in region.instances],
-        )
+        # every instance's breakdown out of the tick loop (PERFORMANCE.md).
+        # A 2-tier table hands it per-object DRAM ratios, priced as the
+        # n = 2 case of the N-tier body, bit-identical to one
+        # MachineModel.breakdown call per instance.
+        footprints = [(inst.task_id, inst.footprint) for inst in region.instances]
+        if self._tiered:
+            kernel = TieredBreakdownKernel(self.machine, topo, footprints)
+            placement = ctx.tier_fraction_vectors
+        else:
+            kernel = BreakdownKernel(self.machine, self.hm, footprints)
+            placement = ctx.dram_fractions
 
         ticks = 0
         while len(finish) < len(region.instances):
@@ -740,7 +748,7 @@ class Engine:
                     if all(dep in finish for dep in gates[tid]):
                         ctx.gated.discard(tid)
                         released[tid] = ctx.time
-            fractions = ctx.dram_fractions()
+            fractions = placement()
             active = ctx.active_instances()
             if not active and ctx.gated:
                 # unreachable for validated DAG gates (ParallelRegion rejects
@@ -754,10 +762,9 @@ class Engine:
             # Demand sums stay sequential Python adds in instance order, as
             # in the per-instance reference.
             dprog: dict[str, float] = {}
-            # task id -> whole-instance (DRAM, PM) bytes, tiers 0 and 1
-            inst_bytes: dict[str, tuple[float, float]] = {}
-            demand_dram = 0.0
-            demand_pm = 0.0
+            # task id -> whole-instance bytes per tier, fastest first
+            inst_bytes: dict[str, list[float]] = {}
+            demand = [0.0] * n
             bd_batch = kernel.breakdown_batch(
                 [inst.task_id for inst in active], fractions
             )
@@ -765,32 +772,41 @@ class Engine:
                 ctx.instance_times[inst.task_id] = bd.total_s
                 d = dt / max(bd.total_s, 1e-12)
                 dprog[inst.task_id] = d
-                b_dram, b_pm = bd.tier_bytes(0), bd.tier_bytes(1)
-                inst_bytes[inst.task_id] = (b_dram, b_pm)
-                demand_dram += d * b_dram
-                demand_pm += d * b_pm
+                b = list(map(add, bd.tier_read_bytes, bd.tier_write_bytes))
+                inst_bytes[inst.task_id] = b
+                for k in range(n):
+                    demand[k] += d * b[k]
 
             # phase 2: bandwidth contention scaling per tier.  Transient
-            # PM-bandwidth degradation (an injected environment fault)
-            # shrinks the PM cap for the affected ticks.
-            cap_dram = self.hm.dram.read_bandwidth * dt
-            pm_factor = (
+            # bandwidth degradation (an injected environment fault) shrinks
+            # the slowest tier's cap for the affected ticks.
+            bw_factor = (
                 self.faults.pm_bandwidth_factor(ctx.time)
                 if self.faults is not None
                 else 1.0
             )
-            cap_pm = self.hm.pm.read_bandwidth * dt * pm_factor
-            s_dram = min(1.0, cap_dram / demand_dram) if demand_dram > 0 else 1.0
-            s_pm = min(1.0, cap_pm / demand_pm) if demand_pm > 0 else 1.0
+            caps = [bw * dt for bw in bandwidths]
+            caps[-1] *= bw_factor
+            scales = [
+                min(1.0, cap / want) if want > 0 else 1.0
+                for cap, want in zip(caps, demand)
+            ]
+            fast_scales, slow_scale = scales[:-1], scales[-1]
 
-            tick_dram_bytes = 0.0
-            tick_pm_bytes = 0.0
+            tick_bytes = [0.0] * n
             for inst in active:
-                b_dram, b_pm = inst_bytes[inst.task_id]
-                total_bytes = b_dram + b_pm
+                b = inst_bytes[inst.task_id]
+                total_bytes = _seq_sum(b)
                 if total_bytes > 0:
-                    w_d = b_dram / total_bytes
-                    scale = w_d * s_dram + (1.0 - w_d) * s_pm
+                    # the 2-tier order for every n: the slowest tier takes
+                    # the weight the faster tiers leave, 1 - sum(w_k)
+                    scale = 0.0
+                    w_fast = 0.0
+                    for b_k, s_k in zip(b, fast_scales):
+                        w = b_k / total_bytes
+                        scale += w * s_k
+                        w_fast += w
+                    scale = scale + (1.0 - w_fast) * slow_scale
                 else:
                     scale = 1.0
                 step = dprog[inst.task_id] * scale
@@ -805,33 +821,29 @@ class Engine:
                 done = new - prev
                 # the bytes are whole-instance totals; this tick moved the
                 # completed fraction of them
-                tick_dram_bytes += done * b_dram
-                tick_pm_bytes += done * b_pm
+                for k in range(n):
+                    tick_bytes[k] += done * b[k]
 
-            # DRAM capacity-pressure spike: an external allocation steals
-            # capacity, so the kernel demotes our coldest pages to make room
-            # and promotions are admitted against the smaller DRAM.
+            # capacity-pressure spike: an external allocation steals
+            # fastest-tier capacity, so the kernel demotes our coldest pages
+            # to make room and promotions are admitted against the smaller
+            # tier.
             pressure = (
-                self.faults.dram_pressure_bytes(
-                    ctx.time, ctx.page_table.dram_capacity_bytes
-                )
+                self.faults.dram_pressure_bytes(ctx.time, table.fast_capacity_bytes)
                 if self.faults is not None
                 else 0
             )
             if pressure > 0:
-                plan = _plan_pressure_evictions(ctx.page_table, pressure)
-                if plan:
-                    evict_batch = MigrationBatch(
-                        moves=tuple((name, idx, False) for name, idx in plan)
-                    )
+                evict_batch = table.plan_pressure_evictions(pressure)
+                if evict_batch is not None:
                     # kernel-driven demotions mutate placement too, so they
                     # are journaled like policy moves
                     self._journal_batch(ctx, epoch, evict_batch, "pressure")
-                    evicted = ctx.page_table.apply_batch(evict_batch)
+                    evicted = table.apply_batch(evict_batch)
                     if evicted:
                         ctx.pages_migrated += evicted
-                        tick_pm_bytes += evicted * PAGE_SIZE
-                        tick_dram_bytes += evicted * PAGE_SIZE
+                        tick_bytes[-1] += evicted * PAGE_SIZE
+                        tick_bytes[0] += evicted * PAGE_SIZE
                         if tel is not None:
                             tel.inc(
                                 "merch_engine_pages_migrated_total",
@@ -848,8 +860,9 @@ class Engine:
             batch = policy.on_tick(ctx, dt)
             mig_bytes = 0.0
             if batch is not None and batch.n_pages > 0:
-                # migrations read PM, so a degraded PM shrinks their budget
-                max_pages = max(1, int(mig_budget_bytes * pm_factor // PAGE_SIZE))
+                # migrations read the slowest tier, so a degraded one
+                # shrinks their budget
+                max_pages = max(1, int(mig_budget_bytes * bw_factor // PAGE_SIZE))
                 batch = _clamp_batch(batch, max_pages)
                 if self.faults is not None:
                     batch, failed = self.faults.migration_outcome(batch, ctx.time)
@@ -868,235 +881,9 @@ class Engine:
                         # the kill lands mid-copy: only the first half of the
                         # batch reaches the page table
                         to_apply = _clamp_batch(batch, max(1, batch.n_pages // 2))
-                    table = ctx.page_table
-                    base_capacity = table.dram_capacity_bytes
-                    table.dram_capacity_bytes = max(0, base_capacity - pressure)
-                    try:
-                        moved = table.apply_batch(to_apply)
-                    finally:
-                        table.dram_capacity_bytes = base_capacity
+                    moved = table.apply_batch_under_pressure(to_apply, pressure)
                     if crash_mid:
                         raise self._crash(ctx)
-                    ctx.pages_migrated += moved
-                    mig_bytes = moved * PAGE_SIZE
-                    ctx.migration_overhead_s += (
-                        moved * self.hm.page_migration_overhead_s
-                    )
-                    if tel is not None and moved:
-                        overhead = moved * self.hm.page_migration_overhead_s
-                        tel.inc(
-                            "merch_engine_pages_migrated_total", moved, cause="policy"
-                        )
-                        tel.inc(
-                            "merch_engine_bytes_migrated_total",
-                            mig_bytes, cause="policy",
-                        )
-                        tel.inc(
-                            "merch_engine_migration_overhead_seconds_total", overhead
-                        )
-                        tel.tracer.add_complete(
-                            "migrate", ctx.time, overhead,
-                            track="virtual", pages=moved, cause="policy",
-                        )
-                    # migration reads PM and writes DRAM (promotions) or the
-                    # reverse; charge both tiers the full copy traffic
-                    tick_pm_bytes += mig_bytes
-                    tick_dram_bytes += mig_bytes
-
-            if cfg.record_bandwidth:
-                trace_t.append(ctx.time)
-                trace_d.append(tick_dram_bytes / dt)
-                trace_p.append(tick_pm_bytes / dt)
-                trace_m.append(mig_bytes / dt)
-
-            if tel is not None:
-                tel.inc("merch_engine_ticks_total")
-                tel.set(
-                    "merch_engine_dram_occupancy_ratio",
-                    ctx.page_table.dram_used_bytes()
-                    / max(ctx.page_table.dram_capacity_bytes, 1),
-                )
-
-            ctx.time += dt
-
-        # the barrier releases at the last finish time; snap region end there
-        end = max(finish.values())
-        ctx.time = end
-        if tel is not None:
-            first = min(finish.values())
-            tel.tracer.add_complete(
-                "barrier", first, end - first,
-                track="virtual", tasks=len(finish),
-            )
-        busy = {t: finish[t] - released.get(t, start) for t in finish}
-        wait = {t: end - finish[t] for t in finish}
-        return RegionResult(
-            name=region.name, start_s=start, end_s=end, busy_s=busy, wait_s=wait
-        )
-
-    # ------------------------------------------------------------------
-    def _run_tiered_region(
-        self,
-        ctx: EngineContext,
-        policy: PlacementPolicy,
-        trace_t: list[float],
-        trace_d: list[float],
-        trace_p: list[float],
-        trace_m: list[float],
-    ) -> RegionResult:
-        """N-tier twin of :meth:`_run_region` (>2 tiers only).
-
-        Same three phases per tick, generalised: per-tier byte demand and
-        contention scaling, pressure spikes steal fastest-tier capacity,
-        and policies move pages with :class:`TieredMigrationBatch`.  Crash
-        journaling is excluded by construction (guarded in ``__init__``).
-        """
-        cfg = self.config
-        topo = self.topology
-        n = topo.n_tiers
-        region = ctx.region
-        assert region is not None
-        table = ctx.page_table
-        assert isinstance(table, TieredPageTable)
-        tel = self.telemetry
-        start = ctx.time
-        finish: dict[str, float] = {}
-        gates = region.gate_map()
-        released: dict[str, float] = {
-            inst.task_id: start
-            for inst in region.instances
-            if inst.task_id not in ctx.gated
-        }
-
-        max_t = max(ctx.instance_times[i.task_id] for i in region.instances)
-        dt = max(max_t / cfg.ticks_per_instance, 1e-9)
-        mig_budget_bytes = (
-            cfg.migration_bandwidth_fraction * topo.slowest.read_bandwidth * dt
-        )
-        ctx.migration_budget_pages = max(1, int(mig_budget_bytes // PAGE_SIZE))
-        ctx.failed_migrations.clear()
-
-        kernel = TieredBreakdownKernel(
-            self.machine,
-            topo,
-            [(inst.task_id, inst.footprint) for inst in region.instances],
-        )
-
-        ticks = 0
-        while len(finish) < len(region.instances):
-            ticks += 1
-            if ticks > cfg.max_ticks_per_region:
-                raise RuntimeError(
-                    f"region {region.name!r} exceeded {cfg.max_ticks_per_region} ticks"
-                )
-            if ctx.gated:
-                for tid in sorted(ctx.gated):
-                    if all(dep in finish for dep in gates[tid]):
-                        ctx.gated.discard(tid)
-                        released[tid] = ctx.time
-            vectors = ctx.tier_fraction_vectors()
-            active = ctx.active_instances()
-            if not active and ctx.gated:
-                raise RuntimeError(
-                    f"region {region.name!r}: gated instances "
-                    f"{sorted(ctx.gated)} can never be released"
-                )
-
-            # phase 1: unconstrained progress and per-tier byte demand
-            dprog: dict[str, float] = {}
-            bds: dict[str, TieredBreakdown] = {}
-            demand = [0.0] * n
-            bd_batch = kernel.breakdown_batch(
-                [inst.task_id for inst in active], vectors
-            )
-            for inst, bd in zip(active, bd_batch):
-                bds[inst.task_id] = bd
-                ctx.instance_times[inst.task_id] = bd.total_s
-                d = dt / max(bd.total_s, 1e-12)
-                dprog[inst.task_id] = d
-                for k in range(n):
-                    demand[k] += d * bd.tier_bytes(k)
-
-            # phase 2: per-tier bandwidth contention.  The injected
-            # "pm bandwidth degraded" environment fault hits the slowest
-            # tier, like its 2-tier counterpart.
-            bw_factors = (
-                self.faults.tier_bandwidth_factors(ctx.time, n)
-                if self.faults is not None
-                else (1.0,) * n
-            )
-            scales = []
-            for k in range(n):
-                cap = topo.tiers[k].read_bandwidth * dt * bw_factors[k]
-                scales.append(min(1.0, cap / demand[k]) if demand[k] > 0 else 1.0)
-
-            tick_bytes = [0.0] * n
-            for inst in active:
-                bd = bds[inst.task_id]
-                total_bytes = sum(bd.tier_bytes(k) for k in range(n))
-                if total_bytes > 0:
-                    scale = sum(
-                        (bd.tier_bytes(k) / total_bytes) * scales[k]
-                        for k in range(n)
-                    )
-                else:
-                    scale = 1.0
-                step = dprog[inst.task_id] * scale
-                prev = ctx.progress[inst.task_id]
-                new = prev + step
-                if new >= 1.0:
-                    frac = (1.0 - prev) / max(step, 1e-15)
-                    finish[inst.task_id] = ctx.time + frac * dt
-                    new = 1.0
-                ctx.progress[inst.task_id] = new
-                done = new - prev
-                for k in range(n):
-                    tick_bytes[k] += done * bd.tier_bytes(k)
-
-            # capacity-pressure spike steals fastest-tier capacity: demote
-            # its coldest pages to the nearest tier with room
-            pressure = (
-                self.faults.tier_pressure_bytes(ctx.time, table.capacities_bytes)[0]
-                if self.faults is not None
-                else 0
-            )
-            if pressure > 0:
-                evict_batch = _plan_tiered_pressure_evictions(table, pressure)
-                if evict_batch is not None:
-                    evicted = table.apply_batch(evict_batch)
-                    if evicted:
-                        ctx.pages_migrated += evicted
-                        tick_bytes[0] += evicted * PAGE_SIZE
-                        tick_bytes[-1] += evicted * PAGE_SIZE
-                        if tel is not None:
-                            tel.inc(
-                                "merch_engine_pages_migrated_total",
-                                evicted, cause="pressure",
-                            )
-                            tel.inc(
-                                "merch_engine_bytes_migrated_total",
-                                evicted * PAGE_SIZE, cause="pressure",
-                            )
-
-            # phase 3: policy-driven migration, throttled and fault-checked
-            batch = policy.on_tick(ctx, dt)
-            mig_bytes = 0.0
-            if batch is not None and batch.n_pages > 0:
-                max_pages = max(1, int(mig_budget_bytes * bw_factors[-1] // PAGE_SIZE))
-                batch = _clamp_batch(batch, max_pages)
-                if self.faults is not None:
-                    batch, failed = self.faults.migration_outcome(batch, ctx.time)
-                    if failed is not None:
-                        ctx.failed_migrations.append(failed)
-                if batch is not None and batch.n_pages > 0:
-                    base = table.capacities_bytes
-                    table.capacities_bytes = (
-                        max(0, base[0] - pressure),
-                    ) + base[1:]
-                    try:
-                        moved = table.apply_batch(batch)
-                    finally:
-                        table.capacities_bytes = base
                     ctx.pages_migrated += moved
                     mig_bytes = moved * PAGE_SIZE
                     overhead = moved * topo.page_migration_overhead_s
@@ -1117,26 +904,24 @@ class Engine:
                             track="virtual", pages=moved, cause="policy",
                         )
                     # copies read the source tier and write the destination;
-                    # charge the fast end and the slow aggregate like the
-                    # 2-tier loop does
-                    tick_bytes[0] += mig_bytes
+                    # charge the fastest and the slowest tier the full copy
+                    # traffic
                     tick_bytes[-1] += mig_bytes
+                    tick_bytes[0] += mig_bytes
 
             if cfg.record_bandwidth:
                 trace_t.append(ctx.time)
                 trace_d.append(tick_bytes[0] / dt)
-                trace_p.append(sum(tick_bytes[1:]) / dt)
+                trace_p.append(_seq_sum(tick_bytes[1:]) / dt)
                 trace_m.append(mig_bytes / dt)
 
             if tel is not None:
                 tel.inc("merch_engine_ticks_total")
-                tel.set(
-                    "merch_engine_dram_occupancy_ratio",
-                    table.tier_used_bytes(0) / max(table.capacities_bytes[0], 1),
-                )
+                tel.set("merch_engine_dram_occupancy_ratio", table.fast_occupancy())
 
             ctx.time += dt
 
+        # the barrier releases at the last finish time; snap region end there
         end = max(finish.values())
         ctx.time = end
         if tel is not None:
@@ -1152,89 +937,14 @@ class Engine:
         )
 
 
-def _plan_tiered_pressure_evictions(
-    table: TieredPageTable, pressure_bytes: int
-) -> TieredMigrationBatch | None:
-    """Coldest fastest-tier pages out to the nearest tier with free pages.
-
-    Same deterministic victim order as the 2-tier planner: objects by
-    ``(tier-0 access fraction, name)``, pages coldest-first with stable
-    id tie-breaks.  Destinations fill slower tiers in order (1, 2, ...),
-    so demoted pages land as close to the fast tier as space allows.
-    """
-    if pressure_bytes <= 0:
-        return None
-    capacity_pages = max(0, (table.capacities_bytes[0] - pressure_bytes) // PAGE_SIZE)
-    used = int(table.tier_used_pages(0))
-    need = used - capacity_pages
-    if need <= 0:
-        return None
-    free = [table.tier_free_pages(k) for k in range(table.n_tiers)]
-    fractions = table.access_fraction_vectors()
-    moves: list[tuple[str, np.ndarray, int]] = []
-    picked = 0
-    dst = 1
-    for obj in sorted(table, key=lambda o: (float(fractions[o.name][0]), o.name)):
-        if picked >= need:
-            break
-        cold = obj.coldest_pages_in(0, limit=need - picked)
-        pos = 0
-        while pos < len(cold):
-            while dst < table.n_tiers and free[dst] <= 0:
-                dst += 1
-            if dst >= table.n_tiers:
-                break
-            take = cold[pos : pos + free[dst]]
-            moves.append((obj.name, take, dst))
-            free[dst] -= len(take)
-            picked += len(take)
-            pos += len(take)
-        if dst >= table.n_tiers:
-            break
-    return TieredMigrationBatch(moves=tuple(moves)) if moves else None
-
-
-def _plan_pressure_evictions(
-    table: PageTable, pressure_bytes: int
-) -> list[tuple[str, np.ndarray]]:
-    """Pick the coldest DRAM pages to demote so the table fits the capacity
-    left over by an external pressure spike.  Pure planning (no mutation) so
-    the choice can be journaled before it is applied.
-
-    Victim order is a deterministic function of the placement: objects by
-    ``(dram_access_fraction, name)`` -- the name tie-break pins the order
-    when fractions tie, independent of dict insertion order -- and pages
-    within an object coldest-first with id tie-breaks
-    (:meth:`PagedObject.coldest_dram_pages` uses a stable sort).
-    """
-    if pressure_bytes <= 0:
-        return []
-    capacity_pages = max(0, (table.dram_capacity_bytes - pressure_bytes) // PAGE_SIZE)
-    used = int(sum(obj.dram_pages() for obj in table))
-    need = used - capacity_pages
-    if need <= 0:
-        return []
-    plan: list[tuple[str, np.ndarray]] = []
-    picked = 0
-    for obj in sorted(table, key=lambda o: (o.dram_access_fraction(), o.name)):
-        if picked >= need:
-            break
-        cold = obj.coldest_dram_pages(limit=need - picked)
-        if len(cold):
-            plan.append((obj.name, cold))
-            picked += len(cold)
-    return plan
-
-
-def _evict_for_pressure(table: PageTable, pressure_bytes: int) -> int:
-    """Demote the coldest DRAM pages until the table fits the capacity left
-    over by an external pressure spike.  Returns pages evicted."""
-    plan = _plan_pressure_evictions(table, pressure_bytes)
-    if not plan:
-        return 0
-    return table.apply_batch(
-        MigrationBatch(moves=tuple((name, idx, False) for name, idx in plan))
-    )
+def _seq_sum(values: Sequence[float]) -> float:
+    """Left-to-right float sum from 0.0; the builtin ``sum`` compensates
+    rounding on Python >= 3.12, which would make results depend on the
+    interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _clamp_batch(batch: MigrationBatch, max_pages: int) -> MigrationBatch:

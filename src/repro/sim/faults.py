@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -452,7 +452,11 @@ class FaultInjector:
     # environment faults
     # ------------------------------------------------------------------
     def pm_bandwidth_factor(self, now: float) -> float:
-        """Current PM bandwidth multiplier (1.0 when healthy)."""
+        """Current PM bandwidth multiplier (1.0 when healthy).
+
+        On an N-tier topology the engine applies it to the slowest tier,
+        the PM of the 2-tier fault model.
+        """
         if now <= self._pm_bw_until_s:
             return self.config.pm_bw_degradation_factor
         if self._fire(self.config.pm_bw_degradation_rate, now):
@@ -467,7 +471,11 @@ class FaultInjector:
         return 1.0
 
     def dram_pressure_bytes(self, now: float, capacity_bytes: int) -> int:
-        """Bytes of DRAM currently stolen by an external pressure spike."""
+        """Bytes of DRAM currently stolen by an external pressure spike.
+
+        On an N-tier topology the engine passes, and steals from, the
+        fastest tier's capacity.
+        """
         if now <= self._dram_pressure_until_s:
             return self._dram_pressure_bytes
         if self._fire(self.config.dram_pressure_rate, now):
@@ -484,28 +492,6 @@ class FaultInjector:
             return stolen
         self._dram_pressure_bytes = 0
         return 0
-
-    # -- N-tier forms of the environment faults ------------------------
-    # The 2-tier fault model hard-codes *which* tier each fault hits:
-    # bandwidth degradation is a PM (slowest-tier) fault and capacity
-    # pressure is a DRAM (fastest-tier) fault.  The tier-vector wrappers
-    # keep that mapping -- and the exact same RNG draws -- on topologies
-    # with any number of tiers, so a 2-tier run through them is
-    # bit-identical to the scalar hooks above.
-    def tier_bandwidth_factors(self, now: float, n_tiers: int) -> tuple[float, ...]:
-        """Per-tier bandwidth multipliers, fastest first (1.0 = healthy)."""
-        if n_tiers < 2:
-            raise ValueError("a memory topology has at least 2 tiers")
-        return (1.0,) * (n_tiers - 1) + (self.pm_bandwidth_factor(now),)
-
-    def tier_pressure_bytes(
-        self, now: float, capacities_bytes: Sequence[int]
-    ) -> tuple[int, ...]:
-        """Externally stolen bytes per tier, fastest first."""
-        if len(capacities_bytes) < 2:
-            raise ValueError("a memory topology has at least 2 tiers")
-        stolen = self.dram_pressure_bytes(now, int(capacities_bytes[0]))
-        return (stolen,) + (0,) * (len(capacities_bytes) - 1)
 
     # ------------------------------------------------------------------
     # API faults

@@ -136,8 +136,8 @@ class TieredBreakdownKernel:
     ) -> np.ndarray:
         """(n_obj, n_tiers) clipped fraction matrix in column order.
 
-        Missing objects default to all-in-slowest, matching the scalar
-        ``breakdown_tiered``.
+        Missing objects default to all-in-slowest and NaN components clip
+        to 0.0, matching the scalar ``breakdown_tiered``.
         """
         n = self._n_tiers
         default = (0.0,) * (n - 1) + (1.0,)
@@ -150,7 +150,7 @@ class TieredBreakdownKernel:
                     f"for a {n}-tier topology"
                 )
             mat[row, :] = f
-        return np.clip(mat, 0.0, 1.0)
+        return _clip_unit(mat)
 
     def breakdown_batch(
         self,
@@ -253,10 +253,9 @@ class BreakdownKernel(TieredBreakdownKernel):
         dram_fractions: Mapping[str, float],
     ) -> list[TieredBreakdown]:
         # _obj_cols maps names to 0..n-1 in insertion order, so iterating
-        # its keys fills column order directly; clip(v, 0, 1) returns the
-        # same bits as min(1.0, max(0.0, v)) for every non-NaN float.
-        # _price, not the tiered breakdown_batch, so each entry point is
-        # timed on its own by profilers that wrap it
+        # its keys fills column order directly.  _price, not the tiered
+        # breakdown_batch, so each entry point is timed on its own by
+        # profilers that wrap it
         n_obj = len(self._obj_cols)
         r = np.fromiter(
             (dram_fractions.get(name, 0.0) for name in self._obj_cols),
@@ -264,6 +263,15 @@ class BreakdownKernel(TieredBreakdownKernel):
             count=n_obj,
         )
         f = np.empty((n_obj, 2))
-        np.clip(r, 0.0, 1.0, out=f[:, 0])
+        f[:, 0] = _clip_unit(r)
         np.subtract(1.0, f[:, 0], out=f[:, 1])
         return self._price(task_ids, f)
+
+
+def _clip_unit(values: np.ndarray) -> np.ndarray:
+    """Clip to [0, 1] like the scalar ``min(1.0, max(0.0, v))``: ``np.clip``
+    for every non-NaN input (it keeps -0.0, which prices like the scalar's
+    0.0), and 0.0 for a NaN, which ``np.clip`` would pass through."""
+    out = np.clip(values, 0.0, 1.0)
+    out[np.isnan(out)] = 0.0
+    return out

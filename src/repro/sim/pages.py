@@ -481,6 +481,58 @@ class PageTable:
             name: o.dram_access_fraction() for name, o in self._objects.items()
         }
 
+    # -- fastest-tier view shared with TieredPageTable (engine hooks) ----
+    @property
+    def fast_capacity_bytes(self) -> int:
+        """DRAM capacity: the tier capacity-pressure spikes steal from."""
+        return self.dram_capacity_bytes
+
+    def fast_occupancy(self) -> float:
+        """Used fraction of DRAM (the engine's occupancy gauge)."""
+        return self.dram_used_bytes() / max(self.dram_capacity_bytes, 1)
+
+    def apply_batch_under_pressure(
+        self, batch: MigrationBatch, pressure_bytes: int
+    ) -> int:
+        """:meth:`apply_batch` with ``pressure_bytes`` of DRAM stolen by an
+        external allocation for the duration of the batch."""
+        base = self.dram_capacity_bytes
+        self.dram_capacity_bytes = max(0, base - pressure_bytes)
+        try:
+            return self.apply_batch(batch)
+        finally:
+            self.dram_capacity_bytes = base
+
+    def plan_pressure_evictions(self, pressure_bytes: int) -> MigrationBatch | None:
+        """Demotions of the coldest DRAM pages that make the table fit the
+        capacity a pressure spike of ``pressure_bytes`` leaves over, or
+        ``None`` when nothing has to move.  Pure planning (no mutation), so
+        the choice can be journaled before it is applied.
+
+        Victim order is a deterministic function of the placement: objects
+        by ``(dram_access_fraction, name)`` -- the name tie-break pins the
+        order when fractions tie, independent of dict insertion order --
+        and pages within an object coldest-first with id tie-breaks
+        (:meth:`PagedObject.coldest_dram_pages` uses a stable sort).
+        """
+        if pressure_bytes <= 0:
+            return None
+        left_bytes = self.dram_capacity_bytes - pressure_bytes
+        used = int(sum(obj.dram_pages() for obj in self))
+        need = used - max(0, left_bytes // PAGE_SIZE)
+        if need <= 0:
+            return None
+        moves: list[tuple[str, np.ndarray, bool]] = []
+        picked = 0
+        for obj in sorted(self, key=lambda o: (o.dram_access_fraction(), o.name)):
+            if picked >= need:
+                break
+            cold = obj.coldest_dram_pages(limit=need - picked)
+            if len(cold):
+                moves.append((obj.name, cold, False))
+                picked += len(cold)
+        return MigrationBatch(moves=tuple(moves)) if moves else None
+
     def sample_pages(self, n: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
         """Uniformly sample ``n`` pages across the whole space.
 
@@ -851,6 +903,72 @@ class TieredPageTable:
             if vec is None:
                 cache[name] = self._objects[name].tier_access_fractions()
         return {name: vec.copy() for name, vec in cache.items()}
+
+    # -- fastest-tier view shared with PageTable (engine hooks) ---------
+    @property
+    def fast_capacity_bytes(self) -> int:
+        """Tier 0's capacity: the tier capacity-pressure spikes steal from."""
+        return self.capacities_bytes[0]
+
+    def fast_occupancy(self) -> float:
+        """Used fraction of tier 0 (the engine's occupancy gauge)."""
+        return self.tier_used_bytes(0) / max(self.capacities_bytes[0], 1)
+
+    def apply_batch_under_pressure(
+        self, batch: TieredMigrationBatch, pressure_bytes: int
+    ) -> int:
+        """:meth:`apply_batch` with ``pressure_bytes`` of tier 0 stolen by an
+        external allocation for the duration of the batch."""
+        base = self.capacities_bytes
+        self.capacities_bytes = (max(0, base[0] - pressure_bytes),) + base[1:]
+        try:
+            return self.apply_batch(batch)
+        finally:
+            self.capacities_bytes = base
+
+    def plan_pressure_evictions(
+        self, pressure_bytes: int
+    ) -> TieredMigrationBatch | None:
+        """Moves of the coldest tier-0 pages to the nearest slower tier with
+        free pages, so tier 0 fits what a pressure spike of
+        ``pressure_bytes`` leaves over; ``None`` when nothing has to move.
+
+        Same deterministic victim order as the 2-tier
+        :meth:`PageTable.plan_pressure_evictions`: objects by ``(tier-0
+        access fraction, name)``, pages coldest-first with stable id
+        tie-breaks.  Destinations fill slower tiers in order
+        (1, 2, ...), so demoted pages land as close to tier 0 as space
+        allows.
+        """
+        if pressure_bytes <= 0:
+            return None
+        left_bytes = self.capacities_bytes[0] - pressure_bytes
+        need = int(self.tier_used_pages(0)) - max(0, left_bytes // PAGE_SIZE)
+        if need <= 0:
+            return None
+        free = [self.tier_free_pages(k) for k in range(self.n_tiers)]
+        fractions = self.access_fraction_vectors()
+        moves: list[tuple[str, np.ndarray, int]] = []
+        picked = 0
+        dst = 1
+        for obj in sorted(self, key=lambda o: (float(fractions[o.name][0]), o.name)):
+            if picked >= need:
+                break
+            cold = obj.coldest_pages_in(0, limit=need - picked)
+            pos = 0
+            while pos < len(cold):
+                while dst < self.n_tiers and free[dst] <= 0:
+                    dst += 1
+                if dst >= self.n_tiers:
+                    break
+                take = cold[pos : pos + free[dst]]
+                moves.append((obj.name, take, dst))
+                free[dst] -= len(take)
+                picked += len(take)
+                pos += len(take)
+            if dst >= self.n_tiers:
+                break
+        return TieredMigrationBatch(moves=tuple(moves)) if moves else None
 
     def sample_pages(self, n: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
         """Uniform page sampling across the space (see PageTable)."""

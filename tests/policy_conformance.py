@@ -19,8 +19,8 @@ battery of invariants:
 
 Adding a policy means registering it in
 :mod:`repro.policies.registry` -- this file picks it up automatically.
-The nightly chaos job re-runs the harness under fault injection
-(``MERCH_CHAOS``), which must not break any invariant either.
+CI re-runs the harness under fault injection (``MERCH_CHAOS``) on every
+push, which must not break any invariant either.
 """
 
 import json
@@ -47,7 +47,7 @@ from repro.tasks import DataObject, Footprint, MPIProgram, ObjectAccess
 
 MB = 1 << 20
 
-#: chaos mode: re-run every invariant under fault injection (nightly CI)
+#: chaos mode: re-run every invariant under fault injection
 CHAOS = os.environ.get("MERCH_CHAOS", "") not in ("", "0")
 
 
@@ -162,17 +162,21 @@ class InvariantProbe:
         self.inner.on_recover(ctx)
 
 
+def chaos_faults() -> FaultInjector:
+    """The chaos-mode fault mix: failed migrations, degraded slowest-tier
+    bandwidth and fastest-tier capacity pressure."""
+    return FaultInjector(
+        FaultConfig(
+            migration_fail_rate=0.1,
+            pm_bw_degradation_rate=0.2,
+            dram_pressure_rate=0.2,
+        ),
+        seed=7,
+    )
+
+
 def engine_for(topo: TopologySpec) -> Engine:
-    faults = None
-    if CHAOS:
-        faults = FaultInjector(
-            FaultConfig(
-                migration_fail_rate=0.1,
-                pm_bw_degradation_rate=0.2,
-                dram_pressure_rate=0.2,
-            ),
-            seed=7,
-        )
+    faults = chaos_faults() if CHAOS else None
     return Engine(MachineModel(), topology=topo, faults=faults)
 
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.common import PAGE_SIZE
+from repro.common import PAGE_SIZE, AccessPattern
+from repro.sim import Engine, MachineModel, PlacementPolicy
 from repro.sim.faults import (
     CRASH_POINTS,
     RATE_FIELDS,
@@ -15,7 +16,9 @@ from repro.sim.faults import (
     RobustnessLog,
     RobustnessReport,
 )
-from repro.sim.pages import MigrationBatch
+from repro.sim.pages import MigrationBatch, TieredMigrationBatch
+from repro.tasks import DataObject, Footprint, MPIProgram, ObjectAccess
+from tests.policy_conformance import small_topology
 
 
 def injector(**rates) -> FaultInjector:
@@ -324,42 +327,77 @@ class TestCrashPoints:
             FaultConfig(**bad)
 
 
+def _streaming_workload(n_tasks=4):
+    """Bandwidth-bound tasks, one 4 MiB object each: together they fill
+    the middle tier of ``small_topology(3)`` exactly."""
+    prog = MPIProgram("stream", n_tasks)
+    fps = []
+    for i in range(n_tasks):
+        prog.declare_object(DataObject(f"obj{i}", 4 << 20, owner=prog.task_id(i)))
+        fps.append(
+            Footprint(
+                accesses=(
+                    ObjectAccess(f"obj{i}", AccessPattern.STREAM, reads=2_000_000_000),
+                ),
+                instructions=1_000_000,
+            )
+        )
+    prog.parallel_region("r", fps, kind="iter")
+    return prog.build()
+
+
+class _AllOnTier(PlacementPolicy):
+    """Moves every page it can to tier ``k`` at workload start, then
+    stays put."""
+
+    name = "all-on-tier"
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+
+    def on_workload_start(self, ctx):
+        self.table = ctx.page_table
+        self.table.apply_batch(
+            TieredMigrationBatch(
+                moves=tuple(
+                    (o.name, np.arange(o.n_pages), self.k) for o in self.table
+                )
+            )
+        )
+
+
 class TestTierEnvironmentFaults:
-    """The N-tier wrappers keep the 2-tier fault model's tier mapping."""
+    """The engine keeps the 2-tier fault model's tier mapping on N tiers:
+    bandwidth degradation hits the slowest tier, pressure the fastest."""
+
+    @staticmethod
+    def _run(k, **rates):
+        faults = FaultInjector(FaultConfig(**rates), seed=7) if rates else None
+        policy = _AllOnTier(k)
+        engine = Engine(MachineModel(), topology=small_topology(3), faults=faults)
+        return engine.run(_streaming_workload(), policy, seed=3), policy.table
 
     def test_bandwidth_degradation_hits_slowest_tier_only(self):
-        inj = injector(pm_bw_degradation_rate=1.0)
-        factors = inj.tier_bandwidth_factors(0.0, 4)
-        assert factors[:3] == (1.0, 1.0, 1.0)
-        assert factors[3] == inj.config.pm_bw_degradation_factor
-
-    def test_bandwidth_factors_match_scalar_on_two_tiers(self):
-        a = injector(pm_bw_degradation_rate=0.3)
-        b = injector(pm_bw_degradation_rate=0.3)
-        for t in np.linspace(0.0, 5.0, 40):
-            assert a.tier_bandwidth_factors(t, 2) == (
-                1.0,
-                b.pm_bandwidth_factor(t),
-            )
+        for k, slowed in ((1, False), (2, True)):
+            healthy, _ = self._run(k)
+            degraded, _ = self._run(k, pm_bw_degradation_rate=1.0)
+            assert degraded.robustness.count("fault.pm_bw_degraded") > 0
+            if slowed:
+                assert degraded.total_time_s > healthy.total_time_s
+            else:
+                assert degraded.total_time_s == healthy.total_time_s
 
     def test_pressure_hits_fastest_tier_only(self):
-        inj = injector(dram_pressure_rate=1.0)
-        stolen = inj.tier_pressure_bytes(0.0, (1 << 30, 1 << 32, 1 << 34))
-        assert stolen[1:] == (0, 0)
-        assert stolen[0] > 0 and stolen[0] % PAGE_SIZE == 0
+        # pages on the middle tier: a spike steals nothing they use
+        res, table = self._run(1, dram_pressure_rate=1.0)
+        assert res.robustness.count("fault.dram_pressure") > 0
+        assert res.pages_migrated == 0
+        assert table.tier_used_pages(1) == table.total_pages
+        # tier 0 full: a spike of a quarter of it demotes that many pages
+        # to the nearest tier with room
+        res, table = self._run(0, dram_pressure_rate=1.0)
+        stolen = table.tier_capacity_pages[0] // 4
+        assert res.pages_migrated == stolen
+        assert table.tier_used_pages(1) == stolen
 
-    def test_pressure_matches_scalar_on_two_tiers(self):
-        a = injector(dram_pressure_rate=0.5)
-        b = injector(dram_pressure_rate=0.5)
-        for t in np.linspace(0.0, 5.0, 40):
-            assert a.tier_pressure_bytes(t, (1 << 30, 1 << 33)) == (
-                b.dram_pressure_bytes(t, 1 << 30),
-                0,
-            )
 
-    def test_single_tier_rejected(self):
-        inj = injector()
-        with pytest.raises(ValueError):
-            inj.tier_bandwidth_factors(0.0, 1)
-        with pytest.raises(ValueError):
-            inj.tier_pressure_bytes(0.0, (1 << 30,))

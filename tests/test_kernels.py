@@ -467,7 +467,12 @@ def test_greedy_plan_with_precomputed_grids_bit_identical(system):
 
 #: DRAM ratios on and outside the [0, 1] edges; ``None`` leaves the object
 #: out of the placement map (priced as all-PM)
-_EDGE_RATIOS = (0.0, -0.0, 1.0, -0.5, 1.0000000000000002, 2.0, None)
+#: out-of-range and non-finite ratios: the scalar clamp
+#: ``min(1.0, max(0.0, v))`` maps NaN to 0.0, and the kernels must too
+_EDGE_RATIOS = (
+    0.0, -0.0, 1.0, -0.5, 1.0000000000000002, 2.0,
+    float("inf"), float("-inf"), float("nan"), None,
+)
 
 
 def test_breakdown_kernel_bit_identical(monkeypatch):
@@ -627,12 +632,27 @@ def test_tiered_breakdown_kernel_bit_identical(preset):
     rng = make_rng(7)
     objs = sorted({o for _, fp in fps for o in fp.objects})
     n = topo.n_tiers
+    placements = []
     for _ in range(6):
         fractions = {}
         for o in objs:
             raw = rng.uniform(0.0, 1.0, n)
             raw = raw / raw.sum()
             fractions[o] = tuple(float(x) for x in raw)
+        placements.append(fractions)
+    # non-finite and out-of-range components, clamped per component (a NaN
+    # to 0.0) by the scalar model
+    edges = [e for e in _EDGE_RATIOS if e is not None]
+    for _ in range(4):
+        fractions = {}
+        for o in objs:
+            vec = [float(x) for x in rng.uniform(0.0, 1.0, n)]
+            for k in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
+                vec[k] = edges[int(rng.integers(len(edges)))]
+            fractions[o] = tuple(vec)
+        placements.append(fractions)
+    placements.append({o: (float("nan"),) * n for o in objs})
+    for fractions in placements:
         batch = kernel.breakdown_batch([tid for tid, _ in fps], fractions)
         for (tid, fp), bd in zip(fps, batch):
             ref = machine.breakdown_tiered(fp, topo, fractions)

@@ -5,8 +5,13 @@ import pytest
 
 from repro.common import PAGE_SIZE, AccessPattern
 from repro.sim import Engine, EngineConfig, MachineModel, PlacementPolicy, optane_hm_config
-from repro.sim.engine import _clamp_batch, _evict_for_pressure, _plan_pressure_evictions
-from repro.sim.pages import MigrationBatch, PageTable
+from repro.sim.engine import _clamp_batch
+from repro.sim.pages import (
+    MigrationBatch,
+    PageTable,
+    TieredMigrationBatch,
+    TieredPageTable,
+)
 from repro.tasks import DataObject, Footprint, MPIProgram, ObjectAccess
 
 HM = optane_hm_config()
@@ -221,25 +226,30 @@ def _uniform_table(n_objects=3, pages_each=8, capacity_pages=64, order=None):
     return table
 
 
+def _victims(batch) -> list[tuple[str, tuple[int, ...]]]:
+    """(object, pages) of every move of a planned eviction batch."""
+    return [(name, tuple(int(i) for i in idx)) for name, idx, _ in batch.moves]
+
+
 class TestPressureEviction:
     def test_zero_and_negative_pressure_are_noops(self):
         table = _uniform_table()
-        assert _plan_pressure_evictions(table, 0) == []
-        assert _plan_pressure_evictions(table, -PAGE_SIZE) == []
-        assert _evict_for_pressure(table, 0) == 0
+        assert table.plan_pressure_evictions(0) is None
+        assert table.plan_pressure_evictions(-PAGE_SIZE) is None
         for obj in table:
             assert obj.dram_pages() == obj.n_pages
 
     def test_pressure_within_slack_evicts_nothing(self):
         # 24 pages used of 64: stealing 24 pages still leaves room
         table = _uniform_table()
-        assert _plan_pressure_evictions(table, 24 * PAGE_SIZE) == []
+        assert table.plan_pressure_evictions(24 * PAGE_SIZE) is None
 
     def test_evicts_exactly_the_deficit(self):
         table = _uniform_table(n_objects=2, pages_each=8, capacity_pages=16)
         # 16 used, capacity drops to 10 -> 6 pages must go
-        evicted = _evict_for_pressure(table, 6 * PAGE_SIZE)
-        assert evicted == 6
+        batch = table.plan_pressure_evictions(6 * PAGE_SIZE)
+        assert all(promote is False for _, _, promote in batch.moves)
+        assert table.apply_batch(batch) == 6
         used = sum(o.dram_pages() for o in table)
         assert used == 10
 
@@ -249,17 +259,115 @@ class TestPressureEviction:
         plans = []
         for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
             table = _uniform_table(order=order)
-            plan = _plan_pressure_evictions(table, 60 * PAGE_SIZE)
-            plans.append(
-                sorted((name, tuple(int(i) for i in idx)) for name, idx in plan)
-            )
+            plans.append(_victims(table.plan_pressure_evictions(60 * PAGE_SIZE)))
         assert plans[0] == plans[1] == plans[2]
+        assert plans[0] == [
+            ("obj0", tuple(range(8))),
+            ("obj1", tuple(range(8))),
+            ("obj2", (0, 1, 2, 3)),
+        ]
+
+    def test_lower_dram_fraction_is_evicted_first(self):
+        table = _uniform_table(n_objects=2)
+        table.object("obj1").set_pages(slice(4, None), 0.0)
+        # 12 pages used, 10 left: obj1 (fraction 0.5) goes before obj0
+        # (1.0), against the name order
+        assert _victims(table.plan_pressure_evictions(54 * PAGE_SIZE)) == [
+            ("obj1", (0, 1)),
+        ]
 
     def test_page_order_breaks_weight_ties_by_id(self):
         table = _uniform_table(n_objects=1, pages_each=8, capacity_pages=8)
-        (name, idx), = _plan_pressure_evictions(table, 3 * PAGE_SIZE)
+        (name, idx), = _victims(table.plan_pressure_evictions(3 * PAGE_SIZE))
         # uniform weights: coldest-first degenerates to ascending page id
         assert list(idx) == [0, 1, 2]
+
+
+def _tiered_uniform_table(
+    n_objects=3, pages_each=8, capacity_pages=(64, 64, 64), order=None
+):
+    """:func:`_uniform_table` on N tiers: every page starts on tier 0."""
+    names = [f"obj{i}" for i in range(n_objects)]
+    if order is not None:
+        names = [names[i] for i in order]
+    objects = [DataObject(nm, pages_each * PAGE_SIZE) for nm in names]
+    table = TieredPageTable(objects, [c * PAGE_SIZE for c in capacity_pages], rng=0)
+    table.apply_batch(
+        TieredMigrationBatch(
+            moves=tuple((o.name, np.arange(o.n_pages), 0) for o in table)
+        )
+    )
+    assert table.tier_used_pages(0) == n_objects * pages_each
+    return table
+
+
+class TestTieredPressureEviction:
+    """The N-tier planner: same victims as the 2-tier one, demoted to the
+    nearest slower tier with room."""
+
+    def test_zero_and_negative_pressure_are_noops(self):
+        table = _tiered_uniform_table()
+        assert table.plan_pressure_evictions(0) is None
+        assert table.plan_pressure_evictions(-PAGE_SIZE) is None
+        assert table.tier_used_pages(0) == 24
+
+    def test_pressure_within_slack_evicts_nothing(self):
+        table = _tiered_uniform_table()
+        assert table.plan_pressure_evictions(24 * PAGE_SIZE) is None
+
+    def test_evicts_exactly_the_deficit(self):
+        table = _tiered_uniform_table(
+            n_objects=2, pages_each=8, capacity_pages=(16, 64, 64)
+        )
+        batch = table.plan_pressure_evictions(6 * PAGE_SIZE)
+        assert table.apply_batch(batch) == 6
+        assert table.tier_used_pages(0) == 10
+        assert table.tier_used_pages(1) == 6
+
+    def test_victim_order_independent_of_insertion_order(self):
+        plans = []
+        for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
+            table = _tiered_uniform_table(order=order)
+            plans.append(_victims(table.plan_pressure_evictions(50 * PAGE_SIZE)))
+        assert plans[0] == plans[1] == plans[2]
+        assert plans[0] == [("obj0", tuple(range(8))), ("obj1", (0, 1))]
+
+    def test_lower_fast_tier_fraction_is_evicted_first(self):
+        table = _tiered_uniform_table(n_objects=2)
+        table.apply_batch(
+            TieredMigrationBatch(moves=(("obj1", np.arange(4, 8), 2),))
+        )
+        assert _victims(table.plan_pressure_evictions(54 * PAGE_SIZE)) == [
+            ("obj1", (0, 1)),
+        ]
+
+    def test_page_order_breaks_weight_ties_by_id(self):
+        table = _tiered_uniform_table(
+            n_objects=1, pages_each=8, capacity_pages=(8, 64, 64)
+        )
+        (name, idx), = _victims(table.plan_pressure_evictions(3 * PAGE_SIZE))
+        assert list(idx) == [0, 1, 2]
+
+    def test_demotions_fill_tier_1_before_tier_2(self):
+        table = _tiered_uniform_table(
+            n_objects=2, pages_each=8, capacity_pages=(16, 4, 64)
+        )
+        batch = table.plan_pressure_evictions(6 * PAGE_SIZE)
+        assert [(name, list(idx), dst) for name, idx, dst in batch.moves] == [
+            ("obj0", [0, 1, 2, 3], 1), ("obj0", [4, 5], 2),
+        ]
+        assert table.apply_batch(batch) == 6
+        assert [table.tier_used_pages(k) for k in range(3)] == [10, 4, 2]
+
+    def test_no_room_in_slower_tiers_plans_what_fits(self):
+        # 10 pages must leave tier 0, but only tier 1's 2 free pages exist
+        table = _tiered_uniform_table(
+            n_objects=2, pages_each=8, capacity_pages=(16, 2, 0)
+        )
+        batch = table.plan_pressure_evictions(10 * PAGE_SIZE)
+        assert [(name, list(idx), dst) for name, idx, dst in batch.moves] == [
+            ("obj0", [0, 1], 1),
+        ]
 
 
 class TestClampBatch:
