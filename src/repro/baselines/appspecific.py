@@ -20,7 +20,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.sim.engine import EngineContext, PlacementPolicy
-from repro.sim.pages import MigrationBatch
 
 __all__ = [
     "SpartaPolicy",

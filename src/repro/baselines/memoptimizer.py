@@ -63,17 +63,17 @@ class MemoryOptimizerPolicy(PlacementPolicy):
     # ------------------------------------------------------------------
     def _select_promotions(
         self, ctx: EngineContext, rates: PageRates
-    ) -> list[tuple[str, np.ndarray, bool]]:
+    ) -> list[tuple[str, np.ndarray, int]]:
         estimate = self._pte.sample(
             ctx.page_table, rates, self.interval_s, now=ctx.time
         )
         hot = top_k_hot_pages(estimate, self.promote_per_interval)
-        moves: list[tuple[str, np.ndarray, bool]] = []
+        moves: list[tuple[str, np.ndarray, int]] = []
         for name, idx in hot:
             obj = ctx.page_table.object(name)
             not_resident = idx[obj.residency[idx] < 1.0 - 1e-12]
             if len(not_resident):
-                moves.append((name, not_resident, True))
+                moves.append((name, not_resident, 0))
         return moves
 
     def _select_demotions(
@@ -81,7 +81,7 @@ class MemoryOptimizerPolicy(PlacementPolicy):
         ctx: EngineContext,
         rates: PageRates,
         pages_needed: int,
-    ) -> list[tuple[str, np.ndarray, bool]]:
+    ) -> list[tuple[str, np.ndarray, int]]:
         """Free ``pages_needed`` pages by demoting the coldest DRAM regions."""
         if pages_needed <= 0:
             return []
@@ -94,7 +94,7 @@ class MemoryOptimizerPolicy(PlacementPolicy):
             for start, count in zip(est.region_starts, est.estimated_accesses):
                 ranked.append((float(count), est.obj, int(start)))
         ranked.sort()
-        moves: list[tuple[str, np.ndarray, bool]] = []
+        moves: list[tuple[str, np.ndarray, int]] = []
         freed = 0
         for _, name, start in ranked:
             if freed >= pages_needed:
@@ -106,7 +106,7 @@ class MemoryOptimizerPolicy(PlacementPolicy):
             if len(resident) == 0:
                 continue
             take = resident[: pages_needed - freed]
-            moves.append((name, take, False))
+            moves.append((name, take, 1))
             freed += len(take)
         return moves
 
@@ -138,15 +138,15 @@ class MemoryOptimizerPolicy(PlacementPolicy):
 
 
 def _trim(
-    moves: list[tuple[str, np.ndarray, bool]], limit: int
-) -> list[tuple[str, np.ndarray, bool]]:
+    moves: list[tuple[str, np.ndarray, int]], limit: int
+) -> list[tuple[str, np.ndarray, int]]:
     """Keep at most ``limit`` pages across a move list (hottest-first order
     is preserved because the selector emits them ranked)."""
-    out: list[tuple[str, np.ndarray, bool]] = []
+    out: list[tuple[str, np.ndarray, int]] = []
     left = limit
-    for name, idx, promote in moves:
+    for name, idx, dst in moves:
         if left <= 0:
             break
-        out.append((name, idx[:left], promote))
+        out.append((name, idx[:left], dst))
         left -= min(len(idx), left)
     return out

@@ -116,13 +116,13 @@ class MigrationRetrier:
         if self.telemetry is not None:
             self.telemetry.inc("merch_guardrail_retries_total", outcome="scheduled")
 
-    def pop_due(self, now: float) -> tuple[list[tuple[str, np.ndarray, bool]], int]:
+    def pop_due(self, now: float) -> tuple[list[tuple[str, np.ndarray, int]], int]:
         """Moves whose backoff has elapsed, plus their max attempt count."""
         due = [entry for entry in self._queue if entry[2] <= now]
         if not due:
             return [], 0
         self._queue = [entry for entry in self._queue if entry[2] > now]
-        moves: list[tuple[str, np.ndarray, bool]] = []
+        moves: list[tuple[str, np.ndarray, int]] = []
         for batch, _, _ in due:
             moves.extend(batch.moves)
         return moves, max(attempt for _, attempt, _ in due)
@@ -143,9 +143,9 @@ class MigrationRetrier:
                         {
                             "obj": name,
                             "pages": [int(p) for p in idx],
-                            "promote": bool(promote),
+                            "dst": int(dst),
                         }
-                        for name, idx, promote in batch.moves
+                        for name, idx, dst in batch.moves
                     ],
                 }
                 for batch, attempt, not_before in self._queue
@@ -161,7 +161,7 @@ class MigrationRetrier:
                         (
                             move["obj"],
                             np.asarray(move["pages"], dtype=np.intp),
-                            bool(move["promote"]),
+                            int(move["dst"]),
                         )
                         for move in entry["moves"]
                     )

@@ -23,7 +23,6 @@ __all__ = [
     "TaskModelInputs",
     "PerformanceModel",
     "TieredTaskInputs",
-    "TieredPerformanceModel",
 ]
 
 
@@ -177,53 +176,3 @@ class TieredTaskInputs:
             total_accesses=self.total_accesses,
             pmcs=self.pmcs,
         )
-
-    @classmethod
-    def from_two_tier(cls, task: TaskModelInputs) -> "TieredTaskInputs":
-        return cls(
-            task_id=task.task_id,
-            tier_times=(task.t_dram_only, task.t_pm_only),
-            total_accesses=task.total_accesses,
-            pmcs=task.pmcs,
-        )
-
-
-class TieredPerformanceModel:
-    """Equation 2 lifted to N tiers by the effective-ratio reduction.
-
-    A placement vector ``r`` (fraction of accesses per tier, summing to 1)
-    is collapsed to one scalar ``r_eff = sum(r_k * s_k)`` using the
-    slowdown weights above, then priced with the trained 2-tier model
-    between the fastest and slowest endpoints.  With ``n = 2`` the weights
-    are exactly ``(1, 0)``, so ``r_eff == r_dram`` and every prediction is
-    bit-identical to :class:`PerformanceModel` -- the degenerate case the
-    conformance harness pins down.
-    """
-
-    def __init__(self, model: PerformanceModel) -> None:
-        self.model = model
-
-    @property
-    def correlation(self):
-        return self.model.correlation
-
-    def effective_ratio(self, task: TieredTaskInputs, fractions) -> float:
-        if len(fractions) != task.n_tiers:
-            raise ValueError(
-                f"{task.task_id}: fraction vector has {len(fractions)} "
-                f"entries for {task.n_tiers} tiers"
-            )
-        weights = task.slowdown_weights()
-        r_eff = 0.0
-        for r, s in zip(fractions, weights):
-            r_eff += min(1.0, max(0.0, float(r))) * s
-        return min(1.0, r_eff)
-
-    def predict_fractions(self, task: TieredTaskInputs, fractions) -> float:
-        """T_hybrid for a per-tier access-fraction vector."""
-        r_eff = self.effective_ratio(task, fractions)
-        return self.model.predict_ratio(task.as_two_tier(), r_eff)
-
-    def ratio_grid(self, task: TieredTaskInputs, ratios) -> "np.ndarray":
-        """Grid over the *effective* ratio (fastest-tier equivalents)."""
-        return self.model.ratio_grid(task.as_two_tier(), ratios)

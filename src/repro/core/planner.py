@@ -30,12 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.common import PAGE_SIZE
-from repro.core.model import (
-    PerformanceModel,
-    TaskModelInputs,
-    TieredPerformanceModel,
-    TieredTaskInputs,
-)
+from repro.core.model import PerformanceModel, TaskModelInputs, TieredTaskInputs
 
 __all__ = [
     "TaskQuota",
@@ -557,7 +552,7 @@ class TieredPlanResult:
 
 def tiered_greedy_plan(
     tasks: Sequence[TieredTaskInputs],
-    model: "PerformanceModel | TieredPerformanceModel",
+    model: PerformanceModel,
     capacities_bytes: Sequence[int],
     task_bytes: Mapping[str, int],
     step: float = 0.05,
@@ -570,8 +565,9 @@ def tiered_greedy_plan(
     conformance harness pins that down).  With more tiers the same
     longest-task-first loop runs, but a growth step promotes a ``step``
     slice of the task's pages from its slowest occupied tier into the
-    fastest tier with free capacity; predicted times come from the
-    effective-ratio reduction (:class:`TieredPerformanceModel`).  No tier
+    fastest tier with free capacity; a task's predicted time is the 2-tier
+    model's price of its effective ratio, ``sum(fraction_k * s_k)`` over
+    :meth:`TieredTaskInputs.slowdown_weights`.  No tier
     is ever over-committed: promotions are clamped to per-tier free pages
     and the initial placement waterfalls from the slowest tier up.
     """
@@ -589,17 +585,11 @@ def tiered_greedy_plan(
                 f"task {t.task_id!r} has {t.n_tiers} tier endpoints for a "
                 f"{n_tiers}-tier capacity vector"
             )
-    tmodel = (
-        model
-        if isinstance(model, TieredPerformanceModel)
-        else TieredPerformanceModel(model)
-    )
-
     two_tier = [t.as_two_tier() for t in tasks]
     task_pages = _task_pages_map(two_tier, task_bytes)
 
     if n_tiers == 2:
-        plan = greedy_plan(two_tier, tmodel.model, caps[0], task_bytes, step)
+        plan = greedy_plan(two_tier, model, caps[0], task_bytes, step)
         quotas = []
         for q in plan.quotas:
             tp = task_pages[q.task_id]
@@ -644,7 +634,7 @@ def tiered_greedy_plan(
                 break
 
     levels = _step_levels(step)
-    grid = tmodel.model.ratio_grids(two_tier, levels)
+    grid = model.ratio_grids(two_tier, levels)
     weights = {t.task_id: t.slowdown_weights() for t in tasks}
 
     def level_index(value: float) -> int:

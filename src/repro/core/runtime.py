@@ -317,7 +317,8 @@ class MerchandiserPolicy(PlacementPolicy):
         return plan, plan.predicted_makespan_s
 
     def on_tick(self, ctx: EngineContext, dt: float) -> MigrationBatch | None:
-        moves: list[tuple[str, np.ndarray, bool]] = []
+        # (object, pages, destination tier): 0 promotes to DRAM, 1 demotes
+        moves: list[tuple[str, np.ndarray, int]] = []
         # 0. guardrail: charge last tick's failed migrations to the retrier
         # and re-emit any whose backoff has elapsed (ahead of fresh moves,
         # so retries are not starved by the budget clamp)
@@ -337,7 +338,7 @@ class MerchandiserPolicy(PlacementPolicy):
                 name, idx = self._promotion_queue[0]
                 take = idx[:budget]
                 rest = idx[budget:]
-                moves.append((name, take, True))
+                moves.append((name, take, 0))
                 budget -= len(take)
                 if len(rest):
                     self._promotion_queue[0] = (name, rest)
@@ -354,11 +355,11 @@ class MerchandiserPolicy(PlacementPolicy):
             for name, idx in ((n, i) for n, i, _ in daemon):
                 if left <= 0:
                     break
-                moves.append((name, idx[:left], True))
+                moves.append((name, idx[:left], 0))
                 left -= min(len(idx), left)
         if not moves:
             return None
-        for name, idx in [(m[0], m[1]) for m in moves if m[2]]:
+        for name, idx in [(m[0], m[1]) for m in moves if m[2] == 0]:
             owner = ctx.page_table.object(name).owner or "<shared>"
             self.pages_promoted_by_task[owner] = (
                 self.pages_promoted_by_task.get(owner, 0) + len(idx)
@@ -366,27 +367,27 @@ class MerchandiserPolicy(PlacementPolicy):
         # 3. make room: demote from over-quota tasks first.  Demotions and
         # promotions share the engine's migration budget, so promotions are
         # halved when swaps are needed.
-        n_promote = int(sum(len(i) for _, i, p in moves if p))
+        n_promote = int(sum(len(i) for _, i, dst in moves if dst == 0))
         free = ctx.page_table.dram_free_pages()
         if n_promote > free:
             half = max(1, ctx.migration_budget_pages // 2)
-            kept: list[tuple[str, np.ndarray, bool]] = []
+            kept: list[tuple[str, np.ndarray, int]] = []
             left = max(free, half)
-            for name, idx, promote in moves:
+            for name, idx, dst in moves:
                 if left <= 0:
                     break
-                kept.append((name, idx[:left], promote))
+                kept.append((name, idx[:left], dst))
                 left -= min(len(idx), left)
             moves = kept
-            n_promote = int(sum(len(i) for _, i, p in moves if p))
+            n_promote = int(sum(len(i) for _, i, dst in moves if dst == 0))
             deficit = n_promote - free
             if deficit > 0:
                 moves = self._demotions(ctx, deficit) + moves
         if self.guardrails is not None:
             self.guardrails.retrier.note_emitted(retry_attempts)
         if self._telemetry is not None:
-            promoted = int(sum(len(i) for _, i, p in moves if p))
-            demoted = int(sum(len(i) for _, i, p in moves if not p))
+            promoted = int(sum(len(i) for _, i, dst in moves if dst == 0))
+            demoted = int(sum(len(i) for _, i, dst in moves if dst != 0))
             if promoted:
                 self._telemetry.inc(
                     "merch_policy_requested_pages_total",
@@ -727,7 +728,7 @@ class MerchandiserPolicy(PlacementPolicy):
 
     def _gated_daemon_moves(
         self, ctx: EngineContext
-    ) -> list[tuple[str, np.ndarray, bool]]:
+    ) -> list[tuple[str, np.ndarray, int]]:
         """MemoryOptimizer-style promotion, gated by per-task quotas."""
         rates = ctx.page_rates()
         estimate = self._pte.sample(
@@ -753,7 +754,7 @@ class MerchandiserPolicy(PlacementPolicy):
                 r_dram[tid] = self._task_r_dram(ctx, tid, fractions)
             return r_dram[tid]
 
-        moves: list[tuple[str, np.ndarray, bool]] = []
+        moves: list[tuple[str, np.ndarray, int]] = []
         for name, idx in hot:
             tasks = accessors.get(name, [])
             if self.enable_gating and self._quota_targets and tasks:
@@ -774,12 +775,12 @@ class MerchandiserPolicy(PlacementPolicy):
             obj = ctx.page_table.object(name)
             not_resident = idx[obj.residency[idx] < 1.0 - 1e-12]
             if len(not_resident):
-                moves.append((name, not_resident, True))
+                moves.append((name, not_resident, 0))
         return moves
 
     def _demotions(
         self, ctx: EngineContext, pages_needed: int
-    ) -> list[tuple[str, np.ndarray, bool]]:
+    ) -> list[tuple[str, np.ndarray, int]]:
         """Demote coldest pages, over-quota tasks' objects first."""
         assert ctx.region is not None
         # rank objects: over-quota owners first, then by coldness
@@ -794,7 +795,7 @@ class MerchandiserPolicy(PlacementPolicy):
             for acc in inst.footprint.accesses:
                 entries.append((0 if over else 1, fractions.get(acc.obj, 0.0), acc.obj))
         entries.sort()
-        moves: list[tuple[str, np.ndarray, bool]] = []
+        moves: list[tuple[str, np.ndarray, int]] = []
         freed = 0
         seen: set[str] = set()
         for _, _, name in entries:
@@ -806,6 +807,6 @@ class MerchandiserPolicy(PlacementPolicy):
             obj = ctx.page_table.object(name)
             cold = obj.coldest_dram_pages(limit=pages_needed - freed)
             if len(cold):
-                moves.append((name, cold, False))
+                moves.append((name, cold, 1))
                 freed += len(cold)
         return moves

@@ -16,15 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common import PAGE_SIZE, make_rng
-from repro.policies.base import (
-    drain_queue,
-    lane_tiers,
-    make_batch,
-    table_n_tiers,
-)
+from repro.common import make_rng
+from repro.policies.base import drain_queue
 from repro.sim.engine import EngineContext, PlacementPolicy
-from repro.sim.pages import TieredPageTable
 
 __all__ = ["IntervalReconfigPolicy"]
 
@@ -57,7 +51,7 @@ class IntervalReconfigPolicy(PlacementPolicy):
     # ------------------------------------------------------------------
     def _replan(self, ctx: EngineContext) -> None:
         table = ctx.page_table
-        n = table_n_tiers(table)
+        n = table.n_tiers
         rates = ctx.page_rates()
         obj, pages = table.sample_pages(self.sample_pages, rng=self._rng)
         has_rates = np.array([name in rates for name in table.names], dtype=bool)
@@ -78,11 +72,7 @@ class IntervalReconfigPolicy(PlacementPolicy):
         # re-placement reproduces the full placement in expectation
         total_pages = table.total_pages
         frac = len(all_pages) / max(total_pages, 1)
-        if isinstance(table, TieredPageTable):
-            caps = [max(1, int(c * frac)) for c in table.tier_capacity_pages]
-        else:
-            dram_cap = table.dram_capacity_bytes // PAGE_SIZE
-            caps = [max(1, int(dram_cap * frac)), len(all_pages)]
+        caps = [max(1, int(c * frac)) for c in table.tier_capacity_pages]
         # hottest first, rank position j goes to the first tier whose
         # cumulative capacity exceeds j (every cap is >= 1), overflow to
         # the slowest tier; only pages not already there move
@@ -90,7 +80,7 @@ class IntervalReconfigPolicy(PlacementPolicy):
             np.searchsorted(np.cumsum(caps), np.arange(len(rank)), side="right"),
             n - 1,
         )
-        move = lane_tiers(table, lanes)[rank] != dst
+        move = table.tier_arena[lanes][rank] != dst
         obj_id = obj_ids[rank][move]
         page = all_pages[rank][move].astype(np.intp)
         dst = dst[move]
@@ -110,4 +100,4 @@ class IntervalReconfigPolicy(PlacementPolicy):
         if not self._queue:
             return None
         budget = min(self.promote_per_interval, ctx.migration_budget_pages)
-        return make_batch(ctx.page_table, drain_queue(self._queue, budget))
+        return drain_queue(self._queue, budget)

@@ -17,13 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.ranking import PairwiseRanker, default_object_features
-from repro.policies.base import (
-    drain_queue,
-    make_batch,
-    page_tiers,
-    table_n_tiers,
-    tier_free_pages,
-)
+from repro.policies.base import drain_queue
 from repro.sim.engine import EngineContext, PlacementPolicy
 
 __all__ = ["LearnedRankingPolicy"]
@@ -88,11 +82,13 @@ class LearnedRankingPolicy(PlacementPolicy):
         # fill tiers fastest-first in ranking order, whole objects at a
         # time with hottest pages first when an object straddles tiers
         table = ctx.page_table
-        n = table_n_tiers(table)
-        free = [tier_free_pages(table, k) for k in range(n)]
+        n = table.n_tiers
+        free = [table.tier_free_pages(k) for k in range(n)]
         # plan against total capacity: pages vacating a tier free it up as
         # the queue drains, and the table clamps any transient excess
-        held = sum(np.bincount(page_tiers(table, nm), minlength=n) for nm in names)
+        held = sum(
+            np.bincount(table.object(nm).page_tier, minlength=n) for nm in names
+        )
         for k in range(n):
             free[k] += int(held[k])
         queue: list[tuple[str, np.ndarray, int]] = []
@@ -100,7 +96,7 @@ class LearnedRankingPolicy(PlacementPolicy):
         for i in order:
             name = names[i]
             obj = table.object(name)
-            current = page_tiers(table, name)
+            current = obj.page_tier
             hot = np.argsort(-obj.weight, kind="stable")
             pos = 0
             while pos < len(hot) and tier < n:
@@ -122,4 +118,4 @@ class LearnedRankingPolicy(PlacementPolicy):
         if not self._queue:
             return None
         budget = min(self.promote_per_interval, ctx.migration_budget_pages)
-        return make_batch(ctx.page_table, drain_queue(self._queue, budget))
+        return drain_queue(self._queue, budget)

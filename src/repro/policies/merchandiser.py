@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common import make_rng
+from repro.common import PAGE_SIZE, make_rng
 from repro.core.model import PerformanceModel, TieredTaskInputs
 from repro.core.planner import TieredPlanResult, tiered_greedy_plan
-from repro.policies.base import drain_queue, make_batch, page_tiers, table_n_tiers
+from repro.policies.base import drain_queue
 from repro.sim.counters import collect_pmcs
 from repro.sim.engine import EngineContext, PlacementPolicy
-from repro.sim.pages import TieredPageTable
 
 __all__ = ["TieredMerchandiserPolicy"]
 
@@ -54,7 +53,7 @@ class TieredMerchandiserPolicy(PlacementPolicy):
     def on_region_start(self, ctx: EngineContext) -> None:
         assert ctx.region is not None
         topo = ctx.topology
-        n = table_n_tiers(ctx.page_table)
+        n = ctx.page_table.n_tiers
         # how many tasks touch each object, to split shared bytes
         sharers: dict[str, int] = {}
         for inst in ctx.region.instances:
@@ -87,11 +86,8 @@ class TieredMerchandiserPolicy(PlacementPolicy):
         self._queue = []
         if not tasks:
             return
-        table = ctx.page_table
-        if isinstance(table, TieredPageTable):
-            capacities = table.capacities_bytes
-        else:
-            capacities = (table.dram_capacity_bytes, topo.slowest.capacity_bytes)
+        # the planner takes bytes and counts whole pages of them
+        capacities = [p * PAGE_SIZE for p in ctx.page_table.tier_capacity_pages]
         plan = tiered_greedy_plan(
             tasks, self.model, capacities, task_bytes, step=self.step
         )
@@ -132,7 +128,7 @@ class TieredMerchandiserPolicy(PlacementPolicy):
                 obj = table.object(acc.obj)
                 if acc.obj not in claimed:
                     claimed[acc.obj] = np.zeros(obj.n_pages, dtype=bool)
-                    current[acc.obj] = page_tiers(table, acc.obj)
+                    current[acc.obj] = obj.page_tier
                 cand = np.flatnonzero(~claimed[acc.obj])
                 if not len(cand):
                     continue
@@ -175,4 +171,4 @@ class TieredMerchandiserPolicy(PlacementPolicy):
         if not self._queue:
             return None
         budget = min(self.promote_per_interval, ctx.migration_budget_pages)
-        return make_batch(ctx.page_table, drain_queue(self._queue, budget))
+        return drain_queue(self._queue, budget)

@@ -108,20 +108,13 @@ def _chain_lengths(
 def critical_path_plan(
     tasks: Sequence[TaskModelInputs],
     model: PerformanceModel,
-    dram_capacity_bytes: "int | Sequence[int]",
+    dram_capacity_bytes: int,
     task_bytes: Mapping[str, int],
     deps: Mapping[str, Sequence[str]],
     step: float = 0.05,
     footprints: Mapping[str, Sequence[tuple[str, float, int]]] | None = None,
 ) -> CriticalPathPlan:
     """Plan DRAM quotas that minimise the DAG's predicted critical path.
-
-    ``dram_capacity_bytes`` may be a per-tier capacity vector (fastest
-    first, as in :class:`~repro.sim.memspec.TopologySpec`): the fast-tier
-    entry is the budget this planner spends and the slowest tier is the
-    unbudgeted backing store, exactly as a scalar budget treats PM.  A
-    scalar and a 2-vector ``(scalar, anything)`` therefore plan
-    bit-identically.
 
     ``deps[task_id]`` lists the task's in-region dependencies (edges to
     tasks outside the planned set must be dropped by the caller); missing
@@ -141,13 +134,6 @@ def critical_path_plan(
         raise ValueError("no tasks to plan for")
     if not 0.0 < step <= 1.0:
         raise ValueError("step must be in (0, 1]")
-    if not isinstance(dram_capacity_bytes, (int, np.integer)):
-        capacities = tuple(int(c) for c in dram_capacity_bytes)
-        if not capacities:
-            raise ValueError("capacity vector must not be empty")
-        if any(c < 0 for c in capacities):
-            raise ValueError("capacities must be non-negative")
-        dram_capacity_bytes = capacities[0]
     ids = [t.task_id for t in tasks]
     id_set = set(ids)
     dep_of: dict[str, tuple[str, ...]] = {}

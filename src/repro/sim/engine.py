@@ -65,8 +65,9 @@ __all__ = [
 class EngineConfig:
     """Engine tuning knobs."""
 
-    #: Target number of ticks across the fastest instance of a region;
-    #: controls the time resolution of contention and migration.
+    #: Target number of ticks across the slowest instance of a region
+    #: (which is as long as the region); controls the time resolution of
+    #: contention and migration.
     ticks_per_instance: int = 60
     #: Hard cap on ticks per region (runaway guard).
     max_ticks_per_region: int = 50_000
@@ -174,7 +175,8 @@ class PlacementPolicy:
     Policies may set residency directly in the start hooks (initial
     placement, through ``PagedObject.set_residency``/``set_pages``) and
     must route mid-run movement through ``on_tick``'s
-    :class:`MigrationBatch` return so the engine can charge bandwidth.
+    :class:`MigrationBatch` return (a destination tier per move, 0 the
+    fastest) so the engine can charge bandwidth.
     """
 
     name = "policy"
@@ -637,9 +639,9 @@ class Engine:
                 "obj": name,
                 "pages": np.asarray(idx, dtype=np.intp),
                 "before": table.object(name).residency[idx].copy(),
-                "promote": bool(promote),
+                "dst": int(dst),
             }
-            for name, idx, promote in batch.moves
+            for name, idx, dst in batch.moves
             if len(idx)
         ]
         if not moves:
@@ -948,26 +950,23 @@ def _seq_sum(values: Sequence[float]) -> float:
 
 
 def _clamp_batch(batch: MigrationBatch, max_pages: int) -> MigrationBatch:
-    """Limit a batch to ``max_pages`` promotions+demotions (keep order).
+    """Limit a batch to ``max_pages`` page moves (keep order).
 
     A non-positive budget yields an empty batch, and moves with no pages are
-    dropped rather than carried along as zero-length entries.  The batch
-    class is preserved so :class:`TieredMigrationBatch` (same move-triple
-    shape, destination tier in the third slot) clamps identically.
+    dropped rather than carried along as zero-length entries.
     """
-    cls = type(batch)
     if max_pages <= 0:
-        return cls(moves=())
+        return MigrationBatch(moves=())
     if batch.n_pages <= max_pages:
         return batch
-    moves: list[tuple[str, np.ndarray, bool]] = []
+    moves: list[tuple[str, np.ndarray, int]] = []
     left = max_pages
-    for name, idx, promote in batch.moves:
+    for name, idx, dst in batch.moves:
         if left <= 0:
             break
         take = idx[:left]
         if len(take) == 0:
             continue
-        moves.append((name, take, promote))
+        moves.append((name, take, dst))
         left -= len(take)
-    return cls(moves=tuple(moves))
+    return MigrationBatch(moves=tuple(moves))

@@ -358,7 +358,8 @@ class FaultInjector:
 
         Either part may be ``None``.  A *rejected* batch fails entirely
         (kernel returned EBUSY for the whole request); a *partially failed*
-        batch loses a random subset of its pages mid-copy.
+        batch loses a random subset of its pages mid-copy.  Both halves of
+        a split keep each move's destination tier.
         """
         from repro.sim.pages import MigrationBatch
 
@@ -368,19 +369,16 @@ class FaultInjector:
         if not self._fire(self.config.migration_fail_rate, now):
             return batch, None
         fail_frac = float(self._rng.uniform(0.3, 0.9))
-        applied_moves: list[tuple[str, np.ndarray, bool]] = []
-        failed_moves: list[tuple[str, np.ndarray, bool]] = []
-        for name, idx, promote in batch.moves:
+        applied_moves: list[tuple[str, np.ndarray, int]] = []
+        failed_moves: list[tuple[str, np.ndarray, int]] = []
+        for name, idx, dst in batch.moves:
             lost = self._rng.random(len(idx)) < fail_frac
             if (~lost).any():
-                applied_moves.append((name, idx[~lost], promote))
+                applied_moves.append((name, idx[~lost], dst))
             if lost.any():
-                failed_moves.append((name, idx[lost], promote))
-        # type-preserving so N-tier TieredMigrationBatch flows through the
-        # same fault machinery (both carry (name, pages, tag) move triples)
-        cls = type(batch)
-        failed = cls(moves=tuple(failed_moves)) if failed_moves else None
-        applied = cls(moves=tuple(applied_moves)) if applied_moves else None
+                failed_moves.append((name, idx[lost], dst))
+        failed = MigrationBatch(tuple(failed_moves)) if failed_moves else None
+        applied = MigrationBatch(tuple(applied_moves)) if applied_moves else None
         self.log.record(
             "fault.migration_partial",
             now,

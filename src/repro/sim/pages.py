@@ -15,6 +15,12 @@ downstream consumes is the access-weighted DRAM fraction
 The N-tier :class:`TieredPageTable` places software-managed pages only, so
 its per-page state is one integer tier index per page; fractions per tier
 are derived from it.
+
+Both tables share one read interface (``n_tiers``, ``tier_capacity_pages``,
+``tier_free_pages(k)``, each page's tier through ``object(name).page_tier``
+or ``tier_arena[lanes]``) and one write interface: :meth:`apply_batch` of a
+:class:`MigrationBatch` of ``(object, pages, destination tier)`` moves, tier
+0 the fastest.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ __all__ = [
     "PageRates",
     "TieredPagedObject",
     "TieredPageTable",
-    "TieredMigrationBatch",
     "page_weights",
 ]
 
@@ -214,6 +219,13 @@ class PagedObject:
     def dram_bytes(self) -> float:
         return self.dram_pages() * PAGE_SIZE
 
+    @property
+    def page_tier(self) -> np.ndarray:
+        """Each page's tier (0 DRAM, 1 PM), derived from residency: a page
+        Memory Mode's cache holds fractionally counts as DRAM only when
+        more than half resident."""
+        return (self.residency <= 0.5).astype(np.int8)
+
     def dram_access_fraction(self) -> float:
         """Access-weighted fraction of this object served from DRAM
         (cached until the next write)."""
@@ -264,11 +276,16 @@ class PagedObject:
 
 @dataclass(frozen=True)
 class MigrationBatch:
-    """A set of page moves requested by a placement policy for one tick."""
+    """A set of page moves requested by a placement policy for one tick.
 
-    #: (object name, page indices, promote?) triples.  ``promote=True`` moves
-    #: pages PM->DRAM; ``False`` demotes them DRAM->PM.
-    moves: tuple[tuple[str, np.ndarray, bool], ...]
+    Every move names its destination tier, fastest first, on either page
+    table: on :class:`PageTable` tier 0 is DRAM and tier 1 is PM.  A
+    destination is an ``int``; ``True``/``False`` promote flags would read
+    as tiers 1 and 0, the opposite of what they meant.
+    """
+
+    #: (object name, page indices, destination tier index) triples
+    moves: tuple[tuple[str, np.ndarray, int], ...]
 
     @property
     def n_pages(self) -> int:
@@ -300,6 +317,13 @@ class PageTable:
 
     #: float64 lanes per arena segment boundary (8 * 8 B = one cache line)
     _ARENA_ALIGN = 8
+
+    #: tier 0 is DRAM, tier 1 PM
+    n_tiers = 2
+
+    #: pages PM reports as capacity and as free: PM is an unbounded backing
+    #: store, surfaced as a huge-but-finite count so fill loops terminate
+    PM_PAGES = 2**62 // PAGE_SIZE
 
     def __init__(
         self,
@@ -376,6 +400,12 @@ class PageTable:
         """
         return self._residency_view
 
+    @property
+    def tier_arena(self) -> np.ndarray:
+        """Each arena lane's tier, as :attr:`PagedObject.page_tier` derives
+        it (a fresh array; padding lanes read as PM)."""
+        return (self._residency_view <= 0.5).astype(np.int8)
+
     def object_slice(self, name: str) -> slice:
         """Arena slice holding ``name``'s pages (exclusive of padding)."""
         return self._slices[name]
@@ -424,6 +454,15 @@ class PageTable:
     def dram_free_pages(self) -> int:
         return int(self.dram_free_bytes() // PAGE_SIZE)
 
+    @property
+    def tier_capacity_pages(self) -> tuple[int, int]:
+        return (int(self.dram_capacity_bytes // PAGE_SIZE), self.PM_PAGES)
+
+    def tier_free_pages(self, k: int) -> int:
+        """Free pages on tier ``k``: :meth:`dram_free_pages` for DRAM,
+        :attr:`PM_PAGES` for PM."""
+        return self.dram_free_pages() if k == 0 else self.PM_PAGES
+
     def place_all(self, residency: float) -> None:
         """Blanket placement: residency for every page of every object.
 
@@ -442,25 +481,27 @@ class PageTable:
     def apply_batch(self, batch: MigrationBatch) -> int:
         """Apply a migration batch, clamping promotions to free DRAM.
 
-        Returns the number of pages actually moved.  Demotions are applied
-        first so a batch can express swap traffic (demote cold, promote hot)
-        without transiently exceeding capacity.  Free DRAM before each
-        promotion is :meth:`dram_free_pages` bit for bit: the objects'
-        cached page counts, recounted at each write, re-summed in table
-        order.
+        Returns the number of pages actually moved.  Demotions (destination
+        1) are applied first so a batch can express swap traffic (demote
+        cold, promote hot) without transiently exceeding capacity.  Free
+        DRAM before each promotion (destination 0) is
+        :meth:`dram_free_pages` bit for bit: the objects' cached page
+        counts, recounted at each write, re-summed in table order.
         """
         moved = 0
-        for name, idx, promote in batch.moves:
-            if promote:
+        for name, idx, dst in batch.moves:
+            if dst == 0:
                 continue
+            if dst != 1:
+                raise ValueError(f"destination tier {dst} out of range")
             obj = self.object(name)
             sel = idx[obj.residency[idx] > 1e-12]
             # a no-op write would still drop the cached fraction
             if len(sel):
                 obj.set_pages(sel, 0.0)
             moved += len(sel)
-        for name, idx, promote in batch.moves:
-            if not promote:
+        for name, idx, dst in batch.moves:
+            if dst != 0:
                 continue
             obj = self.object(name)
             sel = idx[obj.residency[idx] < 1.0 - 1e-12]
@@ -522,14 +563,14 @@ class PageTable:
         need = used - max(0, left_bytes // PAGE_SIZE)
         if need <= 0:
             return None
-        moves: list[tuple[str, np.ndarray, bool]] = []
+        moves: list[tuple[str, np.ndarray, int]] = []
         picked = 0
         for obj in sorted(self, key=lambda o: (o.dram_access_fraction(), o.name)):
             if picked >= need:
                 break
             cold = obj.coldest_dram_pages(limit=need - picked)
             if len(cold):
-                moves.append((obj.name, cold, False))
+                moves.append((obj.name, cold, 1))
                 picked += len(cold)
         return MigrationBatch(moves=tuple(moves)) if moves else None
 
@@ -665,22 +706,6 @@ class TieredPagedObject:
         return idx if limit is None else idx[:limit]
 
 
-@dataclass(frozen=True)
-class TieredMigrationBatch:
-    """Page moves across an N-tier topology for one tick."""
-
-    #: (object name, page indices, destination tier index) triples
-    moves: tuple[tuple[str, np.ndarray, int], ...]
-
-    @property
-    def n_pages(self) -> int:
-        return int(sum(len(idx) for _, idx, _ in self.moves))
-
-    @property
-    def bytes_moved(self) -> int:
-        return self.n_pages * PAGE_SIZE
-
-
 class TieredPageTable:
     """All paged objects of a workload plus per-tier capacity accounting.
 
@@ -694,6 +719,12 @@ class TieredPageTable:
     capacity-checked -- including the slowest, which the 2-tier table
     treats as an unbounded backing store -- so the conformance harness's
     over-commit invariant is enforceable uniformly.
+
+    Policies read either table through the same names (``n_tiers``,
+    :attr:`tier_capacity_pages`, :meth:`tier_free_pages`, ``page_tier``,
+    :attr:`tier_arena`) and write both with one :class:`MigrationBatch`
+    type, so a policy runs on every tier count without asking which table
+    it holds.
     """
 
     _ARENA_ALIGN = PageTable._ARENA_ALIGN
@@ -848,7 +879,7 @@ class TieredPageTable:
         #: per-object fraction vectors; None marks one to recompute
         self._fractions: dict[str, np.ndarray | None] = dict.fromkeys(self.names)
 
-    def apply_batch(self, batch: TieredMigrationBatch) -> int:
+    def apply_batch(self, batch: MigrationBatch) -> int:
         """Apply a migration batch, clamping every move to the destination
         tier's free pages.
 
@@ -915,7 +946,7 @@ class TieredPageTable:
         return self.tier_used_bytes(0) / max(self.capacities_bytes[0], 1)
 
     def apply_batch_under_pressure(
-        self, batch: TieredMigrationBatch, pressure_bytes: int
+        self, batch: MigrationBatch, pressure_bytes: int
     ) -> int:
         """:meth:`apply_batch` with ``pressure_bytes`` of tier 0 stolen by an
         external allocation for the duration of the batch."""
@@ -928,7 +959,7 @@ class TieredPageTable:
 
     def plan_pressure_evictions(
         self, pressure_bytes: int
-    ) -> TieredMigrationBatch | None:
+    ) -> MigrationBatch | None:
         """Moves of the coldest tier-0 pages to the nearest slower tier with
         free pages, so tier 0 fits what a pressure spike of
         ``pressure_bytes`` leaves over; ``None`` when nothing has to move.
@@ -968,7 +999,7 @@ class TieredPageTable:
                 pos += len(take)
             if dst >= self.n_tiers:
                 break
-        return TieredMigrationBatch(moves=tuple(moves)) if moves else None
+        return MigrationBatch(moves=tuple(moves)) if moves else None
 
     def sample_pages(self, n: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
         """Uniform page sampling across the space (see PageTable)."""

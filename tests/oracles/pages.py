@@ -57,18 +57,19 @@ def page_weights(spec, rng=None) -> np.ndarray:
 
 
 def apply_batch(table, batch) -> int:
-    """2-tier ``apply_batch``: demotions first, then promotions clamped to
-    ``table.dram_free_pages()`` recomputed before every move."""
+    """2-tier ``apply_batch``: demotions (destination 1) first, then
+    promotions (destination 0) clamped to ``table.dram_free_pages()``
+    recomputed before every move."""
     moved = 0
-    for name, idx, promote in batch.moves:
-        if promote:
+    for name, idx, dst in batch.moves:
+        if dst == 0:
             continue
         obj = table.object(name)
         sel = idx[obj.residency[idx] > 1e-12]
         obj.residency[sel] = 0.0
         moved += len(sel)
-    for name, idx, promote in batch.moves:
-        if not promote:
+    for name, idx, dst in batch.moves:
+        if dst != 0:
             continue
         obj = table.object(name)
         sel = idx[obj.residency[idx] < 1.0 - 1e-12]
@@ -332,16 +333,16 @@ class Residency:
         """Per-object byte counts taken once, after the demotions, and
         only the promoted object's entry refreshed after each move."""
         moved = 0
-        for name, idx, promote in batch.moves:
-            if promote:
+        for name, idx, dst in batch.moves:
+            if dst == 0:
                 continue
             obj = self.object(name)
             sel = idx[obj.residency[idx] > 1e-12]
             obj.residency[sel] = 0.0
             moved += len(sel)
         used: dict[str, float] | None = None
-        for name, idx, promote in batch.moves:
-            if not promote:
+        for name, idx, dst in batch.moves:
+            if dst != 0:
                 continue
             obj = self.object(name)
             sel = idx[obj.residency[idx] < 1.0 - 1e-12]

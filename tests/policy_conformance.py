@@ -10,6 +10,8 @@ battery of invariants:
 * **no count drift**: at every hook, an N-tier table's integer per-tier
   page counts equal a recount of its tier-index arena, and a 2-tier
   table's cached DRAM bytes equal a recount of its residency;
+* **tier-indexed moves**: every move a policy asks for names an ``int``
+  destination tier the table has (a ``bool`` promote flag is caught);
 * **determinism**: two runs with the same seed are identical, tick
   traces included;
 * **degenerate bit-exactness**: on a 2-tier topology the ``topology=``
@@ -111,6 +113,9 @@ class InvariantProbe:
         self.violations: list[tuple[float, int, float, float]] = []
         #: (time, tier, kept count, recount) where the two disagree
         self.drift: list[tuple[float, int, float, float]] = []
+        #: (time, object, destination) of moves whose destination is not
+        #: an int tier index of the table
+        self.bad_moves: list[tuple[float, str, object]] = []
 
     def _check(self, ctx) -> None:
         table = ctx.page_table
@@ -145,6 +150,9 @@ class InvariantProbe:
 
     def on_tick(self, ctx, dt):
         batch = self.inner.on_tick(ctx, dt)
+        for name, _, dst in batch.moves if batch is not None else ():
+            if type(dst) is not int or not 0 <= dst < ctx.page_table.n_tiers:
+                self.bad_moves.append((ctx.time, name, dst))
         self._check(ctx)
         return batch
 
@@ -204,6 +212,7 @@ class TestEveryRegisteredPolicy:
         assert res.total_time_s > 0
         assert probe.violations == []
         assert probe.drift == []
+        assert probe.bad_moves == []
 
     def test_deterministic_per_seed(self, spec, n_tiers, model):
         topo = small_topology(n_tiers)

@@ -124,6 +124,28 @@ class TestMerchandiserPolicy:
         Engine(MachineModel(), HM).run(wl, policy, seed=1)
         assert peak["used"] <= HM.dram.capacity_bytes + 4096
 
+    def test_queue_drains_as_promotions(self, system, spgemm_setup):
+        """Every move names an int tier, and a tick that drains the quota
+        queue asks for DRAM (tier 0), not PM."""
+        _, wl, binding = spgemm_setup
+        policy = system.policy(binding, seed=3)
+        draining = []
+        orig = policy.on_tick
+
+        def spy(ctx, dt):
+            queued = bool(policy._promotion_queue)
+            batch = orig(ctx, dt)
+            if batch is not None:
+                dsts = [dst for _, _, dst in batch.moves]
+                assert all(type(dst) is int and dst in (0, 1) for dst in dsts)
+                if queued:
+                    draining.append(0 in dsts)
+            return batch
+
+        policy.on_tick = spy
+        Engine(MachineModel(), HM).run(wl, policy, seed=1)
+        assert draining and all(draining)
+
     def test_profile_key_includes_kind(self, system, spgemm_setup):
         _, wl, binding = spgemm_setup
         policy = system.policy(binding, seed=3)

@@ -16,7 +16,7 @@ from repro.sim.faults import (
     RobustnessLog,
     RobustnessReport,
 )
-from repro.sim.pages import MigrationBatch, TieredMigrationBatch
+from repro.sim.pages import MigrationBatch
 from repro.tasks import DataObject, Footprint, MPIProgram, ObjectAccess
 from tests.policy_conformance import small_topology
 
@@ -144,7 +144,7 @@ class TestPMCFaults:
 
 class TestMigrationFaults:
     def batch(self):
-        return MigrationBatch(moves=(("a", np.arange(64), True),))
+        return MigrationBatch(moves=(("a", np.arange(64), 0),))
 
     def test_reject_fails_whole_batch(self):
         inj = injector(migration_reject_rate=1.0)
@@ -159,6 +159,24 @@ class TestMigrationFaults:
         total = (applied.n_pages if applied else 0) + failed.n_pages
         assert total == 64
         assert inj.log.count("fault.migration_partial") == 1
+
+    def test_partial_split_keeps_destinations(self):
+        inj = injector(migration_fail_rate=1.0)
+        dsts = {"a": 0, "b": 1, "c": 2}
+        batch = MigrationBatch(
+            moves=tuple((name, np.arange(64), k) for name, k in dsts.items())
+        )
+        applied, failed = inj.migration_outcome(batch, 1.0)
+        assert applied is not None and failed is not None
+        for half in (applied, failed):
+            for name, _, dst in half.moves:
+                assert type(dst) is int and dst == dsts[name]
+        for name in dsts:
+            pages = np.concatenate(
+                [idx for half in (applied, failed)
+                 for n, idx, _ in half.moves if n == name]
+            )
+            np.testing.assert_array_equal(np.sort(pages), np.arange(64))
 
     def test_healthy_passthrough(self):
         inj = injector()
@@ -289,7 +307,7 @@ class TestDeterminism:
                 inj.corrupt_window_counts({"a": 1.0, "b": 2.0}, float(t))
                 inj.corrupt_pmc_read({f"e{i}": 1.0 for i in range(8)}, float(t))
                 inj.migration_outcome(
-                    MigrationBatch(moves=(("a", np.arange(16), True),)), float(t)
+                    MigrationBatch(moves=(("a", np.arange(16), 0),)), float(t)
                 )
             return [(e.kind, e.time_s) for e in inj.log.events]
 
@@ -358,7 +376,7 @@ class _AllOnTier(PlacementPolicy):
     def on_workload_start(self, ctx):
         self.table = ctx.page_table
         self.table.apply_batch(
-            TieredMigrationBatch(
+            MigrationBatch(
                 moves=tuple(
                     (o.name, np.arange(o.n_pages), self.k) for o in self.table
                 )

@@ -33,7 +33,7 @@ from repro.sim.pages import MigrationBatch
 
 
 def batch(n=16) -> MigrationBatch:
-    return MigrationBatch(moves=(("obj", np.arange(n), True),))
+    return MigrationBatch(moves=(("obj", np.arange(n), 0),))
 
 
 @pytest.fixture
@@ -44,14 +44,15 @@ def log():
 class TestMigrationRetrier:
     def test_pop_due_returns_only_due_entries_in_fifo_order(self, log):
         r = MigrationRetrier(GuardrailConfig(retry_backoff_s=0.0), log)
-        a = MigrationBatch(moves=(("a", np.arange(2), True),))
-        b = MigrationBatch(moves=(("b", np.arange(3), True),))
-        c = MigrationBatch(moves=(("c", np.arange(4), True),))
+        a = MigrationBatch(moves=(("a", np.arange(2), 0),))
+        b = MigrationBatch(moves=(("b", np.arange(3), 1),))
+        c = MigrationBatch(moves=(("c", np.arange(4), 0),))
         r.on_failure(a, now=0.0)
         r.on_failure(b, now=1.0)
         r.on_failure(c, now=5.0)
         moves, attempts = r.pop_due(1.0)
         assert [m[0] for m in moves] == ["a", "b"]  # queue order preserved
+        assert [m[2] for m in moves] == [0, 1]  # destinations kept
         assert attempts == 1
         assert r.pending == 4  # c is not due yet and stays queued
         moves, _ = r.pop_due(5.0)
@@ -140,7 +141,7 @@ class TestMigrationRetrier:
         assert attempts == 2
         assert [m[0] for m in moves] == ["obj"]
         np.testing.assert_array_equal(moves[0][1], np.arange(4))
-        assert moves[0][2] is True
+        assert type(moves[0][2]) is int and moves[0][2] == 0
 
 
 class TestRetryRollbackProperty:
@@ -183,9 +184,9 @@ class TestRetryRollbackProperty:
                 "obj": name,
                 "pages": [int(p) for p in idx],
                 "before": [float(x) for x in table.object(name).residency[idx]],
-                "promote": bool(promote),
+                "dst": int(dst),
             }
-            for name, idx, promote in batch.moves
+            for name, idx, dst in batch.moves
         ]
         wal.log_moves(epoch, moves, cause)
         return table.apply_batch(batch)
@@ -218,8 +219,9 @@ class TestRetryRollbackProperty:
                 pages = np.sort(
                     rng.choice(obj.n_pages, size=k, replace=False)
                 ).astype(np.intp)
-                promote = bool(rng.random() < 0.7)
-                b = MigrationBatch(moves=((name, pages, promote),))
+                # destination 0 (promote) with probability 0.7, else 1
+                dst = int(rng.random() >= 0.7)
+                b = MigrationBatch(moves=((name, pages, dst),))
                 self._journal_and_apply(wal, epoch, table, b)
                 if rng.random() < 0.5:
                     # the "syscall" failed: the same moves go on the retry

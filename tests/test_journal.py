@@ -112,7 +112,7 @@ class TestRollback:
                             "obj": "o0",
                             "pages": [0, 1, 2],
                             "before": [0.0, 0.0, 0.0],
-                            "promote": True,
+                            "dst": 0,
                         }
                     ],
                 },
@@ -138,7 +138,7 @@ class TestRollback:
                         "obj": "o0",
                         "pages": [0, 1],
                         "before": [0.0, 0.0],
-                        "promote": True,
+                        "dst": 0,
                     }
                 ],
             },
@@ -159,7 +159,7 @@ class TestRollback:
             {
                 "cause": "policy",
                 "moves": [
-                    {"obj": "o0", "pages": [0], "before": [0.0], "promote": True}
+                    {"obj": "o0", "pages": [0], "before": [0.0], "dst": 0}
                 ],
             },
         )
@@ -171,7 +171,7 @@ class TestRollback:
             {
                 "cause": "pressure",
                 "moves": [
-                    {"obj": "o0", "pages": [0], "before": [1.0], "promote": False}
+                    {"obj": "o0", "pages": [0], "before": [1.0], "dst": 1}
                 ],
             },
         )
@@ -233,7 +233,7 @@ class TestRecoverJournal:
         obj = t.object("o0")
         wal.log_moves(
             e1,
-            [{"obj": "o0", "pages": [0, 1], "before": [0.0, 0.0], "promote": True}],
+            [{"obj": "o0", "pages": [0, 1], "before": [0.0, 0.0], "dst": 0}],
             "policy",
         )
         obj.set_pages([0, 1], 1.0)
@@ -263,7 +263,7 @@ class TestRecoverJournal:
             {
                 "cause": "policy",
                 "moves": [
-                    {"obj": "o0", "pages": [0], "before": [0.0], "promote": True}
+                    {"obj": "o0", "pages": [0], "before": [0.0], "dst": 0}
                 ],
             },
         )

@@ -27,12 +27,7 @@ from repro.apps.spgemm import SpGEMMApp
 from repro.common import make_rng
 from repro.core import planner as planner_module
 from repro.core.correlation import CorrelationFunction
-from repro.core.model import (
-    PerformanceModel,
-    TaskModelInputs,
-    TieredPerformanceModel,
-    TieredTaskInputs,
-)
+from repro.core.model import PerformanceModel, TaskModelInputs, TieredTaskInputs
 from repro.core.planner import greedy_plan, tiered_greedy_plan
 from repro.ml.gbr import GradientBoostedRegressor
 from repro.ml.kernels import (
@@ -392,10 +387,10 @@ def test_tiered_ratio_grids_match_per_task_grids(system, monkeypatch):
         for t in tasks
     ]
     model = system.performance_model
-    tmodel = TieredPerformanceModel(model)
     grids = model.ratio_grids([t.as_two_tier() for t in tiered], _STEP_GRID)
     for t in tiered:
-        assert grids[t.task_id].tobytes() == tmodel.ratio_grid(t, _STEP_GRID).tobytes()
+        want = model.ratio_grid(t.as_two_tier(), _STEP_GRID)
+        assert grids[t.task_id].tobytes() == want.tobytes()
     total = sum(task_bytes.values())
     caps = (int(0.1 * total), int(0.15 * total), int(0.25 * total), 2 * total)
     vec = tiered_greedy_plan(tiered, model, caps, task_bytes)

@@ -27,7 +27,6 @@ from repro.core.journal import _undo_moves
 from repro.policies.interval import IntervalReconfigPolicy
 from repro.profiling.hotpages import top_k_hot_pages
 from repro.profiling.pte import PageSampleEstimate, PTESampleProfiler
-from repro.policies.base import page_tiers
 from repro.sim import pages
 from repro.sim.cache import DirectMappedPageCache
 from repro.sim.engine import EngineContext
@@ -36,7 +35,6 @@ from repro.sim.pages import (
     MigrationBatch,
     PagedObject,
     PageTable,
-    TieredMigrationBatch,
     TieredPageTable,
 )
 from repro.tasks import DataObject, Footprint, ObjectAccess, TaskInstanceSpec
@@ -82,7 +80,7 @@ def _tiered(seed: int, n_tiers: int) -> TieredPageTable:
     return TieredPageTable(specs, caps, rng=seed)
 
 
-def _tiered_batch(table: TieredPageTable, rng) -> TieredMigrationBatch:
+def _tiered_batch(table: TieredPageTable, rng) -> MigrationBatch:
     moves = []
     names = table.names
     for _ in range(int(rng.integers(1, 10))):
@@ -92,7 +90,7 @@ def _tiered_batch(table: TieredPageTable, rng) -> TieredMigrationBatch:
         n_pages = table.object(name).n_pages
         idx = rng.integers(0, n_pages, size=int(rng.integers(1, 2 * n_pages + 1)))
         moves.append((name, idx.astype(np.intp), int(rng.integers(table.n_tiers))))
-    return TieredMigrationBatch(moves=tuple(moves))
+    return MigrationBatch(moves=tuple(moves))
 
 
 def _onehot(table: TieredPageTable) -> np.ndarray:
@@ -112,9 +110,11 @@ def _assert_tiered_same(table: TieredPageTable, ref: oracle.TieredResidency) -> 
     for name in got:
         assert got[name].tobytes() == want[name].tobytes()
     for name in table.names:
-        tiers = page_tiers(table, name)
-        assert tiers.dtype == np.intp
+        tiers = table.object(name).page_tier
         np.testing.assert_array_equal(tiers, oracle.page_tiers(ref, name))
+        np.testing.assert_array_equal(
+            table.tier_arena[table.object_slice(name)], tiers
+        )
         obj, ref_obj = table.object(name), ref.object(name)
         for k in range(table.n_tiers):
             for limit in (None, 3):
@@ -135,7 +135,8 @@ def _batch(table: PageTable, rng) -> MigrationBatch:
         name = names[int(rng.integers(len(names)))]
         n_pages = table.object(name).n_pages
         idx = rng.integers(0, n_pages, size=int(rng.integers(1, 2 * n_pages + 1)))
-        moves.append((name, idx.astype(np.intp), bool(rng.random() < 0.7)))
+        # destination 0 (promote) with probability 0.7, else 1 (demote)
+        moves.append((name, idx.astype(np.intp), int(rng.random() >= 0.7)))
     return MigrationBatch(moves=tuple(moves))
 
 
@@ -246,9 +247,9 @@ class TestApplyBatch:
         ref = oracle.Residency(table)
         batch = MigrationBatch(
             moves=(
-                ("b", np.arange(2), True),
-                ("a", np.arange(4), True),
-                ("b", np.arange(2, 8), True),
+                ("b", np.arange(2), 0),
+                ("a", np.arange(4), 0),
+                ("b", np.arange(2, 8), 0),
             )
         )
         moved = table.apply_batch(batch)
@@ -266,6 +267,52 @@ class TestApplyBatch:
                 t.dram_capacity_bytes -= shrink * PAGE_SIZE
             assert table.apply_batch(batch) == oracle.apply_batch(ref, batch)
             _assert_cache_current(table, ref)
+
+
+class TestTwoTierInterface:
+    """The 2-tier table answers the N-tier table's tier-indexed reads:
+    DRAM is tier 0, PM an unbounded tier 1."""
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tier_counts(self, seed, fractional):
+        table = _table(seed, fractional)
+        rng = np.random.default_rng(3000 + seed)
+        for _ in range(4):
+            assert table.n_tiers == 2
+            free, want = table.tier_free_pages(0), table.dram_free_pages()
+            assert type(free) is type(want) is int and free == want
+            assert table.tier_free_pages(1) == 2**62 // PAGE_SIZE
+            assert table.tier_capacity_pages == (
+                table.dram_capacity_bytes // PAGE_SIZE,
+                2**62 // PAGE_SIZE,
+            )
+            table.apply_batch(_batch(table, rng))
+
+    def test_fractional_page_tiers(self):
+        eps = np.finfo(np.float64).eps
+        residency = np.array([0.0, 0.5 - eps, 0.5, 0.5 + eps, 0.9, 1.0])
+        table = PageTable(
+            [DataObject("a", 4 * PAGE_SIZE), DataObject("b", 6 * PAGE_SIZE)],
+            16 * PAGE_SIZE,
+        )
+        table.object("b").set_residency(residency)
+        want = np.array([1, 1, 1, 0, 0, 0])
+        np.testing.assert_array_equal(table.object("b").page_tier, want)
+        np.testing.assert_array_equal(table.tier_arena[table.object_slice("b")], want)
+        np.testing.assert_array_equal(oracle.page_tiers(table, "b"), want)
+        np.testing.assert_array_equal(table.object("a").page_tier, np.ones(4))
+
+    @pytest.mark.parametrize("dst", [2, -1])
+    def test_destination_out_of_range(self, dst):
+        table = PageTable([DataObject("a", 4 * PAGE_SIZE)], 4 * PAGE_SIZE)
+        tiered = TieredPageTable(
+            [DataObject("a", 4 * PAGE_SIZE)], [4 * PAGE_SIZE] * 2, rng=0
+        )
+        batch = MigrationBatch(moves=(("a", np.arange(2), dst),))
+        for t in (table, tiered):
+            with pytest.raises(ValueError, match="out of range"):
+                t.apply_batch(batch)
 
 
 class TestResidencyCache:
@@ -370,7 +417,7 @@ class TestTieredApplyBatch:
 
     def _run(self, table, moves) -> tuple[TieredPageTable, int]:
         ref = oracle.TieredResidency(table)
-        batch = TieredMigrationBatch(moves=tuple(moves))
+        batch = MigrationBatch(moves=tuple(moves))
         moved = table.apply_batch(batch)
         assert moved == ref.apply_batch(batch)
         _assert_tiered_same(table, ref)

@@ -6,12 +6,7 @@ import pytest
 from repro.common import PAGE_SIZE, AccessPattern
 from repro.sim import Engine, EngineConfig, MachineModel, PlacementPolicy, optane_hm_config
 from repro.sim.engine import _clamp_batch
-from repro.sim.pages import (
-    MigrationBatch,
-    PageTable,
-    TieredMigrationBatch,
-    TieredPageTable,
-)
+from repro.sim.pages import MigrationBatch, PageTable, TieredPageTable
 from repro.tasks import DataObject, Footprint, MPIProgram, ObjectAccess
 
 HM = optane_hm_config()
@@ -115,7 +110,7 @@ class _PromoteAll(PlacementPolicy):
         for obj in ctx.page_table:
             idx = obj.hottest_pm_pages(limit=ctx.migration_budget_pages)
             if len(idx):
-                moves.append((obj.name, idx, True))
+                moves.append((obj.name, idx, 0))
                 break
         return MigrationBatch(moves=tuple(moves)) if moves else None
 
@@ -248,7 +243,7 @@ class TestPressureEviction:
         table = _uniform_table(n_objects=2, pages_each=8, capacity_pages=16)
         # 16 used, capacity drops to 10 -> 6 pages must go
         batch = table.plan_pressure_evictions(6 * PAGE_SIZE)
-        assert all(promote is False for _, _, promote in batch.moves)
+        assert all(type(dst) is int and dst == 1 for _, _, dst in batch.moves)
         assert table.apply_batch(batch) == 6
         used = sum(o.dram_pages() for o in table)
         assert used == 10
@@ -293,9 +288,7 @@ def _tiered_uniform_table(
     objects = [DataObject(nm, pages_each * PAGE_SIZE) for nm in names]
     table = TieredPageTable(objects, [c * PAGE_SIZE for c in capacity_pages], rng=0)
     table.apply_batch(
-        TieredMigrationBatch(
-            moves=tuple((o.name, np.arange(o.n_pages), 0) for o in table)
-        )
+        MigrationBatch(moves=tuple((o.name, np.arange(o.n_pages), 0) for o in table))
     )
     assert table.tier_used_pages(0) == n_objects * pages_each
     return table
@@ -334,9 +327,7 @@ class TestTieredPressureEviction:
 
     def test_lower_fast_tier_fraction_is_evicted_first(self):
         table = _tiered_uniform_table(n_objects=2)
-        table.apply_batch(
-            TieredMigrationBatch(moves=(("obj1", np.arange(4, 8), 2),))
-        )
+        table.apply_batch(MigrationBatch(moves=(("obj1", np.arange(4, 8), 2),)))
         assert _victims(table.plan_pressure_evictions(54 * PAGE_SIZE)) == [
             ("obj1", (0, 1)),
         ]
@@ -374,8 +365,8 @@ class TestClampBatch:
     def _batch(self):
         return MigrationBatch(
             moves=(
-                ("a", np.arange(4), True),
-                ("b", np.arange(3), False),
+                ("a", np.arange(4), 0),
+                ("b", np.arange(3), 1),
             )
         )
 
@@ -387,6 +378,7 @@ class TestClampBatch:
         clamped = _clamp_batch(self._batch(), 5)
         assert clamped.n_pages == 5
         assert [m[0] for m in clamped.moves] == ["a", "b"]
+        assert [m[2] for m in clamped.moves] == [0, 1]
         assert list(clamped.moves[1][1]) == [0]
 
     def test_zero_and_negative_budget_yield_empty_batch(self):
@@ -402,9 +394,9 @@ class TestClampBatch:
     def test_no_zero_length_moves_in_output(self):
         batch = MigrationBatch(
             moves=(
-                ("a", np.arange(2), True),
-                ("b", np.arange(0), True),
-                ("c", np.arange(2), True),
+                ("a", np.arange(2), 0),
+                ("b", np.arange(0), 0),
+                ("c", np.arange(2), 0),
             )
         )
         clamped = _clamp_batch(batch, 3)

@@ -156,14 +156,14 @@ class TestPageTable:
 
     def test_apply_batch_promotes(self):
         table = make_table()
-        batch = MigrationBatch(moves=(("o0", np.arange(5), True),))
+        batch = MigrationBatch(moves=(("o0", np.arange(5), 0),))
         moved = table.apply_batch(batch)
         assert moved == 5
         assert table.object("o0").dram_pages() == 5
 
     def test_apply_batch_clamps_to_capacity(self):
         table = make_table(sizes=(30,), dram_pages=8)
-        batch = MigrationBatch(moves=(("o0", np.arange(30), True),))
+        batch = MigrationBatch(moves=(("o0", np.arange(30), 0),))
         moved = table.apply_batch(batch)
         assert moved == 8
         assert table.dram_free_pages() == 0
@@ -174,8 +174,8 @@ class TestPageTable:
         table.object("o0").set_residency(1.0)
         batch = MigrationBatch(
             moves=(
-                ("o0", np.arange(4), False),
-                ("o1", np.arange(4), True),
+                ("o0", np.arange(4), 1),
+                ("o1", np.arange(4), 0),
             )
         )
         moved = table.apply_batch(batch)
@@ -222,7 +222,7 @@ class TestPageTable:
 class TestMigrationBatch:
     def test_page_and_byte_counts(self):
         b = MigrationBatch(
-            moves=(("a", np.arange(3), True), ("b", np.arange(2), False))
+            moves=(("a", np.arange(3), 0), ("b", np.arange(2), 1))
         )
         assert b.n_pages == 5
         assert b.bytes_moved == 5 * PAGE_SIZE

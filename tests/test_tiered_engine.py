@@ -16,7 +16,7 @@ from repro.core.telemetry import Telemetry
 from repro.policies import registered_policies
 from repro.sim import Engine, EngineConfig, MachineModel, PlacementPolicy
 from repro.sim.faults import FaultConfig, FaultInjector
-from repro.sim.pages import TieredMigrationBatch
+from repro.sim.pages import MigrationBatch
 from tests.policy_conformance import build, chaos_faults, small_topology, toy_workload
 
 #: (policy, tiers) -> (repr(total_time_s), pages_migrated, pages evicted by
@@ -125,7 +125,7 @@ class _PromoteHottest(PlacementPolicy):
 
     def on_tick(self, ctx, dt):
         self.budget = budget = ctx.migration_budget_pages
-        return TieredMigrationBatch(
+        return MigrationBatch(
             moves=tuple(
                 (obj.name, obj.hottest_pages_slower_than(0, limit=budget), 0)
                 for obj in ctx.page_table
