@@ -16,6 +16,7 @@ ratio, since per-tick cost is dominated by the breakdown objects both
 paths must build.
 """
 
+import itertools
 import json
 import time
 from pathlib import Path
@@ -239,17 +240,20 @@ def test_kernel_speedup_greedy_plan(planner_inputs):
 def test_kernel_speedup_sim_tick():
     """Per-tick breakdowns for a 96-instance region: batched vs per-instance.
 
-    Both paths must materialise 96 TimeBreakdown objects, which bounds the
-    achievable ratio -- the honest number is pinned, not inflated.
+    Both paths must materialise 96 TieredBreakdown objects, which bounds the
+    achievable ratio -- the honest number is pinned, not inflated.  Each
+    call alternates between two placements, so every timed kernel call
+    misses the kernel's placement memo and prices all 96 instances.
     """
     fps = [(f"t{i}", s.footprint()) for i, s in enumerate(generate_corpus(96, seed=11))]
     kern = BreakdownKernel(MODEL, HM, fps)
     ref = scalar.ScalarBreakdown(MODEL, HM, fps)
-    fractions = {a.obj: 0.5 for _, fp in fps for a in fp.accesses}
+    objs = {a.obj for _, fp in fps for a in fp.accesses}
+    placements = itertools.cycle([dict.fromkeys(objs, 0.5), dict.fromkeys(objs, 0.25)])
     ids = [tid for tid, _ in fps]
     _record_speedup(
         "sim_tick_breakdown", "96 instances",
-        lambda: ref.breakdown_batch(ids, fractions),
-        lambda: kern.breakdown_batch(ids, fractions), floor=1.5,
+        lambda: ref.breakdown_batch(ids, next(placements)),
+        lambda: kern.breakdown_batch(ids, next(placements)), floor=1.5,
         scalar_rounds=5, kernel_rounds=10,
     )

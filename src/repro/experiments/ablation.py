@@ -47,7 +47,7 @@ def _task_inputs(ctx: ExperimentContext, app_cls, region_index: int = 1):
                 t_pm_only=t_pm,
                 t_dram_only=t_dram,
                 total_accesses=fp.total_accesses,
-                pmcs=collect_pmcs(fp, machine, hm, rng=rng),
+                pmcs=collect_pmcs(fp, machine, hm, rng=rng, t_pm_only=t_pm),
             )
         )
         task_bytes[inst.task_id] = int(

@@ -44,7 +44,7 @@ def model_accuracy_on(system: Merchandiser, hm, machine, seed=0) -> float:
             t_pm_only=t_pm,
             t_dram_only=t_dram,
             total_accesses=fp.total_accesses,
-            pmcs=collect_pmcs(fp, machine, hm, rng=rng),
+            pmcs=collect_pmcs(fp, machine, hm, rng=rng, t_pm_only=t_pm),
         )
         for r in (0.2, 0.5, 0.8):
             truths.append(machine.uniform_ratio_time(fp, hm, r))

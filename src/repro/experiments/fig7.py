@@ -47,7 +47,7 @@ def app_eval_data(ctx: ExperimentContext, events: tuple[str, ...]):
         for k in picks:
             fp = instances[int(k)].footprint
             t_dram, t_pm = machine.endpoint_times(fp, hm)
-            pmcs = collect_pmcs(fp, machine, hm, rng=rng)
+            pmcs = collect_pmcs(fp, machine, hm, rng=rng, t_pm_only=t_pm)
             vec = pmc_vector(pmcs, events)
             per_obj = fp.accesses_by_object()
             total = sum(per_obj.values())

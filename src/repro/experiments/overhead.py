@@ -38,7 +38,7 @@ def prediction_latency_ms(ctx: ExperimentContext, n: int = 2000) -> float:
         t_pm_only=t_pm,
         t_dram_only=t_dram,
         total_accesses=fp.total_accesses,
-        pmcs=collect_pmcs(fp, machine, hm, rng=rng),
+        pmcs=collect_pmcs(fp, machine, hm, rng=rng, t_pm_only=t_pm),
     )
     model = PerformanceModel(ctx.system.correlation)
     ratios = rng.random(n) * 0.99

@@ -78,7 +78,7 @@ def _region_catalogue(
             sample = samples[s * tasks_per_shape + k]
             fp = sample.footprint(1.0)
             t_dram, t_pm = machine.endpoint_times(fp, hm)
-            pmcs = collect_pmcs(fp, machine, hm, rng=spawn_rng(rng))
+            pmcs = collect_pmcs(fp, machine, hm, rng=spawn_rng(rng), t_pm_only=t_pm)
             specs.append(
                 TaskSpec(
                     task_id=f"shape{s}:task{k}",

@@ -69,11 +69,14 @@ def collect_pmcs(
     hm: HMConfig,
     rng=None,
     noise: float = 0.03,
+    t_pm_only: float | None = None,
 ) -> dict[str, float]:
     """Collect the full event set for one task instance (PM-only run).
 
     ``noise`` is the relative sampling noise applied to every event
-    (real PMC multiplexing is similarly noisy).
+    (real PMC multiplexing is similarly noisy).  A caller that already
+    priced ``footprint``'s PM-only time (``MachineModel.endpoint_times``)
+    passes it as ``t_pm_only`` instead of having it priced again.
     """
     rng = make_rng(rng)
     prof = footprint.profile
@@ -85,7 +88,9 @@ def collect_pmcs(
 
     # The counters are measured on the PM-only configuration (Algorithm 1's
     # inputs are "measured hardware events ... using PM-only configuration").
-    t_pm = machine.instance_time(footprint, hm, {})
+    t_pm = t_pm_only
+    if t_pm is None:
+        t_pm = machine.instance_time(footprint, hm, {})
     cycles = t_pm * machine.spec.frequency_ghz * 1e9
 
     llc_mpki = 1000.0 * mem_acc / instr

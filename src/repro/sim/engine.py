@@ -6,7 +6,10 @@ in small virtual-time ticks:
 
 * each tick, every unfinished instance's instantaneous execution time is
   computed from the ground-truth machine model and the *current* placement
-  (page migrations mid-region change an instance's speed mid-flight);
+  (page migrations mid-region change an instance's speed mid-flight).  One
+  batched kernel per region prices the ticks and the refreshes around the
+  policy's region start hook; it prices the region again only when the
+  placement it is handed changed, and otherwise returns the rows it kept;
 * per-tier bandwidth demand is aggregated across instances and migration
   traffic; if it exceeds the tier's capability, progress is scaled back
   (bandwidth contention);
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -500,16 +503,20 @@ class Engine:
                 if tel is not None
                 else None
             )
-            self._refresh_times(ctx)
+            # one kernel prices the region's start refreshes and its ticks;
+            # a refresh the policy moved nothing after is a memo hit
+            kernel, placement = self._region_kernel(ctx)
+            self._refresh_times(ctx, kernel, placement)
             policy.on_region_start(ctx)
-            self._refresh_times(ctx)
+            self._refresh_times(ctx, kernel, placement)
 
             epoch: int | None = None
             begin_payload: dict | None = None
             if self.journal is not None:
                 epoch, begin_payload = self._journal_epoch_begin(ctx, policy)
             result = self._run_region(
-                ctx, policy, epoch, trace_t, trace_d, trace_p, trace_m
+                ctx, policy, kernel, placement, epoch,
+                trace_t, trace_d, trace_p, trace_m,
             )
             regions.append(result)
             policy.on_region_end(ctx)
@@ -666,26 +673,43 @@ class Engine:
         )
 
     # ------------------------------------------------------------------
-    def _refresh_times(self, ctx: EngineContext) -> None:
+    def _region_kernel(
+        self, ctx: EngineContext
+    ) -> tuple[TieredBreakdownKernel, Callable[[], Mapping]]:
+        """The region's batched tick kernel and the placement read it prices.
+
+        The kernel hoists the placement-independent parts of every
+        instance's breakdown out of the tick loop (PERFORMANCE.md).  A
+        2-tier table hands it per-object DRAM ratios, priced as the n = 2
+        case of the N-tier body, bit-identical to one
+        MachineModel.breakdown call per instance.
+        """
         assert ctx.region is not None
+        footprints = [(inst.task_id, inst.footprint) for inst in ctx.region.instances]
         if self._tiered:
-            vectors = ctx.tier_fraction_vectors()
-            for inst in ctx.region.instances:
-                ctx.instance_times[inst.task_id] = self.machine.breakdown_tiered(
-                    inst.footprint, self.topology, vectors
-                ).total_s
-            return
-        fractions = ctx.dram_fractions()
-        for inst in ctx.region.instances:
-            ctx.instance_times[inst.task_id] = self.machine.instance_time(
-                inst.footprint, self.hm, fractions
-            )
+            kernel = TieredBreakdownKernel(self.machine, self.topology, footprints)
+            return kernel, ctx.tier_fraction_vectors
+        return BreakdownKernel(self.machine, self.hm, footprints), ctx.dram_fractions
+
+    def _refresh_times(
+        self,
+        ctx: EngineContext,
+        kernel: TieredBreakdownKernel,
+        placement: Callable[[], Mapping],
+    ) -> None:
+        """Price every instance of the region under the current placement."""
+        assert ctx.region is not None
+        ids = [inst.task_id for inst in ctx.region.instances]
+        for tid, bd in zip(ids, kernel.breakdown_batch(ids, placement())):
+            ctx.instance_times[tid] = bd.total_s
 
     # ------------------------------------------------------------------
     def _run_region(
         self,
         ctx: EngineContext,
         policy: PlacementPolicy,
+        kernel: TieredBreakdownKernel,
+        placement: Callable[[], Mapping],
         epoch: int | None,
         trace_t: list[float],
         trace_d: list[float],
@@ -720,19 +744,6 @@ class Engine:
         mig_budget_bytes = cfg.migration_bandwidth_fraction * bandwidths[-1] * dt
         ctx.migration_budget_pages = max(1, int(mig_budget_bytes // PAGE_SIZE))
         ctx.failed_migrations.clear()
-
-        # batched tick kernel: hoists the placement-independent parts of
-        # every instance's breakdown out of the tick loop (PERFORMANCE.md).
-        # A 2-tier table hands it per-object DRAM ratios, priced as the
-        # n = 2 case of the N-tier body, bit-identical to one
-        # MachineModel.breakdown call per instance.
-        footprints = [(inst.task_id, inst.footprint) for inst in region.instances]
-        if self._tiered:
-            kernel = TieredBreakdownKernel(self.machine, topo, footprints)
-            placement = ctx.tier_fraction_vectors
-        else:
-            kernel = BreakdownKernel(self.machine, self.hm, footprints)
-            placement = ctx.dram_fractions
 
         ticks = 0
         while len(finish) < len(region.instances):

@@ -1,8 +1,9 @@
 """Batched tick kernel for the virtual-time engine (PERFORMANCE.md).
 
-The engine's phase-1 loop prices every active instance on every tick.  The
-scalar :meth:`MachineModel.breakdown_tiered` re-derives, per call,
-everything that does not depend on the placement: the per-pattern
+The engine's phase-1 loop asks for every active instance's breakdown on
+every tick, and for every instance before and after the policy's region
+start hook.  The scalar :meth:`MachineModel.breakdown_tiered` re-derives,
+per call, everything that does not depend on the placement: the per-pattern
 accumulation structure, tier latencies, MLP constants, pure-compute time
 and the compute/memory overlap factor.  :class:`TieredBreakdownKernel`
 hoists all of that to region start:
@@ -15,15 +16,23 @@ hoists all of that to region start:
   its footprint (<= 4 slots, one per :class:`~repro.common.AccessPattern`);
 * per-instance ``cpu_s`` and overlap ``beta`` scalars.
 
-Per tick, one ordered ``np.add.at`` scatter-add each for reads and writes
-rebuilds the buckets of every tier and instance at once, and the rest of the
-model is elementwise over tiers and instances.  Bit-identity with the
-scalar model holds because every float reduction keeps the scalar loop's
-order: ``np.add.at`` adds in element order (= access order within a tier),
-slot accumulation walks slots in first-appearance order, and unused slots
-contribute an exact ``+0.0`` (an identity on the non-negative values
+Per priced placement, one ordered ``np.add.at`` scatter-add each for reads
+and writes rebuilds the buckets of every tier and instance at once, and the
+rest of the model is elementwise over tiers and instances.  Bit-identity
+with the scalar model holds because every float reduction keeps the scalar
+loop's order: ``np.add.at`` adds in element order (= access order within a
+tier), slot accumulation walks slots in first-appearance order, and unused
+slots contribute an exact ``+0.0`` (an identity on the non-negative values
 involved).  The q-norm across tiers stays a scalar Python ``pow`` per
 instance (PERFORMANCE.md §4).
+
+Between migrations a region's placement does not change, and neither does
+any instance's price.  The kernel therefore prices every instance of the
+region at once and keeps the prices until it is handed a different
+clipped fraction matrix: the key is the matrix's bytes, the priced input
+itself, so no residency writer can change a price without changing the
+key.  Until then every call gets the same :class:`TieredBreakdown` row
+per instance (frozen, so sharing it is safe).
 
 A 2-tier DRAM/PM placement is the n = 2 case of the same body:
 :class:`BreakdownKernel` turns per-object DRAM ratios ``r`` into fraction
@@ -58,7 +67,8 @@ class TieredBreakdownKernel:
     :meth:`breakdown_batch` call then prices any subset of those instances
     under the current placement, given as per-object *fraction vectors*
     (fastest tier first), with a handful of numpy passes over a
-    ``(tier, instance, slot)`` bucket tensor.
+    ``(tier, instance, slot)`` bucket tensor.  A call whose clipped
+    placement equals the previous call's returns the rows that call priced.
     """
 
     def __init__(
@@ -126,6 +136,12 @@ class TieredBreakdownKernel:
         self._rbw = np.array([[t.read_bandwidth] for t in topo.tiers])
         self._wbw = np.array([[t.write_bandwidth] for t in topo.tiers])
         self._n_tiers = n_tiers
+        #: bytes of the last priced fraction matrix, the six per-instance
+        #: TieredBreakdown fields priced under it (in row order), and the
+        #: rows built from them so far, by task id
+        self._memo_key: bytes | None = None
+        self._memo_fields: tuple[list, ...] = ()
+        self._memo_rows: dict[str, TieredBreakdown] = {}
 
     @property
     def task_ids(self) -> tuple[str, ...]:
@@ -165,7 +181,37 @@ class TieredBreakdownKernel:
         self, task_ids: Sequence[str], f_obj: np.ndarray
     ) -> list[TieredBreakdown]:
         """Breakdowns for ``task_ids`` from the clipped ``(n_obj, n_tiers)``
-        fraction matrix, one :class:`TieredBreakdown` per id, in order."""
+        fraction matrix, one :class:`TieredBreakdown` per id, in order.
+
+        Memoised on ``f_obj``'s bytes: a miss prices every instance, and
+        until the matrix changes each instance's row is built once, on its
+        first request, and returned to every later one."""
+        key = f_obj.tobytes()
+        if key != self._memo_key:
+            self._memo_fields = self._price_fields(f_obj)
+            self._memo_rows = {}
+            self._memo_key = key
+        rows = self._memo_rows
+        total, cpu, mem, tier_s, tier_rb, tier_wb = self._memo_fields
+        out = []
+        for tid in task_ids:
+            bd = rows.get(tid)
+            if bd is None:
+                i = self._rows[tid]
+                bd = rows[tid] = TieredBreakdown(
+                    total_s=total[i],
+                    cpu_s=cpu[i],
+                    mem_s=mem[i],
+                    tier_s=tier_s[i],
+                    tier_read_bytes=tier_rb[i],
+                    tier_write_bytes=tier_wb[i],
+                )
+            out.append(bd)
+        return out
+
+    def _price_fields(self, f_obj: np.ndarray) -> tuple[list, ...]:
+        """Every instance's :class:`TieredBreakdown` fields, in field order,
+        each a list in row order."""
         f_acc = f_obj.T[:, self._obj_idx]
         shape = self._lat.shape
         reads = np.zeros(shape)
@@ -189,24 +235,9 @@ class TieredBreakdownKernel:
         total = (
             np.maximum(self._cpu, t_mem) + (1.0 - self._beta) * np.minimum(self._cpu, t_mem)
         ).tolist()
-        cpu = self._cpu_list
         inst_rb = list(map(tuple, tier_rb.T.tolist()))
         inst_wb = list(map(tuple, tier_wb.T.tolist()))
-
-        out = []
-        for tid in task_ids:
-            i = self._rows[tid]
-            out.append(
-                TieredBreakdown(
-                    total_s=total[i],
-                    cpu_s=cpu[i],
-                    mem_s=mem[i],
-                    tier_s=inst_t[i],
-                    tier_read_bytes=inst_rb[i],
-                    tier_write_bytes=inst_wb[i],
-                )
-            )
-        return out
+        return total, self._cpu_list, mem, inst_t, inst_rb, inst_wb
 
     def _tier_time_batch(
         self, reads: np.ndarray, writes: np.ndarray

@@ -44,7 +44,7 @@ from repro.sim.counters import collect_pmcs
 from repro.sim.engine import Engine
 from repro.sim.kernels import BreakdownKernel
 from repro.sim.machine import MachineModel
-from repro.sim.memspec import optane_hm_config
+from repro.sim.memspec import optane_hm_config, topology_preset
 from repro.sim.pages import PageTable
 from tests.oracles import scalar
 from tests.oracles.scalar import scalar_reference
@@ -652,6 +652,101 @@ def test_tiered_breakdown_kernel_bit_identical(preset):
         for (tid, fp), bd in zip(fps, batch):
             ref = machine.breakdown_tiered(fp, topo, fractions)
             assert _bd_fingerprint(ref) == _bd_fingerprint(bd), tid
+
+
+def _memo_placements(preset: str, region, wl) -> list[dict]:
+    """Placements A, A, B, A for one region's objects.
+
+    The second A differs from the first only where clipping maps both to
+    the same matrix (NaN and -2.0 to 0.0, +inf and 5.0 to 1.0).  Each map
+    leaves one object out and holds NaN, ±inf and -0.0 components; on
+    2 tiers the rest are the access fractions of Memory Mode-style
+    fractional residency, on deeper tiers fractional vectors.
+    """
+    objs = sorted({o for inst in region.instances for o in inst.footprint.objects})
+    rng = make_rng(17)
+    if preset == "dram_pm":
+        table = PageTable(wl.objects, optane_hm_config().dram.capacity_bytes, rng=0)
+        maps = []
+        for share in (0.37, 0.81):
+            for k, name in enumerate(objs):
+                obj = table.object(name)
+                obj.set_residency(
+                    rng.uniform(0.0, 1.0, obj.n_pages) if k % 2 else share
+                )
+            maps.append(dict(table.access_fractions()))
+    else:
+        n = topology_preset(preset).n_tiers
+        maps = []
+        for _ in range(2):
+            raw = rng.uniform(0.0, 1.0, (len(objs), n))
+            raw /= raw.sum(axis=1, keepdims=True)
+            maps.append({o: tuple(map(float, v)) for o, v in zip(objs, raw)})
+    edges = (float("nan"), float("inf"), float("-inf"), -0.0)
+    same = (-2.0, 5.0, float("-inf"), -0.0)
+    a, b = maps
+    if preset != "dram_pm":
+        # the edge value replaces each vector's fastest-tier component
+        edges = [(x,) + a[o][1:] for o, x in zip(objs, edges)]
+        same = [(x,) + a[o][1:] for o, x in zip(objs, same)]
+    a_twin = dict(a)
+    for o, x, y in zip(objs, edges, same):
+        a[o], a_twin[o] = x, y
+    del a[objs[-1]], a_twin[objs[-1]], b[objs[0]]
+    return [a, a_twin, b, a]
+
+
+@pytest.mark.parametrize("preset", ["dram_pm", "hbm_dram_pm", "hbm_dram_cxl_pm"])
+def test_tick_kernel_memo_matches_fresh_kernel(preset, monkeypatch):
+    """The placement memo returns exactly what pricing again would: every
+    call of an A, A, B, A sequence equals a fresh kernel and the scalar
+    reference bit for bit, and only a changed clipped matrix is priced."""
+    from repro.sim.kernels import TieredBreakdownKernel
+
+    wl = SpGEMMApp.small(seed=0).build_workload(seed=0)
+    region = wl.regions[0]
+    fps = [(inst.task_id, inst.footprint) for inst in region.instances]
+    footprint = dict(fps)
+    ids = [tid for tid, _ in fps]
+    machine = MachineModel()
+    if preset == "dram_pm":
+        hm = optane_hm_config()
+
+        def make():
+            return BreakdownKernel(machine, hm, fps)
+
+        def reference(fp, fractions):
+            return scalar.breakdown_2tier(machine, fp, hm, fractions)
+    else:
+        topo = topology_preset(preset)
+
+        def make():
+            return TieredBreakdownKernel(machine, topo, fps)
+
+        def reference(fp, fractions):
+            return machine.breakdown_tiered(fp, topo, fractions)
+
+    runs: Counter = Counter()
+    price_fields = TieredBreakdownKernel._price_fields
+
+    def counted(self, f_obj):
+        runs[self] += 1
+        return price_fields(self, f_obj)
+
+    monkeypatch.setattr(TieredBreakdownKernel, "_price_fields", counted)
+    kernel = make()
+    # two instances not yet released, then all (a hit builds the rows the
+    # first call did not ask for), then one and two have finished
+    asks = [ids[2:], ids, ids[1:], ids[2:]]
+    placements = _memo_placements(preset, region, wl)
+    for n, (fractions, task_ids) in enumerate(zip(placements, asks)):
+        got = kernel.breakdown_batch(task_ids, fractions)
+        fresh = make().breakdown_batch(task_ids, fractions)
+        assert len(got) == len(task_ids)
+        for tid, bd, bd_fresh in zip(task_ids, got, fresh):
+            ref = _bd_fingerprint(reference(footprint[tid], fractions))
+            assert _bd_fingerprint(bd) == _bd_fingerprint(bd_fresh) == ref, (n, tid)
+    assert runs[kernel] == 3
 
 
 def _tiered_engine_fingerprint(system, preset: str, policy_name: str) -> tuple:

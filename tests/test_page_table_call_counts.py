@@ -16,6 +16,11 @@ fraction recomputations by the objects actually written or moved.
 Zipf page weights are drawn once per generator state: a rerun of a
 workload from the same seed draws none, and the draw memo never holds
 more pages than its budget.
+
+The tick kernel prices a region again only when the clipped fraction
+matrix it is handed changed: a run that never moves a page prices each
+region once, start refreshes included, and nothing on the engine's region
+path calls the scalar machine model.
 """
 
 import dataclasses
@@ -25,11 +30,13 @@ import numpy as np
 import pytest
 
 from repro.apps import SpGEMMApp
+from repro.baselines import PMOnlyPolicy
 from repro.core import default_system
 from repro.core.model import PerformanceModel
 from repro.policies import PolicyBuildContext, build_policy
 from repro.sim import Engine, MachineModel, optane_hm_config
 from repro.sim import pages
+from repro.sim.kernels import BreakdownKernel, TieredBreakdownKernel
 from repro.sim.memspec import topology_preset
 from repro.sim.pages import PagedObject, PageTable, TieredPagedObject, TieredPageTable
 
@@ -216,3 +223,60 @@ def test_weight_memo_stays_within_budget(monkeypatch):
         held = sum(len(w) for w, _ in pages._weight_memo.values())
         assert held == pages._weight_memo_pages <= budget
     assert held > per_table
+
+
+def _count_pricing(monkeypatch) -> dict:
+    """Count tick-kernel calls and pricing-body runs, and record per kernel
+    the clipped fraction matrices it was handed, in order."""
+    seen = {"calls": 0, "runs": 0, "keys": {}}
+    batch = BreakdownKernel.breakdown_batch
+    price = TieredBreakdownKernel._price
+    price_fields = TieredBreakdownKernel._price_fields
+
+    def counted_batch(self, task_ids, fractions):
+        seen["calls"] += 1
+        return batch(self, task_ids, fractions)
+
+    def recorded_price(self, task_ids, f_obj):
+        seen["keys"].setdefault(self, []).append(f_obj.tobytes())
+        return price(self, task_ids, f_obj)
+
+    def counted_fields(self, f_obj):
+        seen["runs"] += 1
+        return price_fields(self, f_obj)
+
+    monkeypatch.setattr(BreakdownKernel, "breakdown_batch", counted_batch)
+    monkeypatch.setattr(TieredBreakdownKernel, "_price", recorded_price)
+    monkeypatch.setattr(TieredBreakdownKernel, "_price_fields", counted_fields)
+    return seen
+
+
+def test_unmoved_regions_price_once(monkeypatch):
+    app = SpGEMMApp.small(seed=0)
+    wl = app.build_workload(seed=0)
+    seen = _count_pricing(monkeypatch)
+    scalar = _counting(monkeypatch, MachineModel, "breakdown_tiered")
+
+    res = Engine(MachineModel(), optane_hm_config()).run(wl, PMOnlyPolicy(), seed=1)
+
+    regions = len(wl.regions)
+    # two start refreshes per region, then one call per tick
+    assert seen["calls"] == len(res.trace_time) + 2 * regions
+    assert seen["runs"] == regions
+    assert scalar["calls"] == 0
+
+
+def test_ticks_price_once_per_placement(monkeypatch, system):
+    app = SpGEMMApp.small(seed=0)
+    wl = app.build_workload(seed=0)
+    policy = system.policy(app.binding(wl), seed=3)
+    seen = _count_pricing(monkeypatch)
+
+    res = Engine(MachineModel(), optane_hm_config()).run(wl, policy, seed=1)
+
+    placements = sum(
+        1 + sum(a != b for a, b in zip(keys, keys[1:]))
+        for keys in seen["keys"].values()
+    )
+    assert res.pages_migrated > 0 and len(seen["keys"]) == len(wl.regions)
+    assert seen["runs"] <= placements < seen["calls"]
