@@ -156,21 +156,20 @@ class WarpXPMPolicy(PlacementPolicy):
         exhausted: set[str] = set()
         while table.dram_free_pages() > 0 and len(exhausted) < len(instances):
             fractions = table.access_fractions()
-            times = {
-                inst.task_id: ctx.machine.instance_time(
-                    inst.footprint, ctx.hm, fractions
-                )
-                for inst in instances
-                if inst.task_id not in exhausted
-            }
-            if not times:
+            live = [inst for inst in instances if inst.task_id not in exhausted]
+            if not live:
                 break
+            (priced,) = ctx.machine.breakdowns(
+                [inst.footprint for inst in live], ctx.hm, [fractions]
+            )
+            times = {inst.task_id: bd.total_s for inst, bd in zip(live, priced)}
             slowest = max(times, key=times.__getitem__)
             inst = next(i for i in instances if i.task_id == slowest)
             # stage the chunk that most reduces the slowest task's time;
             # lifetime rank breaks ties (that is what the manual analysis
             # knows that a profiler does not)
-            best: tuple[float, int, str, np.ndarray] | None = None
+            chunks: list[tuple[str, np.ndarray]] = []
+            trials: list[dict[str, float]] = []
             for acc in inst.footprint.accesses:
                 obj = table.object(acc.obj)
                 idx = obj.hottest_pm_pages(
@@ -182,12 +181,15 @@ class WarpXPMPolicy(PlacementPolicy):
                 trial[acc.obj] = fractions.get(acc.obj, 0.0) + float(
                     obj.weight[idx].sum()
                 )
-                gain = times[slowest] - ctx.machine.instance_time(
-                    inst.footprint, ctx.hm, trial
-                )
-                key = (gain, -rank.get(acc.obj, len(rank)))
+                chunks.append((acc.obj, idx))
+                trials.append(trial)
+            staged = ctx.machine.breakdowns([inst.footprint], ctx.hm, trials)
+            best: tuple[float, int, str, np.ndarray] | None = None
+            for (name, idx), (bd,) in zip(chunks, staged):
+                gain = times[slowest] - bd.total_s
+                key = (gain, -rank.get(name, len(rank)))
                 if best is None or key > (best[0], best[1]):
-                    best = (gain, -rank.get(acc.obj, len(rank)), acc.obj, idx)
+                    best = (*key, name, idx)
             if best is None or best[0] <= 0:
                 exhausted.add(slowest)
                 continue

@@ -10,7 +10,7 @@ reproducible.
 from __future__ import annotations
 
 import enum
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "make_rng",
     "spawn_rng",
     "zipf_weights",
+    "seq_sum",
 ]
 
 #: Floor version for numpy (also declared in pyproject.toml).  The batched
@@ -132,6 +133,19 @@ def spawn_rng(rng: np.random.Generator) -> np.random.Generator:
     parent to reseed children does not, and silently correlates streams.
     """
     return rng.spawn(1)[0]
+
+
+def seq_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum from 0.0.
+
+    The builtin ``sum`` compensates rounding for Python floats from
+    CPython 3.12 on, which would make every result that sums floats depend
+    on the interpreter; this loop adds in order, as ``sum`` did up to 3.11.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def zipf_weights(n: int, s: float = 1.1, rng: SeedLike = None) -> np.ndarray:

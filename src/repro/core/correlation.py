@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.common import make_rng, spawn_rng
+from repro.common import make_rng, seq_sum, spawn_rng
 from repro.ml.kernels import forest_predict_grid
 from repro.ml import (
     DecisionTreeRegressor,
@@ -41,12 +41,14 @@ from repro.ml import (
 from repro.sim.counters import PMC_EVENTS, collect_pmcs, pmc_vector
 from repro.sim.machine import MachineModel
 from repro.sim.memspec import HMConfig
+from repro.tasks.task import Footprint
 
 if False:  # import-cycle guard: codesamples lives in repro.apps
     from repro.apps.codesamples import CodeSample  # noqa: F401
 
 __all__ = [
     "TrainingData",
+    "placement_ratio",
     "generate_training_data",
     "solve_f_target",
     "CorrelationFunction",
@@ -92,6 +94,16 @@ class TrainingData:
         )
 
 
+def placement_ratio(footprint: Footprint, fractions: Mapping[str, float]) -> float:
+    """The ``r_dram`` a training placement realises: per-object DRAM
+    ``fractions`` weighted by each object's share of the accesses.  Summed
+    per object, not per access like :meth:`Footprint.dram_ratio`; the
+    trained model's bits depend on this order."""
+    per_obj = footprint.accesses_by_object()
+    total = sum(per_obj.values())
+    return seq_sum(n * fractions[o] for o, n in per_obj.items()) / total
+
+
 def generate_training_data(
     machine: MachineModel,
     hm: HMConfig,
@@ -105,26 +117,31 @@ def generate_training_data(
     For every code sample: measure endpoints, run ``placements_per_sample``
     random placements (measuring ``r_dram`` and ``T_hybrid``), solve for f,
     and pair each target with the PMC vector collected under the *seed*
-    input.
+    input.  The ``j``-th placements of all samples are priced together.
     """
     rng = make_rng(seed)
     if samples is None:
         from repro.apps.codesamples import generate_corpus
 
         samples = generate_corpus(seed=rng)
-    rows: list[np.ndarray] = []
-    targets: list[float] = []
-    names: list[str] = []
-    for sample in samples:
-        fp = sample.footprint(1.0)
-        objs = fp.objects
-        t_dram, t_pm = machine.endpoint_times(fp, hm)
-        # features from the seed input, not the measured one
-        seed_fp = sample.footprint(seed_input_scale)
-        pmcs = pmc_vector(collect_pmcs(seed_fp, machine, hm, rng=rng))
-        per_obj = fp.accesses_by_object()
-        total = sum(per_obj.values())
-        for _ in range(placements_per_sample):
+    samples = list(samples)
+    fps = [sample.footprint(1.0) for sample in samples]
+    # one merged placement per round needs every object in one sample only
+    names = [o for fp in fps for o in fp.objects]
+    if len(set(names)) != len(names):
+        raise ValueError("training samples must not share object names")
+    endpoints = machine.tier_endpoints(fps, hm)
+    # features from the seed input, not the measured one
+    seed_fps = [sample.footprint(seed_input_scale) for sample in samples]
+    (seed_pm,) = machine.breakdowns(seed_fps, hm, [0.0])
+    pmcs: list[np.ndarray] = []
+    ratios: list[list[float]] = []
+    rounds: list[dict[str, float]] = [{} for _ in range(placements_per_sample)]
+    for fp, seed_fp, bd in zip(fps, seed_fps, seed_pm):
+        counters = collect_pmcs(seed_fp, machine, hm, rng=rng, t_pm_only=bd.total_s)
+        pmcs.append(pmc_vector(counters))
+        ratios.append([])
+        for merged in rounds:
             # Placements vary the DRAM ratio near-uniformly across the
             # region's objects (small per-object jitter).  This matches how
             # the model is queried at runtime: Algorithm 1 works in
@@ -135,20 +152,23 @@ def generate_training_data(
             base_r = float(rng.uniform(0.0, 0.97))
             fractions = {
                 o: float(np.clip(base_r + rng.normal(0.0, 0.05), 0.0, 1.0))
-                for o in objs
+                for o in fp.objects
             }
-            r = sum(per_obj[o] * fractions[o] for o in objs) / total
-            r = min(r, 0.99)
-            t_hyb = machine.instance_time(fp, hm, fractions)
-            f_val = solve_f_target(t_hyb, t_pm, t_dram, r)
-            rows.append(np.concatenate([pmcs, [r]]))
-            targets.append(f_val)
-            names.append(sample.name)
+            ratios[-1].append(min(placement_ratio(fp, fractions), 0.99))
+            merged.update(fractions)
+    hybrid = machine.breakdowns(fps, hm, rounds)
+
+    rows: list[np.ndarray] = []
+    targets: list[float] = []
+    for i, ((t_dram, t_pm), rs) in enumerate(zip(endpoints, ratios)):
+        for r, priced in zip(rs, hybrid):
+            rows.append(np.concatenate([pmcs[i], [r]]))
+            targets.append(solve_f_target(priced[i].total_s, t_pm, t_dram, r))
     return TrainingData(
         X=np.vstack(rows),
         y=np.asarray(targets),
         events=PMC_EVENTS,
-        sample_names=tuple(names),
+        sample_names=tuple(s.name for s in samples for _ in rounds),
     )
 
 

@@ -84,11 +84,14 @@ class HomogeneousPredictor:
         measurement device is the ground-truth machine model run with
         everything placed on a single tier.
         """
-        for block in blocks:
-            if not block.input_independent:
-                continue
-            t_dram, t_pm = self.machine.endpoint_times(block.unit_footprint, self.hm)
-            self._unit_times[block.name] = (t_dram, t_pm)
+        timed = [b for b in blocks if b.input_independent]
+        times = self.machine.tier_endpoints([b.unit_footprint for b in timed], self.hm)
+        for block, (t_dram, t_pm) in zip(timed, times):
+            self.record_unit_times(block.name, t_dram, t_pm)
+
+    def record_unit_times(self, name: str, t_dram: float, t_pm: float) -> None:
+        """A block's unit times on each tier, measured by the caller."""
+        self._unit_times[name] = (t_dram, t_pm)
 
     def has_block(self, name: str) -> bool:
         return name in self._unit_times

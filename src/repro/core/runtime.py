@@ -198,10 +198,13 @@ class MerchandiserPolicy(PlacementPolicy):
             # the counter path is healthy again predictions recover and the
             # watchdog can re-arm (fresh reads go through the fault injector
             # like any other)
-            for inst in region.instances:
+            (pm_only,) = ctx.machine.breakdowns(
+                [inst.footprint for inst in region.instances], ctx.hm, [0.0]
+            )
+            for inst, bd in zip(region.instances, pm_only):
                 key = self._profile_key(inst.task_id, region.kind)
                 if key in self._base_pmcs:
-                    self._base_pmcs[key] = self._read_pmcs(ctx, inst)
+                    self._base_pmcs[key] = self._read_pmcs(ctx, inst, bd.total_s)
                     self.guardrails.log.record(
                         "guardrail.pmc_reprofile", ctx.time, key=key
                     )
@@ -407,8 +410,11 @@ class MerchandiserPolicy(PlacementPolicy):
         # record base profiles for first-time tasks
         if self._pending_base:
             with self._span("profile", pending=len(self._pending_base)):
-                for inst in self._pending_base:
-                    self._record_base(ctx, inst)
+                endpoints = ctx.machine.tier_endpoints(
+                    [inst.footprint for inst in self._pending_base], ctx.hm
+                )
+                for inst, times in zip(self._pending_base, endpoints):
+                    self._record_base(ctx, inst, times)
         self._pending_base = []
         # alpha refinement from this region's PEBS measurements
         if self.enable_refinement:
@@ -536,10 +542,13 @@ class MerchandiserPolicy(PlacementPolicy):
         return sizes
 
     def _read_pmcs(
-        self, ctx: EngineContext, inst: TaskInstanceSpec
+        self, ctx: EngineContext, inst: TaskInstanceSpec, t_pm_only: float
     ) -> dict[str, float]:
-        """One PMC read for an instance, through the fault injector."""
-        pmcs = collect_pmcs(inst.footprint, ctx.machine, ctx.hm, rng=self._rng)
+        """One PMC read for an instance whose PM-only time the caller
+        priced, through the fault injector."""
+        pmcs = collect_pmcs(
+            inst.footprint, ctx.machine, ctx.hm, rng=self._rng, t_pm_only=t_pm_only
+        )
         if ctx.faults is not None:
             pmcs = ctx.faults.corrupt_pmc_read(pmcs, ctx.time)
         return pmcs
@@ -552,8 +561,12 @@ class MerchandiserPolicy(PlacementPolicy):
         new_vec = inst.input_vector if inst.input_vector else base_vec
         return self.homogeneous.predict(key, new_vec)
 
-    def _record_base(self, ctx: EngineContext, inst: TaskInstanceSpec) -> None:
-        """Online step 1 of Section 5.3: collect the base-input profile."""
+    def _record_base(
+        self, ctx: EngineContext, inst: TaskInstanceSpec, endpoints: tuple
+    ) -> None:
+        """Online step 1 of Section 5.3: collect the base-input profile;
+        ``endpoints`` are the instance's (DRAM-only, PM-only) times, which
+        also time its auto-derived body block."""
         tid = inst.task_id
         assert ctx.region is not None
         key = self._profile_key(tid, ctx.region.kind)
@@ -576,15 +589,13 @@ class MerchandiserPolicy(PlacementPolicy):
         self._estimators[key] = est
         if self._telemetry is not None:
             self._telemetry.inc("merch_policy_base_profiles_total")
-        self._base_pmcs[key] = self._read_pmcs(ctx, inst)
+        self._base_pmcs[key] = self._read_pmcs(ctx, inst, endpoints[1])
         self._base_inputs[key] = inst.input_vector or (1.0,)
         # auto-derive the task's "program body" basic block when the app
         # declares none: the whole base instance is one block
         block_name = f"{key}.body"
         if not self.homogeneous.has_block(block_name):
-            self.homogeneous.measure_blocks(
-                [BasicBlock(name=block_name, unit_footprint=inst.footprint)]
-            )
+            self.homogeneous.record_unit_times(block_name, *endpoints)
         self.homogeneous.record_base(
             key, {block_name: 1.0}, self._base_inputs[key]
         )
@@ -603,15 +614,8 @@ class MerchandiserPolicy(PlacementPolicy):
         per-object ``fractions`` (:meth:`PageTable.access_fractions`)."""
         assert ctx.region is not None
         for inst in ctx.region.instances:
-            if inst.task_id != tid:
-                continue
-            total = inst.footprint.total_accesses
-            if total == 0:
-                return 0.0
-            return sum(
-                acc.total * fractions.get(acc.obj, 0.0)
-                for acc in inst.footprint.accesses
-            ) / total
+            if inst.task_id == tid:
+                return inst.footprint.dram_ratio(fractions)
         return 0.0
 
     def _build_promotion_queue(

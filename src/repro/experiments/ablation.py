@@ -38,9 +38,11 @@ def _task_inputs(ctx: ExperimentContext, app_cls, region_index: int = 1):
     for inst in region.instances:
         for acc in inst.footprint.accesses:
             sharers[acc.obj] = sharers.get(acc.obj, 0) + 1
-    for inst in region.instances:
+    endpoints = machine.tier_endpoints(
+        [inst.footprint for inst in region.instances], hm
+    )
+    for inst, (t_dram, t_pm) in zip(region.instances, endpoints):
         fp = inst.footprint
-        t_dram, t_pm = machine.endpoint_times(fp, hm)
         tasks.append(
             TaskModelInputs(
                 task_id=inst.task_id,

@@ -46,8 +46,9 @@ def model_accuracy_on(system: Merchandiser, hm, machine, seed=0) -> float:
             total_accesses=fp.total_accesses,
             pmcs=collect_pmcs(fp, machine, hm, rng=rng, t_pm_only=t_pm),
         )
-        for r in (0.2, 0.5, 0.8):
-            truths.append(machine.uniform_ratio_time(fp, hm, r))
+        ratios = (0.2, 0.5, 0.8)
+        for r, (bd,) in zip(ratios, machine.breakdowns([fp], hm, ratios)):
+            truths.append(bd.total_s)
             preds.append(model.predict_ratio(inputs, r))
     return prediction_accuracy(truths, preds)
 

@@ -36,7 +36,8 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
     entire = {r: 0.0 for r in RATIOS}
     for phase in TC_PHASES:
         fp = app.phase_footprint(phase, t, tile_bytes, index_bytes)
-        times = {r: machine.uniform_ratio_time(fp, hm, r) for r in RATIOS}
+        priced = machine.breakdowns([fp], hm, RATIOS)
+        times = {r: bd.total_s for r, (bd,) in zip(RATIOS, priced)}
         for r in RATIOS:
             entire[r] += times[r]
         norm = {r: times[r] / times[0.0] for r in RATIOS}

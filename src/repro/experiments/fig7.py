@@ -16,7 +16,7 @@ from repro.apps import ALL_APPS, DMRGApp, WarpXApp
 from repro.core.correlation import CorrelationFunction
 from repro.ml import GradientBoostedRegressor, prediction_accuracy
 from repro.sim.counters import collect_pmcs, pmc_vector
-from repro.core.correlation import solve_f_target
+from repro.core.correlation import placement_ratio, solve_f_target
 from repro.common import make_rng
 from repro.experiments.common import ExperimentContext, format_table
 from repro.experiments.table3 import training_data
@@ -49,15 +49,11 @@ def app_eval_data(ctx: ExperimentContext, events: tuple[str, ...]):
             t_dram, t_pm = machine.endpoint_times(fp, hm)
             pmcs = collect_pmcs(fp, machine, hm, rng=rng, t_pm_only=t_pm)
             vec = pmc_vector(pmcs, events)
-            per_obj = fp.accesses_by_object()
-            total = sum(per_obj.values())
-            for _ in range(4):
-                fracs = {o: float(rng.random()) for o in fp.objects}
-                r = sum(per_obj[o] * fracs[o] for o in fp.objects) / total
-                r = min(r, 0.95)
-                t_hyb = machine.instance_time(fp, hm, fracs)
+            draws = [{o: float(rng.random()) for o in fp.objects} for _ in range(4)]
+            for fracs, (bd,) in zip(draws, machine.breakdowns([fp], hm, draws)):
+                r = min(placement_ratio(fp, fracs), 0.95)
                 X.append(np.concatenate([vec, [r]]))
-                y.append(solve_f_target(t_hyb, t_pm, t_dram, r))
+                y.append(solve_f_target(bd.total_s, t_pm, t_dram, r))
     return {g: (np.vstack(X), np.asarray(y)) for g, (X, y) in groups.items()}
 
 

@@ -71,13 +71,14 @@ def _region_catalogue(
     machine, hm = MachineModel(), optane_hm_config()
     samples = generate_corpus(n_shapes * tasks_per_shape, seed=ctx.seed + 23)
     rng = make_rng(ctx.seed + 29)
+    fps = [sample.footprint(1.0) for sample in samples]
+    endpoints = machine.tier_endpoints(fps, hm)
     shapes: list[tuple[TaskSpec, ...]] = []
     for s in range(n_shapes):
         specs = []
         for k in range(tasks_per_shape):
-            sample = samples[s * tasks_per_shape + k]
-            fp = sample.footprint(1.0)
-            t_dram, t_pm = machine.endpoint_times(fp, hm)
+            fp = fps[s * tasks_per_shape + k]
+            t_dram, t_pm = endpoints[s * tasks_per_shape + k]
             pmcs = collect_pmcs(fp, machine, hm, rng=spawn_rng(rng), t_pm_only=t_pm)
             specs.append(
                 TaskSpec(

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.apps import ALL_APPS
 from repro.core.estimator import AccessEstimator
-from repro.core.homogeneous import BasicBlock, HomogeneousPredictor, input_similarity_scale
+from repro.core.homogeneous import HomogeneousPredictor, input_similarity_scale
 from repro.core.model import PerformanceModel, TaskModelInputs
 from repro.ml import prediction_accuracy
 from repro.profiling.pebs import PEBSProfiler
@@ -72,17 +72,20 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
                 if k in desc
             }
             est.record_base_profile(base_sizes, counts)
-            pmcs = collect_pmcs(base.footprint, machine, hm, rng=rng)
-            block = BasicBlock(name=f"{tid}|{kind}", unit_footprint=base.footprint)
-            homog.measure_blocks([block])
-            homog.record_base(block.name, {block.name: 1.0}, base.input_vector or (1.0,))
+            base_t_dram, base_t_pm = machine.endpoint_times(base.footprint, hm)
+            pmcs = collect_pmcs(
+                base.footprint, machine, hm, rng=rng, t_pm_only=base_t_pm
+            )
+            block = f"{tid}|{kind}"
+            homog.record_unit_times(block, base_t_dram, base_t_pm)
+            homog.record_base(block, {block: 1.0}, base.input_vector or (1.0,))
             for region, inst in items[1:]:
                 sizes = binding.object_sizes(wl, inst, region.name)
                 total_est = est.estimate_total(sizes)
                 if total_est <= 0:
                     continue
                 new_vec = inst.input_vector or base.input_vector or (1.0,)
-                t_dram, t_pm = homog.predict(block.name, new_vec)
+                t_dram, t_pm = homog.predict(block, new_vec)
                 inputs = TaskModelInputs(
                     task_id=tid,
                     t_pm_only=t_pm,
@@ -97,10 +100,9 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
                 # profiled execution time (PM-only, where profiling runs) by
                 # the data-size ratio; it has no notion of data placement,
                 # which is exactly why the paper's model outperforms it
-                base_t_pm = machine.uniform_ratio_time(base.footprint, hm, 0.0)
-                for r in PLACEMENT_RATIOS:
-                    truth = machine.uniform_ratio_time(inst.footprint, hm, r)
-                    truths.append(truth)
+                priced = machine.breakdowns([inst.footprint], hm, PLACEMENT_RATIOS)
+                for r, (bd,) in zip(PLACEMENT_RATIOS, priced):
+                    truths.append(bd.total_s)
                     preds.append(model.predict_ratio(inputs, r))
                     base_preds.append(base_t_pm * scale)
                 # online alpha refinement from this instance's PEBS

@@ -559,6 +559,7 @@ KERNEL_ENTRY_POINTS: tuple[str, ...] = (
     "repro.core.planner.throughput_plan",
     "repro.sim.kernels.BreakdownKernel",
     "repro.sim.kernels.TieredBreakdownKernel",
+    "repro.sim.machine.MachineModel.breakdowns",
     "repro.sim.pages.PageTable.weight_arena",
     "repro.sim.pages.PageTable.residency_arena",
     "repro.sim.pages.PageTable.object_slice",

@@ -62,17 +62,21 @@ class TieredMerchandiserPolicy(PlacementPolicy):
 
         tasks: list[TieredTaskInputs] = []
         task_bytes: dict[str, int] = {}
-        for inst in ctx.region.instances:
+        live = [i for i in ctx.region.instances if i.footprint.total_accesses > 0]
+        endpoints = ctx.machine.tier_endpoints([inst.footprint for inst in live], topo)
+        for inst, tier_times in zip(live, endpoints):
             fp = inst.footprint
-            total = fp.total_accesses
-            if total <= 0:
-                continue
+            # ctx.hm's PM tier is the topology's slowest, so the PMC read's
+            # PM-only time is the slowest-tier endpoint
             tasks.append(
                 TieredTaskInputs(
                     task_id=inst.task_id,
-                    tier_times=ctx.machine.tier_endpoint_times(fp, topo),
-                    total_accesses=total,
-                    pmcs=collect_pmcs(fp, ctx.machine, ctx.hm, rng=self._rng),
+                    tier_times=tier_times,
+                    total_accesses=fp.total_accesses,
+                    pmcs=collect_pmcs(
+                        fp, ctx.machine, ctx.hm, rng=self._rng,
+                        t_pm_only=tier_times[-1],
+                    ),
                 )
             )
             task_bytes[inst.task_id] = int(

@@ -36,11 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from repro.common import PAGE_SIZE, make_rng
+from repro.common import PAGE_SIZE, make_rng, seq_sum
 from repro.sim.faults import FaultInjector, RobustnessReport
 from repro.sim.kernels import BreakdownKernel, TieredBreakdownKernel
 from repro.sim.machine import MachineModel
@@ -449,16 +449,7 @@ class Engine:
             expected = want.get(inst.task_id)
             if expected is None:
                 continue
-            total = inst.footprint.total_accesses
-            actual = (
-                sum(
-                    acc.total * fractions.get(acc.obj, 0.0)
-                    for acc in inst.footprint.accesses
-                )
-                / total
-                if total > 0
-                else 0.0
-            )
+            actual = inst.footprint.dram_ratio(fractions)
             if abs(actual - float(expected)) > 1e-6:
                 text = (
                     f"task {inst.task_id!r}: r_dram {actual:.6f} after "
@@ -580,20 +571,10 @@ class Engine:
     def _task_r_dram_map(self, ctx: EngineContext) -> dict[str, float]:
         assert ctx.region is not None
         fractions = ctx.page_table.access_fractions()
-        out: dict[str, float] = {}
-        for inst in ctx.region.instances:
-            total = inst.footprint.total_accesses
-            if total <= 0:
-                out[inst.task_id] = 0.0
-                continue
-            out[inst.task_id] = (
-                sum(
-                    acc.total * fractions.get(acc.obj, 0.0)
-                    for acc in inst.footprint.accesses
-                )
-                / total
-            )
-        return out
+        return {
+            inst.task_id: inst.footprint.dram_ratio(fractions)
+            for inst in ctx.region.instances
+        }
 
     def _journal_epoch_commit(
         self,
@@ -809,7 +790,7 @@ class Engine:
             tick_bytes = [0.0] * n
             for inst in active:
                 b = inst_bytes[inst.task_id]
-                total_bytes = _seq_sum(b)
+                total_bytes = seq_sum(b)
                 if total_bytes > 0:
                     # the 2-tier order for every n: the slowest tier takes
                     # the weight the faster tiers leave, 1 - sum(w_k)
@@ -925,7 +906,7 @@ class Engine:
             if cfg.record_bandwidth:
                 trace_t.append(ctx.time)
                 trace_d.append(tick_bytes[0] / dt)
-                trace_p.append(_seq_sum(tick_bytes[1:]) / dt)
+                trace_p.append(seq_sum(tick_bytes[1:]) / dt)
                 trace_m.append(mig_bytes / dt)
 
             if tel is not None:
@@ -948,16 +929,6 @@ class Engine:
         return RegionResult(
             name=region.name, start_s=start, end_s=end, busy_s=busy, wait_s=wait
         )
-
-
-def _seq_sum(values: Sequence[float]) -> float:
-    """Left-to-right float sum from 0.0; the builtin ``sum`` compensates
-    rounding on Python >= 3.12, which would make results depend on the
-    interpreter."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def _clamp_batch(batch: MigrationBatch, max_pages: int) -> MigrationBatch:

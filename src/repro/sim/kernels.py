@@ -1,16 +1,17 @@
-"""Batched tick kernel for the virtual-time engine (PERFORMANCE.md).
+"""The time model's one pricing body, batched (PERFORMANCE.md).
 
-The engine's phase-1 loop asks for every active instance's breakdown on
-every tick, and for every instance before and after the policy's region
-start hook.  The scalar :meth:`MachineModel.breakdown_tiered` re-derives,
-per call, everything that does not depend on the placement: the per-pattern
-accumulation structure, tier latencies, MLP constants, pure-compute time
-and the compute/memory overlap factor.  :class:`TieredBreakdownKernel`
-hoists all of that to region start:
+:meth:`TieredBreakdownKernel._price_fields` is the only code that computes
+per-tier times, their q-norm and the compute/memory overlap.  The engine
+builds one kernel per region and prices every tick through the traced
+``breakdown_batch``; :meth:`MachineModel.breakdowns
+<repro.sim.machine.MachineModel.breakdowns>` builds a fresh one per batch
+of footprints and calls ``_price``, so the engine's span counts stay its
+own.  Everything that does not depend on the placement is hoisted to
+construction:
 
 * access tensors -- flat arrays of (instance row, pattern slot, object
-  column, reads, writes) covering every ``ObjectAccess`` of the region, in
-  footprint order;
+  column, reads, writes) covering every ``ObjectAccess``, in footprint
+  order;
 * per-(tier, instance, slot) latency and per-(instance, slot) MLP
   constants, where a "slot" is a pattern's first-appearance rank within
   its footprint (<= 4 slots, one per :class:`~repro.common.AccessPattern`);
@@ -18,28 +19,24 @@ hoists all of that to region start:
 
 Per priced placement, one ordered ``np.add.at`` scatter-add each for reads
 and writes rebuilds the buckets of every tier and instance at once, and the
-rest of the model is elementwise over tiers and instances.  Bit-identity
-with the scalar model holds because every float reduction keeps the scalar
-loop's order: ``np.add.at`` adds in element order (= access order within a
-tier), slot accumulation walks slots in first-appearance order, and unused
-slots contribute an exact ``+0.0`` (an identity on the non-negative values
-involved).  The q-norm across tiers stays a scalar Python ``pow`` per
+rest of the model is elementwise over tiers and instances.  Each float
+reduction keeps the order of the scalar oracle in ``tests/oracles/scalar.py``
+(a per-pattern dict walk per tier), so the two agree bit for bit, and an
+instance's price never depends on the others in its batch: ``np.add.at``
+adds in element order (= access order within a tier), slot accumulation
+walks slots in first-appearance order, and unused slots contribute an exact
+``+0.0``.  The q-norm across tiers stays a scalar Python ``pow`` per
 instance (PERFORMANCE.md §4).
 
 Between migrations a region's placement does not change, and neither does
-any instance's price.  The kernel therefore prices every instance of the
-region at once and keeps the prices until it is handed a different
-clipped fraction matrix: the key is the matrix's bytes, the priced input
-itself, so no residency writer can change a price without changing the
-key.  Until then every call gets the same :class:`TieredBreakdown` row
-per instance (frozen, so sharing it is safe).
+any instance's price.  The kernel keeps every instance's price until it is
+handed a different clipped fraction matrix (keyed on the matrix's bytes),
+returning the same frozen :class:`TieredBreakdown` row per instance.
 
 A 2-tier DRAM/PM placement is the n = 2 case of the same body:
 :class:`BreakdownKernel` turns per-object DRAM ratios ``r`` into fraction
-vectors ``(r, 1.0 - r)``.  That matches the scalar 2-tier model
-:meth:`MachineModel.breakdown` bit for bit, because the q-norm sum starts
-at 0 and ``0 + a`` is exact.  Bandwidth contention is not priced here on
-either path; the engine applies it after the breakdown.
+vectors ``(r, 1.0 - r)``.  Bandwidth contention is not priced here; the
+engine applies it after the breakdown.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.common import CACHE_LINE
+from repro.common import CACHE_LINE, seq_sum
 from repro.sim.machine import MachineModel, TieredBreakdown
 from repro.sim.memspec import HMConfig, TopologySpec
 from repro.tasks.task import Footprint
@@ -60,15 +57,14 @@ _MAX_SLOTS = 4
 
 
 class TieredBreakdownKernel:
-    """Region-scoped batched replacement for per-instance
-    ``breakdown_tiered``.
+    """Batched breakdowns of a fixed set of footprints.
 
-    Built once per region from ``(task_id, footprint)`` pairs; each
-    :meth:`breakdown_batch` call then prices any subset of those instances
-    under the current placement, given as per-object *fraction vectors*
-    (fastest tier first), with a handful of numpy passes over a
-    ``(tier, instance, slot)`` bucket tensor.  A call whose clipped
-    placement equals the previous call's returns the rows that call priced.
+    Built from ``(task_id, footprint)`` pairs; each :meth:`breakdown_batch`
+    call then prices any subset of those instances under one placement,
+    given as per-object *fraction vectors* (fastest tier first), with a
+    handful of numpy passes over a ``(tier, instance, slot)`` bucket
+    tensor.  A call whose clipped placement equals the previous call's
+    returns the rows that call priced.
     """
 
     def __init__(
@@ -113,7 +109,7 @@ class TieredBreakdownKernel:
             cpu[i] = machine.cpu_time(fp)
             mix = fp.pattern_mix()
             beta[i] = (
-                sum(spec.overlap[p] * w for p, w in mix.items()) if mix else 0.0
+                seq_sum(spec.overlap[p] * w for p, w in mix.items()) if mix else 0.0
             )
 
         # scatter targets for every (tier, access) pair, tier-major so each
@@ -147,13 +143,18 @@ class TieredBreakdownKernel:
     def task_ids(self) -> tuple[str, ...]:
         return tuple(self._rows)
 
-    def _object_fractions(
+    @property
+    def objects(self) -> tuple[str, ...]:
+        """Every object the footprints access, in column order."""
+        return tuple(self._obj_cols)
+
+    def _fractions(
         self, tier_fractions: Mapping[str, Sequence[float]]
     ) -> np.ndarray:
         """(n_obj, n_tiers) clipped fraction matrix in column order.
 
         Missing objects default to all-in-slowest and NaN components clip
-        to 0.0, matching the scalar ``breakdown_tiered``.
+        to 0.0, like the scalar ``min(1.0, max(0.0, v))``.
         """
         n = self._n_tiers
         default = (0.0,) * (n - 1) + (1.0,)
@@ -173,9 +174,9 @@ class TieredBreakdownKernel:
         task_ids: Sequence[str],
         tier_fractions: Mapping[str, Sequence[float]],
     ) -> list[TieredBreakdown]:
-        """Tiered breakdowns for ``task_ids``, bit-identical to calling the
-        scalar ``machine.breakdown_tiered`` per instance."""
-        return self._price(task_ids, self._object_fractions(tier_fractions))
+        """Tiered breakdowns for ``task_ids`` under per-object fraction
+        vectors."""
+        return self._price(task_ids, self._fractions(tier_fractions))
 
     def _price(
         self, task_ids: Sequence[str], f_obj: np.ndarray
@@ -220,17 +221,19 @@ class TieredBreakdownKernel:
         # within each tier, like the scalar loop
         np.add.at(reads, self._at, (self._reads * f_acc).ravel())
         np.add.at(writes, self._at, (self._writes * f_acc).ravel())
-        tier_t, tier_rb, tier_wb = self._tier_time_batch(reads, writes)
+        tier_t, tier_rb, tier_wb = self._tier_costs(reads, writes)
 
         # the q-norm stays scalar per instance: numpy's SIMD pow differs
         # from libm pow in the last bit for ~5% of inputs.  The sum starts
-        # at 0 and adds tiers in order, like the generator sum in
-        # breakdown_tiered; everything else here is exactly-rounded IEEE
-        # arithmetic (add/mul/div/min/max), where vector and scalar agree.
+        # at 0 and adds tiers in order; everything else here is
+        # exactly-rounded IEEE arithmetic (add/mul/div/min/max), where
+        # vector and scalar agree.
         q = self._q
         inv_q = 1.0 / q
         inst_t = list(map(tuple, tier_t.T.tolist()))
-        mem = [sum([t**q for t in ts]) ** inv_q if any(ts) else 0.0 for ts in inst_t]
+        mem = [
+            seq_sum([t**q for t in ts]) ** inv_q if any(ts) else 0.0 for ts in inst_t
+        ]
         t_mem = np.array(mem)
         total = (
             np.maximum(self._cpu, t_mem) + (1.0 - self._beta) * np.minimum(self._cpu, t_mem)
@@ -239,14 +242,16 @@ class TieredBreakdownKernel:
         inst_wb = list(map(tuple, tier_wb.T.tolist()))
         return total, self._cpu_list, mem, inst_t, inst_rb, inst_wb
 
-    def _tier_time_batch(
+    def _tier_costs(
         self, reads: np.ndarray, writes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vector twin of ``MachineModel._tier_time`` over all tiers and
-        instances: ``(n_tiers, n_inst)`` times, read bytes, write bytes.
+        """Per-tier time of every instance: ``(n_tiers, n_inst)`` times, read
+        bytes, write bytes.  A tier's time is the max of the latency-bound
+        estimate (accesses serialised by the pattern's limited MLP) and the
+        bandwidth-bound estimate.
 
         Slots are reduced sequentially, in first-appearance order like the
-        scalar dict walk; the scalar's leading ``0.0 + term`` is exact, so
+        scalar oracle's dict walk; its leading ``0.0 + term`` is exact, so
         the sums start at slot 0.  Empty slots have zero counts, so their
         terms are an exact ``+0.0``; the per-term expression keeps the
         scalar's operation order ``((n * lat) * 1e-9) / mlp``.
@@ -267,8 +272,7 @@ class TieredBreakdownKernel:
 
 class BreakdownKernel(TieredBreakdownKernel):
     """The n = 2 front end: prices per-object DRAM ratios ``r`` on an
-    :class:`HMConfig` as fraction vectors ``(r, 1.0 - r)``, bit-identical
-    to calling the scalar ``machine.breakdown`` per instance."""
+    :class:`HMConfig` as fraction vectors ``(r, 1.0 - r)``."""
 
     def __init__(
         self,
@@ -283,10 +287,15 @@ class BreakdownKernel(TieredBreakdownKernel):
         task_ids: Sequence[str],
         dram_fractions: Mapping[str, float],
     ) -> list[TieredBreakdown]:
+        # defined on this class too, so profilers that wrap each class's
+        # own entry point time the two front ends apart
+        return self._price(task_ids, self._fractions(dram_fractions))
+
+    def _fractions(self, dram_fractions: Mapping[str, float]) -> np.ndarray:
+        """(n_obj, 2) matrix ``(r, 1.0 - r)`` of the clipped DRAM ratios;
+        missing objects are all-PM."""
         # _obj_cols maps names to 0..n-1 in insertion order, so iterating
-        # its keys fills column order directly.  _price, not the tiered
-        # breakdown_batch, so each entry point is timed on its own by
-        # profilers that wrap it
+        # its keys fills column order directly
         n_obj = len(self._obj_cols)
         r = np.fromiter(
             (dram_fractions.get(name, 0.0) for name in self._obj_cols),
@@ -296,7 +305,7 @@ class BreakdownKernel(TieredBreakdownKernel):
         f = np.empty((n_obj, 2))
         f[:, 0] = _clip_unit(r)
         np.subtract(1.0, f[:, 0], out=f[:, 1])
-        return self._price(task_ids, f)
+        return f
 
 
 def _clip_unit(values: np.ndarray) -> np.ndarray:

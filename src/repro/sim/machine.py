@@ -2,7 +2,8 @@
 
 This is the simulator's stand-in for the physical machine: given a task
 instance's :class:`~repro.tasks.task.Footprint` and the current per-object
-DRAM access fractions, it computes how long the instance takes.
+access fractions across the memory tiers, it computes how long the
+instance takes.
 
 The model (DESIGN.md Section 5) is deliberately *nonlinear* in the DRAM
 ratio ``r_dram``:
@@ -10,7 +11,13 @@ ratio ``r_dram``:
 * regular patterns are bandwidth-bound and deeply pipelined (high
   memory-level parallelism), random patterns are latency-bound (MLP ~ 1.5);
 * memory time overlaps with compute to a pattern-dependent degree;
-* traffic to the two tiers partially overlaps (p-norm combination).
+* traffic to the tiers partially overlaps (q-norm combination).
+
+The memory arithmetic is written once, in the tick kernel's body
+(:mod:`repro.sim.kernels`): :meth:`MachineModel.breakdowns` prices
+footprints under placements through a fresh kernel, and the other pricing
+methods are one-footprint views of it.  ``tests/oracles/scalar.py`` keeps
+the model's scalar form as the reference.
 
 Merchandiser's learned correlation function ``f`` (Section 5 of the paper)
 never sees these internals -- only synthetic performance counters and the two
@@ -21,13 +28,19 @@ problem, just as learning it from real hardware is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
-from repro.common import CACHE_LINE, AccessPattern
-from repro.sim.memspec import HMConfig, TierSpec, TopologySpec
+from repro.common import AccessPattern
+from repro.sim.memspec import HMConfig, TopologySpec
 from repro.tasks.task import Footprint
 
-__all__ = ["MachineSpec", "TieredBreakdown", "MachineModel"]
+__all__ = ["MachineSpec", "TieredBreakdown", "MachineModel", "Placement"]
+
+#: per-object DRAM ratios (HMConfig) or fraction vectors (TopologySpec),
+#: or one ratio / vector for every object
+Placement = Union[
+    Mapping[str, float], Mapping[str, Sequence[float]], float, Sequence[float]
+]
 
 
 @dataclass(frozen=True)
@@ -94,7 +107,7 @@ class TieredBreakdown:
 
 
 class MachineModel:
-    """Computes instance execution times on a given HM configuration."""
+    """Computes instance execution times on a given memory system."""
 
     def __init__(self, spec: MachineSpec | None = None) -> None:
         self.spec = spec or MachineSpec()
@@ -112,137 +125,70 @@ class MachineModel:
         return cycles / (spec.frequency_ghz * spec.scale * 1e9)
 
     # ------------------------------------------------------------------
-    def _tier_time(
+    def breakdowns(
         self,
-        tier: TierSpec,
-        accesses: Mapping[AccessPattern, tuple[float, float]],
-    ) -> tuple[float, float, float]:
-        """Time, read bytes, write bytes for one tier.
+        footprints: Sequence[Footprint],
+        memory: HMConfig | TopologySpec,
+        placements: Sequence[Placement],
+    ) -> list[list[TieredBreakdown]]:
+        """``out[p][i]`` prices ``footprints[i]`` under ``placements[p]``.
 
-        ``accesses[p] = (reads, writes)`` counts cache-line accesses of
-        pattern ``p`` hitting this tier.  Tier time is the max of the
-        latency-bound estimate (serialised by limited MLP) and the
-        bandwidth-bound estimate.
+        On an :class:`HMConfig` a placement maps objects to DRAM ratios (a
+        float prices every object at that ratio); on a
+        :class:`TopologySpec` it maps objects to access-fraction vectors,
+        fastest tier first (one vector prices every object with it).
+        Missing objects are all-in-slowest, components clip to [0, 1] and
+        NaN to 0.0.  Footprints that name the same object share its
+        placement.  One fresh tick kernel prices the batch, one body run
+        per placement; batching changes no bit of any breakdown.
         """
-        spec = self.spec
-        latency_s = 0.0
-        read_bytes = 0.0
-        write_bytes = 0.0
-        for pattern, (reads, writes) in accesses.items():
-            n = reads + writes
-            if n <= 0:
-                continue
-            lat_ns = tier.latency_ns(random=(pattern is AccessPattern.RANDOM))
-            latency_s += n * lat_ns * 1e-9 / spec.mlp[pattern]
-            read_bytes += reads * CACHE_LINE
-            write_bytes += writes * CACHE_LINE
-        bandwidth_s = read_bytes / tier.read_bandwidth + write_bytes / tier.write_bandwidth
-        return max(latency_s, bandwidth_s), read_bytes, write_bytes
+        # kernels imports this module
+        from repro.sim.kernels import BreakdownKernel, TieredBreakdownKernel
 
-    # ------------------------------------------------------------------
-    def breakdown(
-        self,
-        footprint: Footprint,
-        hm: HMConfig,
-        dram_fractions: Mapping[str, float],
-    ) -> TieredBreakdown:
-        """Full time breakdown for an instance under a 2-tier placement.
-
-        ``dram_fractions[obj]`` is the access-weighted DRAM fraction of each
-        object (missing objects default to 0 = all-PM).  This is the n = 2
-        case of :meth:`breakdown_tiered`: each ratio, clipped to [0, 1],
-        becomes the fraction vector ``(r, 1.0 - r)``.
-        """
-        vectors = {}
-        for o in footprint.objects:
-            r = min(1.0, max(0.0, float(dram_fractions.get(o, 0.0))))
-            vectors[o] = (r, 1.0 - r)
-        return self.breakdown_tiered(footprint, TopologySpec.from_hm(hm), vectors)
-
-    # ------------------------------------------------------------------
-    def breakdown_tiered(
-        self,
-        footprint: Footprint,
-        topo: TopologySpec,
-        tier_fractions: Mapping[str, Sequence[float]],
-    ) -> TieredBreakdown:
-        """Full time breakdown for an instance on an N-tier topology.
-
-        ``tier_fractions[obj]`` is the object's access-fraction vector
-        across the topology's tiers, fastest first (missing objects default
-        to all-in-slowest).  Contention is not priced here: the engine
-        scales progress by per-tier bandwidth after the breakdown.
-        """
-        n = topo.n_tiers
-        default = (0.0,) * (n - 1) + (1.0,)
-        accs: list[dict[AccessPattern, tuple[float, float]]] = [{} for _ in range(n)]
-        for a in footprint.accesses:
-            f = tier_fractions.get(a.obj, default)
-            if len(f) != n:
-                raise ValueError(
-                    f"object {a.obj!r}: fraction vector has {len(f)} entries "
-                    f"for a {n}-tier topology"
-                )
-            for k in range(n):
-                fk = min(1.0, max(0.0, float(f[k])))
-                r, w = accs[k].get(a.pattern, (0.0, 0.0))
-                accs[k][a.pattern] = (r + a.reads * fk, w + a.writes * fk)
-
-        times: list[float] = []
-        read_b: list[float] = []
-        write_b: list[float] = []
-        for k, tier in enumerate(topo.tiers):
-            t, rb, wb = self._tier_time(tier, accs[k])
-            times.append(t)
-            read_b.append(rb)
-            write_b.append(wb)
-        q = self.spec.tier_overlap_q
-        t_mem = sum(t**q for t in times) ** (1.0 / q) if any(times) else 0.0
-
-        t_cpu = self.cpu_time(footprint)
-        mix = footprint.pattern_mix()
-        beta = sum(self.spec.overlap[p] * w for p, w in mix.items()) if mix else 0.0
-        total = max(t_cpu, t_mem) + (1.0 - beta) * min(t_cpu, t_mem)
-        return TieredBreakdown(
-            total_s=total,
-            cpu_s=t_cpu,
-            mem_s=t_mem,
-            tier_s=tuple(times),
-            tier_read_bytes=tuple(read_b),
-            tier_write_bytes=tuple(write_b),
+        tiered = not isinstance(memory, HMConfig)
+        ids = [str(i) for i in range(len(footprints))]
+        kernel = (TieredBreakdownKernel if tiered else BreakdownKernel)(
+            self, memory, list(zip(ids, footprints))
         )
-
-    def tier_endpoint_times(
-        self, footprint: Footprint, topo: TopologySpec
-    ) -> tuple[float, ...]:
-        """Homogeneous execution time with *all* accesses served by each
-        tier in turn (fastest first) -- the N-tier endpoints that bracket
-        the effective-ratio prediction."""
-        objs = footprint.objects
         out = []
-        for k in range(topo.n_tiers):
-            vec = tuple(1.0 if i == k else 0.0 for i in range(topo.n_tiers))
-            out.append(
-                self.breakdown_tiered(footprint, topo, {o: vec for o in objs}).total_s
-            )
-        return tuple(out)
+        for p in placements:
+            if not isinstance(p, Mapping):
+                p = dict.fromkeys(kernel.objects, p)
+            out.append(kernel._price(ids, kernel._fractions(p)))
+        return out
 
-    # ------------------------------------------------------------------
+    def tier_endpoints(
+        self, footprints: Sequence[Footprint], memory: HMConfig | TopologySpec
+    ) -> list[tuple[float, ...]]:
+        """Per footprint, the homogeneous execution times with *all*
+        accesses served by each tier in turn, fastest first: on an
+        :class:`HMConfig` ``(T_dram_only, T_pm_only)``, the bounds of
+        Equation 2; on a topology the N-tier endpoints that bracket the
+        effective-ratio prediction."""
+        if isinstance(memory, HMConfig):
+            one_hot: list[Placement] = [1.0, 0.0]
+        else:
+            n = memory.n_tiers
+            one_hot = [tuple(float(i == k) for i in range(n)) for k in range(n)]
+        rows = self.breakdowns(footprints, memory, one_hot)
+        return [tuple(bd.total_s for bd in col) for col in zip(*rows)]
+
+    # -- one-footprint views of :meth:`breakdowns` ----------------------
+    def breakdown(
+        self, footprint: Footprint, hm: HMConfig, dram_fractions: Mapping[str, float]
+    ) -> TieredBreakdown:
+        """Breakdown under per-object DRAM ratios (tier 0 DRAM, 1 PM)."""
+        return self.breakdowns([footprint], hm, [dram_fractions])[0][0]
+
     def instance_time(
-        self,
-        footprint: Footprint,
-        hm: HMConfig,
-        dram_fractions: Mapping[str, float],
+        self, footprint: Footprint, hm: HMConfig, dram_fractions: Mapping[str, float]
     ) -> float:
-        """Execution time in seconds (convenience wrapper)."""
+        """Execution time in seconds under per-object DRAM ratios."""
         return self.breakdown(footprint, hm, dram_fractions).total_s
 
     def endpoint_times(self, footprint: Footprint, hm: HMConfig) -> tuple[float, float]:
         """(T_dram_only, T_pm_only) -- the bounds of Equation 2."""
-        objs = footprint.objects
-        t_dram = self.instance_time(footprint, hm, {o: 1.0 for o in objs})
-        t_pm = self.instance_time(footprint, hm, {o: 0.0 for o in objs})
-        return t_dram, t_pm
+        return self.tier_endpoints([footprint], hm)[0]
 
     def uniform_ratio_time(
         self, footprint: Footprint, hm: HMConfig, r_dram: float
@@ -250,6 +196,4 @@ class MachineModel:
         """Time when every object serves ``r_dram`` of accesses from DRAM."""
         if not 0.0 <= r_dram <= 1.0:
             raise ValueError("r_dram must be in [0, 1]")
-        return self.instance_time(
-            footprint, hm, {o: r_dram for o in footprint.objects}
-        )
+        return self.breakdowns([footprint], hm, [r_dram])[0][0].total_s

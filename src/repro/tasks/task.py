@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.common import CACHE_LINE, PAGE_SIZE, AccessPattern
+from repro.common import CACHE_LINE, PAGE_SIZE, AccessPattern, seq_sum
 
 __all__ = [
     "DataObject",
@@ -164,6 +164,17 @@ class Footprint:
         for a in self.accesses:
             out[a.obj] = out.get(a.obj, 0) + a.total
         return out
+
+    def dram_ratio(self, fractions: Mapping[str, float]) -> float:
+        """Access-weighted DRAM ratio of the instance, given per-object
+        DRAM access ``fractions`` (missing objects count as all-PM)."""
+        total = self.total_accesses
+        if total <= 0:
+            return 0.0
+        return (
+            seq_sum(a.total * fractions.get(a.obj, 0.0) for a in self.accesses)
+            / total
+        )
 
     def pattern_mix(self) -> dict[AccessPattern, float]:
         """Fraction of main-memory accesses per pattern (sums to 1)."""

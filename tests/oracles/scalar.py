@@ -12,12 +12,17 @@ executable specification the kernels are compared against:
 * :func:`predict_batch` / :func:`predict_stacked` -- the correlation
   function's feature matrix filled row by row (one task) or block by
   block (one task per block) and handed to the model's ``predict``;
-* :func:`breakdown_2tier` -- the dedicated 2-tier time model that
-  ``MachineModel.breakdown`` now prices as the n = 2 case of
-  ``breakdown_tiered``;
+* :func:`breakdown_tiered` -- the machine's time model in scalar form:
+  per-tier, per-pattern dict buckets, one tier time each and a q-norm
+  across tiers.  It is the only scalar copy of the arithmetic that
+  ``TieredBreakdownKernel._price_fields`` batches;
+* :func:`breakdown_2tier` -- the dedicated 2-tier form, which the kernel
+  prices as the n = 2 case of the N-tier body;
+* :func:`breakdowns` -- stand-in for ``MachineModel.breakdowns``: one
+  scalar call per footprint and placement;
 * :class:`ScalarBreakdown` / :class:`ScalarTieredBreakdown` -- stand-ins
   for the engine's tick kernels that price every instance with its own
-  :func:`breakdown_2tier` / ``MachineModel.breakdown_tiered`` call.
+  :func:`breakdown_2tier` / :func:`breakdown_tiered` call.
 
 :func:`scalar_reference` puts all of them in place of the production code
 for the duration of a ``with`` block, so a whole engine run (or a planner
@@ -45,7 +50,7 @@ import repro.experiments.ablation  # noqa: F401
 import repro.runtime.planning  # noqa: F401
 import repro.service.scheduler  # noqa: F401
 import repro.sim.engine
-from repro.common import PAGE_SIZE, AccessPattern
+from repro.common import CACHE_LINE, PAGE_SIZE, AccessPattern, seq_sum
 from repro.core import planner
 from repro.core.correlation import CorrelationFunction
 from repro.core.model import PerformanceModel, TaskModelInputs
@@ -59,7 +64,7 @@ from repro.core.planner import (
 from repro.ml.gbr import GradientBoostedRegressor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.sim.machine import MachineModel, TieredBreakdown
-from repro.sim.memspec import HMConfig
+from repro.sim.memspec import HMConfig, TierSpec, TopologySpec
 from repro.tasks.task import Footprint
 
 __all__ = [
@@ -70,7 +75,9 @@ __all__ = [
     "gbr_predict",
     "predict_batch",
     "predict_stacked",
+    "breakdown_tiered",
     "breakdown_2tier",
+    "breakdowns",
     "ScalarBreakdown",
     "ScalarTieredBreakdown",
     "scalar_reference",
@@ -440,6 +447,92 @@ def predict_stacked(
 # sim: per-instance tick pricing
 # ---------------------------------------------------------------------------
 
+def _tier_time(
+    machine: MachineModel,
+    tier: TierSpec,
+    accesses: Mapping[AccessPattern, tuple[float, float]],
+) -> tuple[float, float, float]:
+    """Time, read bytes, write bytes for one tier.
+
+    ``accesses[p] = (reads, writes)`` counts cache-line accesses of
+    pattern ``p`` hitting this tier.  Tier time is the max of the
+    latency-bound estimate (serialised by limited MLP) and the
+    bandwidth-bound estimate.
+    """
+    latency_s = 0.0
+    read_bytes = 0.0
+    write_bytes = 0.0
+    for pattern, (reads, writes) in accesses.items():
+        n = reads + writes
+        if n <= 0:
+            continue
+        lat_ns = tier.latency_ns(random=(pattern is AccessPattern.RANDOM))
+        latency_s += n * lat_ns * 1e-9 / machine.spec.mlp[pattern]
+        read_bytes += reads * CACHE_LINE
+        write_bytes += writes * CACHE_LINE
+    bandwidth_s = read_bytes / tier.read_bandwidth + write_bytes / tier.write_bandwidth
+    return max(latency_s, bandwidth_s), read_bytes, write_bytes
+
+
+def _combine(
+    machine: MachineModel,
+    footprint: Footprint,
+    tier_times: Sequence[tuple[float, float, float]],
+) -> TieredBreakdown:
+    """The breakdown from per-tier (time, read bytes, write bytes): the
+    q-norm of the tier times, overlapped with compute."""
+    times = [t for t, _, _ in tier_times]
+    q = machine.spec.tier_overlap_q
+    t_mem = seq_sum([t**q for t in times]) ** (1.0 / q) if any(times) else 0.0
+    t_cpu = machine.cpu_time(footprint)
+    mix = footprint.pattern_mix()
+    beta = (
+        seq_sum(machine.spec.overlap[p] * w for p, w in mix.items()) if mix else 0.0
+    )
+    total = max(t_cpu, t_mem) + (1.0 - beta) * min(t_cpu, t_mem)
+    return TieredBreakdown(
+        total_s=total,
+        cpu_s=t_cpu,
+        mem_s=t_mem,
+        tier_s=tuple(times),
+        tier_read_bytes=tuple(rb for _, rb, _ in tier_times),
+        tier_write_bytes=tuple(wb for _, _, wb in tier_times),
+    )
+
+
+def breakdown_tiered(
+    machine: MachineModel,
+    footprint: Footprint,
+    topo: TopologySpec,
+    tier_fractions: Mapping[str, Sequence[float]],
+) -> TieredBreakdown:
+    """The time model in scalar form on an N-tier topology.
+
+    ``tier_fractions[obj]`` is the object's access-fraction vector across
+    the topology's tiers, fastest first (missing objects default to
+    all-in-slowest; each component clips to [0, 1], NaN to 0.0).
+    """
+    n = topo.n_tiers
+    default = (0.0,) * (n - 1) + (1.0,)
+    accs: list[dict[AccessPattern, tuple[float, float]]] = [{} for _ in range(n)]
+    for a in footprint.accesses:
+        f = tier_fractions.get(a.obj, default)
+        if len(f) != n:
+            raise ValueError(
+                f"object {a.obj!r}: fraction vector has {len(f)} entries "
+                f"for a {n}-tier topology"
+            )
+        for k in range(n):
+            fk = min(1.0, max(0.0, float(f[k])))
+            r, w = accs[k].get(a.pattern, (0.0, 0.0))
+            accs[k][a.pattern] = (r + a.reads * fk, w + a.writes * fk)
+    return _combine(
+        machine,
+        footprint,
+        [_tier_time(machine, tier, acc) for tier, acc in zip(topo.tiers, accs)],
+    )
+
+
 def breakdown_2tier(
     machine: MachineModel,
     footprint: Footprint,
@@ -448,8 +541,8 @@ def breakdown_2tier(
 ) -> TieredBreakdown:
     """The dedicated 2-tier time model: per-access DRAM/PM buckets built
     from the ratio ``r`` and ``1 - r``, two tier times and a two-term
-    q-norm.  ``MachineModel.breakdown`` prices the same placement as the
-    n = 2 case of ``breakdown_tiered`` and must match it bit for bit."""
+    q-norm.  The kernel prices the same placement as the n = 2 case of the
+    N-tier body and must match it bit for bit."""
     dram_acc: dict[AccessPattern, tuple[float, float]] = {}
     pm_acc: dict[AccessPattern, tuple[float, float]] = {}
     for a in footprint.accesses:
@@ -459,24 +552,33 @@ def breakdown_2tier(
         dram_acc[a.pattern] = (dr + a.reads * r, dw + a.writes * r)
         pr, pw = pm_acc.get(a.pattern, (0.0, 0.0))
         pm_acc[a.pattern] = (pr + a.reads * (1 - r), pw + a.writes * (1 - r))
-
-    t_dram, d_rb, d_wb = machine._tier_time(hm.dram, dram_acc)
-    t_pm, p_rb, p_wb = machine._tier_time(hm.pm, pm_acc)
-    q = machine.spec.tier_overlap_q
-    t_mem = (t_dram**q + t_pm**q) ** (1.0 / q) if (t_dram or t_pm) else 0.0
-
-    t_cpu = machine.cpu_time(footprint)
-    mix = footprint.pattern_mix()
-    beta = sum(machine.spec.overlap[p] * w for p, w in mix.items()) if mix else 0.0
-    total = max(t_cpu, t_mem) + (1.0 - beta) * min(t_cpu, t_mem)
-    return TieredBreakdown(
-        total_s=total,
-        cpu_s=t_cpu,
-        mem_s=t_mem,
-        tier_s=(t_dram, t_pm),
-        tier_read_bytes=(d_rb, p_rb),
-        tier_write_bytes=(d_wb, p_wb),
+    return _combine(
+        machine,
+        footprint,
+        [_tier_time(machine, hm.dram, dram_acc), _tier_time(machine, hm.pm, pm_acc)],
     )
+
+
+def breakdowns(
+    machine: MachineModel,
+    footprints: Sequence[Footprint],
+    memory: HMConfig | TopologySpec,
+    placements: Sequence,
+) -> list[list[TieredBreakdown]]:
+    """Stand-in for ``MachineModel.breakdowns``: :func:`breakdown_2tier`
+    (on an ``HMConfig``) or :func:`breakdown_tiered` per footprint and
+    placement; a placement that is not a mapping applies to every object."""
+    out = []
+    for p in placements:
+        row = []
+        for fp in footprints:
+            fractions = p if isinstance(p, Mapping) else dict.fromkeys(fp.objects, p)
+            if isinstance(memory, HMConfig):
+                row.append(breakdown_2tier(machine, fp, memory, fractions))
+            else:
+                row.append(breakdown_tiered(machine, fp, memory, fractions))
+        out.append(row)
+    return out
 
 
 class ScalarBreakdown:
@@ -496,8 +598,8 @@ class ScalarBreakdown:
 
 
 class ScalarTieredBreakdown:
-    """Stand-in for ``TieredBreakdownKernel``: one
-    ``MachineModel.breakdown_tiered`` call per instance."""
+    """Stand-in for ``TieredBreakdownKernel``: one :func:`breakdown_tiered`
+    call per instance."""
 
     def __init__(self, machine, topo, footprints) -> None:
         self.machine = machine
@@ -506,7 +608,7 @@ class ScalarTieredBreakdown:
 
     def breakdown_batch(self, task_ids, vectors):
         return [
-            self.machine.breakdown_tiered(self.footprints[tid], self.topo, vectors)
+            breakdown_tiered(self.machine, self.footprints[tid], self.topo, vectors)
             for tid in task_ids
         ]
 
@@ -531,7 +633,8 @@ def bindings(fn) -> list[tuple[object, str]]:
 def scalar_reference() -> Iterator[None]:
     """Run the enclosed code on the scalar references.
 
-    Methods are replaced on their classes, the tick kernels in
+    Methods are replaced on their classes (``MachineModel.breakdowns``,
+    and with it every machine-model view), the tick kernels in
     ``repro.sim.engine``, and each planner wherever a ``repro`` module
     binds it.  Everything is restored on exit.
     """
@@ -542,6 +645,7 @@ def scalar_reference() -> Iterator[None]:
             (GradientBoostedRegressor, "predict", gbr_predict),
             (CorrelationFunction, "predict_batch", predict_batch),
             (CorrelationFunction, "predict_stacked", predict_stacked),
+            (MachineModel, "breakdowns", breakdowns),
         ):
             undo.append((cls, attr, cls.__dict__[attr]))
             setattr(cls, attr, ref)

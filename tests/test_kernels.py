@@ -44,7 +44,7 @@ from repro.sim.counters import collect_pmcs
 from repro.sim.engine import Engine
 from repro.sim.kernels import BreakdownKernel
 from repro.sim.machine import MachineModel
-from repro.sim.memspec import optane_hm_config, topology_preset
+from repro.sim.memspec import HMConfig, optane_hm_config, topology_preset
 from repro.sim.pages import PageTable
 from tests.oracles import scalar
 from tests.oracles.scalar import scalar_reference
@@ -650,8 +650,94 @@ def test_tiered_breakdown_kernel_bit_identical(preset):
     for fractions in placements:
         batch = kernel.breakdown_batch([tid for tid, _ in fps], fractions)
         for (tid, fp), bd in zip(fps, batch):
-            ref = machine.breakdown_tiered(fp, topo, fractions)
+            ref = scalar.breakdown_tiered(machine, fp, topo, fractions)
             assert _bd_fingerprint(ref) == _bd_fingerprint(bd), tid
+
+
+def _edge_placements(n: int, objs, rng, ratios: bool) -> list:
+    """Per-object placements for ``n`` tiers with NaN, +-inf, -0.0 and
+    out-of-range components and missing objects, then one-for-all ones.
+
+    With ``ratios`` a placement holds 2-tier DRAM ratios, otherwise
+    fraction vectors.
+    """
+    edges = [e for e in _EDGE_RATIOS if e is not None]
+    placements: list = []
+    for _ in range(6):
+        fractions = {}
+        for o in objs:
+            kind = int(rng.integers(4))
+            if kind == 0:
+                continue  # missing: all-in-slowest
+            if ratios:
+                edge = edges[int(rng.integers(len(edges)))]
+                v = float(rng.uniform()) if kind == 1 else edge
+            else:
+                vec = [float(x) for x in rng.uniform(0.0, 1.0, n)]
+                if kind > 1:
+                    vec[int(rng.integers(n))] = edges[int(rng.integers(len(edges)))]
+                v = tuple(vec)
+            fractions[o] = v
+        placements.append(fractions)
+    if ratios:
+        placements += [0.0, 1.0, 0.35, -0.0, float("nan"), float("inf")]
+    else:
+        placements += [tuple(float(i == k) for i in range(n)) for k in range(n)]
+        placements += [(float("nan"),) * n, (-0.0,) + (0.5,) * (n - 1)]
+    return placements
+
+
+@pytest.mark.parametrize("memory", ["hm", "dram_pm", "hbm_dram_pm", "hbm_dram_cxl_pm"])
+def test_machine_breakdowns_match_scalar_oracle(memory):
+    """``MachineModel.breakdowns`` equals the scalar oracle bit for bit on
+    2, 3 and 4 tiers, and a multi-footprint batch equals one-footprint
+    calls: batching never changes a bit."""
+    machine = MachineModel()
+    mem = optane_hm_config() if memory == "hm" else topology_preset(memory)
+    n = 2 if memory == "hm" else mem.n_tiers
+    fps = [s.footprint(1.0) for s in generate_corpus(6, seed=11)]
+    fps.append(fps[0])  # a footprint twice: its objects' columns are shared
+    objs = sorted({o for fp in fps for o in fp.objects})
+    placements = _edge_placements(n, objs, make_rng(13), ratios=memory == "hm")
+    batch = machine.breakdowns(fps, mem, placements)
+    assert len(batch) == len(placements)
+    for k, (fractions, row) in enumerate(zip(placements, batch)):
+        assert len(row) == len(fps)
+        for i, (fp, bd) in enumerate(zip(fps, row)):
+            (ref,), = scalar.breakdowns(machine, [fp], mem, [fractions])
+            (single,), = machine.breakdowns([fp], mem, [fractions])
+            assert _bd_fingerprint(bd) == _bd_fingerprint(single), (k, i)
+            assert _bd_fingerprint(bd) == _bd_fingerprint(ref), (k, i)
+
+
+def test_machine_views_equal_breakdowns():
+    """The one-footprint views and the batched endpoints equal the rows
+    of ``breakdowns`` (``scalar_reference()`` patches only that entry
+    point, and ``test_scalar_reference_leaves_production_idle`` shows no
+    view prices around it)."""
+    machine, hm = MachineModel(), optane_hm_config()
+    topo = topology_preset("hbm_dram_cxl_pm")
+    fps = [s.footprint(1.0) for s in generate_corpus(3, seed=2)]
+    fp = fps[0]
+    fractions = {o: 0.3 for o in fp.objects}
+    vectors = {o: (0.1, 0.2, 0.3, 0.4) for o in fp.objects}
+    (bd,), = machine.breakdowns([fp], hm, [fractions])
+    assert _bd_fingerprint(machine.breakdown(fp, hm, fractions)) == _bd_fingerprint(bd)
+    assert _bits(machine.instance_time(fp, hm, fractions)) == _bits(bd.total_s)
+    assert _bits(machine.uniform_ratio_time(fp, hm, 0.3)) == _bits(bd.total_s)
+    (bd,), = machine.breakdowns([fp], topo, [vectors])
+    assert _bd_fingerprint(scalar.breakdown_tiered(machine, fp, topo, vectors)) == (
+        _bd_fingerprint(bd)
+    )
+    ends = machine.tier_endpoints(fps, topo)
+    assert [machine.tier_endpoints([f], topo)[0] for f in fps] == ends
+    ends_hm = machine.tier_endpoints(fps, hm)
+    assert [machine.endpoint_times(f, hm) for f in fps] == ends_hm
+    # the slowest-tier endpoint is the 2-tier PM-only time on the fastest/
+    # slowest view of the topology (what a policy's ctx.hm holds)
+    view = HMConfig(dram=topo.fastest, pm=topo.slowest)
+    for f, t in zip(fps, ends):
+        assert _bits(t[-1]) == _bits(machine.instance_time(f, view, {}))
 
 
 def _memo_placements(preset: str, region, wl) -> list[dict]:
@@ -724,7 +810,7 @@ def test_tick_kernel_memo_matches_fresh_kernel(preset, monkeypatch):
             return TieredBreakdownKernel(machine, topo, fps)
 
         def reference(fp, fractions):
-            return machine.breakdown_tiered(fp, topo, fractions)
+            return scalar.breakdown_tiered(machine, fp, topo, fractions)
 
     runs: Counter = Counter()
     price_fields = TieredBreakdownKernel._price_fields

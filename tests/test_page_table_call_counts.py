@@ -20,7 +20,9 @@ more pages than its budget.
 The tick kernel prices a region again only when the clipped fraction
 matrix it is handed changed: a run that never moves a page prices each
 region once, start refreshes included, and nothing on the engine's region
-path calls the scalar machine model.
+path prices through the machine model's own kernels.  Only the engine's
+region kernels are counted: policies price endpoints and PMC reads
+through ``MachineModel.breakdowns``, which builds kernels of its own.
 """
 
 import dataclasses
@@ -226,25 +228,35 @@ def test_weight_memo_stays_within_budget(monkeypatch):
 
 
 def _count_pricing(monkeypatch) -> dict:
-    """Count tick-kernel calls and pricing-body runs, and record per kernel
-    the clipped fraction matrices it was handed, in order."""
+    """Count the engine's region-kernel calls and pricing-body runs, and
+    record per region kernel the clipped fraction matrices it was handed,
+    in order.  Kernels built outside ``Engine._region_kernel`` are not
+    counted."""
     seen = {"calls": 0, "runs": 0, "keys": {}}
+    region_kernel = Engine._region_kernel
     batch = BreakdownKernel.breakdown_batch
     price = TieredBreakdownKernel._price
     price_fields = TieredBreakdownKernel._price_fields
 
+    def recorded_kernel(self, ctx):
+        kernel, placement = region_kernel(self, ctx)
+        seen["keys"][kernel] = []
+        return kernel, placement
+
     def counted_batch(self, task_ids, fractions):
-        seen["calls"] += 1
+        seen["calls"] += self in seen["keys"]
         return batch(self, task_ids, fractions)
 
     def recorded_price(self, task_ids, f_obj):
-        seen["keys"].setdefault(self, []).append(f_obj.tobytes())
+        if self in seen["keys"]:
+            seen["keys"][self].append(f_obj.tobytes())
         return price(self, task_ids, f_obj)
 
     def counted_fields(self, f_obj):
-        seen["runs"] += 1
+        seen["runs"] += self in seen["keys"]
         return price_fields(self, f_obj)
 
+    monkeypatch.setattr(Engine, "_region_kernel", recorded_kernel)
     monkeypatch.setattr(BreakdownKernel, "breakdown_batch", counted_batch)
     monkeypatch.setattr(TieredBreakdownKernel, "_price", recorded_price)
     monkeypatch.setattr(TieredBreakdownKernel, "_price_fields", counted_fields)
@@ -255,7 +267,7 @@ def test_unmoved_regions_price_once(monkeypatch):
     app = SpGEMMApp.small(seed=0)
     wl = app.build_workload(seed=0)
     seen = _count_pricing(monkeypatch)
-    scalar = _counting(monkeypatch, MachineModel, "breakdown_tiered")
+    machine = _counting(monkeypatch, MachineModel, "breakdowns")
 
     res = Engine(MachineModel(), optane_hm_config()).run(wl, PMOnlyPolicy(), seed=1)
 
@@ -263,7 +275,7 @@ def test_unmoved_regions_price_once(monkeypatch):
     # two start refreshes per region, then one call per tick
     assert seen["calls"] == len(res.trace_time) + 2 * regions
     assert seen["runs"] == regions
-    assert scalar["calls"] == 0
+    assert machine["calls"] == 0
 
 
 def test_ticks_price_once_per_placement(monkeypatch, system):

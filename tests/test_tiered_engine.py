@@ -66,37 +66,41 @@ GOLDEN = {
 }
 
 
+def golden_run(spec, n: int) -> tuple:
+    """One faulted run of a registered policy on the ``n``-tier toy machine,
+    in the form :data:`GOLDEN` pins."""
+    model = PerformanceModel(default_system(seed=0, fast=True).correlation)
+    topo = small_topology(n)
+    tel = Telemetry()
+    engine = Engine(MachineModel(), topology=topo, faults=chaos_faults(), telemetry=tel)
+    res = engine.run(toy_workload(), build(spec, topo, model), seed=3)
+    evicted = tel.registry.get("merch_engine_pages_migrated_total").value(
+        cause="pressure"
+    )
+    return (
+        repr(res.total_time_s),
+        res.pages_migrated,
+        int(evicted),
+        dict(res.robustness.counters),
+        tuple(
+            repr(float(a.sum()))
+            for a in (
+                res.trace_time,
+                res.trace_dram_bw,
+                res.trace_pm_bw,
+                res.trace_migration_bw,
+            )
+        ),
+    )
+
+
 @pytest.fixture(scope="module")
 def golden_runs():
-    model = PerformanceModel(default_system(seed=0, fast=True).correlation)
-    out = {}
-    for n in (3, 4):
-        topo = small_topology(n)
-        for spec in registered_policies(n):
-            tel = Telemetry()
-            engine = Engine(
-                MachineModel(), topology=topo, faults=chaos_faults(), telemetry=tel
-            )
-            res = engine.run(toy_workload(), build(spec, topo, model), seed=3)
-            evicted = tel.registry.get("merch_engine_pages_migrated_total").value(
-                cause="pressure"
-            )
-            out[(spec.name, n)] = (
-                repr(res.total_time_s),
-                res.pages_migrated,
-                int(evicted),
-                dict(res.robustness.counters),
-                tuple(
-                    repr(float(a.sum()))
-                    for a in (
-                        res.trace_time,
-                        res.trace_dram_bw,
-                        res.trace_pm_bw,
-                        res.trace_migration_bw,
-                    )
-                ),
-            )
-    return out
+    return {
+        (spec.name, n): golden_run(spec, n)
+        for n in (3, 4)
+        for spec in registered_policies(n)
+    }
 
 
 def test_every_tiered_policy_has_a_golden_run(golden_runs):
