@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.sim.engine import EngineContext, PlacementPolicy
+from repro.sim.pages import MigrationBatch
 
 __all__ = [
     "SpartaPolicy",
@@ -39,15 +40,13 @@ def fill_dram_by_priority(
     systems stage data between phases, not during them).
     """
     table = ctx.page_table
-    for obj in table:
-        obj.set_residency(0.0)
+    table.place_all(1)
     for name in priority:
         free = table.dram_free_pages()
         if free <= 0:
             break
-        obj = table.object(name)
-        idx = obj.hottest_pm_pages(limit=free)
-        obj.set_pages(idx, 1.0)
+        idx = table.object(name).hottest_pages_slower_than(0, limit=free)
+        table.place(MigrationBatch(moves=((name, idx, 0),)))
 
 
 def _density_priority(ctx: EngineContext) -> list[str]:
@@ -87,8 +86,7 @@ class SpartaPolicy(PlacementPolicy):
     def on_region_start(self, ctx: EngineContext) -> None:
         assert ctx.region is not None
         table = ctx.page_table
-        for obj in table:
-            obj.set_residency(0.0)
+        table.place_all(1)
         # Sparta optimises one contraction at a time: shared inputs first,
         # then each task's contraction inputs in task order, whole objects
         # only.  There is no coordination across the concurrent
@@ -101,19 +99,18 @@ class SpartaPolicy(PlacementPolicy):
             if table.object(name).owner is None
             and (self.input_objects is None or name in self.input_objects)
         ]
-        for name in shared:
-            obj = table.object(name)
-            if obj.n_pages <= table.dram_free_pages():
-                obj.set_residency(1.0)
+        staged = list(shared)
         for inst in ctx.region.instances:
             for acc in inst.footprint.accesses:
-                obj = table.object(acc.obj)
-                if obj.owner != inst.task_id:
+                if table.object(acc.obj).owner != inst.task_id:
                     continue
                 if self.input_objects is not None and acc.obj not in self.input_objects:
                     continue
-                if obj.n_pages <= table.dram_free_pages():
-                    obj.set_residency(1.0)
+                staged.append(acc.obj)
+        for name in staged:
+            obj = table.object(name)
+            if obj.n_pages <= table.dram_free_pages():
+                table.place(MigrationBatch(moves=((name, np.arange(obj.n_pages), 0),)))
 
 
 class WarpXPMPolicy(PlacementPolicy):
@@ -141,8 +138,7 @@ class WarpXPMPolicy(PlacementPolicy):
     def on_region_start(self, ctx: EngineContext) -> None:
         assert ctx.region is not None
         table = ctx.page_table
-        for obj in table:
-            obj.set_residency(0.0)
+        table.place_all(1)
         priority = self.region_priorities.get(ctx.region.name)
         if priority is None:
             priority = _density_priority(ctx)
@@ -172,8 +168,8 @@ class WarpXPMPolicy(PlacementPolicy):
             trials: list[dict[str, float]] = []
             for acc in inst.footprint.accesses:
                 obj = table.object(acc.obj)
-                idx = obj.hottest_pm_pages(
-                    limit=min(self.CHUNK_PAGES, table.dram_free_pages())
+                idx = obj.hottest_pages_slower_than(
+                    0, limit=min(self.CHUNK_PAGES, table.dram_free_pages())
                 )
                 if not len(idx):
                     continue
@@ -193,7 +189,7 @@ class WarpXPMPolicy(PlacementPolicy):
             if best is None or best[0] <= 0:
                 exhausted.add(slowest)
                 continue
-            table.object(best[2]).set_pages(best[3], 1.0)
+            table.place(MigrationBatch(moves=((best[2], best[3], 0),)))
 
 
 class HandPlacedPolicy(PlacementPolicy):

@@ -52,8 +52,7 @@ class MemoryOptimizerPolicy(PlacementPolicy):
         self._last_scan = -1e30
 
     def on_workload_start(self, ctx: EngineContext) -> None:
-        for obj in ctx.page_table:
-            obj.set_residency(0.0)
+        ctx.page_table.place_all(1)
         self._last_scan = -1e30
         # the baseline's profilers see the same injected faults as
         # Merchandiser's, so robustness comparisons are apples-to-apples
@@ -71,7 +70,7 @@ class MemoryOptimizerPolicy(PlacementPolicy):
         moves: list[tuple[str, np.ndarray, int]] = []
         for name, idx in hot:
             obj = ctx.page_table.object(name)
-            not_resident = idx[obj.residency[idx] < 1.0 - 1e-12]
+            not_resident = idx[obj.page_tier[idx] != 0]
             if len(not_resident):
                 moves.append((name, not_resident, 0))
         return moves
@@ -102,7 +101,7 @@ class MemoryOptimizerPolicy(PlacementPolicy):
             obj = ctx.page_table.object(name)
             stop = min(start + 512, obj.n_pages)
             span = np.arange(start, stop)
-            resident = span[obj.residency[span] > 1e-12]
+            resident = span[obj.page_tier[span] == 0]
             if len(resident) == 0:
                 continue
             take = resident[: pages_needed - freed]

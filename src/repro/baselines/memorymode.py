@@ -6,8 +6,13 @@ pages with direct-mapped placement.  The defining properties reproduced here
 
 * placement follows *global* page hotness plus hash conflicts -- no task
   awareness, so per-task DRAM fractions diverge and load imbalance grows;
-* residency tracks the shifting access mix with hardware speed (the cache
-  retunes every interval, not at coarse software migration epochs).
+* the DRAM share tracks the shifting access mix with hardware speed (the
+  cache retunes every interval, not at coarse software migration epochs).
+
+The cache's share is modelled per object (:meth:`PageTable.set_dram_shares`):
+every page stays on PM in the page table, so a Memory Mode run reports an
+empty DRAM tier to the occupancy gauge and gives pressure evictions nothing
+to demote.
 """
 
 from __future__ import annotations
@@ -35,8 +40,7 @@ class MemoryModePolicy(PlacementPolicy):
 
     def on_workload_start(self, ctx: EngineContext) -> None:
         self._cache = DirectMappedPageCache(ctx.page_table, seed=self._seed)
-        for obj in ctx.page_table:
-            obj.set_residency(0.0)
+        ctx.page_table.place_all(1)
 
     def on_region_start(self, ctx: EngineContext) -> None:
         self._update(ctx)
@@ -60,5 +64,5 @@ class MemoryModePolicy(PlacementPolicy):
             for name, count in totals.items():
                 obj = ctx.page_table.object(name)
                 per_pass[name] = obj.weight * count
-        self._cache.update_residency(ctx.page_access_rates(), per_pass)
+        self._cache.update_shares(ctx.page_access_rates(), per_pass)
         self._last_update = ctx.time

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.engine import EngineContext, PlacementPolicy
+from repro.sim.pages import MigrationBatch
 
 __all__ = ["PMOnlyPolicy", "DRAMOnlyPolicy", "DRAMGreedyPolicy"]
 
@@ -15,8 +16,7 @@ class PMOnlyPolicy(PlacementPolicy):
     name = "pm-only"
 
     def on_workload_start(self, ctx: EngineContext) -> None:
-        for obj in ctx.page_table:
-            obj.set_residency(0.0)
+        ctx.page_table.place_all(1)
 
 
 class DRAMOnlyPolicy(PlacementPolicy):
@@ -29,7 +29,7 @@ class DRAMOnlyPolicy(PlacementPolicy):
     name = "dram-only"
 
     def on_workload_start(self, ctx: EngineContext) -> None:
-        ctx.page_table.place_all(1.0)
+        ctx.page_table.place_all(0)
 
 
 class DRAMGreedyPolicy(PlacementPolicy):
@@ -45,11 +45,11 @@ class DRAMGreedyPolicy(PlacementPolicy):
 
     def on_workload_start(self, ctx: EngineContext) -> None:
         table = ctx.page_table
-        for obj in table:
-            obj.set_residency(0.0)
-        for obj in table:
-            free = table.dram_free_pages()
-            if free <= 0:
-                break
-            n = min(int(free), len(obj.residency))
-            obj.set_pages(np.arange(n), 1.0)
+        table.place_all(1)
+        # promotions are clamped to free DRAM, so each object takes its
+        # leading pages until DRAM is full
+        table.place(
+            MigrationBatch(
+                moves=tuple((obj.name, np.arange(obj.n_pages), 0) for obj in table)
+            )
+        )

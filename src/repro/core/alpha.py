@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common import CACHE_LINE, AccessPattern
+from repro.common import CACHE_LINE, AccessPattern, seq_sum
 from repro.sim.cache import OnChipCacheModel
 
 __all__ = [
@@ -208,7 +208,7 @@ class AlphaTable:
         """Average refined alpha (Section 7.3 reports per-app averages)."""
         if not self._refiners:
             return 1.0
-        return sum(r.alpha for r in self._refiners.values()) / len(self._refiners)
+        return seq_sum(r.alpha for r in self._refiners.values()) / len(self._refiners)
 
     # -- crash-consistency checkpoints (repro.core.journal) ------------
     def snapshot_state(self) -> dict:

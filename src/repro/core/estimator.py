@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.common import AccessPattern
+from repro.common import AccessPattern, seq_sum
 from repro.core.alpha import AlphaTable
 from repro.tasks.task import Footprint
 
@@ -103,7 +103,7 @@ class AccessEstimator:
 
     def estimate_total(self, new_sizes: Mapping[str, int]) -> float:
         """Total estimated accesses (Equation 2's ``esti_mem_acc``)."""
-        return sum(self.estimate(new_sizes).values())
+        return seq_sum(self.estimate(new_sizes).values())
 
     def estimated_footprint(
         self, base_footprint: Footprint, new_sizes: Mapping[str, int]
@@ -120,7 +120,7 @@ class AccessEstimator:
             base = max(self._base_counts[name], 1e-12)
             factors[name] = est / base
         instr_factor = (
-            sum(factors.values()) / len(factors) if factors else 1.0
+            seq_sum(factors.values()) / len(factors) if factors else 1.0
         )
         return base_footprint.scaled(factors, instr_factor=instr_factor)
 

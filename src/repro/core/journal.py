@@ -10,8 +10,8 @@ a write-ahead log first:
   region), carrying the pre-epoch placement snapshot (per-object DRAM page
   counts, per-task DRAM-access fractions, the planner's quota targets);
 * ``move`` -- one record per migration batch *before* it is applied,
-  carrying per-page before-images so an uncommitted epoch can be rolled
-  back exactly;
+  carrying each page's tier before the move (its before-image) so an
+  uncommitted epoch can be rolled back exactly;
 * ``epoch_commit`` -- the epoch's barrier released; its effects are
   durable;
 * ``checkpoint`` -- a periodic snapshot of planner state (base profiles,
@@ -42,14 +42,13 @@ region after the last committed epoch.
 from __future__ import annotations
 
 import json
-import math
 import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.common import PAGE_SIZE
+from repro.sim.pages import MigrationBatch
 from repro.sim.faults import RobustnessLog
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,10 +64,6 @@ __all__ = [
     "recover_journal",
     "verify_placement",
 ]
-
-#: residency values within this distance of 0 or 1 count as "in one tier"
-_BINARY_EPS = 1e-9
-
 
 def _plain(value):
     """Recursively convert payload data to JSON-encodable plain Python."""
@@ -297,17 +292,25 @@ class RecoveryOutcome:
 def _undo_moves(page_table: "PageTable", move_records: list[WalRecord]) -> int:
     """Restore before-images of an uncommitted epoch, newest batch first.
 
-    Idempotent and exact: pages the crashed apply never reached simply get
-    their current value rewritten.
+    Idempotent and exact: pages the crashed apply never reached are already
+    on their before-image tier and do not move.  Each record is restored as
+    one batch through the table's write body, so the per-tier counts stay
+    exact; the body applies moves toward slower tiers first, so a restore
+    never needs more DRAM than the placement before the record held.
     """
     restored = 0
     for record in reversed(move_records):
-        for move in reversed(record.payload["moves"]):
-            obj = page_table.object(move["obj"])
+        moves = []
+        for move in record.payload["moves"]:
             idx = np.asarray(move["pages"], dtype=np.intp)
-            before = np.asarray(move["before"], dtype=np.float64)
-            obj.set_pages(idx, before)
+            before = np.asarray(move["before"], dtype=np.int8)
+            # a page listed twice would take two pages of the clamp
+            moves.extend(
+                (move["obj"], np.unique(idx[before == k]), int(k))
+                for k in np.unique(before)
+            )
             restored += len(idx)
+        page_table.place(MigrationBatch(moves=tuple(moves)))
     return restored
 
 
@@ -316,28 +319,19 @@ def verify_placement(
 ) -> list[str]:
     """Check the placement invariants; returns human-readable violations.
 
-    1. every page is in exactly one tier (binary residency -- checked only
-       when the epoch began from a binary placement, so Memory Mode's
-       fractional accounting is not misflagged);
-    2. DRAM capacity is never exceeded;
-    3. placement restoration / quota conservation: after a rollback, every
+    1. DRAM capacity is never exceeded;
+    2. placement restoration / quota conservation: after a rollback, every
        object holds exactly the DRAM pages it held at epoch begin (hence
        every task's DRAM-access share is conserved too).
+
+    Every page is on exactly one tier by construction (one tier index per
+    page), so that needs no check.
     """
     violations: list[str] = []
-    binary = begin_payload.get("binary", True) if begin_payload else True
-    if binary:
-        for obj in page_table:
-            r = obj.residency
-            off = np.abs(r - np.round(r)) > _BINARY_EPS
-            if off.any():
-                violations.append(
-                    f"object {obj.name!r}: {int(off.sum())} pages in no/both tiers"
-                )
     used = page_table.dram_used_bytes()
-    if used > page_table.dram_capacity_bytes + PAGE_SIZE * _BINARY_EPS:
+    if used > page_table.dram_capacity_bytes:
         violations.append(
-            f"DRAM over capacity: {used:.0f} B used of "
+            f"DRAM over capacity: {used} B used of "
             f"{page_table.dram_capacity_bytes} B"
         )
     if begin_payload is not None:
@@ -346,11 +340,11 @@ def verify_placement(
             if name not in page_table:
                 violations.append(f"object {name!r} vanished from the page table")
                 continue
-            actual = page_table.object(name).dram_pages()
-            if not math.isclose(actual, float(expected), abs_tol=1e-6):
+            actual = page_table.object(name).pages_in(0)
+            if actual != expected:
                 violations.append(
-                    f"object {name!r}: {actual:.3f} DRAM pages after rollback, "
-                    f"epoch began with {float(expected):.3f}"
+                    f"object {name!r}: {actual} DRAM pages after rollback, "
+                    f"epoch began with {expected}"
                 )
     return violations
 

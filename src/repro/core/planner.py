@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.common import PAGE_SIZE
+from repro.common import PAGE_SIZE, seq_sum
 from repro.core.model import PerformanceModel, TaskModelInputs, TieredTaskInputs
 
 __all__ = [
@@ -644,7 +644,7 @@ def tiered_greedy_plan(
         tp = task_pages[tid]
         w = weights[tid]
         return min(
-            1.0, sum(pages[tid][k] / tp * w[k] for k in range(n_tiers))
+            1.0, seq_sum(pages[tid][k] / tp * w[k] for k in range(n_tiers))
         )
 
     def predicted(tid: str) -> float:

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.common import PAGE_SIZE, make_rng
+from repro.common import PAGE_SIZE, make_rng, seq_sum
 from repro.core.estimator import AccessEstimator, ObjectDescriptor
 from repro.core.guardrails import GuardrailConfig, Guardrails
 from repro.core.homogeneous import BasicBlock, HomogeneousPredictor
@@ -164,8 +164,7 @@ class MerchandiserPolicy(PlacementPolicy):
         self._telemetry = ctx.telemetry
         if self.guardrails is not None:
             self.guardrails.attach_telemetry(self._telemetry)
-        for obj in ctx.page_table:
-            obj.set_residency(0.0)
+        ctx.page_table.place_all(1)
         if self.binding.blocks:
             self.homogeneous.measure_blocks(self.binding.blocks)
         self._last_scan = -1e30
@@ -268,7 +267,9 @@ class MerchandiserPolicy(PlacementPolicy):
                 )
             )
             task_bytes[tid] = int(
-                sum(size / max(sharers.get(name, 1), 1) for name, size in sizes.items())
+                seq_sum(
+                    size / max(sharers.get(name, 1), 1) for name, size in sizes.items()
+                )
             )
 
         self._quotas = None
@@ -641,16 +642,13 @@ class MerchandiserPolicy(PlacementPolicy):
         table = ctx.page_table
         if from_scratch:
             budget_pages = table.dram_capacity_bytes // PAGE_SIZE
-            resident = {
-                obj.name: np.zeros_like(obj.residency, dtype=bool)
-                for obj in table
-            }
+            resident = {obj.name: np.zeros(obj.n_pages, dtype=bool) for obj in table}
         else:
             budget_pages = table.dram_capacity_bytes // PAGE_SIZE - int(
-                sum(obj.dram_pages() for obj in table)
+                table.tier_used_pages(0)
             )
             # simulated residency: start from what is already in DRAM
-            resident = {obj.name: obj.residency > 0.5 for obj in table}
+            resident = {obj.name: obj.page_tier == 0 for obj in table}
         picked: dict[str, np.ndarray] = {
             name: np.zeros_like(mask) for name, mask in resident.items()
         }
@@ -667,7 +665,7 @@ class MerchandiserPolicy(PlacementPolicy):
             total_acc = inst.footprint.total_accesses
             if total_acc <= 0:
                 continue
-            cur = sum(
+            cur = seq_sum(
                 acc.total
                 * float(table.object(acc.obj).weight @ resident[acc.obj])
                 for acc in inst.footprint.accesses
@@ -710,7 +708,7 @@ class MerchandiserPolicy(PlacementPolicy):
             # order, so data arrives before its task is released)
             for name, sel in alloc_order:
                 obj = table.object(name)
-                sel = sel[~(obj.residency[sel] > 0.5)]
+                sel = sel[obj.page_tier[sel] != 0]
                 if len(sel):
                     sel = sel[np.argsort(obj.weight[sel])[::-1]]
                     queue.append((name, sel))
@@ -777,7 +775,7 @@ class MerchandiserPolicy(PlacementPolicy):
                         )
                     continue
             obj = ctx.page_table.object(name)
-            not_resident = idx[obj.residency[idx] < 1.0 - 1e-12]
+            not_resident = idx[obj.page_tier[idx] != 0]
             if len(not_resident):
                 moves.append((name, not_resident, 0))
         return moves
@@ -809,7 +807,7 @@ class MerchandiserPolicy(PlacementPolicy):
                 continue
             seen.add(name)
             obj = ctx.page_table.object(name)
-            cold = obj.coldest_dram_pages(limit=pages_needed - freed)
+            cold = obj.coldest_pages_in(0, limit=pages_needed - freed)
             if len(cold):
                 moves.append((name, cold, 1))
                 freed += len(cold)

@@ -244,7 +244,7 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec(
         "merch_service_pool_jobs_total", "counter",
         "Jobs dispatched to the worker pool, by execution mode.",
-        labels=("mode",),  # serial | thread | process
+        labels=("mode",),  # serial | process
     ),
     MetricSpec(
         "merch_service_dram_pages_granted_total", "counter",

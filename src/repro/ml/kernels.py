@@ -561,7 +561,6 @@ KERNEL_ENTRY_POINTS: tuple[str, ...] = (
     "repro.sim.kernels.TieredBreakdownKernel",
     "repro.sim.machine.MachineModel.breakdowns",
     "repro.sim.pages.PageTable.weight_arena",
-    "repro.sim.pages.PageTable.residency_arena",
     "repro.sim.pages.PageTable.object_slice",
     "repro.sim.pages.TieredPageTable.tier_arena",
 )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common import PAGE_SIZE, make_rng
+from repro.common import PAGE_SIZE, make_rng, seq_sum
 from repro.core.model import PerformanceModel, TieredTaskInputs
 from repro.core.planner import TieredPlanResult, tiered_greedy_plan
 from repro.policies.base import drain_queue
@@ -80,7 +80,7 @@ class TieredMerchandiserPolicy(PlacementPolicy):
                 )
             )
             task_bytes[inst.task_id] = int(
-                sum(
+                seq_sum(
                     ctx.workload.object(acc.obj).size_bytes
                     / max(sharers.get(acc.obj, 1), 1)
                     for acc in fp.accesses

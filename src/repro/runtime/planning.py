@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.common import PAGE_SIZE
+from repro.common import PAGE_SIZE, seq_sum
 from repro.core.model import PerformanceModel, TaskModelInputs
 from repro.core.planner import (
     PlanResult,
@@ -111,8 +111,8 @@ def critical_path_plan(
     dram_capacity_bytes: int,
     task_bytes: Mapping[str, int],
     deps: Mapping[str, Sequence[str]],
+    footprints: Mapping[str, Sequence[tuple[str, float, int]]],
     step: float = 0.05,
-    footprints: Mapping[str, Sequence[tuple[str, float, int]]] | None = None,
 ) -> CriticalPathPlan:
     """Plan DRAM quotas that minimise the DAG's predicted critical path.
 
@@ -120,15 +120,13 @@ def critical_path_plan(
     tasks outside the planned set must be dropped by the caller); missing
     entries count as no dependencies.
 
-    ``footprints[task_id]`` optionally gives ``(object, access_fraction,
-    object_pages)`` triples for realization-aware pricing.  Without it a
-    ratio step is priced from ``task_bytes`` -- which divides shared
-    objects across their sharers, so when sharers are granted *different*
-    ratios the plan can nominally buy more pages than DRAM holds and the
-    runtime truncates whoever is served last.  With footprints the planner
-    simulates per-object resident fractions: a step costs exactly the new
-    pages it promotes, shared pages are bought once, and tasks whose
-    objects were promoted by another grant get their level upgrades free.
+    ``footprints[task_id]`` gives ``(object, access_fraction,
+    object_pages)`` triples for realization-aware pricing: the planner
+    simulates per-object resident fractions, so a step costs exactly the
+    new pages it promotes, shared pages are bought once, and tasks whose
+    objects were promoted by another grant get their level upgrades free,
+    so the plan never buys more pages than DRAM holds.  ``task_bytes``
+    sizes each task's quota in pages.
     """
     if not tasks:
         raise ValueError("no tasks to plan for")
@@ -175,38 +173,26 @@ def critical_path_plan(
     last = len(levels) - 1
     rounds = 0
 
+    # merge duplicate objects within a footprint (a tile read as both
+    # panels of one update) and order each task's objects by per-page
+    # benefit, mirroring how the promotion queue spends pages
     fp: dict[str, tuple[tuple[str, float, int], ...]] = {}
-    if footprints is not None:
-        # merge duplicate objects within a footprint (a tile read as both
-        # panels of one update) and order each task's objects by per-page
-        # benefit, mirroring how the promotion queue spends pages
-        for tid in ids:
-            merged: dict[str, tuple[float, int]] = {}
-            for obj, frac, n_pages in footprints.get(tid, ()):  # noqa: B909
-                prev = merged.get(obj)
-                merged[obj] = (
-                    (prev[0] + frac, n_pages) if prev else (frac, n_pages)
-                )
-            fp[tid] = tuple(
-                sorted(
-                    ((o, f, p) for o, (f, p) in merged.items()),
-                    key=lambda e: (-e[1] / max(e[2], 1), e[0]),
-                )
+    for tid in ids:
+        merged: dict[str, tuple[float, int]] = {}
+        for obj, frac, n_pages in footprints.get(tid, ()):  # noqa: B909
+            prev = merged.get(obj)
+            merged[obj] = (prev[0] + frac, n_pages) if prev else (frac, n_pages)
+        fp[tid] = tuple(
+            sorted(
+                ((o, f, p) for o, (f, p) in merged.items()),
+                key=lambda e: (-e[1] / max(e[2], 1), e[0]),
             )
-        res_frac: dict[str, float] = {}
-        obj_pages: dict[str, int] = {}
-        for entries in fp.values():
-            for obj, _, n_pages in entries:
-                obj_pages[obj] = n_pages
-                res_frac.setdefault(obj, 0.0)
-        pages_used = 0.0
-    else:
-        pages_used = float(sum(pages.values()))
+        )
+    res_frac = {obj: 0.0 for entries in fp.values() for obj, _, _ in entries}
+    pages_used = 0.0
 
     def realized_r(tid: str) -> float:
-        return min(
-            1.0, sum(f * res_frac[o] for o, f, _ in fp[tid])
-        )
+        return min(1.0, seq_sum(f * res_frac[o] for o, f, _ in fp[tid]))
 
     def promo_sim(tid: str, target: float, commit: bool) -> float:
         """Pages needed to raise ``tid``'s realized ratio to ``target``
@@ -245,11 +231,7 @@ def critical_path_plan(
                 pages[tid] = _pages_for(task_pages[tid], levels[idx[tid]])
 
     def step_cost(tid: str) -> float:
-        if footprints is not None:
-            return promo_sim(tid, float(levels[idx[tid] + 1]), commit=False)
-        return float(
-            _pages_for(task_pages[tid], levels[idx[tid] + 1]) - pages[tid]
-        )
+        return promo_sim(tid, float(levels[idx[tid] + 1]), commit=False)
 
     def step_gain(tid: str) -> float:
         g = grid[tid]
@@ -289,15 +271,10 @@ def critical_path_plan(
                     t,
                 ),
             )
-        if footprints is not None:
-            pages_used += promo_sim(tid, float(levels[idx[tid] + 1]), commit=True)
-            idx[tid] += 1
-            pages[tid] = _pages_for(task_pages[tid], levels[idx[tid]])
-            free_upgrades()
-        else:
-            pages_used += step_cost(tid)
-            idx[tid] += 1
-            pages[tid] = _pages_for(task_pages[tid], levels[idx[tid]])
+        pages_used += promo_sim(tid, float(levels[idx[tid] + 1]), commit=True)
+        idx[tid] += 1
+        pages[tid] = _pages_for(task_pages[tid], levels[idx[tid]])
+        free_upgrades()
         rounds += 1
 
     time_of = {tid: float(grid[tid][idx[tid]]) for tid in ids}

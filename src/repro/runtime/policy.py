@@ -23,6 +23,7 @@ from repro.core.planner import PlanResult
 from repro.core.runtime import MerchandiserPolicy
 from repro.runtime.dag import TaskDAG
 from repro.runtime.planning import CriticalPathPlan, critical_path_plan
+from repro.sim.pages import MigrationBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import EngineContext
@@ -71,12 +72,14 @@ class DAGMerchandiserPolicy(MerchandiserPolicy):
         installed directly here and the tick-level queue stays empty.
         """
         table = ctx.page_table
-        for obj in table:
-            obj.set_residency(0.0)
+        table.place_all(1)
         # with DRAM emptied the from-scratch queue *is* the full target
         super()._build_promotion_queue(ctx, plan, from_scratch=from_scratch)
-        for name, idx in self._promotion_queue:
-            table.object(name).set_pages(idx, 1.0)
+        table.place(
+            MigrationBatch(
+                moves=tuple((name, idx, 0) for name, idx in self._promotion_queue)
+            )
+        )
         self._promotion_queue = []
 
     def on_region_start(self, ctx: "EngineContext") -> None:

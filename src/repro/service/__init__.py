@@ -12,8 +12,8 @@ fast-memory budget:
   of f(.) evaluations, with tag-based invalidation;
 * :mod:`repro.service.scheduler` -- windowed batching, in-flight dedup,
   and shared-DRAM-quota arbitration through one stacked planner call;
-* :mod:`repro.service.pool`      -- thread/process worker pool with
-  SeedSequence-spawned per-worker RNG streams;
+* :mod:`repro.service.pool`      -- process worker pool with per-job
+  failure capture (the experiment runner's ``--jobs``);
 * :mod:`repro.service.admission` -- bounded intake queue with
   degrade-to-daemon load shedding;
 * :mod:`repro.service.server`    -- the facade tying it all together;

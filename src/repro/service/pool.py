@@ -1,20 +1,9 @@
-"""Worker pool driving parallel plan computation.
+"""Worker pool for running independent experiments in parallel.
 
-A thin, mode-switchable executor used in two places:
-
-* the placement server computes independent request batches concurrently
-  (``mode="thread"`` -- planning is numpy-heavy, so threads overlap well
-  enough and share the trained model for free);
-* ``python -m repro.experiments.runner all --jobs N`` fans independent
-  experiments out to processes (``mode="process"`` -- full isolation, one
-  :class:`~repro.experiments.common.ExperimentContext` per worker).
-
-Seeding: stochastic work dispatched to workers must not share one RNG
-stream.  The pool pre-spawns one `SeedSequence`-derived child seed per
-worker via the library's :func:`~repro.common.spawn_rng` discipline, and
-hands it to the ``initializer`` -- the same mechanism the correlation
-trainer uses for its child models, so parallel results stay reproducible
-and statistically independent.
+``python -m repro.experiments.runner all --jobs N`` fans independent
+experiments out to processes (``mode="process"`` -- full isolation, one
+:class:`~repro.experiments.common.ExperimentContext` per worker, built by
+the ``initializer``).  ``mode="serial"`` runs inline.
 """
 
 from __future__ import annotations
@@ -23,14 +12,12 @@ import concurrent.futures
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.common import make_rng, spawn_rng
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.telemetry import Telemetry
 
 __all__ = ["WorkerPool", "JobResult"]
 
-_MODES = ("serial", "thread", "process")
+_MODES = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -89,11 +76,9 @@ class WorkerPool:
     def __init__(
         self,
         workers: int = 4,
-        mode: str = "thread",
-        seed=None,
+        mode: str = "process",
         initializer: Callable | None = None,
         initargs: tuple = (),
-        seed_workers: bool = False,
         telemetry: "Telemetry | None" = None,
     ) -> None:
         if mode not in _MODES:
@@ -107,28 +92,11 @@ class WorkerPool:
         self.telemetry = telemetry
         self._initializer = initializer
         self._initargs = initargs
-        if seed_workers:
-            # one independent child stream per worker, spawned from a single
-            # parent so the set of streams is a pure function of `seed`
-            parent = make_rng(seed)
-            seeds = tuple(
-                int(spawn_rng(parent).integers(0, 2**63 - 1))
-                for _ in range(workers)
-            )
-            self.worker_seeds: tuple[int, ...] = seeds
-        else:
-            self.worker_seeds = ()
         self._executor: concurrent.futures.Executor | None = None
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "WorkerPool":
-        if self.mode == "thread":
-            self._executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.workers,
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
-        elif self.mode == "process":
+        if self.mode == "process":
             self._executor = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=self._initializer,

@@ -12,8 +12,6 @@ together.  One instance owns
   keyed by (region fingerprint, input size, quota bucket), invalidated
   explicitly on alpha refinement / guardrail quarantine via
   :meth:`invalidate_region`,
-* an optional :class:`~repro.service.pool.WorkerPool` that plans multiple
-  due batches concurrently, and
 * an optional :class:`~repro.sim.faults.FaultInjector` consulted at the
   ``service_batch`` crash point: a worker crash mid-batch is retried
   once, then the batch's requests are shed -- decided either way (the
@@ -34,7 +32,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.sim.faults import RobustnessLog
 from repro.service.admission import AdmissionConfig, AdmissionController
 from repro.service.cache import PredictionCache
-from repro.service.pool import WorkerPool
 from repro.service.protocol import (
     PlacementDecision,
     PlacementRequest,
@@ -67,7 +64,6 @@ class PlacementServer:
         step: float = 0.05,
         cache: PredictionCache | None = None,
         admission: AdmissionConfig | None = None,
-        pool: WorkerPool | None = None,
         telemetry: "Telemetry | None" = None,
         clock: Callable[[], float] | None = None,
         faults: "FaultInjector | None" = None,
@@ -90,7 +86,6 @@ class PlacementServer:
         self.admission = AdmissionController(
             admission, log=self.log, telemetry=telemetry
         )
-        self.pool = pool
         self.faults = faults
         self.max_batch_retries = max_batch_retries
         #: opt-in flight recorder journaling the command stream
@@ -213,21 +208,11 @@ class PlacementServer:
         if not batches:
             return []
         decisions: list[PlacementDecision] = []
-        if self.pool is not None and len(batches) > 1:
-            results = self.pool.map(
-                self._plan_one, [(list(b), now) for b in batches]
-            )
-            for batch, res in zip(batches, results):
-                if res.ok:
-                    decisions.extend(res.value)
-                else:
-                    decisions.extend(self._recover_batch(batch, now))
-        else:
-            for batch in batches:
-                try:
-                    decisions.extend(self._plan_one(batch, now))
-                except Exception:
-                    decisions.extend(self._recover_batch(batch, now))
+        for batch in batches:
+            try:
+                decisions.extend(self._plan_one(batch, now))
+            except Exception:
+                decisions.extend(self._recover_batch(batch, now))
         self._finish(decisions, now)
         return decisions
 

@@ -6,7 +6,7 @@ package is its software stand-in (see DESIGN.md Section 2).  It provides:
 * :mod:`repro.sim.memspec` -- tier specifications with the paper's measured
   DRAM/PM asymmetries (Section 2 of the paper);
 * :mod:`repro.sim.pages` -- page tables with per-page access popularity and
-  fractional DRAM residency;
+  one tier index per page;
 * :mod:`repro.sim.cache` -- on-chip cache filtering and the direct-mapped
   page cache used by Memory Mode;
 * :mod:`repro.sim.machine` -- the ground-truth execution-time model;
@@ -18,7 +18,7 @@ package is its software stand-in (see DESIGN.md Section 2).  It provides:
 """
 
 from repro.sim.memspec import HMConfig, TierSpec, cxl_hm_config, optane_hm_config
-from repro.sim.pages import PagedObject, PageTable
+from repro.sim.pages import PageTable
 from repro.sim.machine import MachineModel, MachineSpec, TieredBreakdown
 from repro.sim.counters import PMC_EVENTS, collect_pmcs
 from repro.sim.engine import Engine, EngineConfig, PlacementPolicy, RunResult
@@ -35,7 +35,6 @@ __all__ = [
     "HMConfig",
     "optane_hm_config",
     "cxl_hm_config",
-    "PagedObject",
     "PageTable",
     "MachineSpec",
     "MachineModel",

@@ -109,11 +109,14 @@ class DirectMappedPageCache:
       ``k = 1``) gains nothing from the cache, which is why Memory Mode
       barely helps streaming HPC codes in the paper.
 
-    Page residency (what the rest of the stack consumes) is the average hit
-    rate of the page's lines: ``share * max(0, 1 - 1/k_line)``.
+    A page's hit share is the average hit rate of its lines,
+    ``share * max(0, 1 - 1/k_line)``.  What the rest of the stack consumes
+    is one DRAM share per object, the access-weighted mean of its pages'
+    shares, handed to :meth:`PageTable.set_dram_shares`; no page is moved,
+    because the hardware cache, not software, decides what DRAM holds.
 
-    The crucial property reproduced: residency follows *global* line hotness
-    with no notion of tasks, so per-task DRAM fractions diverge.
+    The crucial property reproduced: the share follows *global* line
+    hotness with no notion of tasks, so per-task DRAM fractions diverge.
     """
 
     #: Cache lines per page.
@@ -124,12 +127,13 @@ class DirectMappedPageCache:
         self.n_sets = max(1, page_table.dram_capacity_bytes // CACHE_LINE)
         self._seed = seed
 
-    def update_residency(
+    def update_shares(
         self,
         access_rates: dict[str, np.ndarray],
         accesses_per_pass: dict[str, np.ndarray] | None = None,
     ) -> None:
-        """Recompute residency from current per-page access rates.
+        """Recompute every object's DRAM share from current per-page access
+        rates and hand the shares to the page table.
 
         ``access_rates[name][p]`` is page ``p``'s access rate (any common
         unit); ``accesses_per_pass[name][p]`` is how many times the page is
@@ -141,10 +145,11 @@ class DirectMappedPageCache:
             if rates is not None:
                 total_rate += float(rates.sum())
         pressure = total_rate / self.n_sets  # mean competing rate per set
+        shares: dict[str, float] = {}
         for obj in self.page_table:
             rates = access_rates.get(obj.name)
             if rates is None or total_rate <= 0:
-                obj.set_residency(0.0)
+                shares[obj.name] = 0.0
                 continue
             r_line = rates / self.LINES_PER_PAGE
             share = r_line / (r_line + pressure + 1e-300)
@@ -155,4 +160,5 @@ class DirectMappedPageCache:
                         0.0, 1.0 - self.LINES_PER_PAGE / np.maximum(k_page, 1e-9)
                     )
                     share = share * reuse
-            obj.set_residency(share)
+            shares[obj.name] = float(obj.weight @ np.clip(share, 0.0, 1.0))
+        self.page_table.set_dram_shares(shares)

@@ -19,11 +19,11 @@ in small virtual-time ticks:
   per-task busy and barrier-wait times are recorded (Figure 5's data).
 
 One tick loop serves every tier count.  The 2-tier DRAM/PM machine is its
-n = 2 case: a :class:`PageTable` and :class:`BreakdownKernel` replace the
-N-tier table and kernel, chosen once per region, and every float of the
-loop keeps the 2-tier order, so 2-tier results are bit-exact.  Where the
-two tables differ -- pressure-eviction planning, the capacity squeeze
-during a batch, the occupancy gauge -- the table does the work.
+n = 2 case: the page table's and the kernel's n = 2 front ends
+(:class:`PageTable`, :class:`BreakdownKernel`), chosen by tier count, price
+the per-object DRAM fraction in the 2-tier float order, so 2-tier results
+are bit-exact.  Pressure-eviction planning, the capacity squeeze during a
+batch and the occupancy gauge are the table's work.
 Environment faults keep the 2-tier model's mapping on any topology:
 bandwidth degradation hits the slowest tier, capacity pressure the
 fastest.
@@ -175,9 +175,9 @@ class EngineContext:
 class PlacementPolicy:
     """Base class for data-placement policies (baselines and Merchandiser).
 
-    Policies may set residency directly in the start hooks (initial
-    placement, through ``PagedObject.set_residency``/``set_pages``) and
-    must route mid-run movement through ``on_tick``'s
+    Policies may stage placement directly in the start hooks (through the
+    page table's ``place_all`` and ``place``) and must route mid-run
+    movement through ``on_tick``'s
     :class:`MigrationBatch` return (a destination tier per move, 0 the
     fastest) so the engine can charge bandwidth.
     """
@@ -549,17 +549,12 @@ class Engine:
         """Open a migration epoch: durably snapshot the pre-epoch placement."""
         assert ctx.region is not None and self.journal is not None
         table = ctx.page_table
-        binary = all(
-            bool(np.all(np.abs(o.residency - np.round(o.residency)) <= 1e-9))
-            for o in table
-        )
         payload = {
             "region": ctx.region_index,
             "name": ctx.region.name,
             "time_s": ctx.time,
-            "binary": binary,
             "dram_capacity_bytes": int(table.dram_capacity_bytes),
-            "dram_pages": {o.name: o.dram_pages() for o in table},
+            "dram_pages": {o.name: o.pages_in(0) for o in table},
             "task_r_dram": self._task_r_dram_map(ctx),
             "quota_targets": {
                 str(k): float(v)
@@ -594,8 +589,7 @@ class Engine:
                 "pages_migrated": ctx.pages_migrated,
             },
         )
-        binary = begin_payload.get("binary", True) if begin_payload else True
-        for text in verify_placement(ctx.page_table, {"binary": binary}):
+        for text in verify_placement(ctx.page_table):
             self.journal.log.record(
                 "journal.invariant_violation", ctx.time, detail_text=text
             )
@@ -614,8 +608,8 @@ class Engine:
     def _journal_batch(
         self, ctx: EngineContext, epoch: int | None, batch: MigrationBatch, cause: str
     ) -> None:
-        """Write-ahead: log a batch's moves with per-page before-images
-        BEFORE any residency mutation.  A kill configured for the
+        """Write-ahead: log a batch's moves with each page's tier before the
+        move (its before-image) BEFORE any page moves.  A kill configured for the
         "wal_append" crash point dies here -- with ``crash_torn_tail`` the
         record's bytes are cut short, and either way the mutation never
         happens."""
@@ -626,7 +620,7 @@ class Engine:
             {
                 "obj": name,
                 "pages": np.asarray(idx, dtype=np.intp),
-                "before": table.object(name).residency[idx].copy(),
+                "before": table.object(name).page_tier[idx].copy(),
                 "dst": int(dst),
             }
             for name, idx, dst in batch.moves

@@ -7,10 +7,14 @@ re-summed over every object before each promotion, sampled pages are
 grouped with one mask per object, and the interval policy walks its ranked
 sample one page at a time.
 
-:class:`Residency` is the 2-tier table's parent form: a float residency
-arena it owns, written in place, with ``dram_used_bytes``,
-``access_fractions`` and ``apply_batch`` recomputing every object's terms
-on each call.  :func:`page_access_rates`, :func:`pte_sample` and
+:class:`Residency` is the 2-tier table's parent form: a float DRAM
+residency arena it owns, written in place, with ``dram_used_bytes``,
+``access_fractions``, ``apply_batch`` and ``plan_pressure_evictions``
+recomputing every object's terms on each call.  Memory Mode's
+object-level shares stand in for an object's dot until its pages move;
+:func:`memory_mode_residency` is the parent per-page Memory Mode cache,
+which wrote each page's hit share into the residency arena.
+:func:`page_access_rates`, :func:`pte_sample` and
 :func:`corrupt_pte_scan` are the parent full-array rates, the per-object
 sample -> Poisson loop and the per-object fault draws.
 
@@ -40,13 +44,14 @@ __all__ = [
     "corrupt_pte_scan",
     "Residency",
     "TieredResidency",
+    "memory_mode_residency",
     "page_weights",
 ]
 
 
 def page_weights(spec, rng=None) -> np.ndarray:
     """Per-page weights of ``spec``: a Zipf object draws its line weights
-    from ``rng`` on every call (``PagedObject.__init__`` before the memo)."""
+    from ``rng`` on every call (the page-object constructor before the memo)."""
     n_pages = spec.n_pages
     if spec.hotness == "zipf":
         lines = zipf_weights(n_pages * 64, spec.zipf_s, rng=make_rng(rng))
@@ -57,9 +62,9 @@ def page_weights(spec, rng=None) -> np.ndarray:
 
 
 def apply_batch(table, batch) -> int:
-    """2-tier ``apply_batch``: demotions (destination 1) first, then
-    promotions (destination 0) clamped to ``table.dram_free_pages()``
-    recomputed before every move."""
+    """2-tier ``apply_batch`` on a :class:`Residency`: demotions
+    (destination 1) first, then promotions (destination 0) clamped to
+    ``table.dram_free_pages()`` recomputed before every move."""
     moved = 0
     for name, idx, dst in batch.moves:
         if dst == 0:
@@ -67,6 +72,8 @@ def apply_batch(table, batch) -> int:
         obj = table.object(name)
         sel = idx[obj.residency[idx] > 1e-12]
         obj.residency[sel] = 0.0
+        if len(sel):
+            table.shares.pop(name, None)
         moved += len(sel)
     for name, idx, dst in batch.moves:
         if dst != 0:
@@ -81,8 +88,39 @@ def apply_batch(table, batch) -> int:
             continue
         sel = sel[:free]
         obj.residency[sel] = 1.0
+        if len(sel):
+            table.shares.pop(name, None)
         moved += len(sel)
     return moved
+
+
+def memory_mode_residency(
+    table, access_rates, accesses_per_pass, n_sets: int, lines_per_page: int = 64
+) -> None:
+    """The parent Memory Mode cache: every page's hit share written into
+    ``table``'s (a :class:`Residency`) float arena, clipped to [0, 1]."""
+    total_rate = 0.0
+    for obj in table:
+        rates = access_rates.get(obj.name)
+        if rates is not None:
+            total_rate += float(rates.sum())
+    pressure = total_rate / n_sets
+    table.shares.clear()
+    for obj in table:
+        rates = access_rates.get(obj.name)
+        if rates is None or total_rate <= 0:
+            obj.residency[:] = 0.0
+            continue
+        r_line = rates / lines_per_page
+        share = r_line / (r_line + pressure + 1e-300)
+        if accesses_per_pass is not None:
+            k_page = accesses_per_pass.get(obj.name)
+            if k_page is not None:
+                reuse = np.maximum(
+                    0.0, 1.0 - lines_per_page / np.maximum(k_page, 1e-9)
+                )
+                share = share * reuse
+        obj.residency[:] = np.clip(share, 0.0, 1.0)
 
 
 def page_access_rates(ctx) -> dict[str, np.ndarray]:
@@ -278,20 +316,30 @@ class _Object:
     def dram_access_fraction(self) -> float:
         return float(self.weight @ self.residency)
 
+    def coldest_dram_pages(self, limit: int | None = None) -> np.ndarray:
+        """Pages (partially) in DRAM, coldest first (stable id ties)."""
+        candidates = np.flatnonzero(self.residency > 1e-12)
+        order = np.argsort(self.weight[candidates], kind="stable")
+        idx = candidates[order]
+        return idx if limit is None else idx[:limit]
+
 
 class Residency:
     """Float 2-tier page state shadowing a ``PageTable``.
 
-    Copies the table's weight and residency arenas (same slices and
-    padding) and from then on owns its residency, written in place.
-    ``dram_capacity_bytes`` is a plain attribute: a test changes capacity
-    on both sides.
+    Copies the table's weight arena and its DRAM pages as a float
+    residency arena (same slices and padding) and from then on owns its
+    residency, written in place.  ``shares`` are Memory Mode's
+    object-level DRAM shares: each stands in for its object's dot until a
+    write moves that object's pages.  ``dram_capacity_bytes`` is a plain
+    attribute: a test changes capacity on both sides.
     """
 
-    def __init__(self, table) -> None:
+    def __init__(self, table, shares=None) -> None:
         self.dram_capacity_bytes = table.dram_capacity_bytes
+        self.shares: dict[str, float] = dict(shares or {})
         self._weight_arena = table.weight_arena.copy()
-        self._residency_arena = table.residency_arena.copy()
+        self._residency_arena = (table.tier_arena == 0).astype(np.float64)
         self._objects: dict[str, _Object] = {}
         for name in table.names:
             sl = table.object_slice(name)
@@ -327,7 +375,34 @@ class Residency:
         return int(self.dram_free_bytes() // PAGE_SIZE)
 
     def access_fractions(self) -> dict[str, float]:
-        return {o.name: o.dram_access_fraction() for o in self}
+        return {
+            o.name: self.shares[o.name] if o.name in self.shares
+            else o.dram_access_fraction()
+            for o in self
+        }
+
+    def plan_pressure_evictions(self, pressure_bytes: int):
+        """The parent 2-tier victim choice: the coldest DRAM pages of
+        objects ordered by ``(DRAM access fraction, name)``, as a list of
+        ``(object, pages, 1)`` moves (``None`` when nothing has to go)."""
+        if pressure_bytes <= 0:
+            return None
+        left_bytes = self.dram_capacity_bytes - pressure_bytes
+        used = int(sum(obj.dram_pages() for obj in self))
+        need = used - max(0, left_bytes // PAGE_SIZE)
+        if need <= 0:
+            return None
+        fractions = self.access_fractions()
+        moves = []
+        picked = 0
+        for obj in sorted(self, key=lambda o: (fractions[o.name], o.name)):
+            if picked >= need:
+                break
+            cold = obj.coldest_dram_pages(limit=need - picked)
+            if len(cold):
+                moves.append((obj.name, cold, 1))
+                picked += len(cold)
+        return moves or None
 
     def apply_batch(self, batch) -> int:
         """Per-object byte counts taken once, after the demotions, and
@@ -339,6 +414,8 @@ class Residency:
             obj = self.object(name)
             sel = idx[obj.residency[idx] > 1e-12]
             obj.residency[sel] = 0.0
+            if len(sel):
+                self.shares.pop(name, None)
             moved += len(sel)
         used: dict[str, float] | None = None
         for name, idx, dst in batch.moves:
@@ -353,6 +430,8 @@ class Residency:
                 continue
             sel = sel[:free]
             obj.residency[sel] = 1.0
+            if len(sel):
+                self.shares.pop(name, None)
             used[name] = obj.dram_bytes()
             moved += len(sel)
         return moved

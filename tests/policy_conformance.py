@@ -7,9 +7,9 @@ battery of invariants:
 
 * **no over-commit**: at every engine hook, no tier holds more pages
   than its capacity (the 2-tier DRAM budget is the degenerate case);
-* **no count drift**: at every hook, an N-tier table's integer per-tier
-  page counts equal a recount of its tier-index arena, and a 2-tier
-  table's cached DRAM bytes equal a recount of its residency;
+* **no count drift**: at every hook, the table's integer per-tier page
+  counts equal a recount of its tier-index arena (the 2-tier table is the
+  n = 2 front end of the same table);
 * **tier-indexed moves**: every move a policy asks for names an ``int``
   destination tier the table has (a ``bool`` promote flag is caught);
 * **determinism**: two runs with the same seed are identical, tick
@@ -44,7 +44,6 @@ from repro.policies import PolicyBuildContext, build_policy, registered_policies
 from repro.sim import Engine, MachineModel, optane_hm_config
 from repro.sim.faults import FaultConfig, FaultInjector
 from repro.sim.memspec import TierSpec, TopologySpec
-from repro.sim.pages import TieredPageTable
 from repro.tasks import DataObject, Footprint, MPIProgram, ObjectAccess
 
 MB = 1 << 20
@@ -119,26 +118,15 @@ class InvariantProbe:
 
     def _check(self, ctx) -> None:
         table = ctx.page_table
-        if isinstance(table, TieredPageTable):
-            arena = table.tier_arena
-            recount = np.bincount(
-                arena[arena != table.NO_TIER], minlength=table.n_tiers
-            )
-            for k in range(table.n_tiers):
-                used = table.tier_used_pages(k)
-                cap = table.tier_capacity_pages[k]
-                if used > cap + 1e-6:
-                    self.violations.append((ctx.time, k, used, float(cap)))
-                if used != recount[k]:
-                    self.drift.append((ctx.time, k, used, int(recount[k])))
-        else:
-            used = table.dram_used_bytes()
-            cap = table.dram_capacity_bytes
-            if used > cap + 1e-6 * PAGE_SIZE:
-                self.violations.append((ctx.time, 0, used, float(cap)))
-            recount = sum(float(o.residency.sum()) * PAGE_SIZE for o in table)
-            if used != recount:
-                self.drift.append((ctx.time, 0, used, recount))
+        arena = table.tier_arena
+        recount = np.bincount(arena[arena != table.NO_TIER], minlength=table.n_tiers)
+        for k in range(table.n_tiers):
+            used = table.tier_used_pages(k)
+            cap = table.tier_capacity_pages[k]
+            if used > cap + 1e-6:
+                self.violations.append((ctx.time, k, used, float(cap)))
+            if used != recount[k]:
+                self.drift.append((ctx.time, k, used, int(recount[k])))
 
     def on_workload_start(self, ctx):
         self.inner.on_workload_start(ctx)

@@ -118,8 +118,7 @@ class TestSparta:
 
             def on_tick(self, ctx, dt):
                 if not Checked.fracs:
-                    for obj in ctx.page_table:
-                        Checked.fracs[obj.name] = obj.dram_access_fraction()
+                    Checked.fracs.update(ctx.page_table.access_fractions())
                 return None
 
         run(wl, Checked())
@@ -134,8 +133,7 @@ class TestSparta:
 
             def on_tick(self, ctx, dt):
                 if not Checked.fracs:
-                    for obj in ctx.page_table:
-                        Checked.fracs[obj.name] = obj.dram_access_fraction()
+                    Checked.fracs.update(ctx.page_table.access_fractions())
                 return None
 
         run(wl, Checked(input_objects=["shared"]))

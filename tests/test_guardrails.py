@@ -149,8 +149,9 @@ class TestRetryRollbackProperty:
 
     Random interleavings of journaled migration batches, syscall failures
     (queued for retry), drained retries and crashes (epoch rollback) must
-    never double-apply a move: residency stays binary, DRAM capacity is
-    respected, and a rollback restores the epoch-begin placement exactly.
+    never double-apply a move: the per-tier counts match the tier arena,
+    DRAM capacity is respected, and a rollback restores the epoch-begin
+    placement exactly.
     """
 
     N_OBJECTS = 3
@@ -169,9 +170,8 @@ class TestRetryRollbackProperty:
             {
                 "region": 0,
                 "time_s": 0.0,
-                "binary": True,
                 "dram_capacity_bytes": int(table.dram_capacity_bytes),
-                "dram_pages": {o.name: float(o.residency.sum()) for o in table},
+                "dram_pages": {o.name: o.pages_in(0) for o in table},
                 "task_r_dram": {},
             }
         )
@@ -183,7 +183,7 @@ class TestRetryRollbackProperty:
             {
                 "obj": name,
                 "pages": [int(p) for p in idx],
-                "before": [float(x) for x in table.object(name).residency[idx]],
+                "before": [int(x) for x in table.object(name).page_tier[idx]],
                 "dst": int(dst),
             }
             for name, idx, dst in batch.moves
@@ -192,9 +192,9 @@ class TestRetryRollbackProperty:
         return table.apply_batch(batch)
 
     def _check_invariants(self, table: PageTable) -> None:
-        for obj in table:
-            assert np.all((obj.residency == 0.0) | (obj.residency == 1.0))
-        assert table.dram_used_bytes() <= table.dram_capacity_bytes + 1e-9
+        assert table.tier_used_pages(0) == sum(o.pages_in(0) for o in table)
+        assert table.tier_used_pages(1) == sum(o.pages_in(1) for o in table)
+        assert table.dram_used_bytes() <= table.dram_capacity_bytes
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -207,7 +207,7 @@ class TestRetryRollbackProperty:
             RobustnessLog(),
         )
         epoch = self._begin(wal, table)
-        snapshot = {o.name: o.residency.copy() for o in table}
+        snapshot = {o.name: o.page_tier.copy() for o in table}
         now = 0.0
         for _ in range(24):
             now += 1.0
@@ -240,10 +240,10 @@ class TestRetryRollbackProperty:
                 assert outcome.violations == []
                 for obj in table:
                     np.testing.assert_array_equal(
-                        obj.residency, snapshot[obj.name]
+                        obj.page_tier, snapshot[obj.name]
                     )
                 epoch = self._begin(wal, table)
-                snapshot = {o.name: o.residency.copy() for o in table}
+                snapshot = {o.name: o.page_tier.copy() for o in table}
             self._check_invariants(table)
 
 

@@ -13,7 +13,7 @@ from repro.core.journal import (
     recover_journal,
     verify_placement,
 )
-from repro.sim.pages import PageTable
+from repro.sim.pages import MigrationBatch, PageTable
 from repro.tasks import DataObject
 
 
@@ -24,13 +24,17 @@ def table(n_objects=2, pages_each=8, capacity_pages=12) -> PageTable:
     return PageTable(objects, capacity_pages * PAGE_SIZE, rng=0)
 
 
+def move(t: PageTable, name: str, pages, dst: int) -> None:
+    """Move ``pages`` of object ``name`` to tier ``dst`` (0 DRAM, 1 PM)."""
+    t.place(MigrationBatch(moves=((name, np.atleast_1d(np.asarray(pages)), dst),)))
+
+
 def begin_payload(t: PageTable, **extra) -> dict:
     payload = {
         "region": 0,
         "time_s": 0.0,
-        "binary": True,
         "dram_capacity_bytes": int(t.dram_capacity_bytes),
-        "dram_pages": {o.name: float(o.residency.sum()) for o in t},
+        "dram_pages": {o.name: o.pages_in(0) for o in t},
         "task_r_dram": {},
     }
     payload.update(extra)
@@ -111,16 +115,16 @@ class TestRollback:
                         {
                             "obj": "o0",
                             "pages": [0, 1, 2],
-                            "before": [0.0, 0.0, 0.0],
+                            "before": [1, 1, 1],
                             "dst": 0,
                         }
                     ],
                 },
             )
         ]
-        obj.set_pages([0, 1, 2], 1.0)
+        move(t, "o0", [0, 1, 2], 0)
         assert _undo_moves(t, moves) == 3
-        assert obj.dram_pages() == 0.0
+        assert obj.pages_in(0) == 0 and t.tier_used_pages(0) == 0
 
     def test_undo_is_exact_for_partial_application(self):
         # crash mid-batch: only page 0 was applied; restoring all
@@ -137,15 +141,15 @@ class TestRollback:
                     {
                         "obj": "o0",
                         "pages": [0, 1],
-                        "before": [0.0, 0.0],
+                        "before": [1, 1],
                         "dst": 0,
                     }
                 ],
             },
         )
-        obj.set_pages(0, 1.0)  # page 1 never copied
+        move(t, "o0", 0, 0)  # page 1 never copied
         _undo_moves(t, [record])
-        assert obj.dram_pages() == 0.0
+        assert obj.pages_in(0) == 0 and t.tier_used_pages(0) == 0
 
     def test_undo_reverses_batch_order(self):
         # two batches touch the same page: undo must restore the OLDEST
@@ -159,11 +163,11 @@ class TestRollback:
             {
                 "cause": "policy",
                 "moves": [
-                    {"obj": "o0", "pages": [0], "before": [0.0], "dst": 0}
+                    {"obj": "o0", "pages": [0], "before": [1], "dst": 0}
                 ],
             },
         )
-        obj.set_pages(0, 1.0)
+        move(t, "o0", 0, 0)
         second = WalRecord(
             2,
             "move",
@@ -171,43 +175,40 @@ class TestRollback:
             {
                 "cause": "pressure",
                 "moves": [
-                    {"obj": "o0", "pages": [0], "before": [1.0], "dst": 1}
+                    {"obj": "o0", "pages": [0], "before": [0], "dst": 1}
                 ],
             },
         )
-        obj.set_pages(0, 0.0)
+        move(t, "o0", 0, 1)
         _undo_moves(t, [first, second])
-        assert obj.residency[0] == 0.0
+        assert obj.page_tier[0] == 1
 
 
 class TestVerifyPlacement:
     def test_clean_placement_passes(self):
         t = table()
-        t.object("o0").set_pages(slice(None, 4), 1.0)
+        move(t, "o0", np.arange(4), 0)
         assert verify_placement(t, begin_payload(t)) == []
 
-    def test_fractional_residency_flagged_when_binary(self):
-        t = table()
-        t.object("o0").set_pages(0, 0.5)
-        violations = verify_placement(t, {"binary": True})
-        assert any("no/both tiers" in v for v in violations)
-
     def test_fractional_residency_allowed_for_memory_mode(self):
+        # Memory Mode's share lives at object level and holds no pages
         t = table()
-        t.object("o0").set_pages(slice(None), 0.5)
-        assert verify_placement(t, {"binary": False}) == []
+        t.set_dram_shares({"o0": 0.5})
+        assert verify_placement(t, begin_payload(t)) == []
 
     def test_capacity_violation_flagged(self):
-        t = table(n_objects=2, pages_each=8, capacity_pages=12)
+        t = table(n_objects=2, pages_each=8, capacity_pages=16)
         for obj in t:
-            obj.set_pages(slice(None), 1.0)  # 16 pages in a 12-page DRAM
-        violations = verify_placement(t, {"binary": True})
+            move(t, obj.name, np.arange(8), 0)
+        # 16 pages in DRAM, then the capacity shrinks to 12
+        t.capacities_bytes = (12 * PAGE_SIZE,) + t.capacities_bytes[1:]
+        violations = verify_placement(t)
         assert any("over capacity" in v for v in violations)
 
     def test_restoration_mismatch_flagged(self):
         t = table()
         payload = begin_payload(t)
-        t.object("o1").set_pages(0, 1.0)  # drifted from the epoch snapshot
+        move(t, "o1", 0, 0)  # drifted from the epoch snapshot
         violations = verify_placement(t, payload)
         assert any("after rollback" in v for v in violations)
 
@@ -233,16 +234,16 @@ class TestRecoverJournal:
         obj = t.object("o0")
         wal.log_moves(
             e1,
-            [{"obj": "o0", "pages": [0, 1], "before": [0.0, 0.0], "dst": 0}],
+            [{"obj": "o0", "pages": [0, 1], "before": [1, 1], "dst": 0}],
             "policy",
         )
-        obj.set_pages([0, 1], 1.0)
+        move(t, "o0", [0, 1], 0)
         outcome = recover_journal(wal, t)
         assert outcome.open_epoch == e1
         assert outcome.resume_region == 1
         assert outcome.resume_time_s == 5.0
         assert outcome.rolled_back_pages == 2
-        assert obj.dram_pages() == 0.0
+        assert obj.pages_in(0) == 0
         assert outcome.violations == []
         assert wal.log.count("journal.rollback") == 1
 
@@ -263,7 +264,7 @@ class TestRecoverJournal:
             {
                 "cause": "policy",
                 "moves": [
-                    {"obj": "o0", "pages": [0], "before": [0.0], "dst": 0}
+                    {"obj": "o0", "pages": [0], "before": [1], "dst": 0}
                 ],
             },
         )
@@ -298,7 +299,7 @@ class TestRecoverJournal:
         t = table()
         wal = WriteAheadLog()
         wal.begin_epoch(begin_payload(t, region=0))
-        t.object("o0").set_pages(0, 1.0)  # mutation with no move record
+        move(t, "o0", 0, 0)  # mutation with no move record
         outcome = recover_journal(wal, t)
         assert outcome.violations
         assert wal.log.count("journal.invariant_violation") >= 1

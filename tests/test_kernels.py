@@ -24,7 +24,7 @@ import repro.ml.kernels
 import repro.sim.kernels
 from repro.apps.codesamples import generate_corpus
 from repro.apps.spgemm import SpGEMMApp
-from repro.common import make_rng
+from repro.common import PAGE_SIZE, make_rng
 from repro.core import planner as planner_module
 from repro.core.correlation import CorrelationFunction
 from repro.core.model import PerformanceModel, TaskModelInputs, TieredTaskInputs
@@ -45,7 +45,7 @@ from repro.sim.engine import Engine
 from repro.sim.kernels import BreakdownKernel
 from repro.sim.machine import MachineModel
 from repro.sim.memspec import HMConfig, optane_hm_config, topology_preset
-from repro.sim.pages import PageTable
+from repro.sim.pages import MigrationBatch, PageTable
 from tests.oracles import scalar
 from tests.oracles.scalar import scalar_reference
 
@@ -513,19 +513,18 @@ def test_page_table_arena_aliases_objects():
     table = PageTable(wl.objects, hm.dram.capacity_bytes, rng=0)
     for obj in table:
         sl = table.object_slice(obj.name)
-        assert obj.residency.base is table.residency_arena.base
+        assert obj.page_tier.base is table.tier_arena
         assert obj.weight.base is table.weight_arena
         assert sl.stop - sl.start == obj.n_pages
-        obj.set_residency(0.5)
-        assert float(table.residency_arena[sl][0]) == 0.5
-        obj.set_residency(0.0)
-    # padding lanes between segments stay zero
-    covered = np.zeros(len(table.residency_arena), dtype=bool)
+        table.place(MigrationBatch(moves=((obj.name, np.arange(1), 0),)))
+        assert int(table.tier_arena[sl][0]) == 0
+        table.place(MigrationBatch(moves=((obj.name, np.arange(1), 1),)))
+    # padding lanes between segments hold no tier and zero weight
+    covered = np.zeros(len(table.tier_arena), dtype=bool)
     for obj in table:
         sl = table.object_slice(obj.name)
         covered[sl] = True
-    table.place_all(1.0) if table.total_bytes <= hm.dram.capacity_bytes else None
-    assert not table.residency_arena[~covered].any()
+    assert (table.tier_arena[~covered] == table.NO_TIER).all()
     assert not table.weight_arena[~covered].any()
 
 
@@ -537,8 +536,8 @@ def test_page_table_weights_match_prearena_construction():
     b = PageTable(wl.objects, hm.dram.capacity_bytes, rng=42)
     for obj in a:
         assert obj.weight.tobytes() == b.object(obj.name).weight.tobytes()
-        assert _bits(obj.dram_access_fraction()) == _bits(
-            b.object(obj.name).dram_access_fraction()
+        assert _bits(a.access_fractions()[obj.name]) == _bits(
+            b.access_fractions()[obj.name]
         )
 
 
@@ -547,11 +546,11 @@ def test_page_table_survives_pickle():
     hm = optane_hm_config()
     table = PageTable(wl.objects, hm.dram.capacity_bytes, rng=1)
     first = next(iter(table))
-    first.set_residency(1.0)
+    table.place(MigrationBatch(moves=((first.name, np.arange(first.n_pages), 0),)))
     clone = pickle.loads(pickle.dumps(table))
     obj = clone.object(first.name)
-    assert obj.residency.base is clone.residency_arena.base
-    assert obj.residency.tobytes() == first.residency.tobytes()
+    assert obj.page_tier.base is clone.tier_arena
+    assert obj.page_tier.tobytes() == first.page_tier.tobytes()
     assert _bits(clone.dram_used_bytes()) == _bits(table.dram_used_bytes())
 
 
@@ -746,8 +745,8 @@ def _memo_placements(preset: str, region, wl) -> list[dict]:
     The second A differs from the first only where clipping maps both to
     the same matrix (NaN and -2.0 to 0.0, +inf and 5.0 to 1.0).  Each map
     leaves one object out and holds NaN, ±inf and -0.0 components; on
-    2 tiers the rest are the access fractions of Memory Mode-style
-    fractional residency, on deeper tiers fractional vectors.
+    2 tiers the rest are Memory Mode-style object-level DRAM shares, on
+    deeper tiers fractional vectors.
     """
     objs = sorted({o for inst in region.instances for o in inst.footprint.objects})
     rng = make_rng(17)
@@ -755,11 +754,16 @@ def _memo_placements(preset: str, region, wl) -> list[dict]:
         table = PageTable(wl.objects, optane_hm_config().dram.capacity_bytes, rng=0)
         maps = []
         for share in (0.37, 0.81):
+            shares = {}
             for k, name in enumerate(objs):
                 obj = table.object(name)
-                obj.set_residency(
-                    rng.uniform(0.0, 1.0, obj.n_pages) if k % 2 else share
+                hits = (
+                    rng.uniform(0.0, 1.0, obj.n_pages)
+                    if k % 2
+                    else np.full(obj.n_pages, share)
                 )
+                shares[name] = float(obj.weight @ hits)
+            table.set_dram_shares(shares)
             maps.append(dict(table.access_fractions()))
     else:
         n = topology_preset(preset).n_tiers
@@ -936,7 +940,11 @@ def test_scalar_reference_leaves_production_idle(system, monkeypatch):
         _tiered_engine_fingerprint(system, "hbm_dram_pm", "merchandiser")
         for name in ("greedy_plan", "optimal_quotas", "throughput_plan"):
             getattr(planner_module, name)(tasks, model, cap, task_bytes)
-        critical_path_plan(tasks, model, cap, task_bytes, deps)
+        footprints = {
+            t.task_id: [(f"{t.task_id}.obj", 1.0, -(-task_bytes[t.task_id] // PAGE_SIZE))]
+            for t in tasks
+        }
+        critical_path_plan(tasks, model, cap, task_bytes, deps, footprints)
     assert not production, dict(production)
     idle = [n for n in scalar.__all__ if n != "scalar_reference" and not oracles[n]]
     assert not idle, f"references never called: {idle}"

@@ -1,17 +1,16 @@
 """Page-table aggregates are computed once per hook, not once per query.
 
-``PageTable.access_fractions`` and ``PageTable.dram_used_bytes`` walk every
-object.  The quota gate used to recompute the fractions for every hot
-object x accessing task, and ``apply_batch`` re-summed residency before
-every promotion; this guard bounds both by the number of hooks instead.
+The quota gate used to recompute the fractions for every hot object x
+accessing task, and ``apply_batch`` re-summed residency before every
+promotion; this guard bounds both by the number of hooks instead.
 
-Both tables keep per-object cached terms behind one write path.  On the
-2-tier table ``dram_free_pages``/``dram_used_bytes`` re-sum cached page
-counts and each access fraction is recomputed only after its object was
-written; on the N-tier table fraction vectors are cached per object and
-``tier_free_pages`` reads integer per-tier counts.  The other guards make
-every page array unreadable while those capacity queries run and bound
-fraction recomputations by the objects actually written or moved.
+The table keeps integer per-tier page counts and one cached fraction per
+object behind one write body, on the 2-tier front end (a DRAM dot per
+object) and on N tiers (a fraction vector per object) alike: capacity
+queries read the counts, and a fraction is recomputed only after its
+object was moved or the table reset.  The other guards make every page
+array unreadable while those capacity queries run and bound fraction
+recomputations by the objects actually moved.
 
 Zipf page weights are drawn once per generator state: a rerun of a
 workload from the same seed draws none, and the draw memo never holds
@@ -40,7 +39,7 @@ from repro.sim import Engine, MachineModel, optane_hm_config
 from repro.sim import pages
 from repro.sim.kernels import BreakdownKernel, TieredBreakdownKernel
 from repro.sim.memspec import topology_preset
-from repro.sim.pages import PagedObject, PageTable, TieredPagedObject, TieredPageTable
+from repro.sim.pages import PageTable, TieredPagedObject, TieredPageTable
 
 
 def _counting(monkeypatch, cls, name: str) -> dict:
@@ -123,31 +122,37 @@ def test_dram_queries_never_rescan_pages(monkeypatch, system):
     app = SpGEMMApp.small(seed=0)
     wl = app.build_workload(seed=0)
     policy = system.policy(app.binding(wl), seed=3)
-    seen = {"writes": 0, "recomputes": 0}
+    recomputes = _counting(monkeypatch, PageTable, "_fraction")
+    seen = {"dropped": 0, "moved_objects": 0}
 
-    set_pages = PagedObject.set_pages
+    write = TieredPageTable._apply
 
-    def counted_set_pages(self, idx, value):
-        seen["writes"] += 1
-        return set_pages(self, idx, value)
+    def counted_write(self, batch):
+        before = self.tier_arena.copy()
+        moved = write(self, batch)
+        changed = before != self.tier_arena
+        seen["moved_objects"] += sum(
+            bool(changed[self.object_slice(name)].any()) for name in self.names
+        )
+        return moved
 
-    fraction = PagedObject.dram_access_fraction
+    reset = TieredPageTable.place_all
 
-    def counted_fraction(self):
-        # a fraction is recomputed exactly when its cache slot is empty
-        seen["recomputes"] += self._fraction is None
-        return fraction(self)
+    def counted_reset(self, tier):
+        seen["dropped"] += len(self)
+        return reset(self, tier)
 
-    monkeypatch.setattr(PagedObject, "set_pages", counted_set_pages)
-    monkeypatch.setattr(PagedObject, "dram_access_fraction", counted_fraction)
+    monkeypatch.setattr(TieredPageTable, "_apply", counted_write)
+    monkeypatch.setattr(TieredPageTable, "place_all", counted_reset)
     used = _blind(monkeypatch, PageTable, "dram_used_bytes")
     free = _blind(monkeypatch, PageTable, "dram_free_pages")
 
     res = Engine(MachineModel(), optane_hm_config()).run(wl, policy, seed=1)
 
-    assert res.pages_migrated > 0 and seen["writes"] > 0
+    assert res.pages_migrated > 0 and seen["moved_objects"] > 0
     assert used["calls"] > 0 and free["calls"] > 0
-    assert 0 < seen["recomputes"] <= len(wl.objects) + seen["writes"]
+    bound = len(wl.objects) + seen["dropped"] + seen["moved_objects"]
+    assert 0 < recomputes["calls"] <= bound
 
 
 def test_tiered_queries_never_rescan_pages(monkeypatch, system):
@@ -180,7 +185,8 @@ def test_tiered_queries_never_rescan_pages(monkeypatch, system):
         return moved
 
     monkeypatch.setattr(TieredPageTable, "apply_batch", counted_apply)
-    free = _blind(monkeypatch, TieredPageTable, "tier_free_pages")
+    # the capacity body behind tier_free_pages and every write's clamp
+    free = _blind(monkeypatch, TieredPageTable, "_free")
 
     res = Engine(MachineModel(), topology=topo).run(wl, policy, seed=1)
 

@@ -2,12 +2,14 @@
 
 Every case builds a seeded random table, runs the production routine and
 the reference copy on identical inputs, and requires identical bits:
-residency arenas, moved counts, cached DRAM terms, sampled pages, page
-access rates, PTE scan counts (with and without injected faults),
-hot-page picks and the interval policy's move queue.  2-tier tables are
-shadowed by :class:`oracles.pages.Residency`, which owns a float
-residency copy and recomputes every aggregate per call.  N-tier tables
-are shadowed by the float one-hot residency matrix of
+placements, moved counts, cached DRAM terms, pressure-eviction batches,
+sampled pages, page access rates, PTE scan counts (with and without
+injected faults), hot-page picks and the interval policy's move queue.
+The 2-tier front end is shadowed by :class:`oracles.pages.Residency`, the
+parent float residency form that recomputes every aggregate per call;
+its cases run with and without Memory Mode object-level shares, and the
+shares are checked against the parent per-page Memory Mode cache.
+N-tier tables are shadowed by the float one-hot residency matrix of
 :class:`oracles.pages.TieredResidency`: moved counts, per-tier used/free
 pages, fraction-vector bytes, tier indices and candidate-page orders must
 all agree after every batch.
@@ -31,12 +33,7 @@ from repro.sim import pages
 from repro.sim.cache import DirectMappedPageCache
 from repro.sim.engine import EngineContext
 from repro.sim.faults import FaultConfig, FaultInjector
-from repro.sim.pages import (
-    MigrationBatch,
-    PagedObject,
-    PageTable,
-    TieredPageTable,
-)
+from repro.sim.pages import MigrationBatch, PageTable, TieredPageTable
 from repro.tasks import DataObject, Footprint, ObjectAccess, TaskInstanceSpec
 from tests.oracles import pages as oracle
 
@@ -54,21 +51,39 @@ def _specs(rng, n_objects: int) -> list[DataObject]:
     ]
 
 
-def _table(seed: int, fractional: bool) -> PageTable:
+def _set_dram(table: PageTable, capacity_bytes: int) -> None:
+    table.capacities_bytes = (capacity_bytes,) + table.capacities_bytes[1:]
+
+
+def _shares(table: PageTable, seed: int) -> dict[str, float]:
+    """Memory Mode-style object-level DRAM shares for about half the
+    objects of ``table``."""
+    rng = np.random.default_rng(500 + seed)
+    return {name: float(rng.random()) for name in table.names if rng.random() < 0.6}
+
+
+def _table(seed: int, shares: bool) -> PageTable:
     rng = np.random.default_rng(seed)
-    table = PageTable(_specs(rng, int(rng.integers(1, 8))), 0, rng=seed)
-    for obj in table:
-        if fractional:
-            # Memory-Mode style shares, plus some fully resident pages
-            res = rng.random(obj.n_pages) * (rng.random(obj.n_pages) < 0.6)
-            res[rng.random(obj.n_pages) < 0.2] = 1.0
-        else:
-            res = (rng.random(obj.n_pages) < 0.4).astype(np.float64)
-        obj.set_residency(res)
+    specs = _specs(rng, int(rng.integers(1, 8)))
+    table = PageTable(specs, sum(s.n_pages for s in specs) * PAGE_SIZE, rng=seed)
+    table.place(
+        MigrationBatch(
+            moves=tuple(
+                (obj.name, np.flatnonzero(rng.random(obj.n_pages) < 0.4), 0)
+                for obj in table
+            )
+        )
+    )
+    if shares:
+        table.set_dram_shares(_shares(table, seed))
     # capacity a little above current use: promotions run out mid-batch
-    used = table.dram_used_bytes()
-    table.dram_capacity_bytes = int(used + rng.integers(0, 30) * PAGE_SIZE)
+    _set_dram(table, table.dram_used_bytes() + int(rng.integers(0, 30)) * PAGE_SIZE)
     return table
+
+
+def _shadow(table: PageTable, seed: int, shares: bool) -> oracle.Residency:
+    """The parent form of a fresh :func:`_table`."""
+    return oracle.Residency(table, _shares(table, seed) if shares else None)
 
 
 def _tiered(seed: int, n_tiers: int) -> TieredPageTable:
@@ -144,18 +159,16 @@ def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
 
 
-def _assert_cache_current(table: PageTable, ref: oracle.Residency | None = None) -> None:
-    """Cached per-object terms equal a recount, and the table aggregates
-    equal the parent forms over the same (or the shadow's) residency."""
-    ref = oracle.Residency(table) if ref is None else ref
-    assert table.residency_arena.tobytes() == ref.residency_arena.tobytes()
+def _assert_cache_current(table: PageTable, ref: oracle.Residency) -> None:
+    """The placement equals the shadow's, the integer counts equal a
+    recount, and the table aggregates equal the parent forms."""
+    dram = (table.tier_arena == 0).astype(np.float64)
+    assert dram.tobytes() == ref.residency_arena.tobytes()
     for obj in table:
-        assert _bits(obj.dram_pages()) == _bits(float(obj.residency.sum()))
-        assert _bits(obj.dram_access_fraction()) == _bits(
-            float(obj.weight @ obj.residency)
-        )
+        assert obj.pages_in(0) == ref.object(obj.name).dram_pages()
+    assert table.tier_used_pages(0) == sum(o.pages_in(0) for o in table)
+    assert table.tier_used_pages(1) == sum(o.pages_in(1) for o in table)
     assert _bits(table.dram_used_bytes()) == _bits(ref.dram_used_bytes())
-    assert _bits(table.dram_free_bytes()) == _bits(ref.dram_free_bytes())
     free, want = table.dram_free_pages(), ref.dram_free_pages()
     assert type(free) is type(want) is int and free == want
     got, want = table.access_fractions(), ref.access_fractions()
@@ -223,12 +236,23 @@ def _rate_ctx(table, seed: int) -> SimpleNamespace:
     return ctx
 
 
+def _same_moves(got: MigrationBatch | None, want) -> None:
+    if want is None:
+        assert got is None
+        return
+    assert [(n, d) for n, _, d in got.moves] == [(n, d) for n, _, d in want]
+    for (_, a, _), (_, b, _) in zip(got.moves, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
 class TestApplyBatch:
-    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("shares", [False, True])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_matches_reference(self, seed, fractional):
-        table = _table(seed, fractional)
-        resum, parent = oracle.Residency(table), oracle.Residency(table)
+    def test_matches_reference(self, seed, shares):
+        table = _table(seed, shares)
+        resum, parent = _shadow(table, seed, shares), _shadow(table, seed, shares)
+        _assert_cache_current(table, parent)
         rng = np.random.default_rng(1000 + seed)
         for _ in range(6):
             batch = _batch(table, rng)
@@ -236,14 +260,38 @@ class TestApplyBatch:
             assert moved == oracle.apply_batch(resum, batch)
             assert moved == parent.apply_batch(batch)
             assert resum.residency_arena.tobytes() == parent.residency_arena.tobytes()
+            assert resum.shares == parent.shares
             _assert_cache_current(table, parent)
+
+    @pytest.mark.parametrize("shares", [False, True])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pressure_evictions_match_reference(self, seed, shares):
+        table = _table(seed, shares)
+        ref = _shadow(table, seed, shares)
+        rng = np.random.default_rng(6000 + seed)
+        used = int(table.tier_used_pages(0))
+        for pressure in (0, 1, used // 2, used, used + 3, int(rng.integers(0, used + 5))):
+            # free pages range from none to a few, so some plans are empty
+            for slack in (0, 2):
+                _set_dram(table, (used + slack) * PAGE_SIZE)
+                ref.dram_capacity_bytes = table.dram_capacity_bytes
+                _same_moves(
+                    table.plan_pressure_evictions(pressure * PAGE_SIZE),
+                    ref.plan_pressure_evictions(pressure * PAGE_SIZE),
+                )
+        _set_dram(table, used * PAGE_SIZE)
+        ref.dram_capacity_bytes = table.dram_capacity_bytes
+        batch = table.plan_pressure_evictions(max(1, used // 3) * PAGE_SIZE)
+        if batch is not None:
+            assert table.apply_batch(batch) == ref.apply_batch(batch)
+        _assert_cache_current(table, ref)
 
     def test_free_runs_out_mid_batch(self):
         table = PageTable(
             [DataObject("a", 8 * PAGE_SIZE), DataObject("b", 8 * PAGE_SIZE)],
             5 * PAGE_SIZE,
         )
-        table.object("a").set_residency(0.25)  # 2 pages' worth, fractional
+        table.place(MigrationBatch(moves=(("a", np.arange(2), 0),)))
         ref = oracle.Residency(table)
         batch = MigrationBatch(
             moves=(
@@ -258,31 +306,33 @@ class TestApplyBatch:
         assert table.dram_free_pages() <= 0
 
     def test_capacity_change_between_batches_is_seen(self):
-        table = _table(3, fractional=True)
-        ref = oracle.Residency(table)
+        table = _table(3, shares=True)
+        ref = _shadow(table, 3, shares=True)
         rng = np.random.default_rng(7)
         for shrink in (0, 3, 0, 10):
             batch = _batch(table, rng)
-            for t in (table, ref):
-                t.dram_capacity_bytes -= shrink * PAGE_SIZE
+            _set_dram(table, table.dram_capacity_bytes - shrink * PAGE_SIZE)
+            ref.dram_capacity_bytes -= shrink * PAGE_SIZE
             assert table.apply_batch(batch) == oracle.apply_batch(ref, batch)
             _assert_cache_current(table, ref)
 
 
 class TestTwoTierInterface:
-    """The 2-tier table answers the N-tier table's tier-indexed reads:
+    """The 2-tier front end answers the N-tier table's tier-indexed reads:
     DRAM is tier 0, PM an unbounded tier 1."""
 
-    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("shares", [False, True])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_tier_counts(self, seed, fractional):
-        table = _table(seed, fractional)
+    def test_tier_counts(self, seed, shares):
+        table = _table(seed, shares)
         rng = np.random.default_rng(3000 + seed)
         for _ in range(4):
             assert table.n_tiers == 2
             free, want = table.tier_free_pages(0), table.dram_free_pages()
             assert type(free) is type(want) is int and free == want
-            assert table.tier_free_pages(1) == 2**62 // PAGE_SIZE
+            # PM frees what its pages leave of its huge capacity
+            pm_free = table.tier_free_pages(1)
+            assert pm_free == PageTable.PM_PAGES - table.tier_used_pages(1)
             assert table.tier_capacity_pages == (
                 table.dram_capacity_bytes // PAGE_SIZE,
                 2**62 // PAGE_SIZE,
@@ -290,18 +340,23 @@ class TestTwoTierInterface:
             table.apply_batch(_batch(table, rng))
 
     def test_fractional_page_tiers(self):
-        eps = np.finfo(np.float64).eps
-        residency = np.array([0.0, 0.5 - eps, 0.5, 0.5 + eps, 0.9, 1.0])
+        # a Memory Mode share is fractional at object level and moves no page
         table = PageTable(
             [DataObject("a", 4 * PAGE_SIZE), DataObject("b", 6 * PAGE_SIZE)],
             16 * PAGE_SIZE,
         )
-        table.object("b").set_residency(residency)
-        want = np.array([1, 1, 1, 0, 0, 0])
-        np.testing.assert_array_equal(table.object("b").page_tier, want)
-        np.testing.assert_array_equal(table.tier_arena[table.object_slice("b")], want)
-        np.testing.assert_array_equal(oracle.page_tiers(table, "b"), want)
-        np.testing.assert_array_equal(table.object("a").page_tier, np.ones(4))
+        table.set_dram_shares({"b": 0.9})
+        ref = oracle.Residency(table, {"b": 0.9})
+        np.testing.assert_array_equal(table.object("b").page_tier, np.ones(6))
+        np.testing.assert_array_equal(table.tier_arena[table.object_slice("b")], np.ones(6))
+        np.testing.assert_array_equal(oracle.page_tiers(ref, "b"), np.ones(6))
+        assert table.access_fractions() == {"a": 0.0, "b": 0.9}
+        _assert_cache_current(table, ref)
+        # moving any of b's pages drops its share for the page dot
+        table.apply_batch(MigrationBatch(moves=(("b", np.arange(3), 0),)))
+        oracle.apply_batch(ref, MigrationBatch(moves=(("b", np.arange(3), 0),)))
+        assert ref.shares == {}
+        _assert_cache_current(table, ref)
 
     @pytest.mark.parametrize("dst", [2, -1])
     def test_destination_out_of_range(self, dst):
@@ -320,8 +375,10 @@ class TestResidencyCache:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_journal_undo(self, seed):
-        table = _table(seed, fractional=seed % 2 == 1)
-        before = table.residency_arena.copy()
+        shares = seed % 2 == 1
+        table = _table(seed, shares)
+        ref = _shadow(table, seed, shares)
+        before = table.tier_arena.copy()
         rng = np.random.default_rng(4000 + seed)
         records = []
         for _ in range(3):
@@ -330,71 +387,67 @@ class TestResidencyCache:
                 {
                     "obj": name,
                     "pages": idx,
-                    "before": table.object(name).residency[idx].copy(),
+                    "before": table.object(name).page_tier[idx].copy(),
                 }
                 for name, idx, _ in batch.moves
             ]
             records.append(SimpleNamespace(payload={"moves": moves}))
             table.apply_batch(batch)
-            _assert_cache_current(table)
+            ref.apply_batch(batch)
+            _assert_cache_current(table, ref)
         _undo_moves(table, records)
-        assert table.residency_arena.tobytes() == before.tobytes()
-        _assert_cache_current(table)
+        assert table.tier_arena.tobytes() == before.tobytes()
+        # objects the batches moved lost their shares; the rest keep them
+        _assert_cache_current(table, oracle.Residency(table, ref.shares))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_memory_mode_update(self, seed):
-        table = _table(seed, fractional=True)
-        table.dram_capacity_bytes = max(table.dram_capacity_bytes, 64 * PAGE_SIZE)
+        """The object-level share equals the parent per-page residency dot
+        bit for bit."""
+        table = _table(seed, shares=True)
+        _set_dram(table, max(table.dram_capacity_bytes, 64 * PAGE_SIZE))
+        table.place_all(1)
+        ref = oracle.Residency(table)
         ctx = _rate_ctx(table, seed)
         cache = DirectMappedPageCache(table)
         rng = np.random.default_rng(seed)
         per_pass = {o.name: rng.random(o.n_pages) * 400 for o in table}
         for accesses in (None, per_pass):
-            cache.update_residency(ctx.page_access_rates(), accesses)
-            _assert_cache_current(table)
+            rates = ctx.page_access_rates()
+            cache.update_shares(rates, accesses)
+            oracle.memory_mode_residency(ref, rates, accesses, cache.n_sets)
+            got, want = table.access_fractions(), ref.access_fractions()
+            assert list(got) == list(want)
+            assert [_bits(v) for v in got.values()] == [_bits(v) for v in want.values()]
+            assert table.dram_used_bytes() == 0
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_pickle_round_trip(self, seed):
-        table = _table(seed, fractional=seed % 2 == 1)
+        shares = seed % 2 == 1
+        table = _table(seed, shares)
+        ref = _shadow(table, seed, shares)
         rng = np.random.default_rng(5000 + seed)
         for _ in range(3):
-            table.apply_batch(_batch(table, rng))
+            batch = _batch(table, rng)
+            table.apply_batch(batch)
+            ref.apply_batch(batch)
             table.access_fractions()  # warm the fraction cache
             clone = pickle.loads(pickle.dumps(table))
             for obj in clone:
-                assert obj.residency.base is clone.residency_arena.base
-                assert not obj.residency.flags.writeable
-            _assert_cache_current(clone, oracle.Residency(table))
+                assert obj.page_tier.base is clone.tier_arena
+                assert obj.weight.base is clone.weight_arena
+            _assert_cache_current(clone, ref)
             table = clone
 
-    def test_direct_writes_raise(self):
-        table = _table(0, fractional=False)
-        obj = next(iter(table))
-        for write in (
-            lambda: obj.residency.__setitem__(0, 1.0),
-            lambda: obj.residency.__setitem__(slice(None), 0.0),
-            lambda: table.residency_arena.__setitem__(0, 1.0),
-            lambda: np.copyto(obj.residency, 1.0),
-        ):
-            with pytest.raises(ValueError, match="read-only"):
-                write()
-        standalone = PagedObject(DataObject("s", 4 * PAGE_SIZE))
-        with pytest.raises(ValueError, match="read-only"):
-            standalone.residency[0] = 1.0
-        clone = pickle.loads(pickle.dumps(standalone))
-        with pytest.raises(ValueError, match="read-only"):
-            clone.residency[0] = 1.0
-        clone.set_pages([1, 2], 1.0)
-        assert clone.dram_pages() == 2.0 and clone.dram_access_fraction() == 0.5
-
     def test_rejected_set_residency_writes_nothing(self):
-        table = _table(1, fractional=True)
-        obj = next(iter(table))
-        before = obj.residency.copy()
-        with pytest.raises(ValueError):
-            obj.set_residency(np.full(obj.n_pages, 1.5))
-        assert obj.residency.tobytes() == before.tobytes()
-        _assert_cache_current(table)
+        # a whole-table reset that does not fit raises before any write
+        table = _table(1, shares=True)
+        ref = _shadow(table, 1, shares=True)
+        before = table.tier_arena.copy()
+        with pytest.raises(ValueError, match="capacity"):
+            table.place_all(0)
+        assert table.tier_arena.tobytes() == before.tobytes()
+        _assert_cache_current(table, ref)
 
 
 def _two_objects(caps_pages) -> TieredPageTable:
@@ -497,7 +550,7 @@ class TestTieredApplyBatch:
 class TestSampling:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_page_table_sample(self, seed):
-        table = _table(seed, fractional=False)
+        table = _table(seed, shares=False)
         for n in (0, 1, 7, table.total_pages, 3 * table.total_pages):
             got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             obj, pages = table.sample_pages(n, rng=got_rng)
@@ -531,7 +584,7 @@ class TestSampling:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_top_k_hot_pages(self, seed):
         rng = np.random.default_rng(seed)
-        table = _table(seed, fractional=False)
+        table = _table(seed, shares=False)
         obj, pages = table.sample_pages(256, rng=rng)
         counts = rng.poisson(2.0, size=len(pages)).astype(np.float64)
         estimate = PageSampleEstimate(table.names, obj, pages, counts, scale=1.0)
@@ -546,7 +599,7 @@ class TestSampling:
 class TestRates:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_page_access_rates(self, seed):
-        table = _table(seed, fractional=True)
+        table = _table(seed, shares=True)
         ctx = _rate_ctx(table, seed)
         got, want = ctx.page_access_rates(), oracle.page_access_rates(ctx)
         assert list(got) == list(want)
@@ -556,7 +609,7 @@ class TestRates:
     @pytest.mark.parametrize("n_tiers", [2, 3, 4])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_rates_at_sampled_lanes(self, seed, n_tiers):
-        table = _table(seed, fractional=True) if n_tiers == 2 else _tiered(seed, n_tiers)
+        table = _table(seed, shares=True) if n_tiers == 2 else _tiered(seed, n_tiers)
         ctx = _rate_ctx(table, seed)
         rates, want = ctx.page_rates(), oracle.page_access_rates(ctx)
         obj, pages = table.sample_pages(500, rng=seed)
@@ -611,7 +664,7 @@ class TestPTEScan:
     )
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_reference(self, seed, faults):
-        table = _table(seed, fractional=True)
+        table = _table(seed, shares=True)
         ctx = _rate_ctx(table, seed)
         for max_pages, interval_s in ((1, 0.5), (64, 1e-3), (4096, 0.25)):
             got, want = self._scan(seed, table, ctx, faults, max_pages, interval_s)
@@ -626,7 +679,7 @@ class TestPTEScan:
                     )
 
     def test_objects_without_rates_draw_nothing(self):
-        table = _table(2, fractional=False)
+        table = _table(2, shares=False)
         ctx = _rate_ctx(table, 2)
         ctx.instance_times.clear()
         ctx.active_instances = lambda: []
@@ -658,7 +711,8 @@ class TestIntervalReplan:
     @pytest.mark.parametrize("sample_pages", [1, 32, 4096])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_two_tier_table(self, seed, sample_pages):
-        self._check(_table(seed, fractional=True), seed, sample_pages)
+        table = _table(seed, shares=True)
+        self._check(table, seed, sample_pages, _shadow(table, seed, shares=True))
 
     @pytest.mark.parametrize("n_tiers", [2, 3, 4])
     @pytest.mark.parametrize("sample_pages", [1, 32, 4096])

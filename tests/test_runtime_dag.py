@@ -269,11 +269,22 @@ def tmi(tid, t_pm, t_dram=None, accesses=1_000_000):
     )
 
 
+def private(task_bytes):
+    """Footprints of tasks that each read one private object of their
+    ``task_bytes``."""
+    return {
+        tid: [(f"{tid}.obj", 1.0, -(-size // PAGE_SIZE))]
+        for tid, size in task_bytes.items()
+    }
+
+
 class TestCriticalPathPlan:
     def test_edge_free_falls_back_to_greedy_bit_exact(self):
         tasks = [tmi("a", 30.0), tmi("b", 29.0), tmi("c", 11.0)]
         task_bytes = {"a": 40 * MB, "b": 30 * MB, "c": 20 * MB}
-        cp = critical_path_plan(tasks, MODEL, 48 * MB, task_bytes, deps={})
+        cp = critical_path_plan(
+            tasks, MODEL, 48 * MB, task_bytes, deps={}, footprints=private(task_bytes)
+        )
         ref = greedy_plan(tasks, MODEL, 48 * MB, task_bytes)
         assert not cp.shifted
         assert cp.plan == ref
@@ -282,7 +293,8 @@ class TestCriticalPathPlan:
     def test_unknown_dependency_rejected(self):
         with pytest.raises(ValueError, match="unplanned"):
             critical_path_plan(
-                [tmi("a", 1.0)], MODEL, MB, {"a": MB}, deps={"a": ("ghost",)}
+                [tmi("a", 1.0)], MODEL, MB, {"a": MB}, deps={"a": ("ghost",)},
+                footprints=private({"a": MB}),
             )
 
     def test_steers_dram_to_the_chain(self):
@@ -292,7 +304,8 @@ class TestCriticalPathPlan:
         tasks = [tmi("head", 30.0), tmi("tail", 30.0), tmi("solo", 30.0)]
         task_bytes = {t.task_id: 60 * MB for t in tasks}
         cp = critical_path_plan(
-            tasks, MODEL, 60 * MB, task_bytes, deps={"tail": ("head",)}
+            tasks, MODEL, 60 * MB, task_bytes, deps={"tail": ("head",)},
+            footprints=private(task_bytes),
         )
         assert cp.shifted
         r = cp.plan.r_by_task()
@@ -303,7 +316,8 @@ class TestCriticalPathPlan:
         tasks = [tmi(f"t{i}", 50.0 + i) for i in range(5)]
         task_bytes = {t.task_id: 80 * MB for t in tasks}
         cp = critical_path_plan(
-            tasks, MODEL, 64 * MB, task_bytes, deps={"t1": ("t0",)}
+            tasks, MODEL, 64 * MB, task_bytes, deps={"t1": ("t0",)},
+            footprints=private(task_bytes),
         )
         assert cp.plan.dram_pages_used <= 64 * MB // PAGE_SIZE
 

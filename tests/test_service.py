@@ -548,7 +548,7 @@ def _fail_on_two(x):
 
 
 class TestWorkerPool:
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_map_preserves_order_and_isolates_failures(self, mode):
         with WorkerPool(workers=2, mode=mode) as pool:
             results = pool.map(_fail_on_two, [1, 2, 3])
@@ -564,7 +564,7 @@ class TestWorkerPool:
         death and an experiment exception are indistinguishable downstream."""
         from repro.experiments.runner import _failure_payload
 
-        with WorkerPool(workers=2, mode="thread") as pool:
+        with WorkerPool(workers=2, mode="serial") as pool:
             failed = pool.map(_fail_on_two, [2])[0]
         payload = failed.failure_payload()
         try:
@@ -584,7 +584,7 @@ class TestWorkerPool:
             ok.failure_payload()
 
     def test_map_values_reraises_first_failure(self):
-        with WorkerPool(workers=2, mode="thread") as pool:
+        with WorkerPool(workers=2, mode="serial") as pool:
             with pytest.raises(RuntimeError, match="bad item 2"):
                 pool.map_values(_fail_on_two, [1, 2, 3])
 
@@ -594,17 +594,11 @@ class TestWorkerPool:
         with pool:
             assert [r.value for r in pool.map(_double, [1, 2])] == [2, 4]
 
-    def test_worker_seeds_are_deterministic_and_distinct(self):
-        a = WorkerPool(workers=3, seed=42, seed_workers=True)
-        b = WorkerPool(workers=3, seed=42, seed_workers=True)
-        c = WorkerPool(workers=3, seed=43, seed_workers=True)
-        assert a.worker_seeds == b.worker_seeds
-        assert len(set(a.worker_seeds)) == 3
-        assert a.worker_seeds != c.worker_seeds
-
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             WorkerPool(mode="fleet")
+        with pytest.raises(ValueError):
+            WorkerPool(mode="thread")
         with pytest.raises(ValueError):
             WorkerPool(workers=0)
 
@@ -648,19 +642,3 @@ class TestChaos:
         assert len(sheds) == 3
         assert all(ev.detail["cause"] == "worker_crash" for ev in sheds)
         assert server.submitted == server.decided == 3
-
-    def test_crash_in_pooled_batch_is_recovered(self):
-        faults = FaultInjector(
-            FaultConfig(crash_at=1, crash_point="service_batch"), seed=3
-        )
-        with WorkerPool(workers=2, mode="thread") as pool:
-            server, clock, _ = make_server(
-                window_s=0.0, max_batch=2, faults=faults, pool=pool
-            )
-            for i in range(4):  # two batches -> the pooled path
-                server.submit(make_request(f"r{i}", shape=i), now=0.0)
-            decisions = server.flush(now=0.0)
-        assert len(decisions) == 4
-        assert {d.status for d in decisions} == {"planned"}
-        assert server.submitted == server.decided == 4
-        assert server.log.count("service.batch_retried") == 1

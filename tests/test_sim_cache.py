@@ -79,46 +79,51 @@ class TestDirectMappedCache:
     def test_zero_rates_zero_residency(self):
         table, _ = table_with_rates()
         cache = DirectMappedPageCache(table)
-        cache.update_residency({})
-        assert table.object("o").dram_pages() == 0
+        cache.update_shares({})
+        assert table.access_fractions()["o"] == 0.0
+        assert table.dram_used_bytes() == 0
 
     def test_streaming_gains_nothing(self):
         """k = 64 accesses/page (one per line) => reuse factor 0."""
         table, rates = table_with_rates()
         cache = DirectMappedPageCache(table)
         per_pass = {"o": np.full(256, 64.0)}
-        cache.update_residency(rates, per_pass)
-        assert table.object("o").dram_access_fraction() == pytest.approx(0.0)
+        cache.update_shares(rates, per_pass)
+        assert table.access_fractions()["o"] == pytest.approx(0.0)
 
     def test_heavy_reuse_gains(self):
         table, rates = table_with_rates()
         cache = DirectMappedPageCache(table)
         per_pass = {"o": np.full(256, 64.0 * 100)}
-        cache.update_residency(rates, per_pass)
-        assert table.object("o").dram_access_fraction() > 0.1
+        cache.update_shares(rates, per_pass)
+        assert table.access_fractions()["o"] > 0.1
 
     def test_hot_pages_more_resident(self):
-        table, _ = table_with_rates()
+        table = PageTable(
+            [DataObject(n, 128 * PAGE_SIZE) for n in ("hot", "cold")],
+            64 * PAGE_SIZE,
+            rng=make_rng(0),
+        )
         cache = DirectMappedPageCache(table)
-        rates = np.ones(256)
-        rates[0] = 1000.0
-        per_pass = {"o": np.full(256, 64.0 * 50)}
-        cache.update_residency({"o": rates}, per_pass)
-        res = table.object("o").residency
-        assert res[0] > res[1]
+        rates = {"hot": np.full(128, 1000.0), "cold": np.ones(128)}
+        per_pass = {n: np.full(128, 64.0 * 50) for n in rates}
+        cache.update_shares(rates, per_pass)
+        shares = table.access_fractions()
+        assert shares["hot"] > shares["cold"]
+        # the hardware cache moves no page
+        assert table.dram_used_bytes() == 0
 
     def test_residency_within_bounds(self):
         table, rates = table_with_rates()
         cache = DirectMappedPageCache(table)
-        cache.update_residency(rates, {"o": np.full(256, 1e9)})
-        res = table.object("o").residency
-        assert (res >= 0).all() and (res <= 1).all()
+        cache.update_shares(rates, {"o": np.full(256, 1e9)})
+        assert 0.0 <= table.access_fractions()["o"] <= 1.0
 
     def test_no_reuse_info_uses_conflict_share_only(self):
         table, rates = table_with_rates()
         cache = DirectMappedPageCache(table)
-        cache.update_residency(rates)
-        assert table.object("o").dram_access_fraction() > 0
+        cache.update_shares(rates)
+        assert table.access_fractions()["o"] > 0
 
     def test_more_dram_more_residency(self):
         """Larger DRAM = more sets = less conflict pressure."""
@@ -126,6 +131,6 @@ class TestDirectMappedCache:
         for dram_pages in (16, 512):
             table, rates = table_with_rates(dram_pages=dram_pages)
             cache = DirectMappedPageCache(table)
-            cache.update_residency(rates, {"o": np.full(256, 64.0 * 50)})
-            fracs.append(table.object("o").dram_access_fraction())
+            cache.update_shares(rates, {"o": np.full(256, 64.0 * 50)})
+            fracs.append(table.access_fractions()["o"])
         assert fracs[1] > fracs[0]

@@ -108,7 +108,7 @@ class _PromoteAll(PlacementPolicy):
     def on_tick(self, ctx, dt):
         moves = []
         for obj in ctx.page_table:
-            idx = obj.hottest_pm_pages(limit=ctx.migration_budget_pages)
+            idx = obj.hottest_pages_slower_than(0, limit=ctx.migration_budget_pages)
             if len(idx):
                 moves.append((obj.name, idx, 0))
                 break
@@ -119,7 +119,7 @@ class _InstantDram(PlacementPolicy):
     name = "instant-dram"
 
     def on_workload_start(self, ctx):
-        ctx.page_table.place_all(1.0)
+        ctx.page_table.place_all(0)
 
 
 class TestMigration:
@@ -216,8 +216,7 @@ def _uniform_table(n_objects=3, pages_each=8, capacity_pages=64, order=None):
         names = [names[i] for i in order]
     objects = [DataObject(nm, pages_each * PAGE_SIZE) for nm in names]
     table = PageTable(objects, capacity_pages * PAGE_SIZE, rng=0)
-    for obj in table:
-        obj.set_residency(1.0)
+    table.place_all(0)
     return table
 
 
@@ -232,7 +231,7 @@ class TestPressureEviction:
         assert table.plan_pressure_evictions(0) is None
         assert table.plan_pressure_evictions(-PAGE_SIZE) is None
         for obj in table:
-            assert obj.dram_pages() == obj.n_pages
+            assert obj.pages_in(0) == obj.n_pages
 
     def test_pressure_within_slack_evicts_nothing(self):
         # 24 pages used of 64: stealing 24 pages still leaves room
@@ -245,11 +244,11 @@ class TestPressureEviction:
         batch = table.plan_pressure_evictions(6 * PAGE_SIZE)
         assert all(type(dst) is int and dst == 1 for _, _, dst in batch.moves)
         assert table.apply_batch(batch) == 6
-        used = sum(o.dram_pages() for o in table)
+        used = sum(o.pages_in(0) for o in table)
         assert used == 10
 
     def test_victim_order_independent_of_insertion_order(self):
-        # all objects tie on dram_access_fraction, so only the (fraction,
+        # all objects tie on their DRAM access fraction, so only the (fraction,
         # name) tie-break pins the victim choice
         plans = []
         for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
@@ -264,7 +263,7 @@ class TestPressureEviction:
 
     def test_lower_dram_fraction_is_evicted_first(self):
         table = _uniform_table(n_objects=2)
-        table.object("obj1").set_pages(slice(4, None), 0.0)
+        table.place(MigrationBatch(moves=(("obj1", np.arange(4, 8), 1),)))
         # 12 pages used, 10 left: obj1 (fraction 0.5) goes before obj0
         # (1.0), against the name order
         assert _victims(table.plan_pressure_evictions(54 * PAGE_SIZE)) == [

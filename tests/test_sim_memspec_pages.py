@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.common import PAGE_SIZE, make_rng
 from repro.sim.memspec import HMConfig, TierSpec, optane_hm_config
-from repro.sim.pages import MigrationBatch, PagedObject, PageTable
+from repro.sim.pages import MigrationBatch, PageTable, TieredPagedObject
 from repro.tasks import DataObject
 
 
@@ -76,13 +76,20 @@ def make_table(sizes=(10, 20), dram_pages=16, hotness="uniform", rng=None):
     return PageTable(objects, dram_pages * PAGE_SIZE, rng=rng or make_rng(0))
 
 
+def promote(table: PageTable, name: str, pages) -> None:
+    """Stage ``pages`` of object ``name`` in DRAM."""
+    table.place(MigrationBatch(moves=((name, np.asarray(pages), 0),)))
+
+
 class TestPagedObject:
     def test_uniform_weights(self):
-        obj = PagedObject(DataObject("a", 10 * PAGE_SIZE))
+        obj = TieredPagedObject(DataObject("a", 10 * PAGE_SIZE), 2)
         np.testing.assert_allclose(obj.weight, 0.1)
 
     def test_zipf_weights_sum_to_one(self):
-        obj = PagedObject(DataObject("a", 64 * PAGE_SIZE, hotness="zipf"), rng=make_rng(0))
+        obj = TieredPagedObject(
+            DataObject("a", 64 * PAGE_SIZE, hotness="zipf"), 2, rng=make_rng(0)
+        )
         assert obj.weight.sum() == pytest.approx(1.0)
 
     def test_zipf_block_averaging_bounds_skew(self):
@@ -91,52 +98,52 @@ class TestPagedObject:
         per-page Zipf rank would."""
         from repro.common import zipf_weights
 
-        obj = PagedObject(
+        obj = TieredPagedObject(
             DataObject("a", 256 * PAGE_SIZE, hotness="zipf", zipf_s=0.5),
+            2,
             rng=make_rng(0),
         )
         raw_top = zipf_weights(256, 0.5)[0]
         assert obj.weight.max() < raw_top / 2
 
     def test_residency_starts_zero(self):
-        obj = PagedObject(DataObject("a", 4 * PAGE_SIZE))
-        assert obj.dram_pages() == 0
-        assert obj.dram_access_fraction() == 0
+        table = make_table(sizes=(4,))
+        assert table.object("o0").pages_in(0) == 0
+        assert table.access_fractions()["o0"] == 0
 
     def test_set_residency_scalar(self):
-        obj = PagedObject(DataObject("a", 4 * PAGE_SIZE))
-        obj.set_residency(0.5)
-        assert obj.dram_pages() == pytest.approx(2.0)
-        assert obj.dram_access_fraction() == pytest.approx(0.5)
+        # a Memory Mode share is one scalar per object and holds no pages
+        table = make_table(sizes=(4,))
+        table.set_dram_shares({"o0": 0.5})
+        assert table.access_fractions()["o0"] == 0.5
+        assert table.object("o0").pages_in(0) == 0
+        assert table.dram_used_bytes() == 0
 
     def test_set_residency_rejects_out_of_range(self):
-        obj = PagedObject(DataObject("a", 4 * PAGE_SIZE))
+        table = make_table(sizes=(4,))
         with pytest.raises(ValueError):
-            obj.set_residency(1.5)
-
-    def test_set_residency_rejects_wrong_length(self):
-        obj = PagedObject(DataObject("a", 4 * PAGE_SIZE))
-        with pytest.raises(ValueError):
-            obj.set_residency(np.ones(3))
+            table.place_all(2)
+        with pytest.raises(KeyError):
+            table.set_dram_shares({"nope": 0.5})
 
     def test_hottest_pm_pages_ordering(self):
-        obj = PagedObject(DataObject("a", 8 * PAGE_SIZE))
+        obj = TieredPagedObject(DataObject("a", 8 * PAGE_SIZE), 2)
         obj.weight = np.array([1, 8, 2, 7, 3, 6, 4, 5], dtype=float)
         obj.weight /= obj.weight.sum()
-        idx = obj.hottest_pm_pages()
+        idx = obj.hottest_pages_slower_than(0)
         assert list(idx[:2]) == [1, 3]
 
     def test_hottest_excludes_resident(self):
-        obj = PagedObject(DataObject("a", 4 * PAGE_SIZE))
-        obj.set_pages(slice(0, 2), 1.0)
-        idx = obj.hottest_pm_pages()
+        obj = TieredPagedObject(DataObject("a", 4 * PAGE_SIZE), 2)
+        obj.page_tier[:2] = 0
+        idx = obj.hottest_pages_slower_than(0)
         assert set(idx) == {2, 3}
 
     def test_coldest_dram_pages(self):
-        obj = PagedObject(DataObject("a", 4 * PAGE_SIZE))
+        obj = TieredPagedObject(DataObject("a", 4 * PAGE_SIZE), 2)
         obj.weight = np.array([0.4, 0.3, 0.2, 0.1])
-        obj.set_residency(1.0)
-        assert list(obj.coldest_dram_pages(limit=2)) == [3, 2]
+        obj.page_tier[:] = 0
+        assert list(obj.coldest_pages_in(0, limit=2)) == [3, 2]
 
 
 class TestPageTable:
@@ -144,22 +151,26 @@ class TestPageTable:
         table = make_table(sizes=(10, 20), dram_pages=16)
         assert table.total_pages == 30
         assert table.dram_free_pages() == 16
-        table.object("o0").set_residency(1.0)
+        promote(table, "o0", np.arange(10))
         assert table.dram_free_pages() == 6
 
     def test_place_all_respects_capacity(self):
         table = make_table(sizes=(10, 20), dram_pages=16)
         with pytest.raises(ValueError):
-            table.place_all(1.0)
-        table.place_all(0.5)
-        assert table.dram_used_bytes() == pytest.approx(15 * PAGE_SIZE)
+            table.place_all(0)
+        table.place_all(1)
+        assert table.dram_used_bytes() == 0
+        table = make_table(sizes=(10, 6), dram_pages=16)
+        table.place_all(0)
+        assert table.dram_used_bytes() == 16 * PAGE_SIZE
+        assert table.access_fractions() == pytest.approx({"o0": 1.0, "o1": 1.0})
 
     def test_apply_batch_promotes(self):
         table = make_table()
         batch = MigrationBatch(moves=(("o0", np.arange(5), 0),))
         moved = table.apply_batch(batch)
         assert moved == 5
-        assert table.object("o0").dram_pages() == 5
+        assert table.object("o0").pages_in(0) == 5
 
     def test_apply_batch_clamps_to_capacity(self):
         table = make_table(sizes=(30,), dram_pages=8)
@@ -171,7 +182,7 @@ class TestPageTable:
     def test_apply_batch_demotes_first(self):
         """A swap batch (demote cold + promote hot) fits in a full DRAM."""
         table = make_table(sizes=(8, 8), dram_pages=8)
-        table.object("o0").set_residency(1.0)
+        promote(table, "o0", np.arange(8))
         batch = MigrationBatch(
             moves=(
                 ("o0", np.arange(4), 1),
@@ -180,7 +191,7 @@ class TestPageTable:
         )
         moved = table.apply_batch(batch)
         assert moved == 8
-        assert table.object("o1").dram_pages() == 4
+        assert table.object("o1").pages_in(0) == 4
         assert table.dram_free_pages() == 0
 
     def test_duplicate_object_rejected(self):
@@ -209,14 +220,13 @@ class TestPageTable:
         share = np.count_nonzero(obj == table.names.index("o1")) / 5000
         assert 0.8 < share / 0.9 < 1.2
 
-    @given(residency=st.floats(0.0, 1.0))
+    @given(pages=st.integers(0, 10))
     @settings(max_examples=30, deadline=None)
-    def test_dram_used_matches_residency(self, residency):
+    def test_dram_used_matches_residency(self, pages):
         table = make_table(sizes=(10,), dram_pages=100)
-        table.object("o0").set_residency(residency)
-        assert table.dram_used_bytes() == pytest.approx(
-            10 * PAGE_SIZE * residency
-        )
+        promote(table, "o0", np.arange(pages))
+        assert table.dram_used_bytes() == pages * PAGE_SIZE
+        assert table.object("o0").pages_in(0) == pages
 
 
 class TestMigrationBatch:
