@@ -21,7 +21,8 @@ def test_bench_ablation(benchmark, ctx):
         # Algorithm 1 lands close to the makespan optimum on real task sets
         assert stats["gap"] < 1.25, app
         # neither plan exceeds DRAM
-        assert stats["greedy_pages"] <= ctx.engine.hm.dram.capacity_bytes // 4096
+        capacity = ctx.engine.topology.fastest.capacity_bytes
+        assert stats["greedy_pages"] <= capacity // 4096
     # planning is what delivers SpGEMM's speedup (knocking it out hurts)
     sp = result["knockouts"]["SpGEMM"]
     assert sp["no-planning"] > sp["full"]

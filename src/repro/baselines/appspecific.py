@@ -156,7 +156,7 @@ class WarpXPMPolicy(PlacementPolicy):
             if not live:
                 break
             (priced,) = ctx.machine.breakdowns(
-                [inst.footprint for inst in live], ctx.hm, [fractions]
+                [inst.footprint for inst in live], ctx.topology, [fractions]
             )
             times = {inst.task_id: bd.total_s for inst, bd in zip(live, priced)}
             slowest = max(times, key=times.__getitem__)
@@ -179,7 +179,7 @@ class WarpXPMPolicy(PlacementPolicy):
                 )
                 chunks.append((acc.obj, idx))
                 trials.append(trial)
-            staged = ctx.machine.breakdowns([inst.footprint], ctx.hm, trials)
+            staged = ctx.machine.breakdowns([inst.footprint], ctx.topology, trials)
             best: tuple[float, int, str, np.ndarray] | None = None
             for (name, idx), (bd,) in zip(chunks, staged):
                 gain = times[slowest] - bd.total_s

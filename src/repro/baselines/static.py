@@ -11,12 +11,13 @@ __all__ = ["PMOnlyPolicy", "DRAMOnlyPolicy", "DRAMGreedyPolicy"]
 
 
 class PMOnlyPolicy(PlacementPolicy):
-    """Everything stays in PM -- the paper's normalisation baseline."""
+    """Everything stays in PM (the slowest tier) -- the paper's
+    normalisation baseline."""
 
     name = "pm-only"
 
     def on_workload_start(self, ctx: EngineContext) -> None:
-        ctx.page_table.place_all(1)
+        ctx.page_table.place_all(ctx.page_table.n_tiers - 1)
 
 
 class DRAMOnlyPolicy(PlacementPolicy):

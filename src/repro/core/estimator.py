@@ -10,7 +10,7 @@ counts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.common import AccessPattern, seq_sum
@@ -71,12 +71,6 @@ class AccessEstimator:
     @property
     def has_base_profile(self) -> bool:
         return bool(self._base_counts)
-
-    def base_count(self, obj: str) -> float:
-        return self._base_counts[obj]
-
-    def base_size(self, obj: str) -> int:
-        return self._base_sizes[obj]
 
     # ------------------------------------------------------------------
     def estimate(self, new_sizes: Mapping[str, int]) -> dict[str, float]:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -304,10 +304,8 @@ def _undo_moves(page_table: "PageTable", move_records: list[WalRecord]) -> int:
         for move in record.payload["moves"]:
             idx = np.asarray(move["pages"], dtype=np.intp)
             before = np.asarray(move["before"], dtype=np.int8)
-            # a page listed twice would take two pages of the clamp
             moves.extend(
-                (move["obj"], np.unique(idx[before == k]), int(k))
-                for k in np.unique(before)
+                (move["obj"], idx[before == k], int(k)) for k in np.unique(before)
             )
             restored += len(idx)
         page_table.place(MigrationBatch(moves=tuple(moves)))

@@ -20,7 +20,7 @@ same structural classification over that IR:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from repro.common import AccessPattern
@@ -104,21 +104,6 @@ class KernelPatterns:
         for p in self.per_object.values():
             counts[p] = counts.get(p, 0) + 1
         return tuple(sorted(counts, key=counts.__getitem__, reverse=True))
-
-
-def _innermost_vars(loop: Loop) -> dict[str, bool]:
-    """Map each loop variable to whether it is innermost on some path."""
-    out: dict[str, bool] = {}
-
-    def walk(lp: Loop) -> None:
-        has_inner = any(isinstance(i, Loop) for i in lp.body)
-        out[lp.var] = out.get(lp.var, False) or not has_inner
-        for item in lp.body:
-            if isinstance(item, Loop):
-                walk(item)
-
-    walk(loop)
-    return out
 
 
 def classify_kernel(kernel: Loop | Iterable[Loop]) -> KernelPatterns:

@@ -511,9 +511,6 @@ class TieredPlanResult:
                 return q
         raise KeyError(task_id)
 
-    def fractions_by_task(self) -> dict[str, tuple[float, ...]]:
-        return {q.task_id: q.fractions for q in self.quotas}
-
     def to_jsonable(self) -> dict:
         return {
             "predicted_makespan_s": self.predicted_makespan_s,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -198,7 +198,7 @@ class MerchandiserPolicy(PlacementPolicy):
             # watchdog can re-arm (fresh reads go through the fault injector
             # like any other)
             (pm_only,) = ctx.machine.breakdowns(
-                [inst.footprint for inst in region.instances], ctx.hm, [0.0]
+                [inst.footprint for inst in region.instances], ctx.topology, [0.0]
             )
             for inst, bd in zip(region.instances, pm_only):
                 key = self._profile_key(inst.task_id, region.kind)
@@ -412,7 +412,7 @@ class MerchandiserPolicy(PlacementPolicy):
         if self._pending_base:
             with self._span("profile", pending=len(self._pending_base)):
                 endpoints = ctx.machine.tier_endpoints(
-                    [inst.footprint for inst in self._pending_base], ctx.hm
+                    [inst.footprint for inst in self._pending_base], ctx.topology
                 )
                 for inst, times in zip(self._pending_base, endpoints):
                     self._record_base(ctx, inst, times)
@@ -548,7 +548,11 @@ class MerchandiserPolicy(PlacementPolicy):
         """One PMC read for an instance whose PM-only time the caller
         priced, through the fault injector."""
         pmcs = collect_pmcs(
-            inst.footprint, ctx.machine, ctx.hm, rng=self._rng, t_pm_only=t_pm_only
+            inst.footprint,
+            ctx.machine,
+            ctx.topology,
+            rng=self._rng,
+            t_pm_only=t_pm_only,
         )
         if ctx.faults is not None:
             pmcs = ctx.faults.corrupt_pmc_read(pmcs, ctx.time)
@@ -600,13 +604,6 @@ class MerchandiserPolicy(PlacementPolicy):
         self.homogeneous.record_base(
             key, {block_name: 1.0}, self._base_inputs[key]
         )
-
-    def _task_objects(self, ctx: EngineContext, tid: str) -> list[str]:
-        assert ctx.region is not None
-        for inst in ctx.region.instances:
-            if inst.task_id == tid:
-                return list(inst.footprint.objects)
-        return []
 
     def _task_r_dram(
         self, ctx: EngineContext, tid: str, fractions: dict[str, float]

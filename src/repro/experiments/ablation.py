@@ -14,8 +14,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.apps import BFSApp, NWChemTCApp, SpGEMMApp
 from repro.core.model import PerformanceModel, TaskModelInputs
 from repro.core.planner import greedy_plan, optimal_quotas, throughput_plan
@@ -28,7 +26,7 @@ ABLATION_APPS = (SpGEMMApp, BFSApp, NWChemTCApp)
 
 def _task_inputs(ctx: ExperimentContext, app_cls, region_index: int = 1):
     """Oracle TaskModelInputs for one region (isolates planner quality)."""
-    machine, hm = ctx.engine.machine, ctx.engine.hm
+    machine, hm = ctx.engine.machine, ctx.engine.topology
     wl = ctx.workload(app_cls)
     region = wl.regions[region_index]
     rng = make_rng(ctx.seed + 11)
@@ -63,7 +61,7 @@ def _task_inputs(ctx: ExperimentContext, app_cls, region_index: int = 1):
 
 def run(ctx: ExperimentContext) -> dict[str, object]:
     model = PerformanceModel(ctx.system.correlation)
-    capacity = ctx.engine.hm.dram.capacity_bytes
+    capacity = ctx.engine.topology.fastest.capacity_bytes
 
     planner_rows = []
     planner_out = {}

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.apps import ALL_APPS, Application, SpGEMMApp, WarpXApp
+from repro.apps import Application, SpGEMMApp, WarpXApp
 from repro.baselines import (
     MemoryModePolicy,
     MemoryOptimizerPolicy,
@@ -22,7 +22,6 @@ from repro.baselines import (
     WarpXPMPolicy,
 )
 from repro.core import Merchandiser
-from repro.core.runtime import MerchandiserPolicy
 from repro.core.telemetry import Telemetry
 from repro.sim import Engine, MachineModel, RunResult, optane_hm_config
 
@@ -148,11 +147,3 @@ class ExperimentContext:
         """The policy object of a cached run (for plan/overhead inspection)."""
         self.run(app_cls, policy_name)
         return self._policies[(app_cls, policy_name)]
-
-    def all_runs(self, policy_names=POLICY_ORDER) -> dict[str, dict[str, RunResult]]:
-        """app name -> policy name -> run, for all five applications."""
-        out: dict[str, dict[str, RunResult]] = {}
-        for app_cls in ALL_APPS:
-            name = self.app(app_cls).name
-            out[name] = {p: self.run(app_cls, p) for p in policy_names}
-        return out

@@ -22,7 +22,7 @@ PAPER_REDUCTION_AT_HALF = {"writeback": 0.475, "input_processing": 0.262}
 def run(ctx: ExperimentContext) -> dict[str, object]:
     app = ctx.app(NWChemTCApp)
     machine = ctx.engine.machine
-    hm = ctx.engine.hm
+    hm = ctx.engine.topology
     shares = app.tile_shares()
     budget = app.config.footprint_bytes
     index_bytes = int(0.15 * budget)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps import ALL_APPS, DMRGApp, WarpXApp
+from repro.apps import ALL_APPS
 from repro.core.correlation import CorrelationFunction
 from repro.ml import GradientBoostedRegressor, prediction_accuracy
 from repro.sim.counters import collect_pmcs, pmc_vector
@@ -32,7 +32,7 @@ def app_eval_data(ctx: ExperimentContext, events: tuple[str, ...]):
     Equation 2 for f, and pair with PMC features -- the same procedure as
     training, but on the *applications*, which the corpus never saw.
     """
-    machine, hm = ctx.engine.machine, ctx.engine.hm
+    machine, hm = ctx.engine.machine, ctx.engine.topology
     rng = make_rng(ctx.seed + 17)
     groups: dict[str, tuple[list, list]] = {"regular": ([], []), "irregular": ([], [])}
     for app_cls in ALL_APPS:

@@ -12,9 +12,9 @@ Two properties the conformance CI asserts from this experiment's JSON:
 
 * on the paper's 2-tier config the incumbent beats or matches both
   competing backends (the load-balance-aware plan is the paper's claim);
-* the 2-tier run through the generalised ``topology=`` entry point is
-  bit-exact with the classic ``HMConfig`` path (the N-tier refactor is
-  a strict generalisation, not a behavioural change).
+* the ``dram_pm`` preset passed as ``topology=`` runs bit-exactly like
+  its ``HMConfig`` front end (``optane_hm_config()``) passed as ``hm``:
+  one memory description, one code path.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
     wl = ctx.workload(SpGEMMApp)
     seed = ctx.seed + 1
 
-    # degenerate-case contract: the topology entry point must reproduce the
-    # classic HMConfig engine bit-for-bit on the paper's 2-tier machine
+    # degenerate-case contract: the 2-tier preset must run bit-for-bit like
+    # the HMConfig it equals tier for tier
     two_tier = topology_preset("dram_pm")
     bctx2 = PolicyBuildContext(
         machine=machine, topology=two_tier, model=model, seed=seed
@@ -107,7 +107,7 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
         )
     )
     print(
-        f"\n2-tier bit-exactness (HMConfig vs TopologySpec path): "
+        f"\n2-tier bit-exactness (HMConfig vs dram_pm preset): "
         f"{'OK' if bitexact else 'MISMATCH'}"
     )
     for preset, data in out["topologies"].items():

@@ -27,7 +27,7 @@ PAPER_ALPHA = {"SpGEMM": 1.9, "WarpX": 4.3, "BFS": 2.4, "DMRG": 5.7, "NWChem-TC"
 
 def prediction_latency_ms(ctx: ExperimentContext, n: int = 2000) -> float:
     """Wall-clock cost of one Equation-2 prediction (paper: 0.031 ms)."""
-    machine, hm = ctx.engine.machine, ctx.engine.hm
+    machine, hm = ctx.engine.machine, ctx.engine.topology
     rng = make_rng(ctx.seed)
     from repro.apps.codesamples import generate_corpus
 

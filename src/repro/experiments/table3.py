@@ -30,7 +30,7 @@ def training_data(ctx: ExperimentContext):
         samples = generate_corpus(n, seed=ctx.seed)
         ctx._table3_data = generate_training_data(
             ctx.engine.machine,
-            ctx.engine.hm,
+            ctx.engine.topology,
             samples,
             placements_per_sample=10,
             seed=ctx.seed,

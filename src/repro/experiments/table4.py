@@ -14,8 +14,6 @@ Paper values (ours / profiling-based regression): SpGEMM 74.2/37.4, WarpX
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.apps import ALL_APPS
 from repro.core.estimator import AccessEstimator
 from repro.core.homogeneous import HomogeneousPredictor, input_similarity_scale
@@ -38,7 +36,7 @@ PLACEMENT_RATIOS = (0.0, 0.3, 0.6)
 
 
 def run(ctx: ExperimentContext) -> dict[str, object]:
-    machine, hm = ctx.engine.machine, ctx.engine.hm
+    machine, hm = ctx.engine.machine, ctx.engine.topology
     model = PerformanceModel(ctx.system.correlation)
     rng = make_rng(ctx.seed + 23)
     pebs = PEBSProfiler(period=512, seed=rng)

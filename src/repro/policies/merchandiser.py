@@ -66,15 +66,13 @@ class TieredMerchandiserPolicy(PlacementPolicy):
         endpoints = ctx.machine.tier_endpoints([inst.footprint for inst in live], topo)
         for inst, tier_times in zip(live, endpoints):
             fp = inst.footprint
-            # ctx.hm's PM tier is the topology's slowest, so the PMC read's
-            # PM-only time is the slowest-tier endpoint
             tasks.append(
                 TieredTaskInputs(
                     task_id=inst.task_id,
                     tier_times=tier_times,
                     total_accesses=fp.total_accesses,
                     pmcs=collect_pmcs(
-                        fp, ctx.machine, ctx.hm, rng=self._rng,
+                        fp, ctx.machine, topo, rng=self._rng,
                         t_pm_only=tier_times[-1],
                     ),
                 )

@@ -119,18 +119,9 @@ def _build_interval(ctx: PolicyBuildContext) -> PlacementPolicy:
 
 
 def _build_static(ctx: PolicyBuildContext) -> PlacementPolicy:
-    # the slowest-tier-only normalisation baseline; on N-tier tables the
-    # waterfall start state already is all-in-slowest, so a no-op policy is
-    # the exact generalisation of PMOnlyPolicy
-    if ctx.topology.n_tiers == 2:
-        from repro.baselines.static import PMOnlyPolicy
+    from repro.baselines.static import PMOnlyPolicy
 
-        return PMOnlyPolicy()
-
-    class _SlowestOnly(PlacementPolicy):
-        name = "pm-only"
-
-    return _SlowestOnly()
+    return PMOnlyPolicy()
 
 
 def _build_memory_mode(ctx: PolicyBuildContext) -> PlacementPolicy:

@@ -121,13 +121,6 @@ class PredictionCache:
             oldest = next(iter(self._entries))
             self._drop(oldest, reason="capacity")
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns whether it existed."""
-        if key not in self._entries:
-            return False
-        self._drop(key, reason="invalidated")
-        return True
-
     def invalidate_tag(self, tag: Hashable) -> int:
         """Drop every entry registered under ``tag``; returns the count."""
         keys = self._tags.pop(tag, set())

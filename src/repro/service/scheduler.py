@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.common import PAGE_SIZE
-from repro.core.planner import PlanResult, TaskQuota, greedy_plan
+from repro.core.planner import greedy_plan
 from repro.service.cache import PredictionCache, bucket_ratio
 from repro.service.protocol import (
     PlacementDecision,
@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.model import PerformanceModel, TaskModelInputs
     from repro.core.telemetry import Telemetry
 
-__all__ = ["BatchScheduler", "PendingRequest", "PLANNER_BACKENDS"]
+__all__ = ["BatchScheduler", "PendingRequest"]
 
 
 @dataclass
@@ -55,148 +55,6 @@ class PendingRequest:
 
     request: PlacementRequest
     admitted_s: float
-
-
-# ----------------------------------------------------------------------
-# planner backends
-# ----------------------------------------------------------------------
-def _plan_merchandiser(
-    scheduler: "BatchScheduler",
-    union: "list[TaskModelInputs]",
-    task_bytes: dict[str, int],
-    capacity_bytes: int,
-) -> PlanResult:
-    """Algorithm 1 (the incumbent): one stacked model call prices the whole
-    union, then the greedy load-balance loop splits capacity."""
-    grids = scheduler.model.ratio_grids(union, scheduler._levels)
-    return greedy_plan(
-        union,
-        scheduler.model,
-        capacity_bytes,
-        task_bytes,
-        step=scheduler.step,
-        grids=grids,
-    )
-
-
-def _plan_ltr(
-    scheduler: "BatchScheduler",
-    union: "list[TaskModelInputs]",
-    task_bytes: dict[str, int],
-    capacity_bytes: int,
-) -> PlanResult:
-    """Learning-to-rank backend: a pairwise ranker orders the tasks by
-    placement merit and each takes its full quota in rank order until the
-    budget runs out.  Greedy by *rank*, blind to barrier balance."""
-    from repro.ml.ranking import PairwiseRanker, default_object_features
-
-    feats = np.asarray(
-        [
-            default_object_features(
-                task_bytes[t.task_id],
-                t.total_accesses / max(t.t_pm_only, 1e-12),
-                min(1.0, max(0.0, 1.0 - t.t_dram_only / t.t_pm_only)),
-            )
-            for t in union
-        ]
-    )
-    # training signal: modeled speedup per byte -- the ranker learns to
-    # reproduce it from the features, then scores candidates
-    relevance = np.asarray(
-        [
-            (t.t_pm_only - t.t_dram_only) / max(task_bytes[t.task_id], 1)
-            for t in union
-        ]
-    )
-    ranker = PairwiseRanker(feats.shape[1], seed=0)
-    if len(union) >= 2 and len(np.unique(relevance)) >= 2:
-        ranker.fit_ordered(feats, relevance)
-    order = ranker.rank(feats)
-    pages_left = capacity_bytes // PAGE_SIZE
-    quotas: list[TaskQuota] = []
-    by_index: dict[int, TaskQuota] = {}
-    for i in order:
-        t = union[int(i)]
-        task_pages = max(1, int(np.ceil(task_bytes[t.task_id] / PAGE_SIZE)))
-        pages = min(task_pages, int(pages_left))
-        pages_left -= pages
-        r = pages / task_pages
-        by_index[int(i)] = TaskQuota(
-            task_id=t.task_id,
-            dram_accesses=r * t.total_accesses,
-            r_dram=r,
-            dram_pages=pages,
-            predicted_time_s=scheduler.model.predict_ratio(t, r),
-        )
-    quotas = [by_index[i] for i in range(len(union))]
-    return PlanResult(
-        quotas=tuple(quotas),
-        predicted_makespan_s=max(q.predicted_time_s for q in quotas),
-        dram_pages_used=int(sum(q.dram_pages for q in quotas)),
-        rounds=1,
-    )
-
-
-def _plan_interval(
-    scheduler: "BatchScheduler",
-    union: "list[TaskModelInputs]",
-    task_bytes: dict[str, int],
-    capacity_bytes: int,
-) -> PlanResult:
-    """Interval-reconfiguration backend: capacity follows measured access
-    rate, re-derived from scratch on every batch (hotness-proportional,
-    Olson-style).  No model of completion times, no balance objective."""
-    rates = np.asarray(
-        [t.total_accesses / max(t.t_pm_only, 1e-12) for t in union]
-    )
-    total_rate = float(rates.sum())
-    capacity_pages = capacity_bytes // PAGE_SIZE
-    task_pages = [
-        max(1, int(np.ceil(task_bytes[t.task_id] / PAGE_SIZE))) for t in union
-    ]
-    grant = [
-        min(tp, int(capacity_pages * (float(r) / total_rate)))
-        if total_rate > 0
-        else 0
-        for tp, r in zip(task_pages, rates)
-    ]
-    # leftover pages go to the hottest tasks first (deterministic order)
-    left = capacity_pages - sum(grant)
-    for i in np.argsort(-rates, kind="stable"):
-        if left <= 0:
-            break
-        extra = min(task_pages[i] - grant[i], int(left))
-        grant[i] += extra
-        left -= extra
-    quotas = []
-    for t, tp, g in zip(union, task_pages, grant):
-        r = g / tp
-        quotas.append(
-            TaskQuota(
-                task_id=t.task_id,
-                dram_accesses=r * t.total_accesses,
-                r_dram=r,
-                dram_pages=g,
-                predicted_time_s=scheduler.model.predict_ratio(t, r),
-            )
-        )
-    return PlanResult(
-        quotas=tuple(quotas),
-        predicted_makespan_s=max(q.predicted_time_s for q in quotas),
-        dram_pages_used=int(sum(q.dram_pages for q in quotas)),
-        rounds=1,
-    )
-
-
-#: pluggable allocation strategies for :meth:`BatchScheduler._plan_union`.
-#: "merchandiser" is the default and keeps the service bit-identical to the
-#: registry-free scheduler; the alternatives are competing backends the
-#: conformance harness holds to the same capacity-conservation invariants.
-PLANNER_BACKENDS: dict = {
-    "merchandiser": _plan_merchandiser,
-    "ltr": _plan_ltr,
-    "interval": _plan_interval,
-}
 
 
 class BatchScheduler:
@@ -211,7 +69,6 @@ class BatchScheduler:
         step: float = 0.05,
         cache: PredictionCache | None = None,
         telemetry: "Telemetry | None" = None,
-        backend: str = "merchandiser",
     ) -> None:
         if dram_capacity_bytes <= 0:
             raise ValueError("dram_capacity_bytes must be positive")
@@ -219,12 +76,6 @@ class BatchScheduler:
             raise ValueError("window_s must be >= 0 (0 = singleton batches)")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if backend not in PLANNER_BACKENDS:
-            raise ValueError(
-                f"unknown planner backend {backend!r}; "
-                f"available: {sorted(PLANNER_BACKENDS)}"
-            )
-        self.backend = backend
         self.model = model
         self.dram_capacity_bytes = dram_capacity_bytes
         self.window_s = window_s
@@ -404,7 +255,7 @@ class BatchScheduler:
                 PlacementDecision(
                     request_id=entry.request.request_id,
                     status="planned",
-                    policy=self.backend,
+                    policy="merchandiser",
                     placements=tuple(
                         TaskPlacement(
                             task_id=spec.task_id,
@@ -423,10 +274,14 @@ class BatchScheduler:
                 for _, entry in entries
             ]
             return zero
-        # allocation strategy is pluggable; "merchandiser" is Algorithm 1
-        # with one stacked model call pricing the whole union
-        plan = PLANNER_BACKENDS[self.backend](
-            self, union, task_bytes, capacity_bytes
+        # Algorithm 1, with one stacked model call pricing the whole union
+        plan = greedy_plan(
+            union,
+            self.model,
+            capacity_bytes,
+            task_bytes,
+            step=self.step,
+            grids=self.model.ratio_grids(union, self._levels),
         )
         quotas_by_uid = {q.task_id: q for q in plan.quotas}
         out: list[PlacementDecision] = []
@@ -446,7 +301,7 @@ class BatchScheduler:
                 PlacementDecision(
                     request_id=entry.request.request_id,
                     status="planned",
-                    policy=self.backend,
+                    policy="merchandiser",
                     placements=tuple(placements),
                     predicted_makespan_s=max(
                         p.predicted_time_s for p in placements

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.common import AccessPattern, make_rng
 from repro.sim.machine import MachineModel
-from repro.sim.memspec import HMConfig
+from repro.sim.memspec import TopologySpec
 from repro.tasks.task import Footprint
 
 __all__ = ["PMC_EVENTS", "TOP8_EVENTS", "collect_pmcs", "pmc_vector"]
@@ -66,17 +66,19 @@ TOP8_EVENTS: tuple[str, ...] = (
 def collect_pmcs(
     footprint: Footprint,
     machine: MachineModel,
-    hm: HMConfig,
+    topology: TopologySpec,
     rng=None,
     noise: float = 0.03,
     t_pm_only: float | None = None,
 ) -> dict[str, float]:
-    """Collect the full event set for one task instance (PM-only run).
+    """Collect the full event set for one task instance (PM-only run:
+    every access served by ``topology``'s slowest tier).
 
     ``noise`` is the relative sampling noise applied to every event
     (real PMC multiplexing is similarly noisy).  A caller that already
-    priced ``footprint``'s PM-only time (``MachineModel.endpoint_times``)
-    passes it as ``t_pm_only`` instead of having it priced again.
+    priced ``footprint``'s slowest-tier time (the last of
+    ``MachineModel.tier_endpoints``) passes it as ``t_pm_only`` instead of
+    having it priced again.
     """
     rng = make_rng(rng)
     prof = footprint.profile
@@ -90,7 +92,7 @@ def collect_pmcs(
     # inputs are "measured hardware events ... using PM-only configuration").
     t_pm = t_pm_only
     if t_pm is None:
-        t_pm = machine.instance_time(footprint, hm, {})
+        t_pm = machine.instance_time(footprint, topology, {})
     cycles = t_pm * machine.spec.frequency_ghz * 1e9
 
     llc_mpki = 1000.0 * mem_acc / instr

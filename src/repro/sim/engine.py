@@ -92,20 +92,17 @@ class EngineContext:
         workload: Workload,
         page_table: "PageTable | TieredPageTable",
         machine: MachineModel,
-        hm: HMConfig,
+        topology: TopologySpec,
         rng: np.random.Generator,
         faults: FaultInjector | None = None,
         telemetry: "Telemetry | None" = None,
-        topology: TopologySpec | None = None,
     ) -> None:
         self.workload = workload
         self.page_table = page_table
         self.machine = machine
-        self.hm = hm
+        #: the memory system (an :class:`HMConfig` when the engine got one)
+        self.topology = topology
         self.rng = rng
-        #: the full topology (always set; 2-tier view of ``hm`` when the
-        #: engine was built the classic way)
-        self.topology = topology if topology is not None else TopologySpec.from_hm(hm)
         #: fault injector the engine and profilers consult (None = healthy)
         self.faults = faults
         #: shared telemetry (repro.core.telemetry); policies read it off the
@@ -132,14 +129,6 @@ class EngineContext:
         self.failed_migrations: list[MigrationBatch] = []
 
     # -- helpers policies rely on --------------------------------------
-    def dram_fractions(self) -> dict[str, float]:
-        """Current per-object access-weighted DRAM fractions."""
-        return self.page_table.access_fractions()
-
-    def tier_fraction_vectors(self) -> "dict[str, np.ndarray]":
-        """Per-object per-tier access-fraction vectors (N-tier runs)."""
-        return self.page_table.access_fraction_vectors()
-
     def active_instances(self) -> list[TaskInstanceSpec]:
         assert self.region is not None
         return [
@@ -291,30 +280,13 @@ class Engine:
         from repro.sim.memspec import optane_hm_config
 
         self.machine = machine or MachineModel()
-        if topology is not None:
-            if hm is not None:
-                raise ValueError("pass either hm or topology, not both")
-            self.topology = topology
-            if topology.n_tiers == 2:
-                # degenerate case: the same tiers as the HMConfig pipeline,
-                # so every float matches it bit for bit
-                self.hm = topology.to_hm()
-            else:
-                if journal is not None:
-                    raise ValueError(
-                        "crash journaling is only supported on 2-tier topologies"
-                    )
-                # fastest/slowest compatibility view for policies that read
-                # ctx.hm; the tick loop reads self.topology
-                self.hm = HMConfig(
-                    dram=topology.fastest,
-                    pm=topology.slowest,
-                    page_migration_overhead_s=topology.page_migration_overhead_s,
-                )
-        else:
-            self.hm = hm or optane_hm_config()
-            self.topology = TopologySpec.from_hm(self.hm)
+        if hm is not None and topology is not None:
+            raise ValueError("pass either hm or topology, not both")
+        #: the memory system; ``hm`` and ``topology`` name the same thing
+        self.topology = hm or topology or optane_hm_config()
         self._tiered = self.topology.n_tiers > 2
+        if self._tiered and journal is not None:
+            raise ValueError("crash journaling is only supported on 2-tier topologies")
         self.config = config or EngineConfig()
         #: optional fault injector; consulted by the tick loop and exposed
         #: to policies/profilers through the engine context
@@ -356,12 +328,11 @@ class Engine:
                 )
             else:
                 page_table = PageTable(
-                    workload.objects, self.hm.dram.capacity_bytes, rng=rng
+                    workload.objects, self.topology.fastest.capacity_bytes, rng=rng
                 )
         ctx = EngineContext(
-            workload, page_table, self.machine, self.hm, rng,
+            workload, page_table, self.machine, self.topology, rng,
             faults=self.faults, telemetry=self.telemetry,
-            topology=self.topology,
         )
         if self.telemetry is not None:
             self.telemetry.inc("merch_engine_runs_total")
@@ -404,9 +375,8 @@ class Engine:
             policy.restore_state(outcome.checkpoint_state)
         rng = make_rng(seed)
         ctx = EngineContext(
-            workload, image.page_table, self.machine, self.hm, rng,
+            workload, image.page_table, self.machine, self.topology, rng,
             faults=self.faults, telemetry=self.telemetry,
-            topology=self.topology,
         )
         ctx.time = outcome.resume_time_s
         if self.telemetry is not None:
@@ -661,10 +631,12 @@ class Engine:
         """
         assert ctx.region is not None
         footprints = [(inst.task_id, inst.footprint) for inst in ctx.region.instances]
+        table = ctx.page_table
         if self._tiered:
             kernel = TieredBreakdownKernel(self.machine, self.topology, footprints)
-            return kernel, ctx.tier_fraction_vectors
-        return BreakdownKernel(self.machine, self.hm, footprints), ctx.dram_fractions
+            return kernel, table.access_fraction_vectors
+        kernel = BreakdownKernel(self.machine, self.topology, footprints)
+        return kernel, table.access_fractions
 
     def _refresh_times(
         self,

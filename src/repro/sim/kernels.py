@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.common import CACHE_LINE, seq_sum
 from repro.sim.machine import MachineModel, TieredBreakdown
-from repro.sim.memspec import HMConfig, TopologySpec
+from repro.sim.memspec import TopologySpec
 from repro.tasks.task import Footprint
 
 __all__ = ["BreakdownKernel", "TieredBreakdownKernel"]
@@ -271,16 +271,8 @@ class TieredBreakdownKernel:
 
 
 class BreakdownKernel(TieredBreakdownKernel):
-    """The n = 2 front end: prices per-object DRAM ratios ``r`` on an
-    :class:`HMConfig` as fraction vectors ``(r, 1.0 - r)``."""
-
-    def __init__(
-        self,
-        machine: MachineModel,
-        hm: HMConfig,
-        footprints: Sequence[tuple[str, Footprint]],
-    ) -> None:
-        super().__init__(machine, TopologySpec.from_hm(hm), footprints)
+    """The n = 2 front end: prices per-object DRAM ratios ``r`` on a
+    2-tier topology as fraction vectors ``(r, 1.0 - r)``."""
 
     def breakdown_batch(
         self,

@@ -36,8 +36,8 @@ from repro.tasks.task import Footprint
 
 __all__ = ["MachineSpec", "TieredBreakdown", "MachineModel", "Placement"]
 
-#: per-object DRAM ratios (HMConfig) or fraction vectors (TopologySpec),
-#: or one ratio / vector for every object
+#: per-object DRAM ratios (2 tiers) or fraction vectors (3+ tiers), or one
+#: ratio / vector for every object
 Placement = Union[
     Mapping[str, float], Mapping[str, Sequence[float]], float, Sequence[float]
 ]
@@ -91,8 +91,8 @@ class MachineSpec:
 class TieredBreakdown:
     """Where an instance's time goes on an N-tier topology.
 
-    Per-tier tuples are ordered like the topology (fastest first); on an
-    :class:`HMConfig` tier 0 is DRAM and tier 1 is PM.
+    Per-tier tuples are ordered like the topology (fastest first); on a
+    2-tier :class:`HMConfig` tier 0 is DRAM and tier 1 is PM.
     """
 
     total_s: float
@@ -128,15 +128,15 @@ class MachineModel:
     def breakdowns(
         self,
         footprints: Sequence[Footprint],
-        memory: HMConfig | TopologySpec,
+        memory: TopologySpec,
         placements: Sequence[Placement],
     ) -> list[list[TieredBreakdown]]:
         """``out[p][i]`` prices ``footprints[i]`` under ``placements[p]``.
 
-        On an :class:`HMConfig` a placement maps objects to DRAM ratios (a
-        float prices every object at that ratio); on a
-        :class:`TopologySpec` it maps objects to access-fraction vectors,
-        fastest tier first (one vector prices every object with it).
+        On a 2-tier topology a placement maps objects to DRAM ratios (a
+        float prices every object at that ratio); on 3+ tiers it maps
+        objects to access-fraction vectors, fastest tier first (one vector
+        prices every object with it).
         Missing objects are all-in-slowest, components clip to [0, 1] and
         NaN to 0.0.  Footprints that name the same object share its
         placement.  One fresh tick kernel prices the batch, one body run
@@ -145,7 +145,7 @@ class MachineModel:
         # kernels imports this module
         from repro.sim.kernels import BreakdownKernel, TieredBreakdownKernel
 
-        tiered = not isinstance(memory, HMConfig)
+        tiered = memory.n_tiers > 2
         ids = [str(i) for i in range(len(footprints))]
         kernel = (TieredBreakdownKernel if tiered else BreakdownKernel)(
             self, memory, list(zip(ids, footprints))
@@ -158,14 +158,13 @@ class MachineModel:
         return out
 
     def tier_endpoints(
-        self, footprints: Sequence[Footprint], memory: HMConfig | TopologySpec
+        self, footprints: Sequence[Footprint], memory: TopologySpec
     ) -> list[tuple[float, ...]]:
         """Per footprint, the homogeneous execution times with *all*
-        accesses served by each tier in turn, fastest first: on an
-        :class:`HMConfig` ``(T_dram_only, T_pm_only)``, the bounds of
-        Equation 2; on a topology the N-tier endpoints that bracket the
-        effective-ratio prediction."""
-        if isinstance(memory, HMConfig):
+        accesses served by each tier in turn, fastest first: on 2 tiers
+        ``(T_dram_only, T_pm_only)``, the bounds of Equation 2; on more the
+        N-tier endpoints that bracket the effective-ratio prediction."""
+        if memory.n_tiers == 2:
             one_hot: list[Placement] = [1.0, 0.0]
         else:
             n = memory.n_tiers
@@ -175,16 +174,17 @@ class MachineModel:
 
     # -- one-footprint views of :meth:`breakdowns` ----------------------
     def breakdown(
-        self, footprint: Footprint, hm: HMConfig, dram_fractions: Mapping[str, float]
+        self, footprint: Footprint, memory: TopologySpec, placement: Mapping
     ) -> TieredBreakdown:
-        """Breakdown under per-object DRAM ratios (tier 0 DRAM, 1 PM)."""
-        return self.breakdowns([footprint], hm, [dram_fractions])[0][0]
+        """Breakdown under one per-object placement (see :meth:`breakdowns`;
+        an empty one is all-in-slowest)."""
+        return self.breakdowns([footprint], memory, [placement])[0][0]
 
     def instance_time(
-        self, footprint: Footprint, hm: HMConfig, dram_fractions: Mapping[str, float]
+        self, footprint: Footprint, memory: TopologySpec, placement: Mapping
     ) -> float:
-        """Execution time in seconds under per-object DRAM ratios."""
-        return self.breakdown(footprint, hm, dram_fractions).total_s
+        """Execution time in seconds under one per-object placement."""
+        return self.breakdown(footprint, memory, placement).total_s
 
     def endpoint_times(self, footprint: Footprint, hm: HMConfig) -> tuple[float, float]:
         """(T_dram_only, T_pm_only) -- the bounds of Equation 2."""

@@ -81,33 +81,6 @@ class TierSpec:
         return self.rand_read_latency_ns if random else self.seq_read_latency_ns
 
 
-@dataclass(frozen=True)
-class HMConfig:
-    """A two-tier heterogeneous memory system (fast DRAM + slow PM)."""
-
-    dram: TierSpec
-    pm: TierSpec
-    #: Fixed software cost of migrating one page, seconds (syscall + PTE
-    #: update + TLB shootdown); the data copy itself is charged to bandwidth.
-    page_migration_overhead_s: float = 2.0e-6
-
-    def __post_init__(self) -> None:
-        if self.page_migration_overhead_s < 0:
-            raise ValueError("migration overhead must be non-negative")
-
-    @property
-    def dram_fraction_of_total(self) -> float:
-        total = self.dram.capacity_bytes + self.pm.capacity_bytes
-        return self.dram.capacity_bytes / total
-
-    def tier(self, name: str) -> TierSpec:
-        if name == self.dram.name:
-            return self.dram
-        if name == self.pm.name:
-            return self.pm
-        raise KeyError(name)
-
-
 # ----------------------------------------------------------------------
 # Tier factories (shared by the 2-tier configs and the N-tier presets, so
 # the same tier built either way has bit-identical floats)
@@ -216,13 +189,13 @@ class TopologySpec:
     non-increasing read bandwidth -- the two asymmetries that drive
     placement.  (Sequential latency is deliberately *not* ordered: real
     CXL expanders have higher sequential latency than Optane PM while
-    being faster on random access.)  A 2-tier topology is exactly an
-    :class:`HMConfig` -- :meth:`to_hm`/:meth:`from_hm` convert without
-    changing a single float, which is how the degenerate case stays
-    bit-exact.
+    being faster on random access.)  :class:`HMConfig` is the n = 2
+    front end.
     """
 
     tiers: tuple[TierSpec, ...]
+    #: Fixed software cost of migrating one page, seconds (syscall + PTE
+    #: update + TLB shootdown); the data copy itself is charged to bandwidth.
     page_migration_overhead_s: float = 2.0e-6
 
     def __post_init__(self) -> None:
@@ -279,28 +252,6 @@ class TopologySpec:
         """Per-tier capacities in bytes, fastest first."""
         return tuple(t.capacity_bytes for t in self.tiers)
 
-    def page_vector(self) -> tuple[int, ...]:
-        """Per-tier capacities in pages, fastest first."""
-        return tuple(t.n_pages for t in self.tiers)
-
-    @classmethod
-    def from_hm(cls, hm: HMConfig) -> "TopologySpec":
-        return cls(
-            tiers=(hm.dram, hm.pm),
-            page_migration_overhead_s=hm.page_migration_overhead_s,
-        )
-
-    def to_hm(self) -> HMConfig:
-        if self.n_tiers != 2:
-            raise TopologyError(
-                f"only a 2-tier topology converts to HMConfig, got {self.n_tiers}"
-            )
-        return HMConfig(
-            dram=self.tiers[0],
-            pm=self.tiers[1],
-            page_migration_overhead_s=self.page_migration_overhead_s,
-        )
-
     def to_jsonable(self) -> dict:
         return {
             "page_migration_overhead_s": self.page_migration_overhead_s,
@@ -325,9 +276,28 @@ class TopologySpec:
         )
 
 
-#: Named topology presets.  ``dram_pm`` is the paper's 2-tier platform --
-#: ``topology_preset("dram_pm").to_hm() == optane_hm_config()`` holds with
-#: identical floats because both build their tiers from the same factories.
+class HMConfig(TopologySpec):
+    """The n = 2 front end: a two-tier heterogeneous memory system (fast
+    DRAM, tier 0, + slow PM, tier 1), checked by the topology's ordering
+    rules."""
+
+    def __init__(
+        self, dram: TierSpec, pm: TierSpec, page_migration_overhead_s: float = 2.0e-6
+    ) -> None:
+        super().__init__((dram, pm), page_migration_overhead_s)
+
+    @property
+    def dram(self) -> TierSpec:
+        return self.tiers[0]
+
+    @property
+    def pm(self) -> TierSpec:
+        return self.tiers[1]
+
+
+#: Named topology presets.  ``dram_pm`` is the paper's 2-tier platform; its
+#: tiers equal ``optane_hm_config()``'s float for float because both build
+#: them from the same factories.
 TOPOLOGY_PRESETS: dict[str, tuple[str, ...]] = {
     "dram_pm": ("dram", "pm"),
     "hbm_dram_pm": ("hbm", "dram", "pm"),

@@ -511,8 +511,8 @@ class TieredPageTable:
 
         Moves toward slower tiers are applied first so swap traffic (demote
         cold, promote hot) never transiently over-commits a fast tier.
-        Returns pages actually moved, counting a page listed twice in one
-        move twice; the per-tier counts change once per page.
+        A page listed twice in one move moves (and counts) once.  Returns
+        pages actually moved.
         """
         return self._apply(batch)
 
@@ -531,23 +531,23 @@ class TieredPageTable:
             tier = self.object(name).page_tier
             sel = idx[tier[idx] != dst]
             free = self._free(dst)
-            if free <= 0:
+            if free <= 0 or not len(sel):
                 continue
-            sel = sel[:free]
-            moved += len(sel)
-            if not len(sel):
-                continue
-            src = tier[sel]
-            tier[sel] = dst
-            # each distinct page keeps exactly one position of the scatter
+            # a page listed twice moves once: drop repeats (first
+            # occurrence kept, in order) before the clamp; the scatter
+            # leaves one position per distinct page
             pos = np.arange(len(sel))
             mark = self._mark[self._slices[name]]
             mark[sel] = pos
-            first = mark[sel] == pos
-            left = np.bincount(src[first], minlength=self.n_tiers)
+            if not (mark[sel] == pos).all():
+                sel = sel[np.sort(np.unique(sel, return_index=True)[1])]
+            sel = sel[:free]
+            moved += len(sel)
+            left = np.bincount(tier[sel], minlength=self.n_tiers)
+            tier[sel] = dst
             for k, n_left in enumerate(left.tolist()):
                 used[k] -= n_left
-            used[dst] += int(np.count_nonzero(first))
+            used[dst] += len(sel)
             self._fractions[name] = None
         return moved
 

@@ -14,9 +14,7 @@ Terminology follows Section 2 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Mapping
 
 from repro.common import CACHE_LINE, PAGE_SIZE, AccessPattern, seq_sum
 
@@ -225,9 +223,6 @@ class TaskInstanceSpec:
     task_id: str
     footprint: Footprint
     input_vector: tuple[float, ...] = ()
-
-    def input_array(self) -> np.ndarray:
-        return np.asarray(self.input_vector, dtype=np.float64)
 
 
 @dataclass(frozen=True)

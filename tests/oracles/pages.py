@@ -61,6 +61,12 @@ def page_weights(spec, rng=None) -> np.ndarray:
     return np.full(n_pages, 1.0 / n_pages)
 
 
+def _distinct(sel: np.ndarray) -> np.ndarray:
+    """``sel`` without repeated page ids, first occurrences in order: a
+    page listed twice in one move moves, and counts, once."""
+    return np.array(list(dict.fromkeys(sel.tolist())), dtype=np.intp)
+
+
 def apply_batch(table, batch) -> int:
     """2-tier ``apply_batch`` on a :class:`Residency`: demotions
     (destination 1) first, then promotions (destination 0) clamped to
@@ -70,7 +76,7 @@ def apply_batch(table, batch) -> int:
         if dst == 0:
             continue
         obj = table.object(name)
-        sel = idx[obj.residency[idx] > 1e-12]
+        sel = _distinct(idx[obj.residency[idx] > 1e-12])
         obj.residency[sel] = 0.0
         if len(sel):
             table.shares.pop(name, None)
@@ -79,7 +85,7 @@ def apply_batch(table, batch) -> int:
         if dst != 0:
             continue
         obj = table.object(name)
-        sel = idx[obj.residency[idx] < 1.0 - 1e-12]
+        sel = _distinct(idx[obj.residency[idx] < 1.0 - 1e-12])
         free = int(
             (table.dram_capacity_bytes - sum(o.dram_bytes() for o in table))
             // PAGE_SIZE
@@ -412,7 +418,7 @@ class Residency:
             if dst == 0:
                 continue
             obj = self.object(name)
-            sel = idx[obj.residency[idx] > 1e-12]
+            sel = _distinct(idx[obj.residency[idx] > 1e-12])
             obj.residency[sel] = 0.0
             if len(sel):
                 self.shares.pop(name, None)
@@ -422,7 +428,7 @@ class Residency:
             if dst != 0:
                 continue
             obj = self.object(name)
-            sel = idx[obj.residency[idx] < 1.0 - 1e-12]
+            sel = _distinct(idx[obj.residency[idx] < 1.0 - 1e-12])
             if used is None:
                 used = {o.name: o.dram_bytes() for o in self}
             free = int((self.dram_capacity_bytes - sum(used.values())) // PAGE_SIZE)
@@ -549,7 +555,7 @@ class TieredResidency:
             if not 0 <= dst < self.n_tiers:
                 raise ValueError(f"destination tier {dst} out of range")
             obj = self.object(name)
-            sel = idx[obj.tier_residency[dst, idx] < 1.0 - 1e-12]
+            sel = _distinct(idx[obj.tier_residency[dst, idx] < 1.0 - 1e-12])
             free = self.tier_free_pages(dst)
             if free <= 0:
                 continue

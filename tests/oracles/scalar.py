@@ -64,7 +64,7 @@ from repro.core.planner import (
 from repro.ml.gbr import GradientBoostedRegressor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.sim.machine import MachineModel, TieredBreakdown
-from repro.sim.memspec import HMConfig, TierSpec, TopologySpec
+from repro.sim.memspec import TierSpec, TopologySpec
 from repro.tasks.task import Footprint
 
 __all__ = [
@@ -536,7 +536,7 @@ def breakdown_tiered(
 def breakdown_2tier(
     machine: MachineModel,
     footprint: Footprint,
-    hm: HMConfig,
+    memory: TopologySpec,
     dram_fractions: Mapping[str, float],
 ) -> TieredBreakdown:
     """The dedicated 2-tier time model: per-access DRAM/PM buckets built
@@ -555,25 +555,28 @@ def breakdown_2tier(
     return _combine(
         machine,
         footprint,
-        [_tier_time(machine, hm.dram, dram_acc), _tier_time(machine, hm.pm, pm_acc)],
+        [
+            _tier_time(machine, memory.tiers[0], dram_acc),
+            _tier_time(machine, memory.tiers[1], pm_acc),
+        ],
     )
 
 
 def breakdowns(
     machine: MachineModel,
     footprints: Sequence[Footprint],
-    memory: HMConfig | TopologySpec,
+    memory: TopologySpec,
     placements: Sequence,
 ) -> list[list[TieredBreakdown]]:
     """Stand-in for ``MachineModel.breakdowns``: :func:`breakdown_2tier`
-    (on an ``HMConfig``) or :func:`breakdown_tiered` per footprint and
+    (on 2 tiers) or :func:`breakdown_tiered` per footprint and
     placement; a placement that is not a mapping applies to every object."""
     out = []
     for p in placements:
         row = []
         for fp in footprints:
             fractions = p if isinstance(p, Mapping) else dict.fromkeys(fp.objects, p)
-            if isinstance(memory, HMConfig):
+            if memory.n_tiers == 2:
                 row.append(breakdown_2tier(machine, fp, memory, fractions))
             else:
                 row.append(breakdown_tiered(machine, fp, memory, fractions))
@@ -585,14 +588,14 @@ class ScalarBreakdown:
     """Stand-in for ``BreakdownKernel``: one :func:`breakdown_2tier` call
     per instance, in the order the engine asks for them."""
 
-    def __init__(self, machine, hm, footprints) -> None:
+    def __init__(self, machine, memory, footprints) -> None:
         self.machine = machine
-        self.hm = hm
+        self.memory = memory
         self.footprints = dict(footprints)
 
     def breakdown_batch(self, task_ids, fractions):
         return [
-            breakdown_2tier(self.machine, self.footprints[tid], self.hm, fractions)
+            breakdown_2tier(self.machine, self.footprints[tid], self.memory, fractions)
             for tid in task_ids
         ]
 

@@ -14,9 +14,9 @@ battery of invariants:
   destination tier the table has (a ``bool`` promote flag is caught);
 * **determinism**: two runs with the same seed are identical, tick
   traces included;
-* **degenerate bit-exactness**: on a 2-tier topology the ``topology=``
-  engine entry point reproduces the classic ``HMConfig`` path
-  bit-for-bit, for every backend;
+* **degenerate bit-exactness**: a plain 2-tier :class:`TopologySpec`
+  passed as ``topology=`` runs bit-for-bit like its :class:`HMConfig`
+  front end passed as ``hm``, for every backend;
 * **plan serialisation**: planner outputs survive a JSON round-trip.
 
 Adding a policy means registering it in
@@ -223,7 +223,7 @@ class TestDegenerateTwoTier:
 
     def test_bit_exact_against_hm_path(self, spec, model):
         hm = optane_hm_config()
-        topo = TopologySpec.from_hm(hm)
+        topo = TopologySpec(tiers=hm.tiers)
         wl = toy_workload()
         classic = Engine(MachineModel(), hm).run(
             wl, build(spec, topo, model), seed=3

@@ -44,7 +44,7 @@ from repro.sim.counters import collect_pmcs
 from repro.sim.engine import Engine
 from repro.sim.kernels import BreakdownKernel
 from repro.sim.machine import MachineModel
-from repro.sim.memspec import HMConfig, optane_hm_config, topology_preset
+from repro.sim.memspec import optane_hm_config, topology_preset
 from repro.sim.pages import MigrationBatch, PageTable
 from tests.oracles import scalar
 from tests.oracles.scalar import scalar_reference
@@ -693,11 +693,11 @@ def test_machine_breakdowns_match_scalar_oracle(memory):
     calls: batching never changes a bit."""
     machine = MachineModel()
     mem = optane_hm_config() if memory == "hm" else topology_preset(memory)
-    n = 2 if memory == "hm" else mem.n_tiers
+    n = mem.n_tiers
     fps = [s.footprint(1.0) for s in generate_corpus(6, seed=11)]
     fps.append(fps[0])  # a footprint twice: its objects' columns are shared
     objs = sorted({o for fp in fps for o in fp.objects})
-    placements = _edge_placements(n, objs, make_rng(13), ratios=memory == "hm")
+    placements = _edge_placements(n, objs, make_rng(13), ratios=n == 2)
     batch = machine.breakdowns(fps, mem, placements)
     assert len(batch) == len(placements)
     for k, (fractions, row) in enumerate(zip(placements, batch)):
@@ -732,11 +732,9 @@ def test_machine_views_equal_breakdowns():
     assert [machine.tier_endpoints([f], topo)[0] for f in fps] == ends
     ends_hm = machine.tier_endpoints(fps, hm)
     assert [machine.endpoint_times(f, hm) for f in fps] == ends_hm
-    # the slowest-tier endpoint is the 2-tier PM-only time on the fastest/
-    # slowest view of the topology (what a policy's ctx.hm holds)
-    view = HMConfig(dram=topo.fastest, pm=topo.slowest)
+    # the slowest-tier endpoint is the empty (all-in-slowest) placement
     for f, t in zip(fps, ends):
-        assert _bits(t[-1]) == _bits(machine.instance_time(f, view, {}))
+        assert _bits(t[-1]) == _bits(machine.instance_time(f, topo, {}))
 
 
 def _memo_placements(preset: str, region, wl) -> list[dict]:

@@ -477,13 +477,21 @@ class TestTieredApplyBatch:
         return table, moved
 
     def test_page_listed_twice(self):
-        # a duplicate counts twice in the moved total, once in the tier
+        # a duplicate moves and counts once
         table, moved = self._run(
             _two_objects((4, 4, 16)), [("a", np.array([3, 3, 5, 3]), 0)]
         )
-        assert moved == 4
+        assert moved == 2
         assert table.tier_used_pages(0) == 2.0
         assert table.tier_free_pages(0) == 2
+        # repeats are dropped before the clamp: with 2 pages free, the
+        # repeated page 3 does not take page 5's place
+        table, moved = self._run(
+            _two_objects((2, 4, 16)), [("a", np.array([3, 3, 5]), 0)]
+        )
+        assert moved == 2
+        fast = np.flatnonzero(table.object("a").page_tier == 0)
+        np.testing.assert_array_equal(fast, [3, 5])
 
     def test_move_to_current_tier(self):
         table = _two_objects((4, 4, 16))

@@ -6,8 +6,10 @@ Three hard properties, each over >= 100 generated cases:
   constructs a valid :class:`TopologySpec` or raises the typed
   :class:`TopologyError`, exactly when an ordering/uniqueness rule is
   violated -- never a silent misconstruction, never another exception;
-* **degenerate round-trip** -- every valid 2-tier topology converts to
-  an :class:`HMConfig` and back without changing a single float;
+* **two-tier front end** -- every valid 2-tier stack built as an
+  :class:`HMConfig` is that :class:`TopologySpec` float for float, with
+  ``dram``/``pm`` reading tiers 0/1, and every invalid one raises the
+  same :class:`TopologyError`;
 * **no over-commit** -- :func:`tiered_greedy_plan` over random task
   sets and capacity vectors never grants more pages on any tier than
   the tier holds, and every task's fractions sum to 1.
@@ -23,7 +25,7 @@ import pytest
 from repro.common import PAGE_SIZE, make_rng
 from repro.core.model import PerformanceModel, TieredTaskInputs
 from repro.core.planner import tiered_greedy_plan
-from repro.sim.memspec import TierSpec, TopologyError, TopologySpec
+from repro.sim.memspec import HMConfig, TierSpec, TopologyError, TopologySpec
 
 try:
     from hypothesis import given, settings
@@ -162,22 +164,24 @@ class TestValidateOrRaise:
 
 
 # ----------------------------------------------------------------------
-# property 2: 2-tier topologies round-trip through HMConfig exactly
+# property 2: HMConfig is the 2-tier topology
 # ----------------------------------------------------------------------
-class TestDegenerateRoundTrip:
+class TestTwoTierFrontEnd:
     @each_seed
-    def test_two_tier_hm_round_trip_is_exact(self, seed):
+    def test_hm_config_is_the_two_tier_topology(self, seed):
         rng = make_rng(seed)
-        while True:
-            tiers = gen_tiers(rng)[:2]
-            if orderings_hold(tiers):
-                break
-        topo = TopologySpec(
-            tiers=tiers,
-            page_migration_overhead_s=float(rng.uniform(1e-7, 1e-5)),
-        )
-        back = TopologySpec.from_hm(topo.to_hm())
-        assert back == topo
+        tiers = gen_tiers(rng)[:2]
+        overhead = float(rng.uniform(1e-7, 1e-5))
+        if not orderings_hold(tiers):
+            with pytest.raises(TopologyError):
+                HMConfig(*tiers, page_migration_overhead_s=overhead)
+            return
+        hm = HMConfig(*tiers, page_migration_overhead_s=overhead)
+        topo = TopologySpec(tiers=tiers, page_migration_overhead_s=overhead)
+        assert isinstance(hm, TopologySpec)
+        assert (hm.dram, hm.pm) == hm.tiers == topo.tiers
+        assert hm.page_migration_overhead_s == topo.page_migration_overhead_s
+        assert hm.to_jsonable() == topo.to_jsonable()
 
 
 # ----------------------------------------------------------------------
