@@ -26,6 +26,7 @@ __all__ = [
     "SpartaPolicy",
     "WarpXPMPolicy",
     "HandPlacedPolicy",
+    "density_priority",
     "fill_dram_by_priority",
 ]
 
@@ -49,7 +50,7 @@ def fill_dram_by_priority(
         table.place(MigrationBatch(moves=((name, idx, 0),)))
 
 
-def _density_priority(ctx: EngineContext) -> list[str]:
+def density_priority(ctx: EngineContext) -> list[str]:
     """Objects of the current region ranked by accesses per byte."""
     assert ctx.region is not None
     totals: dict[str, float] = {}
@@ -95,7 +96,7 @@ class SpartaPolicy(PlacementPolicy):
         # processed first monopolise DRAM.
         shared = [
             name
-            for name in _density_priority(ctx)
+            for name in density_priority(ctx)
             if table.object(name).owner is None
             and (self.input_objects is None or name in self.input_objects)
         ]
@@ -141,7 +142,7 @@ class WarpXPMPolicy(PlacementPolicy):
         table.place_all(1)
         priority = self.region_priorities.get(ctx.region.name)
         if priority is None:
-            priority = _density_priority(ctx)
+            priority = density_priority(ctx)
         rank = {name: i for i, name in enumerate(priority)}
         # oracle water-filling: repeatedly stage data of the slab that is
         # currently slowest, choosing among its objects by the lifetime

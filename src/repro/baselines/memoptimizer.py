@@ -19,11 +19,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common import make_rng
-from repro.profiling.hotpages import top_k_hot_pages
+from repro.profiling.hotpages import (
+    DAEMON_INTERVAL_S,
+    DAEMON_PROMOTE_PAGES,
+    DAEMON_SAMPLE_PAGES,
+    hot_promotions,
+)
 from repro.profiling.pte import PTESampleProfiler
 from repro.profiling.thermostat import ThermostatProfiler
 from repro.sim.engine import EngineContext, PlacementPolicy
-from repro.sim.pages import MigrationBatch, PageRates
+from repro.sim.pages import MigrationBatch, PageRates, trim_moves
 
 __all__ = ["MemoryOptimizerPolicy"]
 
@@ -33,21 +38,9 @@ class MemoryOptimizerPolicy(PlacementPolicy):
 
     name = "memory-optimizer"
 
-    def __init__(
-        self,
-        interval_s: float = 0.5,
-        sample_pages: int = 2048,
-        promote_per_interval: int = 1024,
-        seed=None,
-    ) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if promote_per_interval < 1:
-            raise ValueError("promote_per_interval must be >= 1")
-        self.interval_s = interval_s
-        self.promote_per_interval = promote_per_interval
+    def __init__(self, seed=None) -> None:
         rng = make_rng(seed)
-        self._pte = PTESampleProfiler(max_pages=sample_pages, seed=rng)
+        self._pte = PTESampleProfiler(max_pages=DAEMON_SAMPLE_PAGES, seed=rng)
         self._thermostat = ThermostatProfiler(seed=rng)
         self._last_scan = -1e30
 
@@ -63,17 +56,10 @@ class MemoryOptimizerPolicy(PlacementPolicy):
     def _select_promotions(
         self, ctx: EngineContext, rates: PageRates
     ) -> list[tuple[str, np.ndarray, int]]:
-        estimate = self._pte.sample(
-            ctx.page_table, rates, self.interval_s, now=ctx.time
+        return hot_promotions(
+            self._pte, ctx.page_table, rates, DAEMON_INTERVAL_S,
+            DAEMON_PROMOTE_PAGES, ctx.time,
         )
-        hot = top_k_hot_pages(estimate, self.promote_per_interval)
-        moves: list[tuple[str, np.ndarray, int]] = []
-        for name, idx in hot:
-            obj = ctx.page_table.object(name)
-            not_resident = idx[obj.page_tier[idx] != 0]
-            if len(not_resident):
-                moves.append((name, not_resident, 0))
-        return moves
 
     def _select_demotions(
         self,
@@ -85,7 +71,7 @@ class MemoryOptimizerPolicy(PlacementPolicy):
         if pages_needed <= 0:
             return []
         estimates = self._thermostat.sample(
-            ctx.page_table, rates.arrays(), self.interval_s, now=ctx.time
+            ctx.page_table, rates.arrays(), DAEMON_INTERVAL_S, now=ctx.time
         )
         # rank all (object, region) pairs by estimated access count
         ranked: list[tuple[float, str, int]] = []
@@ -111,7 +97,7 @@ class MemoryOptimizerPolicy(PlacementPolicy):
 
     # ------------------------------------------------------------------
     def on_tick(self, ctx: EngineContext, dt: float) -> MigrationBatch | None:
-        if ctx.time - self._last_scan < self.interval_s:
+        if ctx.time - self._last_scan < DAEMON_INTERVAL_S:
             return None
         self._last_scan = ctx.time
         rates = ctx.page_rates()
@@ -127,7 +113,7 @@ class MemoryOptimizerPolicy(PlacementPolicy):
             n_promote = min(n_promote, max(free, budget // 2))
         n_promote = min(n_promote, budget if n_promote <= free else budget // 2)
         n_promote = max(n_promote, 0)
-        promotions = _trim(promotions, n_promote)
+        promotions = trim_moves(promotions, n_promote)
         if not promotions:
             return None
         deficit = n_promote - free
@@ -135,17 +121,3 @@ class MemoryOptimizerPolicy(PlacementPolicy):
         moves = tuple(demotions) + tuple(promotions)
         return MigrationBatch(moves=moves)
 
-
-def _trim(
-    moves: list[tuple[str, np.ndarray, int]], limit: int
-) -> list[tuple[str, np.ndarray, int]]:
-    """Keep at most ``limit`` pages across a move list (hottest-first order
-    is preserved because the selector emits them ranked)."""
-    out: list[tuple[str, np.ndarray, int]] = []
-    left = limit
-    for name, idx, dst in moves:
-        if left <= 0:
-            break
-        out.append((name, idx[:left], dst))
-        left -= min(len(idx), left)
-    return out

@@ -36,17 +36,29 @@ from repro.core.model import PerformanceModel, TaskModelInputs
 from repro.core.planner import PlanResult, greedy_plan
 from repro.profiling.hybrid import HybridBaseProfiler
 from repro.profiling.pebs import PEBSProfiler
-from repro.profiling.hotpages import top_k_hot_pages
+from repro.profiling.hotpages import (
+    DAEMON_INTERVAL_S,
+    DAEMON_PROMOTE_PAGES,
+    DAEMON_SAMPLE_PAGES,
+    hot_promotions,
+)
 from repro.profiling.pte import PTESampleProfiler
 from repro.sim.counters import collect_pmcs
 from repro.sim.engine import EngineContext, PlacementPolicy
-from repro.sim.pages import MigrationBatch
-from repro.tasks.task import TaskInstanceSpec, Workload
+from repro.sim.pages import MigrationBatch, drain_queue, trim_moves
+from repro.tasks.task import Footprint, TaskInstanceSpec, Workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.telemetry import Telemetry
 
-__all__ = ["ApplicationBinding", "MerchandiserPolicy"]
+__all__ = ["ApplicationBinding", "MerchandiserPolicy", "PagePool"]
+
+#: quotas come from noisy estimates; the daemon gate only blocks a task's
+#: promotions once it exceeds its goal by this factor, so estimation error
+#: cannot starve a task of genuinely useful fast memory
+GATE_MARGIN = 1.15
+#: PEBS sampling period of the online alpha refinement
+PEBS_PERIOD = 512
 
 
 @dataclass
@@ -82,8 +94,57 @@ class ApplicationBinding:
         }
 
 
+@dataclass(frozen=True)
+class PagePool:
+    """One task's candidate pages across its objects, with each page's gain
+    to the task's access-weighted fast-tier fraction
+    (``weight * acc.total / total_accesses``).
+
+    Both Merchandiser policies rank a pool (each with its own tie-break)
+    and take the ranked pages back per object with :meth:`by_object`.
+    """
+
+    names: np.ndarray
+    pages: np.ndarray
+    gains: np.ndarray
+
+    @classmethod
+    def gather(
+        cls, table, footprint: Footprint, taken: dict[str, np.ndarray]
+    ) -> "PagePool | None":
+        """The footprint's pages not marked in ``taken`` (per object page
+        masks), object by object in access order; ``None`` when empty."""
+        total = footprint.total_accesses
+        names: list[str] = []
+        pages: list[np.ndarray] = []
+        gains: list[np.ndarray] = []
+        for acc in footprint.accesses:
+            cand = np.flatnonzero(~taken[acc.obj])
+            if not len(cand):
+                continue
+            names.extend([acc.obj] * len(cand))
+            pages.append(cand)
+            gains.append(table.object(acc.obj).weight[cand] * (acc.total / total))
+        if not pages:
+            return None
+        return cls(np.array(names), np.concatenate(pages), np.concatenate(gains))
+
+    def by_object(self, take: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        """The pool positions ``take`` as ``(object, pages)``, objects in
+        name order, pages in ``take`` order."""
+        picked = self.names[take]
+        return [
+            (name, self.pages[take[picked == name]]) for name in np.unique(picked)
+        ]
+
+
 class MerchandiserPolicy(PlacementPolicy):
-    """The complete Merchandiser runtime as an engine placement policy."""
+    """The complete Merchandiser runtime as an engine placement policy.
+
+    Runs on the 2-tier table only; the registry's N-tier ``merchandiser``
+    backend (:class:`~repro.policies.merchandiser.TieredMerchandiserPolicy`)
+    plans over more tiers.
+    """
 
     name = "merchandiser"
 
@@ -92,35 +153,24 @@ class MerchandiserPolicy(PlacementPolicy):
         model: PerformanceModel,
         binding: ApplicationBinding,
         homogeneous: HomogeneousPredictor,
-        interval_s: float = 0.5,
-        sample_pages: int = 2048,
-        promote_per_interval: int = 1024,
-        pebs_period: int = 512,
         enable_planning: bool = True,
         enable_gating: bool = True,
         enable_refinement: bool = True,
-        gate_margin: float = 1.15,
         seed=None,
         guardrails: GuardrailConfig | None = None,
     ) -> None:
         self.model = model
         self.binding = binding
         self.homogeneous = homogeneous
-        self.interval_s = interval_s
-        self.promote_per_interval = promote_per_interval
         #: ablation switches: Algorithm-1 planning / daemon quota gating /
         #: online alpha refinement (all on in the full system)
         self.enable_planning = enable_planning
         self.enable_gating = enable_gating
         self.enable_refinement = enable_refinement
-        #: quotas come from noisy estimates; the gate only blocks a task's
-        #: promotions once it exceeds its goal by this factor, so estimation
-        #: error cannot starve a task of genuinely useful fast memory
-        self.gate_margin = gate_margin
         rng = make_rng(seed)
         self._rng = rng
-        self._pte = PTESampleProfiler(max_pages=sample_pages, seed=rng)
-        self._pebs = PEBSProfiler(period=pebs_period, seed=rng)
+        self._pte = PTESampleProfiler(max_pages=DAEMON_SAMPLE_PAGES, seed=rng)
+        self._pebs = PEBSProfiler(period=PEBS_PERIOD, seed=rng)
         # Section 4: the base input is profiled MemoryOptimizer-style on PM
         # and Thermostat-style on DRAM -- coarse vs fine, by residency
         self._base_profiler = HybridBaseProfiler(seed=rng)
@@ -132,7 +182,8 @@ class MerchandiserPolicy(PlacementPolicy):
         self._pending_base: list[TaskInstanceSpec] = []
         self._quotas: PlanResult | None = None
         self._quota_targets: dict[str, float] = {}
-        self._promotion_queue: list[tuple[str, np.ndarray]] = []
+        #: Algorithm 1's promotions as ``(object, pages, 0)`` moves
+        self._promotion_queue: list[tuple[str, np.ndarray, int]] = []
         self._last_scan = -1e30
         #: planner decisions per region, for inspection/experiments
         self.plans: list[PlanResult] = []
@@ -161,13 +212,24 @@ class MerchandiserPolicy(PlacementPolicy):
     # lifecycle hooks
     # ------------------------------------------------------------------
     def on_workload_start(self, ctx: EngineContext) -> None:
+        self._attach(ctx)
+        ctx.page_table.place_all(1)
+        self._last_scan = -1e30
+
+    def _attach(self, ctx: EngineContext) -> None:
+        """Wire a run's telemetry, guardrails, basic blocks and faults."""
+        if ctx.page_table.n_tiers != 2:
+            raise ValueError(
+                f"{type(self).__name__} runs on 2-tier memory only; on a "
+                f"{ctx.page_table.n_tiers}-tier topology use the registry's "
+                "N-tier 'merchandiser' backend "
+                "(repro.policies.build_policy('merchandiser', ...))"
+            )
         self._telemetry = ctx.telemetry
         if self.guardrails is not None:
             self.guardrails.attach_telemetry(self._telemetry)
-        ctx.page_table.place_all(1)
         if self.binding.blocks:
             self.homogeneous.measure_blocks(self.binding.blocks)
-        self._last_scan = -1e30
         # the engine's fault injector corrupts what our profilers observe
         self._pte.faults = ctx.faults
         self._pebs.faults = ctx.faults
@@ -337,30 +399,19 @@ class MerchandiserPolicy(PlacementPolicy):
         # 1. drain the quota-driven promotion queue (Algorithm 1's output),
         # never requesting more than the engine's migration bandwidth allows
         if self._promotion_queue:
-            budget = min(self.promote_per_interval, ctx.migration_budget_pages)
-            while self._promotion_queue and budget > 0:
-                name, idx = self._promotion_queue[0]
-                take = idx[:budget]
-                rest = idx[budget:]
-                moves.append((name, take, 0))
-                budget -= len(take)
-                if len(rest):
-                    self._promotion_queue[0] = (name, rest)
-                else:
-                    self._promotion_queue.pop(0)
+            drained = drain_queue(self._promotion_queue, ctx.migration_budget_pages)
+            if drained is not None:
+                moves.extend(drained.moves)
         # 2. background hot-page daemon, gated by quotas
-        elif ctx.time - self._last_scan >= self.interval_s:
+        elif ctx.time - self._last_scan >= DAEMON_INTERVAL_S:
             self._last_scan = ctx.time
             if self._telemetry is not None:
                 self._telemetry.inc("merch_policy_daemon_scans_total")
-            daemon = self._gated_daemon_moves(ctx)
-            budget = max(1, ctx.migration_budget_pages)
-            left = budget
-            for name, idx in ((n, i) for n, i, _ in daemon):
-                if left <= 0:
-                    break
-                moves.append((name, idx[:left], 0))
-                left -= min(len(idx), left)
+            moves.extend(
+                trim_moves(
+                    self._gated_daemon_moves(ctx), max(1, ctx.migration_budget_pages)
+                )
+            )
         if not moves:
             return None
         for name, idx in [(m[0], m[1]) for m in moves if m[2] == 0]:
@@ -375,14 +426,7 @@ class MerchandiserPolicy(PlacementPolicy):
         free = ctx.page_table.dram_free_pages()
         if n_promote > free:
             half = max(1, ctx.migration_budget_pages // 2)
-            kept: list[tuple[str, np.ndarray, int]] = []
-            left = max(free, half)
-            for name, idx, dst in moves:
-                if left <= 0:
-                    break
-                kept.append((name, idx[:left], dst))
-                left -= min(len(idx), left)
-            moves = kept
+            moves = trim_moves(moves, max(free, half))
             n_promote = int(sum(len(i) for _, i, dst in moves if dst == 0))
             deficit = n_promote - free
             if deficit > 0:
@@ -521,14 +565,7 @@ class MerchandiserPolicy(PlacementPolicy):
     def on_recover(self, ctx: EngineContext) -> None:
         """Resume after a crash: placement survived, so unlike
         ``on_workload_start`` residency is NOT reset."""
-        self._telemetry = ctx.telemetry
-        if self.guardrails is not None:
-            self.guardrails.attach_telemetry(self._telemetry)
-        if self.binding.blocks:
-            self.homogeneous.measure_blocks(self.binding.blocks)
-        self._pte.faults = ctx.faults
-        self._pebs.faults = ctx.faults
-        self._base_profiler.faults = ctx.faults
+        self._attach(ctx)
 
     # ------------------------------------------------------------------
     # internals
@@ -616,17 +653,11 @@ class MerchandiserPolicy(PlacementPolicy):
                 return inst.footprint.dram_ratio(fractions)
         return 0.0
 
-    def _build_promotion_queue(
-        self, ctx: EngineContext, plan: PlanResult, from_scratch: bool = False
-    ) -> None:
+    def _build_promotion_queue(self, ctx: EngineContext, plan: PlanResult) -> None:
         """Queue the hottest pages of each task up to its quota.
 
         Shared objects are promoted once, driven by the highest quota among
-        their sharers.  With ``from_scratch`` the target placement is
-        simulated from an empty DRAM against the full capacity -- the queue
-        may then displace currently resident pages (``on_tick`` pairs such
-        promotions with demotions), instead of being clipped to whatever
-        happens to be free right now.
+        their sharers.
         """
         assert ctx.region is not None
         # Algorithm 1's realisation: "the increase of DRAM accesses of a
@@ -637,22 +668,16 @@ class MerchandiserPolicy(PlacementPolicy):
         # for one task also raise the fractions of tasks sharing the object,
         # so later tasks need correspondingly less.
         table = ctx.page_table
-        if from_scratch:
-            budget_pages = table.dram_capacity_bytes // PAGE_SIZE
-            resident = {obj.name: np.zeros(obj.n_pages, dtype=bool) for obj in table}
-        else:
-            budget_pages = table.dram_capacity_bytes // PAGE_SIZE - int(
-                table.tier_used_pages(0)
-            )
-            # simulated residency: start from what is already in DRAM
-            resident = {obj.name: obj.page_tier == 0 for obj in table}
+        budget_pages = table.dram_capacity_bytes // PAGE_SIZE - int(
+            table.tier_used_pages(0)
+        )
+        # simulated residency: start from what is already in DRAM
+        resident = {obj.name: obj.page_tier == 0 for obj in table}
         picked: dict[str, np.ndarray] = {
             name: np.zeros_like(mask) for name, mask in resident.items()
         }
         by_task = {inst.task_id: inst for inst in ctx.region.instances}
-        order = self._promotion_task_order()
-        alloc_order: list[tuple[str, np.ndarray]] = []
-        for tid in order:
+        for tid in self._promotion_task_order():
             if budget_pages <= 0:
                 break
             inst = by_task.get(tid)
@@ -669,54 +694,26 @@ class MerchandiserPolicy(PlacementPolicy):
             ) / total_acc
             if cur >= quota:
                 continue
-            # pool the task's non-resident pages with their benefit to this
-            # task's DRAM fraction, hottest first
-            names: list[str] = []
-            pages: list[np.ndarray] = []
-            gains: list[np.ndarray] = []
-            for acc in inst.footprint.accesses:
-                obj = table.object(acc.obj)
-                cand = np.flatnonzero(~resident[acc.obj])
-                if not len(cand):
-                    continue
-                names.extend([acc.obj] * len(cand))
-                pages.append(cand)
-                gains.append(obj.weight[cand] * (acc.total / total_acc))
-            if not pages:
+            # the task's non-resident pages with their benefit to its DRAM
+            # fraction, hottest first
+            pool = PagePool.gather(table, inst.footprint, resident)
+            if pool is None:
                 continue
-            all_pages = np.concatenate(pages)
-            all_gains = np.concatenate(gains)
-            name_arr = np.array(names)
-            rank = np.argsort(all_gains)[::-1]
-            cum = np.cumsum(all_gains[rank])
+            rank = np.argsort(pool.gains)[::-1]
+            cum = np.cumsum(pool.gains[rank])
             need = int(np.searchsorted(cum, quota - cur, side="left")) + 1
             need = min(need, budget_pages, len(rank))
-            take = rank[:need]
             budget_pages -= need
-            for name in np.unique(name_arr[take]):
-                sel = all_pages[take[name_arr[take] == name]]
+            for name, sel in pool.by_object(rank[:need]):
                 resident[name][sel] = True
                 picked[name][sel] = True
-                alloc_order.append((name, sel))
-        queue: list[tuple[str, np.ndarray]] = []
-        if from_scratch:
-            # drain in task-service order: the pages of the first-served
-            # tasks migrate first (the DAG policy serves tasks in execution
-            # order, so data arrives before its task is released)
-            for name, sel in alloc_order:
-                obj = table.object(name)
-                sel = sel[obj.page_tier[sel] != 0]
-                if len(sel):
-                    sel = sel[np.argsort(obj.weight[sel])[::-1]]
-                    queue.append((name, sel))
-        else:
-            for name, mask in picked.items():
-                idx = np.flatnonzero(mask)
-                if len(idx):
-                    obj = table.object(name)
-                    # hottest first so partial drains still help the most
-                    idx = idx[np.argsort(obj.weight[idx])[::-1]]
-                    queue.append((name, idx))
+        queue: list[tuple[str, np.ndarray, int]] = []
+        for name, mask in picked.items():
+            idx = np.flatnonzero(mask)
+            if len(idx):
+                # hottest first so partial drains still help the most
+                idx = idx[np.argsort(table.object(name).weight[idx])[::-1]]
+                queue.append((name, idx, 0))
         self._promotion_queue = queue
 
     def _promotion_task_order(self) -> list[str]:
@@ -728,12 +725,8 @@ class MerchandiserPolicy(PlacementPolicy):
     def _gated_daemon_moves(
         self, ctx: EngineContext
     ) -> list[tuple[str, np.ndarray, int]]:
-        """MemoryOptimizer-style promotion, gated by per-task quotas."""
+        """MemoryOptimizer's daemon scan, gated by per-task quotas."""
         rates = ctx.page_rates()
-        estimate = self._pte.sample(
-            ctx.page_table, rates, self.interval_s, now=ctx.time
-        )
-        hot = top_k_hot_pages(estimate, self.promote_per_interval)
         assert ctx.region is not None
         # which tasks access each object
         accessors: dict[str, list[str]] = {}
@@ -753,29 +746,25 @@ class MerchandiserPolicy(PlacementPolicy):
                 r_dram[tid] = self._task_r_dram(ctx, tid, fractions)
             return r_dram[tid]
 
-        moves: list[tuple[str, np.ndarray, int]] = []
-        for name, idx in hot:
+        def gated(name: str, idx: np.ndarray) -> bool:
+            # the paper's gate: skip pages whose accessing tasks have all
+            # reached their DRAM-access goals
             tasks = accessors.get(name, [])
-            if self.enable_gating and self._quota_targets and tasks:
-                # the paper's gate: skip pages whose accessing tasks have
-                # all reached their DRAM-access goals
-                reached = all(
-                    task_r_dram(tid)
-                    >= min(1.0, self._quota_targets.get(tid, 1.0) * self.gate_margin)
-                    - 1e-9
-                    for tid in tasks
-                )
-                if reached:
-                    if self._telemetry is not None:
-                        self._telemetry.inc(
-                            "merch_policy_gate_skipped_pages_total", len(idx)
-                        )
-                    continue
-            obj = ctx.page_table.object(name)
-            not_resident = idx[obj.page_tier[idx] != 0]
-            if len(not_resident):
-                moves.append((name, not_resident, 0))
-        return moves
+            if not (self.enable_gating and self._quota_targets and tasks):
+                return False
+            reached = all(
+                task_r_dram(tid)
+                >= min(1.0, self._quota_targets.get(tid, 1.0) * GATE_MARGIN) - 1e-9
+                for tid in tasks
+            )
+            if reached and self._telemetry is not None:
+                self._telemetry.inc("merch_policy_gate_skipped_pages_total", len(idx))
+            return reached
+
+        return hot_promotions(
+            self._pte, ctx.page_table, rates, DAEMON_INTERVAL_S,
+            DAEMON_PROMOTE_PAGES, ctx.time, skip=gated,
+        )
 
     def _demotions(
         self, ctx: EngineContext, pages_needed: int

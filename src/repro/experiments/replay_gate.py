@@ -31,7 +31,6 @@ import tempfile
 from pathlib import Path
 
 from repro.experiments.common import ExperimentContext, format_table
-from repro.experiments.service_load import _arrivals, _region_catalogue, _simulate
 from repro.replay import (
     FlightRecorder,
     Recording,
@@ -42,11 +41,13 @@ from repro.replay import (
     evaluate_gate,
     replay_recording,
 )
-from repro.replay.backtest import CostModel
+from repro.replay.backtest import CostModel, run_queue
 from repro.replay.fixtures import (
     DEFAULT_OUT_DIR,
     GOLDEN_NAME,
+    open_loop_arrivals,
     record_loopback_trace,
+    region_catalogue,
 )
 from repro.replay.gate import CHECKOUT_ROOT, DEFAULT_BASELINE_PATH
 from repro.sim import optane_hm_config
@@ -86,7 +87,7 @@ def _incumbent_config(ctx: ExperimentContext) -> ServiceConfig:
 def run(ctx: ExperimentContext) -> dict[str, object]:
     model = ctx.system.performance_model
     n_requests = 240 if ctx.fast else 480
-    catalogue = _region_catalogue(ctx, n_shapes=8, tasks_per_shape=3)
+    catalogue = region_catalogue(ctx.seed, n_shapes=8, tasks_per_shape=3)
 
     # ------------------------------------------------------------------
     # part 1: in-process record -> replay (with a mid-trace worker kill)
@@ -95,7 +96,7 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
         faults={"crash_at": 3, "crash_point": "service_batch"},
         fault_seed=ctx.seed + 11,
     )
-    arrivals = _arrivals(
+    arrivals = open_loop_arrivals(
         catalogue, n_requests, mean_interarrival_s=0.0015,
         seed=ctx.seed + 211, tag="replay",
     )
@@ -107,7 +108,8 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
     )
     # deterministic service times: measured planning wall time would make
     # the batching, and so the recorded statuses, depend on the host
-    sim = _simulate(server, clock, arrivals, cost=CostModel())
+    queue = run_queue(server, clock, arrivals, CostModel().batch_service_s)
+    shed = server.admission.shed_count
     assert recorder.dropped == 0, "ring recorder overflowed; raise capacity"
     recording = recorder.recording()
     report = replay_recording(recording, model, telemetry=ctx.telemetry)
@@ -119,12 +121,12 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
         "duplicated": report.duplicated,
         "undecided": len(report.undecided_ids),
         "crash_fired": bool(server.faults is not None and server.faults.crash_fired),
-        "shed": sim["shed"],
-        "statuses": sim["statuses"],
+        "shed": shed,
+        "statuses": queue.statuses,
     }
     print(
         f"in-process replay: {report.requests} requests "
-        f"(worker kill at batch 3, {sim['shed']} shed) -> "
+        f"(worker kill at batch 3, {shed} shed) -> "
         f"{report.matched} matched, {report.divergent} divergent, "
         f"{report.lost} lost, {report.duplicated} duplicated"
     )

@@ -35,9 +35,10 @@ import time
 
 import numpy as np
 
-from repro.apps.codesamples import generate_corpus
-from repro.common import make_rng, spawn_rng
 from repro.experiments.common import ExperimentContext, format_table
+from repro.replay.backtest import run_queue
+from repro.replay.config import VirtualClock
+from repro.replay.fixtures import TENANTS, open_loop_arrivals, region_catalogue
 from repro.service import (
     AdmissionConfig,
     PlacementRequest,
@@ -45,150 +46,53 @@ from repro.service import (
     PredictionCache,
     TaskSpec,
 )
-from repro.sim import MachineModel, optane_hm_config
-from repro.sim.counters import collect_pmcs
-
-TENANTS = ("tenant-a", "tenant-b", "tenant-c", "tenant-d")
+from repro.sim import optane_hm_config
 
 
-class _VirtualClock:
-    """Mutable virtual time source the server reads through its clock."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-# ----------------------------------------------------------------------
-# workload construction
-# ----------------------------------------------------------------------
 def _region_catalogue(
     ctx: ExperimentContext, n_shapes: int, tasks_per_shape: int
 ) -> list[tuple[TaskSpec, ...]]:
-    """Distinct region shapes (task-spec tuples) clients will ask about."""
-    machine, hm = MachineModel(), optane_hm_config()
-    samples = generate_corpus(n_shapes * tasks_per_shape, seed=ctx.seed + 23)
-    rng = make_rng(ctx.seed + 29)
-    fps = [sample.footprint(1.0) for sample in samples]
-    endpoints = machine.tier_endpoints(fps, hm)
-    shapes: list[tuple[TaskSpec, ...]] = []
-    for s in range(n_shapes):
-        specs = []
-        for k in range(tasks_per_shape):
-            fp = fps[s * tasks_per_shape + k]
-            t_dram, t_pm = endpoints[s * tasks_per_shape + k]
-            pmcs = collect_pmcs(fp, machine, hm, rng=spawn_rng(rng), t_pm_only=t_pm)
-            specs.append(
-                TaskSpec(
-                    task_id=f"shape{s}:task{k}",
-                    t_pm_only=t_pm,
-                    t_dram_only=t_dram,
-                    total_accesses=fp.total_accesses,
-                    pmcs=pmcs,
-                    size_bytes=fp.total_bytes,
-                )
-            )
-        shapes.append(tuple(specs))
-    return shapes
+    """The request catalogue of an experiment context's seed (the
+    ``service_mix`` benchmark workload builds its catalogues with it)."""
+    return region_catalogue(ctx.seed, n_shapes, tasks_per_shape)
 
 
-def _arrivals(
-    catalogue, n_requests: int, mean_interarrival_s: float, seed: int, tag: str
-) -> list[tuple[float, PlacementRequest]]:
-    """Seeded open-loop Poisson arrivals over (shape, tenant) picks."""
-    rng = make_rng(seed)
-    out: list[tuple[float, PlacementRequest]] = []
-    t = 0.0
-    for i in range(n_requests):
-        t += float(rng.exponential(mean_interarrival_s))
-        shape = catalogue[int(rng.integers(len(catalogue)))]
-        tenant = TENANTS[int(rng.integers(len(TENANTS)))]
-        out.append(
-            (
-                t,
-                PlacementRequest(
-                    request_id=f"{tag}-{i:05d}",
-                    tenant=tenant,
-                    tasks=shape,
-                ),
-            )
-        )
-    return out
+class _MeasuredWall:
+    """Service time of each fired batch: the planner wall seconds the
+    server measured while deciding it."""
+
+    def __init__(self, server: PlacementServer) -> None:
+        self._walls = server.batch_wall_s
+        self._seen = len(self._walls)
+
+    def __call__(self, decisions) -> float:
+        walls = self._walls[self._seen:]
+        self._seen = len(self._walls)
+        return sum(walls)
 
 
-# ----------------------------------------------------------------------
-# the queueing simulation
-# ----------------------------------------------------------------------
 def _simulate(
     server: PlacementServer,
-    clock: _VirtualClock,
+    clock: VirtualClock,
     arrivals: list[tuple[float, PlacementRequest]],
-    cost=None,
 ) -> dict[str, object]:
-    """Single-worker virtual-time simulation of one arrival stream.
-
-    The one worker fires the oldest batch as soon as it is both *due*
-    (window elapsed or ``max_batch`` reached) and the worker is free;
-    the batch's measured planning wall time becomes its virtual service
-    time, or ``cost.batch_service_s(decisions)`` when a deterministic
-    cost model (:class:`~repro.replay.backtest.CostModel`) is given, so
-    the run does not depend on the host's speed.  Requests shed at
-    admission complete instantly (the daemon fallback needs no planner).
-    """
-    sched = server.scheduler
-    arrival_at: dict[str, float] = {}
-    done_at: dict[str, float] = {}
-    statuses: dict[str, int] = {}
-    worker_free = 0.0
-    i = 0
-    while i < len(arrivals) or sched.pending_depth:
-        if sched.pending_depth >= sched.max_batch:
-            fire_at = max(worker_free, clock.now)
-        elif sched.pending_depth:
-            fire_at = max(sched.next_due_at(), worker_free)
-        else:
-            fire_at = math.inf
-        if i < len(arrivals) and arrivals[i][0] <= fire_at:
-            t, req = arrivals[i]
-            i += 1
-            clock.now = max(clock.now, t)
-            arrival_at[req.request_id] = t
-            shed = server.submit(req, now=t)
-            if shed is not None:
-                done_at[req.request_id] = t
-                statuses[shed.status] = statuses.get(shed.status, 0) + 1
-            continue
-        clock.now = max(clock.now, fire_at)
-        walls_before = len(server.batch_wall_s)
-        decisions = server.step(now=fire_at)
-        if cost is None:
-            service_s = sum(server.batch_wall_s[walls_before:])
-        else:
-            service_s = cost.batch_service_s(decisions)
-        finish = fire_at + service_s
-        worker_free = finish
-        for dec in decisions:
-            done_at[dec.request_id] = finish
-            statuses[dec.status] = statuses.get(dec.status, 0) + 1
-
-    latencies = np.array(
-        [done_at[rid] - arrival_at[rid] for rid in arrival_at], dtype=np.float64
-    )
+    """One arrival stream through the single-worker queue, each batch
+    charged the planner's measured wall time."""
+    run = run_queue(server, clock, arrivals, _MeasuredWall(server))
+    latencies = run.latencies()
     first_arrival = arrivals[0][0]
-    makespan = max(done_at.values()) - first_arrival
+    makespan = max(run.done_at.values()) - first_arrival
     return {
         "requests": len(arrivals),
-        "answered": len(done_at),
-        "unanswered": len(arrivals) - len(done_at),
-        "throughput_rps": len(done_at) / makespan if makespan > 0 else math.inf,
+        "answered": len(run.done_at),
+        "unanswered": len(arrivals) - len(run.done_at),
+        "throughput_rps": len(run.done_at) / makespan if makespan > 0 else math.inf,
         "makespan_s": makespan,
         "p50_s": float(np.percentile(latencies, 50)),
         "p95_s": float(np.percentile(latencies, 95)),
         "p99_s": float(np.percentile(latencies, 99)),
         "mean_s": float(latencies.mean()),
-        "statuses": statuses,
+        "statuses": run.statuses,
         "submitted": server.submitted,
         "decided": server.decided,
         "shed": server.admission.shed_count,
@@ -197,7 +101,7 @@ def _simulate(
 
 def _server(
     ctx: ExperimentContext,
-    clock: _VirtualClock,
+    clock: VirtualClock,
     *,
     window_s: float,
     max_batch: int,
@@ -223,7 +127,7 @@ _NO_SHED = AdmissionConfig(max_queue=1_000_000, resume_below=0)
 
 def _calibrate_singleton_s(ctx: ExperimentContext, catalogue) -> float:
     """Median wall time of one single-request planner call (no cache)."""
-    clock = _VirtualClock()
+    clock = VirtualClock()
     server = _server(
         ctx, clock, window_s=0.0, max_batch=1, admission=_NO_SHED
     )
@@ -255,7 +159,7 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
     # ------------------------------------------------------------------
     # arrivals far faster than the cache-off service rate: both servers
     # run back-to-back batches, so throughput measures service capacity
-    burst = _arrivals(
+    burst = open_loop_arrivals(
         catalogue,
         n_requests,
         mean_interarrival_s=singleton_s / 50.0,
@@ -267,7 +171,7 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
         ("cache_off", None),
         ("cache_on", PredictionCache(capacity=512, telemetry=ctx.telemetry)),
     ):
-        clock = _VirtualClock()
+        clock = VirtualClock()
         server = _server(
             ctx,
             clock,
@@ -295,7 +199,7 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
     # offered load just under singleton capacity: the singleton server
     # runs at utilisation ~0.9 (long queueing tail), batched windows
     # amortise the per-call model cost and stay far from saturation
-    load = _arrivals(
+    load = open_loop_arrivals(
         catalogue,
         max(n_requests // 2, 120),
         mean_interarrival_s=singleton_s / 0.9,
@@ -310,7 +214,7 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
         ("window_4x", 4.0 * singleton_s, 16),
     )
     for label, window_s, max_batch in windows:
-        clock = _VirtualClock()
+        clock = VirtualClock()
         server = _server(
             ctx, clock, window_s=window_s, max_batch=max_batch,
             admission=_NO_SHED,
@@ -342,14 +246,14 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
     # ------------------------------------------------------------------
     # scenario 3: overload against a tight admission config
     # ------------------------------------------------------------------
-    overload = _arrivals(
+    overload = open_loop_arrivals(
         catalogue,
         max(n_requests * 2 // 3, 160),
         mean_interarrival_s=singleton_s / 4.0,
         seed=ctx.seed + 107,
         tag="overload",
     )
-    clock = _VirtualClock()
+    clock = VirtualClock()
     server = _server(
         ctx,
         clock,

@@ -31,68 +31,21 @@ import time
 import numpy as np
 
 from repro.experiments.common import ExperimentContext, format_table
-from repro.experiments.service_load import TENANTS, _region_catalogue
+from repro.replay.fixtures import TENANTS, WIRE_FAULTS, region_catalogue, soak_client
 from repro.service import (
-    PlacementClient,
     PlacementRequest,
     PlacementServer,
     PlacementTransportServer,
     PredictionCache,
-    RetryPolicy,
 )
 from repro.sim import optane_hm_config
 from repro.sim.faults import FaultConfig, FaultInjector
-
-#: per-reply wire fault rates for the soak (each reply draws once, in
-#: this order: torn frame, corrupt CRC, stall, disconnect)
-WIRE_FAULTS = dict(
-    wire_torn_frame_rate=0.04,
-    wire_corrupt_rate=0.04,
-    wire_stall_rate=0.04,
-    wire_stall_s=0.05,
-    wire_disconnect_rate=0.03,
-)
-
-
-def _client_worker(
-    host: str,
-    port: int,
-    requests: list[PlacementRequest],
-    seed: int,
-    out: dict,
-) -> None:
-    """One soak client: send every request, record decisions + latency."""
-    decisions: dict[str, list] = {}
-    latencies: list[float] = []
-    with PlacementClient(
-        host,
-        port,
-        retry=RetryPolicy(
-            connect_timeout_s=2.0,
-            request_timeout_s=1.0,
-            max_attempts=6,
-            backoff_base_s=0.01,
-            backoff_cap_s=0.1,
-        ),
-        seed=seed,
-    ) as client:
-        for req in requests:
-            t0 = time.perf_counter()
-            decision = client.request(req)
-            latencies.append(time.perf_counter() - t0)
-            decisions.setdefault(req.request_id, []).append(decision)
-        out["retries"] = client.retries
-        out["fallbacks"] = client.fallbacks
-        out["stale_replies"] = client.stale_replies
-    out["decisions"] = decisions
-    out["latencies"] = latencies
-
 
 def run(ctx: ExperimentContext) -> dict[str, object]:
     n_clients = 4 if ctx.fast else 8
     per_client = 60 if ctx.fast else 80
     p95_budget_s = 1.0 if ctx.fast else 1.5
-    catalogue = _region_catalogue(ctx, n_shapes=8, tasks_per_shape=4)
+    catalogue = region_catalogue(ctx.seed, n_shapes=8, tasks_per_shape=4)
 
     hm = optane_hm_config()
     injector = FaultInjector(FaultConfig(**WIRE_FAULTS), seed=ctx.seed + 301)
@@ -130,7 +83,7 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
         host, port = transport.address
         threads = [
             threading.Thread(
-                target=_client_worker,
+                target=soak_client,
                 args=(host, port, workloads[c], ctx.seed + 400 + c, outs[c]),
                 name=f"soak-client-{c}",
             )

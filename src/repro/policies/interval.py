@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common import make_rng
-from repro.policies.base import drain_queue
 from repro.sim.engine import EngineContext, PlacementPolicy
+from repro.sim.pages import drain_queue
 
 __all__ = ["IntervalReconfigPolicy"]
 
@@ -32,14 +32,12 @@ class IntervalReconfigPolicy(PlacementPolicy):
         self,
         interval_s: float = 0.5,
         sample_pages: int = 4096,
-        promote_per_interval: int = 1024,
         seed=None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
         self.interval_s = interval_s
         self.sample_pages = sample_pages
-        self.promote_per_interval = promote_per_interval
         self._rng = make_rng(seed)
         self._last_scan = -1e30
         self._queue: list[tuple[str, np.ndarray, int]] = []
@@ -97,7 +95,4 @@ class IntervalReconfigPolicy(PlacementPolicy):
         if ctx.time - self._last_scan >= self.interval_s:
             self._last_scan = ctx.time
             self._replan(ctx)
-        if not self._queue:
-            return None
-        budget = min(self.promote_per_interval, ctx.migration_budget_pages)
-        return drain_queue(self._queue, budget)
+        return drain_queue(self._queue, ctx.migration_budget_pages)

@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.ranking import PairwiseRanker, default_object_features
-from repro.policies.base import drain_queue
 from repro.sim.engine import EngineContext, PlacementPolicy
+from repro.sim.pages import drain_queue
 
 __all__ = ["LearnedRankingPolicy"]
 
@@ -30,13 +30,7 @@ class LearnedRankingPolicy(PlacementPolicy):
 
     name = "ltr"
 
-    def __init__(
-        self,
-        promote_per_interval: int = 1024,
-        epochs: int = 200,
-        seed: int = 0,
-    ) -> None:
-        self.promote_per_interval = promote_per_interval
+    def __init__(self, epochs: int = 200, seed: int = 0) -> None:
         self._ranker = PairwiseRanker(_N_FEATURES, epochs=epochs, seed=seed)
         self._trained = False
         self._queue: list[tuple[str, np.ndarray, int]] = []
@@ -115,7 +109,4 @@ class LearnedRankingPolicy(PlacementPolicy):
 
     # ------------------------------------------------------------------
     def on_tick(self, ctx: EngineContext, dt: float):
-        if not self._queue:
-            return None
-        budget = min(self.promote_per_interval, ctx.migration_budget_pages)
-        return drain_queue(self._queue, budget)
+        return drain_queue(self._queue, ctx.migration_budget_pages)

@@ -22,9 +22,10 @@ import numpy as np
 from repro.common import PAGE_SIZE, make_rng, seq_sum
 from repro.core.model import PerformanceModel, TieredTaskInputs
 from repro.core.planner import TieredPlanResult, tiered_greedy_plan
-from repro.policies.base import drain_queue
+from repro.core.runtime import PagePool
 from repro.sim.counters import collect_pmcs
 from repro.sim.engine import EngineContext, PlacementPolicy
+from repro.sim.pages import drain_queue
 
 __all__ = ["TieredMerchandiserPolicy"]
 
@@ -34,16 +35,8 @@ class TieredMerchandiserPolicy(PlacementPolicy):
 
     name = "merchandiser"
 
-    def __init__(
-        self,
-        model: PerformanceModel,
-        step: float = 0.05,
-        promote_per_interval: int = 1024,
-        seed=None,
-    ) -> None:
+    def __init__(self, model: PerformanceModel, seed=None) -> None:
         self.model = model
-        self.step = step
-        self.promote_per_interval = promote_per_interval
         self._rng = make_rng(seed)
         self._queue: list[tuple[str, np.ndarray, int]] = []
         #: planner decisions per region, for inspection/experiments
@@ -90,9 +83,7 @@ class TieredMerchandiserPolicy(PlacementPolicy):
             return
         # the planner takes bytes and counts whole pages of them
         capacities = [p * PAGE_SIZE for p in ctx.page_table.tier_capacity_pages]
-        plan = tiered_greedy_plan(
-            tasks, self.model, capacities, task_bytes, step=self.step
-        )
+        plan = tiered_greedy_plan(tasks, self.model, capacities, task_bytes)
         self.plans.append(plan)
         self._build_queue(ctx, plan, n)
 
@@ -110,8 +101,7 @@ class TieredMerchandiserPolicy(PlacementPolicy):
         assert ctx.region is not None
         table = ctx.page_table
         by_task = {inst.task_id: inst for inst in ctx.region.instances}
-        claimed: dict[str, np.ndarray] = {}
-        current: dict[str, np.ndarray] = {}
+        claimed = {obj.name: np.zeros(obj.n_pages, dtype=bool) for obj in table}
         moves: dict[int, list[tuple[str, np.ndarray]]] = {k: [] for k in range(n)}
         order = sorted(
             plan.quotas,
@@ -121,28 +111,10 @@ class TieredMerchandiserPolicy(PlacementPolicy):
             inst = by_task.get(quota.task_id)
             if inst is None:
                 continue
-            fp = inst.footprint
-            total = fp.total_accesses
-            names: list[str] = []
-            pages: list[np.ndarray] = []
-            gains: list[np.ndarray] = []
-            for acc in fp.accesses:
-                obj = table.object(acc.obj)
-                if acc.obj not in claimed:
-                    claimed[acc.obj] = np.zeros(obj.n_pages, dtype=bool)
-                    current[acc.obj] = obj.page_tier
-                cand = np.flatnonzero(~claimed[acc.obj])
-                if not len(cand):
-                    continue
-                names.extend([acc.obj] * len(cand))
-                pages.append(cand)
-                gains.append(obj.weight[cand] * (acc.total / total))
-            if not pages:
+            pool = PagePool.gather(table, inst.footprint, claimed)
+            if pool is None:
                 continue
-            all_pages = np.concatenate(pages)
-            all_gains = np.concatenate(gains)
-            name_arr = np.array(names)
-            rank = np.argsort(-all_gains, kind="stable")
+            rank = np.argsort(-pool.gains, kind="stable")
             pos = 0
             for k in range(n):
                 want = int(round(quota.pages[k]))
@@ -150,27 +122,21 @@ class TieredMerchandiserPolicy(PlacementPolicy):
                     continue
                 take = rank[pos : pos + want]
                 pos += len(take)
-                for name in np.unique(name_arr[take]):
-                    sel = all_pages[take[name_arr[take] == name]]
+                for name, sel in pool.by_object(take):
                     claimed[name][sel] = True
-                    mismatched = sel[current[name][sel] != k]
+                    obj = table.object(name)
+                    mismatched = sel[obj.page_tier[sel] != k]
                     if len(mismatched):
-                        obj = table.object(name)
                         hot = mismatched[
                             np.argsort(-obj.weight[mismatched], kind="stable")
                         ]
                         moves[k].append((name, hot))
                 if pos >= len(rank):
                     break
-        queue: list[tuple[str, np.ndarray, int]] = []
-        for k in range(n):
-            for name, idx in moves[k]:
-                queue.append((name, idx, k))
-        self._queue = queue
+        self._queue = [
+            (name, idx, k) for k in range(n) for name, idx in moves[k]
+        ]
 
     # ------------------------------------------------------------------
     def on_tick(self, ctx: EngineContext, dt: float):
-        if not self._queue:
-            return None
-        budget = min(self.promote_per_interval, ctx.migration_budget_pages)
-        return drain_queue(self._queue, budget)
+        return drain_queue(self._queue, ctx.migration_budget_pages)

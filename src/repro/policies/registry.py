@@ -8,14 +8,14 @@ backend to the same invariants (no tier over-commit, determinism per seed,
 plan serialisation round-trips).
 
 Backends differ in which topologies they support: the registry records a
-tier range per spec, and :func:`registered_policies` can filter by the
+tier limit per spec, and :func:`registered_policies` can filter by the
 topology under test instead of every caller re-encoding that knowledge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.model import PerformanceModel
 from repro.sim.engine import PlacementPolicy
@@ -39,8 +39,6 @@ class PolicyBuildContext:
     topology: TopologySpec
     model: PerformanceModel
     seed: int = 0
-    #: free-form per-policy knob overrides (factories pick what they know)
-    options: Mapping[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -50,14 +48,12 @@ class PolicySpec:
     name: str
     description: str
     build: Callable[[PolicyBuildContext], PlacementPolicy]
-    #: inclusive tier-count range the backend supports (None = unbounded)
-    min_tiers: int = 2
+    #: most tiers the backend supports (None = unbounded); every backend
+    #: needs at least two
     max_tiers: int | None = None
 
     def supports(self, n_tiers: int) -> bool:
-        if n_tiers < self.min_tiers:
-            return False
-        return self.max_tiers is None or n_tiers <= self.max_tiers
+        return n_tiers >= 2 and (self.max_tiers is None or n_tiers <= self.max_tiers)
 
 
 _REGISTRY: dict[str, PolicySpec] = {}
@@ -99,11 +95,7 @@ def build_policy(name: str, ctx: PolicyBuildContext) -> PlacementPolicy:
 def _build_merchandiser(ctx: PolicyBuildContext) -> PlacementPolicy:
     from repro.policies.merchandiser import TieredMerchandiserPolicy
 
-    return TieredMerchandiserPolicy(
-        model=ctx.model,
-        step=float(ctx.options.get("step", 0.05)),
-        seed=ctx.seed,
-    )
+    return TieredMerchandiserPolicy(model=ctx.model, seed=ctx.seed)
 
 
 def _build_ltr(ctx: PolicyBuildContext) -> PlacementPolicy:

@@ -1,12 +1,30 @@
-"""Hot-page detection over sampled profiling output."""
+"""Hot-page detection over sampled profiling output, and the hot-page
+daemon's scan (MemoryOptimizer's, shared by Merchandiser's gated daemon)."""
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from repro.profiling.pte import PageSampleEstimate
+from repro.profiling.pte import PageSampleEstimate, PTESampleProfiler
+from repro.sim.pages import PageRates
 
-__all__ = ["top_k_hot_pages"]
+__all__ = [
+    "DAEMON_INTERVAL_S",
+    "DAEMON_PROMOTE_PAGES",
+    "DAEMON_SAMPLE_PAGES",
+    "hot_promotions",
+    "top_k_hot_pages",
+]
+
+#: the hot-page daemon's scan interval, PTEs sampled per scan and hottest
+#: pages promoted per scan, at most.  MemoryOptimizer and Merchandiser's
+#: gated daemon run with the same three, so the baseline comparison is
+#: like for like.
+DAEMON_INTERVAL_S = 0.5
+DAEMON_SAMPLE_PAGES = 2048
+DAEMON_PROMOTE_PAGES = 1024
 
 
 def top_k_hot_pages(
@@ -46,3 +64,30 @@ def top_k_hot_pages(
     return [
         (estimate.names[i], groups[i]) for i in dict.fromkeys(picked_obj.tolist())
     ]
+
+
+def hot_promotions(
+    pte: PTESampleProfiler,
+    table,
+    rates: PageRates,
+    interval_s: float,
+    k: int,
+    now: float,
+    skip: Callable[[str, np.ndarray], bool] | None = None,
+) -> list[tuple[str, np.ndarray, int]]:
+    """One daemon scan: sample ``table``'s PTEs over ``interval_s``, take the
+    ``k`` hottest pages and promote those not already on tier 0.
+
+    Returns ``(object, pages, 0)`` moves, hottest object first.  ``skip``
+    is asked once per object with its hot pages and drops them when it
+    answers true (Merchandiser's quota gate).
+    """
+    estimate = pte.sample(table, rates, interval_s, now=now)
+    moves: list[tuple[str, np.ndarray, int]] = []
+    for name, idx in top_k_hot_pages(estimate, k):
+        if skip is not None and skip(name, idx):
+            continue
+        not_resident = idx[table.object(name).page_tier[idx] != 0]
+        if len(not_resident):
+            moves.append((name, not_resident, 0))
+    return moves

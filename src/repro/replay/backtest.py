@@ -1,9 +1,10 @@
 """Shadow A/B backtesting: one recording, many candidate configs.
 
 The backtester extracts the **arrival schedule** (request envelopes +
-timestamps) from a flight recording and re-runs it through the same
-single-worker virtual-time queueing loop the ``service_load`` experiment
-uses -- once per named config.  Where ``service_load`` charges *measured
+timestamps) from a flight recording and re-runs it through the
+single-worker virtual-time queueing loop (:func:`run_queue`, which the
+``service_load`` and ``replay_gate`` experiments drive too) -- once per
+named config.  Where ``service_load`` charges *measured
 wall seconds* per planner call (host-dependent, the point of a load
 test), the backtester charges a deterministic :class:`CostModel`: the
 same recording backtested twice, anywhere, produces byte-identical SLO
@@ -19,20 +20,31 @@ the shared budget).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.replay.config import ServiceConfig, VirtualClock, build_server
 from repro.replay.recorder import Recording
-from repro.service.protocol import PlacementRequest, decode_request
+from repro.service.protocol import (
+    PlacementDecision,
+    PlacementRequest,
+    decode_request,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.model import PerformanceModel
     from repro.core.telemetry import Telemetry
+    from repro.service.server import PlacementServer
 
-__all__ = ["CostModel", "arrivals_from_recording", "backtest"]
+__all__ = [
+    "CostModel",
+    "QueueRun",
+    "arrivals_from_recording",
+    "backtest",
+    "run_queue",
+]
 
 
 @dataclass(frozen=True)
@@ -81,23 +93,42 @@ def arrivals_from_recording(
     ]
 
 
-def _simulate_costed(
-    config: ServiceConfig,
-    model: "PerformanceModel",
+@dataclass
+class QueueRun:
+    """What one :func:`run_queue` pass saw, per request and per batch."""
+
+    arrival_at: dict[str, float] = field(default_factory=dict)
+    done_at: dict[str, float] = field(default_factory=dict)
+    #: decisions per status, shed-at-admission ones included
+    statuses: dict[str, int] = field(default_factory=dict)
+    #: each fired batch's decisions, in firing order
+    batches: list[list[PlacementDecision]] = field(default_factory=list)
+
+    def latencies(self) -> np.ndarray:
+        """Arrival-to-decision virtual seconds, in arrival order."""
+        return np.array(
+            [self.done_at[rid] - self.arrival_at[rid] for rid in self.arrival_at],
+            dtype=np.float64,
+        )
+
+
+def run_queue(
+    server: "PlacementServer",
+    clock: VirtualClock,
     arrivals: list[tuple[float, PlacementRequest]],
-    cost: CostModel,
-    telemetry: "Telemetry | None",
-) -> dict[str, object]:
-    """``service_load``'s single-worker queueing loop with cost-model
-    service times instead of measured wall seconds."""
-    clock = VirtualClock()
-    server = build_server(config, model, clock=clock, telemetry=telemetry)
+    service_s: Callable[[list[PlacementDecision]], float],
+) -> QueueRun:
+    """Single-worker virtual-time simulation of one arrival stream.
+
+    The one worker fires the oldest batch as soon as it is both *due*
+    (window elapsed or ``max_batch`` reached) and the worker is free; the
+    batch then occupies the worker for ``service_s(decisions)`` virtual
+    seconds (a :class:`CostModel`, or the planner's measured wall time).
+    Requests shed at admission complete instantly (the daemon fallback
+    needs no planner).  ``server`` must read ``clock``.
+    """
     sched = server.scheduler
-    arrival_at: dict[str, float] = {}
-    done_at: dict[str, float] = {}
-    statuses: dict[str, int] = {}
-    migration_pages = 0
-    quota_highwater_pages = 0
+    run = QueueRun()
     worker_free = 0.0
     i = 0
     while i < len(arrivals) or sched.pending_depth:
@@ -111,29 +142,40 @@ def _simulate_costed(
             t, req = arrivals[i]
             i += 1
             clock.advance_to(t)
-            arrival_at[req.request_id] = t
+            run.arrival_at[req.request_id] = t
             shed = server.submit(req, now=t)
             if shed is not None:
-                done_at[req.request_id] = t
-                statuses[shed.status] = statuses.get(shed.status, 0) + 1
+                run.done_at[req.request_id] = t
+                run.statuses[shed.status] = run.statuses.get(shed.status, 0) + 1
             continue
         clock.advance_to(fire_at)
         decisions = server.step(now=fire_at)
-        finish = fire_at + cost.batch_service_s(decisions)
+        finish = fire_at + service_s(decisions)
         worker_free = finish
-        batch_pages = 0
         for dec in decisions:
-            done_at[dec.request_id] = finish
-            statuses[dec.status] = statuses.get(dec.status, 0) + 1
-            migration_pages += dec.dram_pages_granted
-            batch_pages += dec.dram_pages_granted
-        quota_highwater_pages = max(quota_highwater_pages, batch_pages)
+            run.done_at[dec.request_id] = finish
+            run.statuses[dec.status] = run.statuses.get(dec.status, 0) + 1
+        run.batches.append(decisions)
+    return run
 
-    latencies = np.array(
-        [done_at[rid] - arrival_at[rid] for rid in arrival_at],
-        dtype=np.float64,
-    )
-    shed = statuses.get("shed", 0)
+
+def _simulate_costed(
+    config: ServiceConfig,
+    model: "PerformanceModel",
+    arrivals: list[tuple[float, PlacementRequest]],
+    cost: CostModel,
+    telemetry: "Telemetry | None",
+) -> dict[str, object]:
+    """One config's SLO surface under cost-model service times."""
+    clock = VirtualClock()
+    server = build_server(config, model, clock=clock, telemetry=telemetry)
+    run = run_queue(server, clock, arrivals, cost.batch_service_s)
+    batch_pages = [
+        sum(dec.dram_pages_granted for dec in decisions) for decisions in run.batches
+    ]
+    latencies = run.latencies()
+    done_at = run.done_at
+    shed = run.statuses.get("shed", 0)
     first_arrival = arrivals[0][0] if arrivals else 0.0
     makespan = (max(done_at.values()) - first_arrival) if done_at else 0.0
     return {
@@ -148,9 +190,9 @@ def _simulate_costed(
             len(done_at) / makespan if makespan > 0 else math.inf
         ),
         "makespan_s": makespan,
-        "migration_pages": migration_pages,
-        "quota_highwater_pages": quota_highwater_pages,
-        "statuses": statuses,
+        "migration_pages": sum(batch_pages),
+        "quota_highwater_pages": max(batch_pages, default=0),
+        "statuses": run.statuses,
     }
 
 

@@ -12,6 +12,11 @@ The recording's meta carries ``model_seed``/``fast`` instead of model
 weights: the trained model is a deterministic function of those (see
 :mod:`repro.replay.config`), so any checkout can rebuild the exact
 planner the fixture was recorded against.
+
+The module also holds the request traffic every service experiment draws
+from -- the tenants, the catalogue of region shapes, seeded open-loop
+arrivals -- and the wire-faulted retrying soak client the loopback
+recordings and the ``transport_load`` soak share.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.apps.codesamples import generate_corpus
+from repro.common import make_rng, spawn_rng
 from repro.replay.config import ServiceConfig, build_server
 from repro.replay.recorder import FlightRecorder, Recording
 from repro.replay.replayer import ReplayReport, replay_recording
@@ -30,22 +37,37 @@ from repro.service import (
     PlacementRequest,
     PlacementTransportServer,
     RetryPolicy,
+    TaskSpec,
 )
-from repro.sim import optane_hm_config
+from repro.sim import MachineModel, optane_hm_config
+from repro.sim.counters import collect_pmcs
 from repro.sim.faults import FaultConfig, FaultInjector
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.model import PerformanceModel
     from repro.core.telemetry import Telemetry
 
-__all__ = ["DEFAULT_OUT_DIR", "GOLDEN_NAME", "main", "record_loopback_trace"]
+__all__ = [
+    "DEFAULT_OUT_DIR",
+    "GOLDEN_NAME",
+    "TENANTS",
+    "WIRE_FAULTS",
+    "main",
+    "open_loop_arrivals",
+    "record_loopback_trace",
+    "region_catalogue",
+    "soak_client",
+]
 
 DEFAULT_OUT_DIR = Path("results/replay_fixtures")
 GOLDEN_NAME = "golden_loopback.mfr"
 
-#: per-reply wire fault rates while recording (mirrors transport_load's
-#: soak; wire faults exercise the retry/idempotency machinery without
-#: perturbing the server-side command journal)
+TENANTS = ("tenant-a", "tenant-b", "tenant-c", "tenant-d")
+
+#: per-reply wire fault rates of a loopback soak (each reply draws once, in
+#: this order: torn frame, corrupt CRC, stall, disconnect); wire faults
+#: exercise the retry/idempotency machinery without perturbing the
+#: server-side command journal
 WIRE_FAULTS = dict(
     wire_torn_frame_rate=0.04,
     wire_corrupt_rate=0.04,
@@ -55,21 +77,71 @@ WIRE_FAULTS = dict(
 )
 
 
-def _catalogue(seed: int, n_shapes: int, tasks_per_shape: int):
-    from types import SimpleNamespace
+def region_catalogue(
+    seed: int, n_shapes: int, tasks_per_shape: int
+) -> list[tuple[TaskSpec, ...]]:
+    """Distinct region shapes (task-spec tuples) clients will ask about."""
+    machine, hm = MachineModel(), optane_hm_config()
+    samples = generate_corpus(n_shapes * tasks_per_shape, seed=seed + 23)
+    rng = make_rng(seed + 29)
+    fps = [sample.footprint(1.0) for sample in samples]
+    endpoints = machine.tier_endpoints(fps, hm)
+    shapes: list[tuple[TaskSpec, ...]] = []
+    for s in range(n_shapes):
+        specs = []
+        for k in range(tasks_per_shape):
+            fp = fps[s * tasks_per_shape + k]
+            t_dram, t_pm = endpoints[s * tasks_per_shape + k]
+            pmcs = collect_pmcs(fp, machine, hm, rng=spawn_rng(rng), t_pm_only=t_pm)
+            specs.append(
+                TaskSpec(
+                    task_id=f"shape{s}:task{k}",
+                    t_pm_only=t_pm,
+                    t_dram_only=t_dram,
+                    total_accesses=fp.total_accesses,
+                    pmcs=pmcs,
+                    size_bytes=fp.total_bytes,
+                )
+            )
+        shapes.append(tuple(specs))
+    return shapes
 
-    from repro.experiments.service_load import _region_catalogue
 
-    # _region_catalogue only reads ctx.seed; a shim avoids training a
-    # second system just to build task shapes
-    return _region_catalogue(
-        SimpleNamespace(seed=seed), n_shapes, tasks_per_shape
-    )
+def open_loop_arrivals(
+    catalogue, n_requests: int, mean_interarrival_s: float, seed: int, tag: str
+) -> list[tuple[float, PlacementRequest]]:
+    """Seeded open-loop Poisson arrivals over (shape, tenant) picks."""
+    rng = make_rng(seed)
+    out: list[tuple[float, PlacementRequest]] = []
+    t = 0.0
+    for i in range(n_requests):
+        t += float(rng.exponential(mean_interarrival_s))
+        shape = catalogue[int(rng.integers(len(catalogue)))]
+        tenant = TENANTS[int(rng.integers(len(TENANTS)))]
+        out.append(
+            (
+                t,
+                PlacementRequest(
+                    request_id=f"{tag}-{i:05d}",
+                    tenant=tenant,
+                    tasks=shape,
+                ),
+            )
+        )
+    return out
 
 
-def _client_worker(
-    host: str, port: int, requests: list[PlacementRequest], seed: int
+def soak_client(
+    host: str,
+    port: int,
+    requests: list[PlacementRequest],
+    seed: int,
+    out: dict,
 ) -> None:
+    """One retrying soak client: send every request, record each
+    decision, its latency and the client's retry accounting in ``out``."""
+    decisions: dict[str, list] = {}
+    latencies: list[float] = []
     with PlacementClient(
         host,
         port,
@@ -83,7 +155,15 @@ def _client_worker(
         seed=seed,
     ) as client:
         for req in requests:
-            client.request(req)
+            t0 = time.perf_counter()
+            decision = client.request(req)
+            latencies.append(time.perf_counter() - t0)
+            decisions.setdefault(req.request_id, []).append(decision)
+        out["retries"] = client.retries
+        out["fallbacks"] = client.fallbacks
+        out["stale_replies"] = client.stale_replies
+    out["decisions"] = decisions
+    out["latencies"] = latencies
 
 
 def record_loopback_trace(
@@ -104,9 +184,7 @@ def record_loopback_trace(
     shuts down, and the file is re-loaded from disk so what we return is
     exactly what a later replay will read.
     """
-    catalogue = _catalogue(seed, n_shapes=8, tasks_per_shape=3)
-    from repro.experiments.service_load import TENANTS
-
+    catalogue = region_catalogue(seed, n_shapes=8, tasks_per_shape=3)
     hm = optane_hm_config()
     config = ServiceConfig(
         dram_capacity_bytes=hm.dram.capacity_bytes,
@@ -152,8 +230,8 @@ def record_loopback_trace(
         host, port = transport.address
         threads = [
             threading.Thread(
-                target=_client_worker,
-                args=(host, port, workloads[c], seed + 400 + c),
+                target=soak_client,
+                args=(host, port, workloads[c], seed + 400 + c, {}),
                 name=f"fixture-client-{c}",
             )
             for c in range(n_clients)

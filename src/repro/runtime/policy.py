@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.baselines.appspecific import fill_dram_by_priority
+from repro.baselines.appspecific import density_priority, fill_dram_by_priority
 from repro.core.model import TaskModelInputs
 from repro.core.planner import PlanResult
 from repro.core.runtime import MerchandiserPolicy
@@ -36,22 +36,11 @@ class DAGMerchandiserPolicy(MerchandiserPolicy):
 
     name = "merchandiser-dag"
 
-    def __init__(
-        self,
-        *args,
-        dag: TaskDAG | None = None,
-        profile_staging: bool = True,
-        **kwargs,
-    ) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: dependency structure of the lowered program; the executor binds
-        #: it at run start when not given up front
-        self.dag = dag
-        #: stage a default density-ranked placement while base profiles are
-        #: still being collected, instead of running the profiling
-        #: iteration from PM (profiling here measures access *counts*, not
-        #: times, so a better interim placement does not bias the profile)
-        self.profile_staging = profile_staging
+        #: dependency structure of the lowered program, bound by the
+        #: executor at run start
+        self.dag: TaskDAG | None = None
         #: per-region DAG plans, for inspection/experiments (parallel to
         #: the inherited ``plans`` list)
         self.dag_plans: list[CriticalPathPlan] = []
@@ -60,7 +49,7 @@ class DAGMerchandiserPolicy(MerchandiserPolicy):
         self.dag = dag
 
     # ------------------------------------------------------------------
-    def _build_promotion_queue(self, ctx, plan, from_scratch: bool = True) -> None:
+    def _build_promotion_queue(self, ctx, plan) -> None:
         """Apply a fresh plan as between-phase staging, not tick migration.
 
         The gated regions replan as inputs drift, so the target placement
@@ -73,37 +62,21 @@ class DAGMerchandiserPolicy(MerchandiserPolicy):
         """
         table = ctx.page_table
         table.place_all(1)
-        # with DRAM emptied the from-scratch queue *is* the full target
-        super()._build_promotion_queue(ctx, plan, from_scratch=from_scratch)
-        table.place(
-            MigrationBatch(
-                moves=tuple((name, idx, 0) for name, idx in self._promotion_queue)
-            )
-        )
+        # with DRAM emptied the queue *is* the full target placement
+        super()._build_promotion_queue(ctx, plan)
+        table.place(MigrationBatch(moves=tuple(self._promotion_queue)))
         self._promotion_queue = []
 
     def on_region_start(self, ctx: "EngineContext") -> None:
         super().on_region_start(ctx)
-        if (
-            self.profile_staging
-            and self._quotas is None
-            and ctx.region is not None
-        ):
+        if self._quotas is None and ctx.region is not None:
             # no plan yet (base profiles pending or planning disabled):
-            # fill DRAM with the region's objects in access-density order
-            # -- the same between-phase staging the static baselines get --
-            # rather than leaving the profiling iteration all-PM
-            totals: dict[str, float] = {}
-            for inst in ctx.region.instances:
-                for acc in inst.footprint.accesses:
-                    totals[acc.obj] = totals.get(acc.obj, 0.0) + acc.total
-            density = {
-                name: count / ctx.page_table.object(name).spec.size_bytes
-                for name, count in totals.items()
-            }
-            fill_dram_by_priority(
-                ctx, sorted(density, key=density.__getitem__, reverse=True)
-            )
+            # stage the region's objects in access-density order -- the
+            # same between-phase staging the static baselines get --
+            # rather than running the profiling iteration from PM
+            # (profiling measures access *counts*, not times, so a better
+            # interim placement does not bias the profile)
+            fill_dram_by_priority(ctx, density_priority(ctx))
 
     # ------------------------------------------------------------------
     def _plan_region(

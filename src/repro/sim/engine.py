@@ -45,7 +45,13 @@ from repro.sim.faults import FaultInjector, RobustnessReport
 from repro.sim.kernels import BreakdownKernel, TieredBreakdownKernel
 from repro.sim.machine import MachineModel
 from repro.sim.memspec import HMConfig, TopologySpec
-from repro.sim.pages import MigrationBatch, PageRates, PageTable, TieredPageTable
+from repro.sim.pages import (
+    MigrationBatch,
+    PageRates,
+    PageTable,
+    TieredPageTable,
+    trim_moves,
+)
 from repro.tasks.task import ParallelRegion, TaskInstanceSpec, Workload
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -900,21 +906,12 @@ class Engine:
 def _clamp_batch(batch: MigrationBatch, max_pages: int) -> MigrationBatch:
     """Limit a batch to ``max_pages`` page moves (keep order).
 
-    A non-positive budget yields an empty batch, and moves with no pages are
-    dropped rather than carried along as zero-length entries.
+    A batch that fits is returned as is.  A non-positive budget yields an
+    empty batch, and moves with no pages are dropped rather than carried
+    along as zero-length entries.
     """
-    if max_pages <= 0:
-        return MigrationBatch(moves=())
-    if batch.n_pages <= max_pages:
+    if 0 < max_pages and batch.n_pages <= max_pages:
         return batch
-    moves: list[tuple[str, np.ndarray, int]] = []
-    left = max_pages
-    for name, idx, dst in batch.moves:
-        if left <= 0:
-            break
-        take = idx[:left]
-        if len(take) == 0:
-            continue
-        moves.append((name, take, dst))
-        left -= len(take)
-    return MigrationBatch(moves=tuple(moves))
+    return MigrationBatch(
+        moves=tuple(m for m in trim_moves(batch.moves, max_pages) if len(m[1]))
+    )

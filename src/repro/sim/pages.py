@@ -41,10 +41,13 @@ from repro.tasks.task import DataObject
 __all__ = [
     "PageTable",
     "MigrationBatch",
+    "QUEUE_DRAIN_PAGES",
     "PageRates",
     "TieredPagedObject",
     "TieredPageTable",
+    "drain_queue",
     "page_weights",
+    "trim_moves",
 ]
 
 #: cache lines per page: element-level popularity is averaged over this many
@@ -168,6 +171,49 @@ class MigrationBatch:
     @property
     def bytes_moved(self) -> int:
         return self.n_pages * PAGE_SIZE
+
+
+#: pages a policy drains off its planned move queue per tick, at most (the
+#: engine's migration budget may allow fewer)
+QUEUE_DRAIN_PAGES = 1024
+
+
+def trim_moves(
+    moves: Iterable[tuple[str, np.ndarray, int]], limit: int
+) -> list[tuple[str, np.ndarray, int]]:
+    """Keep the first ``limit`` pages of a move list, in order.
+
+    Selectors emit moves ranked, so the hottest pages survive the cut.  A
+    move with no pages is kept and costs nothing.
+    """
+    out: list[tuple[str, np.ndarray, int]] = []
+    left = limit
+    for name, idx, dst in moves:
+        if left <= 0:
+            break
+        out.append((name, idx[:left], dst))
+        left -= min(len(idx), left)
+    return out
+
+
+def drain_queue(
+    queue: list[tuple[str, np.ndarray, int]], budget: int
+) -> MigrationBatch | None:
+    """Pop up to ``min(budget, QUEUE_DRAIN_PAGES)`` pages off a move queue
+    (mutates the queue) as one batch, or ``None`` when nothing is popped."""
+    budget = min(QUEUE_DRAIN_PAGES, budget)
+    out: list[tuple[str, np.ndarray, int]] = []
+    while queue and budget > 0:
+        name, idx, dst = queue[0]
+        take = idx[:budget]
+        rest = idx[budget:]
+        out.append((name, take, dst))
+        budget -= len(take)
+        if len(rest):
+            queue[0] = (name, rest, dst)
+        else:
+            queue.pop(0)
+    return MigrationBatch(moves=tuple(out)) if out else None
 
 
 class PageRates:

@@ -102,12 +102,6 @@ class TestMemoryOptimizer:
         run(wl, Checked(seed=0))
         assert Checked.max_used <= HM.dram.capacity_bytes + PAGE_SIZE
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MemoryOptimizerPolicy(interval_s=0)
-        with pytest.raises(ValueError):
-            MemoryOptimizerPolicy(promote_per_interval=0)
-
 
 class TestSparta:
     def test_stages_whole_objects_only(self):

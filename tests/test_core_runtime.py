@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.apps import SpGEMMApp
-from repro.baselines import PMOnlyPolicy
+from repro.baselines import MemoryOptimizerPolicy, PMOnlyPolicy
 from repro.core import default_system, lb_hm_config
 from repro.core.patterns import Affine, ArrayRef, Indirect, Loop
+from repro.profiling.hotpages import DAEMON_SAMPLE_PAGES
+from repro.profiling.pte import PTESampleProfiler
 from repro.sim import Engine, MachineModel, optane_hm_config
+from repro.sim.memspec import topology_preset
+from repro.sim.pages import MigrationBatch
 from repro.tasks import DataObject
 
 HM = optane_hm_config()
@@ -125,8 +129,9 @@ class TestMerchandiserPolicy:
         assert peak["used"] <= HM.dram.capacity_bytes + 4096
 
     def test_queue_drains_as_promotions(self, system, spgemm_setup):
-        """Every move names an int tier, and a tick that drains the quota
-        queue asks for DRAM (tier 0), not PM."""
+        """The quota queue holds ``(object, pages, 0)`` moves, every move
+        names an int tier, and a tick that drains the queue asks for DRAM
+        (tier 0), not PM."""
         _, wl, binding = spgemm_setup
         policy = system.policy(binding, seed=3)
         draining = []
@@ -134,6 +139,10 @@ class TestMerchandiserPolicy:
 
         def spy(ctx, dt):
             queued = bool(policy._promotion_queue)
+            assert all(
+                type(name) is str and len(idx) and dst == 0 and type(dst) is int
+                for name, idx, dst in policy._promotion_queue
+            )
             batch = orig(ctx, dt)
             if batch is not None:
                 dsts = [dst for _, _, dst in batch.moves]
@@ -145,6 +154,46 @@ class TestMerchandiserPolicy:
         policy.on_tick = spy
         Engine(MachineModel(), HM).run(wl, policy, seed=1)
         assert draining and all(draining)
+
+    def test_open_gate_scan_is_memoryoptimizers(self, system, spgemm_setup):
+        """With no quota targets the gate skips nothing, and the daemon scan
+        is MemoryOptimizer's page for page on one table and one set of
+        rates, for equally seeded profilers."""
+        _, wl, binding = spgemm_setup
+        merch = system.policy(binding, seed=3)
+        mo = MemoryOptimizerPolicy(seed=0)
+        merch._pte = PTESampleProfiler(max_pages=DAEMON_SAMPLE_PAGES, seed=11)
+        mo._pte = PTESampleProfiler(max_pages=DAEMON_SAMPLE_PAGES, seed=11)
+        assert merch.enable_gating and not merch._quota_targets
+        scans = []
+
+        class Probe(PMOnlyPolicy):
+            def on_tick(self, ctx, dt):
+                if len(scans) >= 8:
+                    return None
+                got = merch._gated_daemon_moves(ctx)
+                want = mo._select_promotions(ctx, ctx.page_rates())
+                scans.append((got, want))
+                # promote what the scan found, so later scans meet pages
+                # already in DRAM
+                return MigrationBatch(moves=tuple(want)) if want else None
+
+        Engine(MachineModel(), HM).run(wl, Probe(), seed=1)
+        assert len(scans) == 8
+        assert any(want for _, want in scans)
+        for got, want in scans:
+            assert [(n, i.tolist(), d) for n, i, d in got] == [
+                (n, i.tolist(), d) for n, i, d in want
+            ]
+
+    def test_refuses_n_tier_engine(self, system, spgemm_setup):
+        """The 2-tier runtime refuses a 3-tier table up front and names the
+        registry's N-tier backend."""
+        _, wl, binding = spgemm_setup
+        policy = system.policy(binding, seed=3)
+        engine = Engine(MachineModel(), topology=topology_preset("hbm_dram_pm"))
+        with pytest.raises(ValueError, match="N-tier 'merchandiser' backend"):
+            engine.run(wl, policy, seed=1)
 
     def test_profile_key_includes_kind(self, system, spgemm_setup):
         _, wl, binding = spgemm_setup

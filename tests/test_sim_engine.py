@@ -401,3 +401,18 @@ class TestClampBatch:
         clamped = _clamp_batch(batch, 3)
         assert all(len(idx) for _, idx, _ in clamped.moves)
         assert clamped.n_pages == 3
+
+    def test_empty_moves_dropped_without_spending_budget(self):
+        batch = MigrationBatch(
+            moves=(
+                ("a", np.arange(0), 0),
+                ("b", np.arange(3), 1),
+                ("c", np.arange(0), 0),
+                ("d", np.arange(2), 0),
+            )
+        )
+        clamped = _clamp_batch(batch, 4)
+        assert [(name, list(idx), dst) for name, idx, dst in clamped.moves] == [
+            ("b", [0, 1, 2], 1),
+            ("d", [0], 0),
+        ]
