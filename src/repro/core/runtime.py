@@ -185,6 +185,9 @@ class MerchandiserPolicy(PlacementPolicy):
         #: Algorithm 1's promotions as ``(object, pages, 0)`` moves
         self._promotion_queue: list[tuple[str, np.ndarray, int]] = []
         self._last_scan = -1e30
+        # the daemon gate's per-region maps (:meth:`_region_maps`)
+        self._maps_region = None
+        self._maps: tuple[dict[str, list[str]], dict[str, Footprint]] = ({}, {})
         #: planner decisions per region, for inspection/experiments
         self.plans: list[PlanResult] = []
         #: pages promoted per owning task (shared objects under "<shared>"),
@@ -642,16 +645,23 @@ class MerchandiserPolicy(PlacementPolicy):
             key, {block_name: 1.0}, self._base_inputs[key]
         )
 
-    def _task_r_dram(
-        self, ctx: EngineContext, tid: str, fractions: dict[str, float]
-    ) -> float:
-        """Access-weighted DRAM fraction of a task, given the page table's
-        per-object ``fractions`` (:meth:`PageTable.access_fractions`)."""
-        assert ctx.region is not None
-        for inst in ctx.region.instances:
-            if inst.task_id == tid:
-                return inst.footprint.dram_ratio(fractions)
-        return 0.0
+    def _region_maps(
+        self, ctx: EngineContext
+    ) -> tuple[dict[str, list[str]], dict[str, Footprint]]:
+        """Which tasks access each object, and each task's footprint, for
+        the current region: built on the region's first scan and kept
+        while the region lasts (a region's instances never change)."""
+        region = ctx.region
+        assert region is not None
+        if self._maps_region is not region:
+            accessors: dict[str, list[str]] = {}
+            footprints = {inst.task_id: inst.footprint for inst in region.instances}
+            for inst in region.instances:
+                for acc in inst.footprint.accesses:
+                    accessors.setdefault(acc.obj, []).append(inst.task_id)
+            self._maps_region = region
+            self._maps = (accessors, footprints)
+        return self._maps
 
     def _build_promotion_queue(self, ctx: EngineContext, plan: PlanResult) -> None:
         """Queue the hottest pages of each task up to its quota.
@@ -727,12 +737,7 @@ class MerchandiserPolicy(PlacementPolicy):
     ) -> list[tuple[str, np.ndarray, int]]:
         """MemoryOptimizer's daemon scan, gated by per-task quotas."""
         rates = ctx.page_rates()
-        assert ctx.region is not None
-        # which tasks access each object
-        accessors: dict[str, list[str]] = {}
-        for inst in ctx.region.instances:
-            for acc in inst.footprint.accesses:
-                accessors.setdefault(acc.obj, []).append(inst.task_id)
+        accessors, footprints = self._region_maps(ctx)
         # nothing moves during the scan: the fractions are read at most once
         # and each task's r_dram is computed at most once
         fractions: dict[str, float] | None = None
@@ -743,7 +748,7 @@ class MerchandiserPolicy(PlacementPolicy):
             if tid not in r_dram:
                 if fractions is None:
                     fractions = ctx.page_table.access_fractions()
-                r_dram[tid] = self._task_r_dram(ctx, tid, fractions)
+                r_dram[tid] = footprints[tid].dram_ratio(fractions)
             return r_dram[tid]
 
         def gated(name: str, idx: np.ndarray) -> bool:
@@ -777,7 +782,7 @@ class MerchandiserPolicy(PlacementPolicy):
         for inst in ctx.region.instances:
             tid = inst.task_id
             over = (
-                self._task_r_dram(ctx, tid, fractions)
+                inst.footprint.dram_ratio(fractions)
                 > self._quota_targets.get(tid, 1.0) + 1e-9
             )
             for acc in inst.footprint.accesses:

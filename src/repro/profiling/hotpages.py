@@ -41,12 +41,21 @@ def top_k_hot_pages(
     """
     if k < 1:
         return []
-    mask = estimate.counts >= min_count
-    if not mask.any():
+    counts = estimate.counts
+    hot = np.flatnonzero(counts >= min_count)
+    if not len(hot):
         return []
-    order = np.argsort(estimate.counts[mask], kind="stable")[::-1][:k]
-    picked_obj = estimate.obj[mask][order]
-    picked_pages = estimate.pages[mask][order]
+    key = counts[hot]
+    # scan counts are whole (Poisson draws, doubled by faults); below 2**16
+    # they sort as uint16, a radix sort giving the float timsort's
+    # permutation, since both sorts are stable
+    if min_count >= 0 and key.max() < 2**16:
+        narrow = key.astype(np.uint16)
+        if (narrow == key).all():
+            key = narrow
+    picked = hot[np.argsort(key, kind="stable")[::-1][:k]]
+    picked_obj = estimate.obj[picked]
+    picked_pages = estimate.pages[picked]
     # one sort over (object, page) keys gives every object's distinct
     # pages in ascending order, objects ascending (what a per-object
     # np.unique returns, without its hashing)
@@ -57,12 +66,14 @@ def top_k_hot_pages(
     pages = keys - key_obj * stride
     starts = np.flatnonzero(np.concatenate(([True], key_obj[1:] != key_obj[:-1])))
     bounds = starts.tolist() + [len(keys)]
-    groups = {
-        int(key_obj[lo]): pages[lo:hi] for lo, hi in zip(bounds, bounds[1:])
-    }
     # objects in order of their hottest pick
+    objs = key_obj[starts]
+    first = np.full(len(estimate.names), len(picked))
+    np.minimum.at(first, picked_obj, np.arange(len(picked)))
+    names = [estimate.names[i] for i in objs.tolist()]
     return [
-        (estimate.names[i], groups[i]) for i in dict.fromkeys(picked_obj.tolist())
+        (names[g], pages[bounds[g] : bounds[g + 1]])
+        for g in np.argsort(first[objs]).tolist()
     ]
 
 

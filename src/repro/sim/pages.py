@@ -122,10 +122,11 @@ def page_weights(spec: DataObject, rng=None) -> np.ndarray:
 
 
 def _sample_uniform(
-    bounds: np.ndarray, n: int, rng
+    bounds: np.ndarray, owner: np.ndarray, n: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` page ids uniformly over objects laid end to end (object
-    ``i`` owns ids ``bounds[i]:bounds[i+1]``).
+    ``i`` owns ids ``bounds[i]:bounds[i+1]``, and ``owner[id]`` is ``i`` as
+    a narrow unsigned integer).
 
     Returns ``(obj, pages)``: each draw's object index and its page index
     within that object, grouped by object in table order, each group in
@@ -136,11 +137,11 @@ def _sample_uniform(
     if total == 0 or n <= 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
     picks = rng.integers(0, total, size=n)
-    which = np.searchsorted(bounds[1:], picks, side="right")
-    # a stable sort on a narrow integer key is a radix sort
-    key = which.astype(np.min_scalar_type(len(bounds) - 1))
+    # the owner map is already a narrow integer key, and a stable sort on
+    # one is a radix sort
+    key = owner[picks]
     order = np.argsort(key, kind="stable")
-    obj = which[order]
+    obj = key[order].astype(np.intp)
     return obj, picks[order] - bounds[obj]
 
 
@@ -149,6 +150,15 @@ def _page_bounds(objs: Iterable) -> np.ndarray:
     end, followed by the total page count."""
     sizes = np.array([o.n_pages for o in objs], dtype=np.int64)
     return np.concatenate(([0], np.cumsum(sizes)))
+
+
+def _page_owner(bounds: np.ndarray) -> np.ndarray:
+    """Object index of every page id in ``bounds``'s layout, in the
+    narrowest unsigned type that holds the largest index (one byte per
+    page up to 256 objects)."""
+    n_objects = len(bounds) - 1
+    dtype = np.min_scalar_type(max(n_objects - 1, 0))
+    return np.repeat(np.arange(n_objects, dtype=dtype), np.diff(bounds))
 
 
 @dataclass(frozen=True)
@@ -224,9 +234,8 @@ class PageRates:
     ``acc.total / t``, added in active-instance order.  :meth:`arrays`
     evaluates every page of each object and :meth:`at` only the lanes a
     profiler sampled.  Both multiply and add elementwise in the same
-    order, and :meth:`at`'s zero padding for objects with fewer terms adds
-    ``+0.0``, so the two agree bit for bit (PERFORMANCE.md section 4,
-    rules 1 and 3).
+    order, so the two agree bit for bit (PERFORMANCE.md section 4,
+    rule 1).
     """
 
     def __init__(self, table, terms: dict[str, list[float]]) -> None:
@@ -250,16 +259,28 @@ class PageRates:
 
     def at(self, obj: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         """Rates at arena ``lanes`` of objects number ``obj`` (table
-        order); every object listed must have terms."""
-        per_object = [self.terms.get(name, ()) for name in self.table.names]
-        depth = max(len(c) for c in per_object)
-        coef = np.array(
-            [[c[d] if d < len(c) else 0.0 for c in per_object] for d in range(depth)]
-        )
+        order); every object listed must have terms.
+
+        Every sample gathers its object's first term; the later terms of
+        the few objects that have them are added at those objects'
+        samples only, in term order: :meth:`arrays`'s sum at those lanes.
+        """
+        first = np.zeros(len(self.table))
+        several: list[tuple[int, list[float]]] = []
+        for i, name in enumerate(self.table.names):
+            coeffs = self.terms.get(name)
+            if coeffs:
+                first[i] = coeffs[0]
+                if len(coeffs) > 1:
+                    several.append((i, coeffs[1:]))
         weight = self.table.weight_arena[lanes]
-        rates = weight * coef[0][obj]
-        for row in coef[1:]:
-            rates += weight * row[obj]
+        rates = weight * first[obj]
+        for i, later in several:
+            sel = np.flatnonzero(obj == i)
+            w, r = weight[sel], rates[sel]
+            for c in later:
+                r += w * c
+            rates[sel] = r
         return rates
 
 
@@ -403,6 +424,7 @@ class TieredPageTable:
         # move; every lane it reads was written in the same move
         self._mark = np.empty(pos, dtype=np.intp)
         self._page_bounds = _page_bounds(objs)
+        self._page_owner = _page_owner(self._page_bounds)
         self._starts = starts[:-1]
         self._slices: dict[str, slice] = {}
         for o, start in zip(objs, starts.tolist()):
@@ -422,6 +444,7 @@ class TieredPageTable:
             "_tier_arena",
             "_mark",
             "_page_bounds",
+            "_page_owner",
             "_starts",
             "_slices",
         ):
@@ -700,7 +723,7 @@ class TieredPageTable:
         each sample's object number (table order, ascending) and page index
         within that object, each object's samples in draw order.
         """
-        return _sample_uniform(self._page_bounds, n, rng)
+        return _sample_uniform(self._page_bounds, self._page_owner, n, rng)
 
 
 class PageTable(TieredPageTable):
@@ -753,7 +776,7 @@ class PageTable(TieredPageTable):
 
     def sample_pages(self, n: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
         """Uniform page sampling (:meth:`TieredPageTable.sample_pages`)."""
-        return _sample_uniform(self._page_bounds, n, rng)
+        return _sample_uniform(self._page_bounds, self._page_owner, n, rng)
 
     def _fraction(self, obj: TieredPagedObject) -> float:
         return float(obj.weight @ (obj.page_tier == 0))

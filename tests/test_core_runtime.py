@@ -10,11 +10,35 @@ from repro.core.patterns import Affine, ArrayRef, Indirect, Loop
 from repro.profiling.hotpages import DAEMON_SAMPLE_PAGES
 from repro.profiling.pte import PTESampleProfiler
 from repro.sim import Engine, MachineModel, optane_hm_config
+from repro.sim.faults import FaultConfig, FaultInjector
 from repro.sim.memspec import topology_preset
 from repro.sim.pages import MigrationBatch
 from repro.tasks import DataObject
 
 HM = optane_hm_config()
+
+
+class _DrawLog(np.random.Generator):
+    """A generator that logs each draw's method and size, then draws."""
+
+    def __init__(self, bit_generator) -> None:
+        super().__init__(bit_generator)
+        self.draws: list[tuple[str, int | None]] = []
+
+    def _log(self, method: str, size) -> None:
+        self.draws.append((method, size))
+
+    def integers(self, *args, size=None, **kwargs):
+        self._log("integers", size)
+        return super().integers(*args, size=size, **kwargs)
+
+    def poisson(self, lam=1.0, size=None):
+        self._log("poisson", np.size(lam) if size is None else size)
+        return super().poisson(lam, size)
+
+    def random(self, size=None, *args, **kwargs):
+        self._log("random", size)
+        return super().random(size, *args, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +209,42 @@ class TestMerchandiserPolicy:
             assert [(n, i.tolist(), d) for n, i, d in got] == [
                 (n, i.tolist(), d) for n, i, d in want
             ]
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["healthy", "pte_drop"])
+    def test_daemon_scan_draw_count(self, system, spgemm_setup, faults):
+        """One gated daemon scan draws one page sample (``integers``) and
+        one ``poisson`` array from the policy's generator; with PTE faults
+        on, the injector draws its fire check and one ``random`` array over
+        the whole scan.  Splitting any of these per object would change
+        every later draw of the run's stream."""
+        _, wl, binding = spgemm_setup
+        rng = _DrawLog(np.random.PCG64(3))
+        merch = system.policy(binding, seed=rng)
+        injector_rng = _DrawLog(np.random.PCG64(4))
+        if faults:
+            merch._pte.faults = FaultInjector(
+                FaultConfig(pte_drop_rate=1.0, pte_fault_fraction=0.3),
+                seed=injector_rng,
+            )
+        scans = []
+
+        class Probe(PMOnlyPolicy):
+            def on_tick(self, ctx, dt):
+                if len(scans) < 4:
+                    rng.draws.clear()
+                    injector_rng.draws.clear()
+                    merch._gated_daemon_moves(ctx)
+                    scans.append((list(rng.draws), list(injector_rng.draws)))
+                return None
+
+        Engine(MachineModel(), HM).run(wl, Probe(), seed=1)
+        assert len(scans) == 4
+        for policy_draws, injector_draws in scans:
+            (sample, n), (poisson, m) = policy_draws
+            assert (sample, n, poisson) == ("integers", DAEMON_SAMPLE_PAGES, "poisson")
+            assert 0 < m <= n
+            want = [("random", None), ("random", n)] if faults else []
+            assert injector_draws == want
 
     def test_refuses_n_tier_engine(self, system, spgemm_setup):
         """The 2-tier runtime refuses a 3-tier table up front and names the

@@ -12,7 +12,10 @@ shares are checked against the parent per-page Memory Mode cache.
 N-tier tables are shadowed by the float one-hot residency matrix of
 :class:`oracles.pages.TieredResidency`: moved counts, per-tier used/free
 pages, fraction-vector bytes, tier indices and candidate-page orders must
-all agree after every batch.
+all agree after every batch.  The sampling, rate, scan and top-k cases
+also run on a wide table (more than 255 objects, so a 16-bit page owner
+key, and one object with more rate terms than any ``paper_merch``
+object has).
 """
 
 import pickle
@@ -204,6 +207,19 @@ def _assert_same_samples(got: dict, want: dict) -> None:
             assert a.tobytes() == b.tobytes()
 
 
+def _instances_ctx(table, instances, times) -> SimpleNamespace:
+    """Engine-context stand-in for the rate methods over active
+    ``instances`` with time estimates ``times``."""
+    ctx = SimpleNamespace(
+        page_table=table,
+        instance_times=times,
+        active_instances=lambda: instances,
+    )
+    ctx.page_rates = lambda: EngineContext.page_rates(ctx)
+    ctx.page_access_rates = lambda: EngineContext.page_access_rates(ctx)
+    return ctx
+
+
 def _rate_ctx(table, seed: int) -> SimpleNamespace:
     """Engine-context stand-in for the rate methods: random active
     instances over a subset of the objects (some objects get no rates,
@@ -226,14 +242,70 @@ def _rate_ctx(table, seed: int) -> SimpleNamespace:
             TaskInstanceSpec(f"t{j}", Footprint(accesses=accesses, instructions=1))
         )
     times = {inst.task_id: float(rng.random() * 3) for inst in instances[1:]}
-    ctx = SimpleNamespace(
-        page_table=table,
-        instance_times=times,
-        active_instances=lambda: instances,
+    return _instances_ctx(table, instances, times)
+
+
+#: objects in the wide fixture: more than 255, so the page owner map needs
+#: a 16-bit key
+WIDE_OBJECTS = 300
+#: tasks sharing the wide fixture's one shared object, so that object has
+#: this many rate terms (paper_merch's deepest object has 24)
+WIDE_SHARERS = 26
+WIDE_SEEDS = range(4)
+
+
+def _wide_table(seed: int) -> PageTable:
+    """A :func:`_table`-like table with :data:`WIDE_OBJECTS` small objects."""
+    rng = np.random.default_rng(seed)
+    specs = [
+        DataObject(
+            f"w{i}",
+            int(rng.integers(1, 6)) * PAGE_SIZE,
+            hotness="zipf" if rng.random() < 0.5 else "uniform",
+        )
+        for i in range(WIDE_OBJECTS)
+    ]
+    table = PageTable(specs, sum(s.n_pages for s in specs) * PAGE_SIZE, rng=seed)
+    table.place(
+        MigrationBatch(
+            moves=tuple(
+                (obj.name, np.flatnonzero(rng.random(obj.n_pages) < 0.4), 0)
+                for obj in table
+            )
+        )
     )
-    ctx.page_rates = lambda: EngineContext.page_rates(ctx)
-    ctx.page_access_rates = lambda: EngineContext.page_access_rates(ctx)
-    return ctx
+    return table
+
+
+def _wide_rate_ctx(table, seed: int) -> SimpleNamespace:
+    """:func:`_rate_ctx` over a wide table: :data:`WIDE_SHARERS` tasks all
+    access the first object (one object with that many rate terms) and one
+    private object each (single-term objects); the rest of the objects have
+    no terms, and one task has no time estimate yet."""
+    rng = np.random.default_rng(seed)
+    names = table.names
+    instances = [
+        TaskInstanceSpec(
+            f"t{j}",
+            Footprint(
+                accesses=(
+                    ObjectAccess(
+                        names[0], AccessPattern.RANDOM,
+                        reads=int(rng.integers(1, 10**7)),
+                    ),
+                    ObjectAccess(
+                        names[1 + 7 * j], AccessPattern.STREAM,
+                        reads=int(rng.integers(1, 10**6)),
+                        writes=int(rng.integers(0, 10**5)),
+                    ),
+                ),
+                instructions=1,
+            ),
+        )
+        for j in range(WIDE_SHARERS)
+    ]
+    times = {inst.task_id: float(rng.random() * 3) for inst in instances[1:]}
+    return _instances_ctx(table, instances, times)
 
 
 def _same_moves(got: MigrationBatch | None, want) -> None:
@@ -558,7 +630,16 @@ class TestTieredApplyBatch:
 class TestSampling:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_page_table_sample(self, seed):
-        table = _table(seed, shares=False)
+        self._check_sample(_table(seed, shares=False), seed)
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_wide_page_table_sample(self, seed):
+        table = _wide_table(seed)
+        assert table._page_owner.dtype == np.uint16
+        self._check_sample(table, seed)
+
+    @staticmethod
+    def _check_sample(table, seed):
         for n in (0, 1, 7, table.total_pages, 3 * table.total_pages):
             got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             obj, pages = table.sample_pages(n, rng=got_rng)
@@ -583,6 +664,31 @@ class TestSampling:
                 oracle.sample_pages(table, n, rng=seed),
             )
 
+    @pytest.mark.parametrize("kind", ["two_tier", "wide", "tiered"])
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_pickle_round_trip_samples_alike(self, seed, kind):
+        """A table restored mid-run samples the same (object, page) arrays
+        as the original from the same generator state: the sampling state
+        derived from the arena is dropped from the pickle and rebuilt."""
+        rng = np.random.default_rng(6000 + seed)
+        if kind == "tiered":
+            table = _tiered(seed, 4)
+            table.apply_batch(_tiered_batch(table, rng))
+        else:
+            table = _wide_table(seed) if kind == "wide" else _table(seed, False)
+            table.apply_batch(_batch(table, rng))
+        state = table.__getstate__()
+        assert "_page_owner" not in state and "_page_bounds" not in state
+        clone = pickle.loads(pickle.dumps(table))
+        for n in (1, 64, 4096):
+            got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+            got = clone.sample_pages(n, rng=got_rng)
+            want = table.sample_pages(n, rng=want_rng)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_empty_table(self):
         table = PageTable([], 0)
         obj, pages = table.sample_pages(10, rng=0)
@@ -591,8 +697,15 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_top_k_hot_pages(self, seed):
+        self._check_top_k(_table(seed, shares=False), seed)
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_wide_top_k_hot_pages(self, seed):
+        self._check_top_k(_wide_table(seed), seed)
+
+    @staticmethod
+    def _check_top_k(table, seed):
         rng = np.random.default_rng(seed)
-        table = _table(seed, shares=False)
         obj, pages = table.sample_pages(256, rng=rng)
         counts = rng.poisson(2.0, size=len(pages)).astype(np.float64)
         estimate = PageSampleEstimate(table.names, obj, pages, counts, scale=1.0)
@@ -601,6 +714,62 @@ class TestSampling:
                 _assert_same_groups(
                     top_k_hot_pages(estimate, k, min_count),
                     oracle.top_k_hot_pages(estimate, k, min_count),
+                )
+
+
+    #: scan counts and the sort key each must take: whole counts below
+    #: 2**16 sort as uint16, anything else as the float counts themselves
+    COUNT_CASES = {
+        "ties": np.uint16,
+        "max_narrow": np.uint16,
+        "fault_doubled": np.uint16,
+        "past_narrow": np.float64,
+        "non_whole": np.float64,
+    }
+
+    @staticmethod
+    def _counts(case: str, n: int, rng) -> np.ndarray:
+        if case == "ties":  # long runs of equal counts
+            return rng.integers(1, 4, size=n).astype(np.float64)
+        counts = rng.poisson(3.0, size=n).astype(np.float64)
+        if case == "fault_doubled":
+            counts[rng.random(n) < 0.3] *= 2.0
+        elif case == "max_narrow":
+            counts[rng.integers(0, n, size=20)] = 65535.0
+        elif case == "past_narrow":
+            counts[rng.integers(0, n, size=20)] = 65535.0
+            counts[int(rng.integers(n))] = 65536.0
+        elif case == "non_whole":
+            counts[int(rng.integers(n))] = 4.5
+        return counts
+
+    @pytest.mark.parametrize("case", sorted(COUNT_CASES))
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_top_k_sort_key(self, seed, case, monkeypatch):
+        """Both sort keys give the reference's groups, and each count set
+        takes the key it should."""
+        rng = np.random.default_rng(seed)
+        table = _wide_table(seed)
+        obj, pages = table.sample_pages(2048, rng=rng)
+        counts = self._counts(case, len(pages), rng)
+        estimate = PageSampleEstimate(table.names, obj, pages, counts, scale=1.0)
+        keys = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            if kwargs.get("kind") == "stable":  # the hotness sort
+                keys.append(np.asarray(a).dtype)
+            return argsort(a, *args, **kwargs)
+
+        for k in (1, 64, 1000, 4096):
+            for min_count in (0.0, 1.0, 3.0):
+                monkeypatch.setattr(np, "argsort", spy)
+                got = top_k_hot_pages(estimate, k, min_count)
+                monkeypatch.setattr(np, "argsort", argsort)
+                assert keys == [self.COUNT_CASES[case]]
+                keys.clear()
+                _assert_same_groups(
+                    got, oracle.top_k_hot_pages(estimate, k, min_count)
                 )
 
 
@@ -618,7 +787,19 @@ class TestRates:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_rates_at_sampled_lanes(self, seed, n_tiers):
         table = _table(seed, shares=True) if n_tiers == 2 else _tiered(seed, n_tiers)
-        ctx = _rate_ctx(table, seed)
+        self._check_rates_at(table, _rate_ctx(table, seed), seed)
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_wide_rates_at_sampled_lanes(self, seed):
+        table = _wide_table(seed)
+        ctx = _wide_rate_ctx(table, seed)
+        depth = {name: len(c) for name, c in ctx.page_rates().terms.items()}
+        assert max(depth.values()) == WIDE_SHARERS
+        assert 1 in depth.values() and len(depth) < len(table)
+        self._check_rates_at(table, ctx, seed)
+
+    @staticmethod
+    def _check_rates_at(table, ctx, seed):
         rates, want = ctx.page_rates(), oracle.page_access_rates(ctx)
         obj, pages = table.sample_pages(500, rng=seed)
         live = np.array([table.names[i] in want for i in obj], dtype=bool)
@@ -629,6 +810,15 @@ class TestRates:
             [want[name][idx] for name, idx in _groups(table.names, obj[live], pages[live])]
         )
         assert got.tobytes() == ref.tobytes()
+
+
+FAULTS = [
+    None,
+    FaultConfig(pte_drop_rate=1.0, pte_fault_fraction=0.4),
+    FaultConfig(pte_duplicate_rate=1.0, pte_fault_fraction=0.3),
+    FaultConfig(pte_drop_rate=0.5, pte_duplicate_rate=0.5),
+]
+FAULT_IDS = ["healthy", "drop", "duplicate", "mixed"]
 
 
 class TestPTEScan:
@@ -660,20 +850,19 @@ class TestPTEScan:
             ]
         return got, SimpleNamespace(samples=samples, scale=scale)
 
-    @pytest.mark.parametrize(
-        "faults",
-        [
-            None,
-            FaultConfig(pte_drop_rate=1.0, pte_fault_fraction=0.4),
-            FaultConfig(pte_duplicate_rate=1.0, pte_fault_fraction=0.3),
-            FaultConfig(pte_drop_rate=0.5, pte_duplicate_rate=0.5),
-        ],
-        ids=["healthy", "drop", "duplicate", "mixed"],
-    )
+    @pytest.mark.parametrize("faults", FAULTS, ids=FAULT_IDS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_reference(self, seed, faults):
         table = _table(seed, shares=True)
-        ctx = _rate_ctx(table, seed)
+        self._check(seed, table, _rate_ctx(table, seed), faults)
+
+    @pytest.mark.parametrize("faults", FAULTS, ids=FAULT_IDS)
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_wide_matches_reference(self, seed, faults):
+        table = _wide_table(seed)
+        self._check(seed, table, _wide_rate_ctx(table, seed), faults)
+
+    def _check(self, seed, table, ctx, faults):
         for max_pages, interval_s in ((1, 0.5), (64, 1e-3), (4096, 0.25)):
             got, want = self._scan(seed, table, ctx, faults, max_pages, interval_s)
             assert got.counts.dtype == np.float64
