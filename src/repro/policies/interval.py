@@ -82,13 +82,20 @@ class IntervalReconfigPolicy(PlacementPolicy):
         obj_id = obj_ids[rank][move]
         page = all_pages[rank][move].astype(np.intp)
         dst = dst[move]
-        # coalesce adjacent same-(object, tier) moves
+        # coalesce adjacent same-(object, tier) moves into runs, each run a
+        # slice of ``page``
+        if not len(page):
+            self._queue = []
+            return
         cuts = np.flatnonzero((np.diff(obj_id) != 0) | (np.diff(dst) != 0)) + 1
-        starts = np.concatenate(([0], cuts)) if len(page) else []
+        starts = np.concatenate(([0], cuts))
+        ends = np.append(cuts, len(page)).tolist()
         names = table.names
         self._queue = [
-            (names[obj_id[i]], run, int(dst[i]))
-            for i, run in zip(starts, np.split(page, cuts))
+            (names[o], page[a:b], k)
+            for o, k, a, b in zip(
+                obj_id[starts].tolist(), dst[starts].tolist(), starts.tolist(), ends
+            )
         ]
 
     def on_tick(self, ctx: EngineContext, dt: float):

@@ -23,8 +23,11 @@ sample -> Poisson loop and the per-object fault draws.
 migration, capacity, fraction and candidate-page routines as they were
 before page state became one tier index per page.  :func:`page_weights`
 is the per-object Zipf weight draw every table build made before draws
-were memoised.  The production versions must match all of them bit for
-bit.
+were memoised.  :func:`drain_queue` is the queue drain that popped one
+move at a time, and :func:`page_pool`/:func:`pool_by_object` the
+Merchandiser page pool with one object name per candidate page, split by
+string comparison.  The production versions must match all of them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from repro.common import PAGE_SIZE, make_rng, zipf_weights
 
 __all__ = [
     "apply_batch",
+    "drain_queue",
+    "page_pool",
+    "pool_by_object",
     "sample_pages",
     "top_k_hot_pages",
     "interval_replan",
@@ -98,6 +104,52 @@ def apply_batch(table, batch) -> int:
             table.shares.pop(name, None)
         moved += len(sel)
     return moved
+
+
+def drain_queue(queue: list, budget: int, max_pages: int):
+    """Pop up to ``min(budget, max_pages)`` pages off ``queue`` (mutated)
+    one move at a time; the popped moves, or ``None`` when none."""
+    budget = min(max_pages, budget)
+    out = []
+    while queue and budget > 0:
+        name, idx, dst = queue[0]
+        take = idx[:budget]
+        rest = idx[budget:]
+        out.append((name, take, dst))
+        budget -= len(take)
+        if len(rest):
+            queue[0] = (name, rest, dst)
+        else:
+            queue.pop(0)
+    return out or None
+
+
+def page_pool(table, footprint, taken):
+    """``(names, pages, gains)`` of a footprint's pages not marked in
+    ``taken``, object by object in access order, ``names`` a string array
+    with one entry per page; ``None`` when empty."""
+    total = footprint.total_accesses
+    names: list[str] = []
+    pages: list[np.ndarray] = []
+    gains: list[np.ndarray] = []
+    for acc in footprint.accesses:
+        cand = np.flatnonzero(~taken[acc.obj])
+        if not len(cand):
+            continue
+        names.extend([acc.obj] * len(cand))
+        pages.append(cand)
+        gains.append(table.object(acc.obj).weight[cand] * (acc.total / total))
+    if not pages:
+        return None
+    return np.array(names), np.concatenate(pages), np.concatenate(gains)
+
+
+def pool_by_object(pool, take) -> list[tuple[str, np.ndarray]]:
+    """Pool positions ``take`` as ``(object, pages)``, objects in name
+    order, pages in ``take`` order."""
+    names, pages, _ = pool
+    picked = names[take]
+    return [(str(name), pages[take[picked == name]]) for name in np.unique(picked)]
 
 
 def memory_mode_residency(

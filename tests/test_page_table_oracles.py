@@ -627,6 +627,279 @@ class TestTieredApplyBatch:
         assert all((vec >= 0).all() for vec in again.values())
 
 
+#: objects in the write body's wide fixtures
+WRITE_OBJECTS = 24
+
+
+def _write_table(seed: int, n_tiers: int) -> TieredPageTable:
+    """:data:`WRITE_OBJECTS` objects of 10-120 pages; every tier but the
+    slowest holds a twentieth to a quarter of the pages, so hundreds of
+    moves run the fast tiers out of room mid-group."""
+    rng = np.random.default_rng(seed)
+    specs = [
+        DataObject(
+            f"w{i}",
+            int(rng.integers(10, 120)) * PAGE_SIZE,
+            hotness="zipf" if rng.random() < 0.5 else "uniform",
+        )
+        for i in range(WRITE_OBJECTS)
+    ]
+    total = sum(s.n_pages for s in specs)
+    caps = [
+        int(rng.integers(total // 20, total // 4)) * PAGE_SIZE
+        for _ in range(n_tiers - 1)
+    ]
+    if n_tiers == 2:
+        return PageTable(specs, caps[0], rng=seed)
+    return TieredPageTable(specs, caps + [total * PAGE_SIZE], rng=seed)
+
+
+def _write_batch(table: TieredPageTable, rng, n_moves: int) -> MigrationBatch:
+    """``n_moves`` moves of 0-11 pages each (zero-length moves, repeated
+    pages within and across moves, objects named by several moves to one
+    tier), destinations drawn over every tier."""
+    names = table.names
+    moves = []
+    for _ in range(n_moves):
+        name = names[int(rng.integers(len(names)))]
+        idx = rng.integers(0, table.object(name).n_pages, size=int(rng.integers(0, 12)))
+        moves.append((name, idx.astype(np.intp), int(rng.integers(table.n_tiers))))
+    return MigrationBatch(moves=tuple(moves))
+
+
+def _table_state(table: TieredPageTable):
+    return (
+        table.tier_arena.tobytes(),
+        [table.tier_used_pages(k) for k in range(table.n_tiers)],
+        {name: vec.tobytes() for name, vec in table.access_fraction_vectors().items()},
+    )
+
+
+class TestWideWriteBody:
+    """The per-destination write body against the move-by-move shadows on
+    batches of hundreds of moves."""
+
+    @pytest.mark.parametrize("n_tiers", [3, 4])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tiered_matches_reference(self, seed, n_tiers):
+        table = _write_table(seed, n_tiers)
+        ref = oracle.TieredResidency(table)
+        rng = np.random.default_rng(8000 + seed)
+        filled = 0
+        for n_moves in (200, 600, 300, 450):
+            batch = _write_batch(table, rng, n_moves)
+            dsts = [(name, dst) for name, _, dst in batch.moves]
+            assert len(set(dsts)) < len(dsts)
+            assert table.apply_batch(batch) == ref.apply_batch(batch)
+            _assert_tiered_same(table, ref)
+            filled += sum(table.tier_free_pages(k) == 0 for k in range(n_tiers - 1))
+        # some group ran out of room, so the clamp was exercised
+        assert filled
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_two_tier_matches_reference(self, seed):
+        table = _write_table(seed, 2)
+        shares = _shares(table, seed)
+        table.set_dram_shares(shares)
+        resum, parent = oracle.Residency(table, shares), oracle.Residency(table, shares)
+        rng = np.random.default_rng(9000 + seed)
+        for n_moves in (200, 600, 300):
+            batch = _write_batch(table, rng, n_moves)
+            moved = table.apply_batch(batch)
+            assert moved == oracle.apply_batch(resum, batch)
+            assert moved == parent.apply_batch(batch)
+            _assert_cache_current(table, parent)
+
+    def test_page_in_two_moves_after_a_clamp(self):
+        # tier 0 has 3 free pages: the first move is clamped to a[0:3], so
+        # a[4] (listed again by the third move) and b[0] stay where they are
+        table = _two_objects((3, 4, 16))
+        ref = oracle.TieredResidency(table)
+        batch = MigrationBatch(
+            moves=(
+                ("a", np.arange(5), 0),
+                ("b", np.array([0]), 0),
+                ("a", np.array([4, 5]), 0),
+            )
+        )
+        assert table.apply_batch(batch) == ref.apply_batch(batch) == 3
+        _assert_tiered_same(table, ref)
+        np.testing.assert_array_equal(
+            np.flatnonzero(table.object("a").page_tier == 0), [0, 1, 2]
+        )
+        assert table.object("b").pages_in(0) == 0
+
+    def test_zero_length_moves_and_settled_group(self):
+        table = _two_objects((4, 4, 16))
+        ref = oracle.TieredResidency(table)
+        before = table.access_fraction_vectors()
+        batch = MigrationBatch(
+            moves=(
+                ("a", np.empty(0, dtype=np.intp), 0),
+                ("b", np.arange(8), 2),
+                ("b", np.empty(0, dtype=np.intp), 1),
+                ("a", np.array([1]), 1),
+            )
+        )
+        assert table.apply_batch(batch) == ref.apply_batch(batch) == 1
+        _assert_tiered_same(table, ref)
+        # b was named but not moved: its cached vector is the one it had
+        assert table._fractions["b"] is not None
+        assert table.access_fraction_vectors()["b"].tobytes() == before["b"].tobytes()
+
+    def test_share_survives_when_named_but_not_moved(self):
+        table = PageTable(
+            [DataObject(n, 6 * PAGE_SIZE) for n in ("a", "b", "c")], 8 * PAGE_SIZE
+        )
+        shares = {"a": 0.25, "b": 0.5, "c": 0.75}
+        table.set_dram_shares(shares)
+        ref = oracle.Residency(table, shares)
+        batch = MigrationBatch(
+            moves=(
+                ("a", np.arange(6), 1),  # already in PM
+                ("b", np.empty(0, dtype=np.intp), 0),
+                ("c", np.array([2, 2]), 0),
+            )
+        )
+        assert table.apply_batch(batch) == ref.apply_batch(batch) == 1
+        assert ref.shares == {"a": 0.25, "b": 0.5}
+        _assert_cache_current(table, ref)
+        assert table.access_fractions()["a"] == 0.25
+        assert table.access_fractions()["b"] == 0.5
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_bad_destination_writes_nothing(self, bad):
+        for table in (_write_table(1, 2), _write_table(1, 3)):
+            name = table.names[0]
+            table.place(MigrationBatch(moves=((name, np.arange(4), 0),)))
+            before = _table_state(table)
+            # a valid demotion sorts ahead of a negative destination
+            batch = MigrationBatch(
+                moves=((name, np.arange(4), 1), (table.names[1], np.arange(2), bad))
+            )
+            with pytest.raises(ValueError, match="out of range"):
+                table.apply_batch(batch)
+            assert _table_state(table) == before
+
+    @pytest.mark.parametrize("page", [-1, 8])
+    def test_bad_page_writes_nothing(self, page):
+        table = _two_objects((4, 4, 16))
+        before = _table_state(table)
+        batch = MigrationBatch(
+            moves=(("a", np.arange(3), 1), ("b", np.array([0, page]), 0))
+        )
+        with pytest.raises(IndexError, match="out of range"):
+            table.apply_batch(batch)
+        assert _table_state(table) == before
+
+
+class TestColdestPages:
+    """The partial selection equals the prefix of the full stable sort."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_full_stable_sort(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        obj = pages.TieredPagedObject(DataObject("x", n * PAGE_SIZE), 3, rng=seed)
+        # four distinct weights, so most cutoffs fall inside a run of ties
+        obj.weight = rng.choice(rng.random(4), size=n)
+        obj.page_tier = rng.integers(0, 3, size=n).astype(np.int8)
+        tied = 0
+        for k in range(3):
+            cand = np.flatnonzero(obj.page_tier == k)
+            full = cand[np.argsort(obj.weight[cand], kind="stable")]
+            m = len(cand)
+            for limit in (None, 0, 1, 2, m // 3, m // 2, m - 1, m, m + 5):
+                want = full if limit is None else full[:limit]
+                got = obj.coldest_pages_in(k, limit)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+                if limit is not None and 0 < limit < m:
+                    w = obj.weight[full]
+                    tied += w[limit - 1] == w[limit]
+        assert tied
+
+
+class TestPagePool:
+    """``PagePool`` against the string-array pool of the reference."""
+
+    @staticmethod
+    def _footprint(names, rng) -> Footprint:
+        # access order is not name order, and one object is listed twice
+        order = list(rng.permutation(len(names)))
+        order.insert(int(rng.integers(len(order) + 1)), order[0])
+        return Footprint(
+            accesses=tuple(
+                ObjectAccess(
+                    names[i], AccessPattern.RANDOM, reads=int(rng.integers(1, 10**6))
+                )
+                for i in order
+            ),
+            instructions=1,
+        )
+
+    def _check(self, table, footprint, taken, rng) -> None:
+        from repro.core.runtime import PagePool
+
+        pool = PagePool.gather(table, footprint, taken)
+        want = oracle.page_pool(table, footprint, taken)
+        if want is None:
+            assert pool is None
+            return
+        assert list(pool.names) == sorted(pool.names)
+        want_names, want_pages, want_gains = want
+        assert np.array(pool.names)[pool.owner].tolist() == want_names.tolist()
+        assert pool.pages.tobytes() == want_pages.tobytes()
+        assert pool.gains.tobytes() == want_gains.tobytes()
+        n = len(pool.pages)
+        for take in (
+            np.argsort(-pool.gains, kind="stable"),
+            rng.permutation(n)[: int(rng.integers(0, n + 1))],
+            np.empty(0, dtype=np.intp),
+        ):
+            _assert_same_groups(pool.by_object(take), oracle.pool_by_object(want, take))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_string_pool(self, seed):
+        table = _write_table(seed, 3)
+        rng = np.random.default_rng(seed)
+        # names w0..w23: name order puts w10 before w2
+        names = [table.names[i] for i in rng.choice(WRITE_OBJECTS, 14, replace=False)]
+        taken = {obj.name: rng.random(obj.n_pages) < 0.3 for obj in table}
+        self._check(table, self._footprint(names, rng), taken, rng)
+        all_taken = {obj.name: np.ones(obj.n_pages, dtype=bool) for obj in table}
+        self._check(table, self._footprint(names, rng), all_taken, rng)
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_wide_pool(self, seed):
+        # more than 256 pooled objects: a 16-bit owner key
+        table = _wide_table(seed)
+        rng = np.random.default_rng(seed)
+        taken = {obj.name: rng.random(obj.n_pages) < 0.2 for obj in table}
+        self._check(table, self._footprint(list(table.names), rng), taken, rng)
+
+
+class TestDrainQueue:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_pop_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        queue = [
+            (f"o{i % 5}", np.arange(int(rng.integers(0, 40))), int(rng.integers(3)))
+            for i in range(int(rng.integers(0, 300)))
+        ]
+        # one move longer than a whole drain
+        queue.insert(len(queue) // 2, ("big", np.arange(3 * pages.QUEUE_DRAIN_PAGES), 0))
+        ref = list(queue)
+        while queue or ref:
+            budget = int(rng.integers(-2, 2 * pages.QUEUE_DRAIN_PAGES))
+            got = pages.drain_queue(queue, budget)
+            want = oracle.drain_queue(ref, budget, pages.QUEUE_DRAIN_PAGES)
+            _same_moves(got, want)
+            assert [(n, d) for n, _, d in queue] == [(n, d) for n, _, d in ref]
+            for (_, a, _), (_, b, _) in zip(queue, ref):
+                np.testing.assert_array_equal(a, b)
+
+
 class TestSampling:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_page_table_sample(self, seed):
@@ -891,8 +1164,8 @@ class TestIntervalReplan:
         # some objects carry no rates (not touched by an active task)
         return _rate_ctx(table, seed)
 
-    def _check(self, table, seed, sample_pages, ref=None):
-        ctx = self._ctx(table, seed)
+    def _check(self, table, seed, sample_pages, ref=None, ctx=None):
+        ctx = self._ctx(table, seed) if ctx is None else ctx
         policy = IntervalReconfigPolicy(sample_pages=sample_pages, seed=seed)
         policy._replan(ctx)
         sample = oracle.sample_pages(table, sample_pages, rng=seed)
@@ -904,6 +1177,7 @@ class TestIntervalReplan:
         for (_, a, _), (_, b, _) in zip(got, want):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+        return got
 
     @pytest.mark.parametrize("sample_pages", [1, 32, 4096])
     @pytest.mark.parametrize("seed", SEEDS)
@@ -923,6 +1197,41 @@ class TestIntervalReplan:
             batch = _tiered_batch(table, rng)
             assert table.apply_batch(batch) == ref.apply_batch(batch)
         self._check(table, seed, sample_pages, ref)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_queue_four_tiers(self, seed):
+        # every object has rates, so the ranked sample interleaves objects
+        # and tiers: a queue of thousands of short runs
+        rng = np.random.default_rng(seed)
+        specs = [
+            DataObject(f"q{i}", int(rng.integers(20, 80)) * PAGE_SIZE, hotness="zipf")
+            for i in range(60)
+        ]
+        total = sum(s.n_pages for s in specs)
+        caps = [total // 8, total // 6, total // 4, total]
+        table = TieredPageTable(specs, [c * PAGE_SIZE for c in caps], rng=seed)
+        ref = oracle.TieredResidency(table)
+        names = table.names
+        instances = [
+            TaskInstanceSpec(
+                f"t{j}",
+                Footprint(
+                    accesses=tuple(
+                        ObjectAccess(
+                            names[i], AccessPattern.RANDOM,
+                            reads=int(rng.integers(1, 10**7)),
+                        )
+                        for i in range(j, len(names), 4)
+                    ),
+                    instructions=1,
+                ),
+            )
+            for j in range(4)
+        ]
+        times = {inst.task_id: float(1 + rng.random()) for inst in instances}
+        ctx = _instances_ctx(table, instances, times)
+        queue = self._check(table, seed, 4096, ref, ctx)
+        assert len(queue) >= 1000
 
 
 class TestPageWeights:
