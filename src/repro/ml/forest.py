@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common import make_rng
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, _fit_inputs
 
 __all__ = ["RandomForestRegressor"]
 
@@ -32,10 +32,7 @@ class RandomForestRegressor:
         self.feature_importances_: np.ndarray | None = None
 
     def fit(self, X, y) -> "RandomForestRegressor":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X and y disagree on sample count")
+        X, y, ranks = _fit_inputs(X, y)
         n = X.shape[0]
         self.trees_ = []
         importances = np.zeros(X.shape[1])
@@ -47,7 +44,7 @@ class RandomForestRegressor:
                 max_features=self.max_features,
                 rng=self._rng,
             )
-            tree.fit(X[boot], y[boot])
+            tree._grow(X[boot], y[boot], ranks[boot])
             self.trees_.append(tree)
             importances += tree.feature_importances_
         total = importances.sum()

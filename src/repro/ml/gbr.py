@@ -16,7 +16,7 @@ from repro.ml.kernels import (
     pack_forest,
     pack_leaf_masks,
 )
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, _fit_inputs
 
 __all__ = ["GradientBoostedRegressor"]
 
@@ -53,10 +53,7 @@ class GradientBoostedRegressor:
         self._leaf_masks: LeafMaskForest | None = None
 
     def fit(self, X, y) -> "GradientBoostedRegressor":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X and y disagree on sample count")
+        X, y, ranks = _fit_inputs(X, y)
         n = X.shape[0]
         self.init_ = float(y.mean())
         pred = np.full(n, self.init_)
@@ -77,7 +74,7 @@ class GradientBoostedRegressor:
                 min_samples_leaf=self.min_samples_leaf,
                 rng=self._rng,
             )
-            tree.fit(X[idx], residual[idx])
+            tree._grow(X[idx], residual[idx], ranks[idx])
             self.trees_.append(tree)
             pred += self.learning_rate * tree.predict(X)
             importances += tree.feature_importances_

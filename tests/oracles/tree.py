@@ -3,15 +3,20 @@
 ``best_split`` and the ``build`` recursion inside ``fit`` are the split
 search of ``DecisionTreeRegressor.fit`` as it stood before each tree
 presorted its columns once.  Every node re-sorts the node's samples by
-every candidate feature and scans the prefix sums of that one ordering;
-candidate features are visited in turn, and a later feature wins only on a
-strictly greater gain.  The production fit must grow node-for-node the
-same trees and the same importances, bit for bit.
+every candidate feature's float values and scans the prefix sums of that
+one ordering at every position; candidate features are visited in turn,
+and a later feature wins only on a strictly greater gain.  The production
+fit must grow node-for-node the same trees and the same importances, bit
+for bit.
+
+The reference takes NaN in ``X`` (the production fit rejects it): its float
+sort ties all NaNs, yet ``!=`` calls two adjacent NaNs a valid threshold.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,8 +78,13 @@ def best_split(
     return best
 
 
+#: counts reference fits; ``reference_tree_fit`` hands each block a fresh one
+_counter = SimpleNamespace(trees=0)
+
+
 def fit(self: DecisionTreeRegressor, X, y) -> DecisionTreeRegressor:
     """``DecisionTreeRegressor.fit`` with the per-node, per-feature search."""
+    _counter.trees += 1
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.ndim != 2:
@@ -124,13 +134,30 @@ def fit(self: DecisionTreeRegressor, X, y) -> DecisionTreeRegressor:
     return self
 
 
+def _grow(self, X, y, ranks):
+    """The production grow body's signature over the reference ``fit``; the
+    ensembles' presorted ranks are ignored, and every node sorts anew."""
+    return fit(self, X, y)
+
+
 @contextmanager
 def reference_tree_fit():
     """Fit every ``DecisionTreeRegressor`` -- standalone, boosted or bagged --
-    with the reference ``fit`` for the length of a ``with`` block."""
-    production = DecisionTreeRegressor.fit
+    with the reference ``fit`` for the length of a ``with`` block.
+
+    A standalone tree enters through ``fit`` and the ensembles through the
+    private grow body ``_grow``, so both are swapped.  The block receives a
+    counter whose ``trees`` is the number of trees the reference has grown
+    in it, so a differential test can check that it did not compare
+    production with production.
+    """
+    global _counter
+    production = DecisionTreeRegressor.fit, DecisionTreeRegressor._grow
+    _counter = SimpleNamespace(trees=0)
     DecisionTreeRegressor.fit = fit
+    DecisionTreeRegressor._grow = _grow
     try:
-        yield
+        yield _counter
     finally:
-        DecisionTreeRegressor.fit = production
+        DecisionTreeRegressor.fit, DecisionTreeRegressor._grow = production
+        _counter = SimpleNamespace(trees=0)

@@ -133,6 +133,12 @@ def _ms(value: float) -> str:
     return f"{value:.1f} ms" if value >= 10 else f"{value:.2f} ms"
 
 
+def _spread(entry: dict, side: str) -> str:
+    """A side's cell: the median, then the min and max of its rounds."""
+    lo, hi = (_ms(entry[f"{side}_{end}_ms"])[:-3] for end in ("min", "max"))
+    return f"{_ms(entry[f'{side}_ms'])} [{lo}–{hi}]"
+
+
 def test_speedup_table_matches_committed_results():
     """Every cell of the measured-speedup table equals the committed JSON
     at the table's rounding, and every benchmark has exactly one row."""
@@ -150,8 +156,8 @@ def test_speedup_table_matches_committed_results():
     assert set(rows) == set(entries), f"rows {sorted(rows)} != {sorted(entries)}"
     for name, entry in entries.items():
         expected = (
-            _ms(entry["scalar_ms"]),
-            _ms(entry["kernel_ms"]),
+            _spread(entry, "scalar"),
+            _spread(entry, "kernel"),
             f"**{entry['speedup_x']:.1f}×**",
             f"{entry['accept_floor_x']:g}×",
         )

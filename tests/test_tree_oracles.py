@@ -1,10 +1,12 @@
 """Differential tests: CART split search vs tests/oracles/tree.
 
 Every case fits the same seeded model twice, once with the production
-``DecisionTreeRegressor.fit`` (one presort per tree, one vectorised split
-pass per node) and once inside ``reference_tree_fit()`` (one stable sort
-per node and feature), and requires identical bytes: every tree's pickled
-node list and the model's ``feature_importances_``.
+fit (one integer rank matrix per ensemble, one presort per tree, one
+vectorised split pass per node over the valid thresholds) and once inside
+``reference_tree_fit()`` (one stable float sort per node and feature), and
+requires identical bytes: every tree's pickled node list and the model's
+``feature_importances_``.  Each case also checks that the reference grew
+every tree of the model.
 """
 
 import pickle
@@ -12,11 +14,16 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.apps.codesamples import generate_corpus
+from repro.common import make_rng
+from repro.core.correlation import generate_training_data
 from repro.ml import (
     DecisionTreeRegressor,
     GradientBoostedRegressor,
     RandomForestRegressor,
 )
+from repro.ml.tree import _fit_inputs
+from repro.sim import MachineModel, optane_hm_config
 from tests.oracles import tree as oracle
 
 
@@ -31,8 +38,9 @@ def _fingerprint(model) -> tuple[bytes, bytes, list[int]]:
 
 def _assert_identical(make, X, y):
     production = _fingerprint(make().fit(X, y))
-    with oracle.reference_tree_fit():
+    with oracle.reference_tree_fit() as grown:
         reference = _fingerprint(make().fit(X, y))
+    assert grown.trees == len(reference[2]), "the reference did not grow every tree"
     assert production[2] == reference[2], "node counts differ"
     assert production == reference
 
@@ -147,6 +155,120 @@ def test_nodes_of_size_two():
 
 def test_reference_fit_is_restored():
     production = DecisionTreeRegressor.fit
+    grow = DecisionTreeRegressor._grow
     with oracle.reference_tree_fit():
         assert DecisionTreeRegressor.fit is oracle.fit
+        assert DecisionTreeRegressor._grow is not grow
     assert DecisionTreeRegressor.fit is production
+    assert DecisionTreeRegressor._grow is grow
+
+
+@pytest.fixture(scope="module")
+def fast_corpus():
+    """The training set ``Merchandiser.offline_setup(n_samples=80,
+    placements_per_sample=8, seed=0)`` fits f(.) on: 640 rows x 21 columns,
+    20 of which take one value per code sample."""
+    rng = make_rng(0)
+    data = generate_training_data(
+        MachineModel(), optane_hm_config(), generate_corpus(80, seed=rng), 8, seed=rng
+    )
+    return data.X, data.y
+
+
+def test_gbr_on_the_fast_training_corpus(fast_corpus):
+    X, y = fast_corpus
+    assert X.shape == (640, 21)
+    _assert_identical(
+        lambda: GradientBoostedRegressor(
+            n_estimators=30, max_depth=4, min_samples_leaf=3, subsample=0.9, rng=0
+        ),
+        X,
+        y,
+    )
+
+
+def _all_models(seed: int):
+    return [
+        lambda: DecisionTreeRegressor(max_depth=8, min_samples_leaf=2),
+        lambda: RandomForestRegressor(n_estimators=6, max_features=0.5, rng=seed),
+        lambda: GradientBoostedRegressor(n_estimators=8, subsample=0.8, rng=seed),
+    ]
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf", "squares_overflow"])
+def test_non_finite_target(target):
+    """A NaN or +-inf target makes every gain of a node holding it NaN: no
+    such node splits, while bootstrap trees that miss the row split as
+    usual.  Targets whose squares overflow give inf and NaN gains too."""
+    X, y = _counter_like(11, n=150, d=8)
+    if target == "squares_overflow":
+        y = 1e153 + 1e140 * y
+    else:
+        y[17] = float(target)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for make in _all_models(11):
+            _assert_identical(make, X, y)
+
+
+def test_infinite_features_and_signed_zero_ties():
+    """+-inf features rank like any value, and a threshold next to one is
+    inf or NaN, so the node stays a leaf exactly as before; -0.0 ties with
+    0.0 and the tied rows keep row order."""
+    X, y = _counter_like(12, n=240, d=8)
+    rng = np.random.default_rng(12)
+    X[rng.choice(240, 30, replace=False), 0] = np.inf
+    X[rng.choice(240, 30, replace=False), 0] = -np.inf
+    X[:, 1] = rng.integers(-2, 3, 240) * 0.5
+    X[rng.random(240) < 0.5, 1] *= -1.0  # half the zeros become -0.0
+    X[:, 2] = np.where(rng.random(240) < 0.5, -0.0, 0.0)
+    X[:5, 3] = np.inf
+    assert np.signbit(X[:, 1][X[:, 1] == 0]).any()
+    with np.errstate(invalid="ignore"):
+        for make in _all_models(12):
+            _assert_identical(make, X, y)
+        _assert_identical(
+            lambda: DecisionTreeRegressor(max_depth=6), X[:, [0]], y
+        )
+
+
+@pytest.mark.parametrize("n", [60, 640])
+def test_rank_order_is_the_float_order(n):
+    """For any row list -- a subsample in draw order, a bootstrap with
+    repeats -- the stable sort of the rows' ranks is the stable sort of
+    their values, and adjacent ranks differ exactly where values are !=."""
+    rng = np.random.default_rng(n)
+    X = np.round(rng.normal(size=(n, 5)), 1)
+    X[rng.random(n) < 0.2, 1] = -0.0
+    X[rng.random(n) < 0.1, 2] = np.inf
+    X[rng.random(n) < 0.1, 2] = -np.inf
+    X[:, 3] = 7.0
+    _, _, ranks = _fit_inputs(X, np.zeros(n))
+    assert ranks.dtype == (np.int8 if n < 128 else np.int16)
+    for rows in (
+        rng.choice(n, size=n * 9 // 10, replace=False),
+        rng.integers(0, n, size=n),
+    ):
+        by_rank = np.argsort(ranks[rows], axis=0, kind="stable")
+        by_value = np.argsort(X[rows], axis=0, kind="stable")
+        assert np.array_equal(by_rank, by_value)
+        xs = np.take_along_axis(X[rows], by_value, axis=0)
+        rs = np.take_along_axis(ranks[rows], by_rank, axis=0)
+        assert np.array_equal(rs[1:] != rs[:-1], xs[1:] != xs[:-1])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        DecisionTreeRegressor,
+        lambda: GradientBoostedRegressor(n_estimators=3, rng=0),
+        lambda: RandomForestRegressor(n_estimators=3, rng=0),
+    ],
+    ids=["dtr", "gbr", "rf"],
+)
+def test_nan_feature_is_rejected(make):
+    """NaN has no rank (it is ``!=`` itself), so every fit rejects it rather
+    than guess the float sort's order among NaNs."""
+    X, y = _counter_like(13, n=50, d=8)
+    X[7, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        make().fit(X, y)
