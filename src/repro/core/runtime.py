@@ -131,6 +131,14 @@ class PagePool:
             gains.append(table.object(acc.obj).weight[cand] * (acc.total / total))
         if not pages:
             return None
+        return cls.of(objs, pages, gains)
+
+    @classmethod
+    def of(
+        cls, objs: list[str], pages: list[np.ndarray], gains: list[np.ndarray]
+    ) -> "PagePool":
+        """The pool of per-object runs: ``pages[i]`` of object ``objs[i]``,
+        each page's gain in ``gains[i]``."""
         names = tuple(sorted(set(objs)))
         number = {name: i for i, name in enumerate(names)}
         owner = np.repeat(

@@ -23,6 +23,24 @@ from repro.sim.pages import drain_queue
 __all__ = ["IntervalReconfigPolicy"]
 
 
+def _distinct_samples(
+    table, obj: np.ndarray, pages: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct pages of a sample, ``(lanes, obj, pages)`` by ascending
+    arena lane, from ``table.sample_pages``-ordered ``obj`` and ``pages``.
+
+    Arena lanes ascend by object in table order, then by page, so a
+    repeated sample is a repeated lane and one sort groups the lanes
+    by object in ``obj``'s (ascending) order.
+    """
+    lanes = np.sort(table.arena_lanes(obj, pages))
+    first = np.empty(len(lanes), dtype=bool)
+    first[:1] = True
+    np.not_equal(lanes[1:], lanes[:-1], out=first[1:])
+    lanes, obj = lanes[first], obj[first]
+    return lanes, obj, lanes - table.arena_lanes(obj, 0)
+
+
 class IntervalReconfigPolicy(PlacementPolicy):
     """Periodic hotness-ranked re-placement from sampled telemetry."""
 
@@ -54,15 +72,9 @@ class IntervalReconfigPolicy(PlacementPolicy):
         obj, pages = table.sample_pages(self.sample_pages, rng=self._rng)
         has_rates = np.array([name in rates for name in table.names], dtype=bool)
         keep = has_rates[obj]
-        # one dedupe over (object, page): arena lanes ascend by object in
-        # table order, then by page
-        lanes, first = np.unique(
-            table.arena_lanes(obj[keep], pages[keep]), return_index=True
-        )
+        lanes, obj_ids, all_pages = _distinct_samples(table, obj[keep], pages[keep])
         if not len(lanes):
             return
-        obj_ids = obj[keep][first]
-        all_pages = pages[keep][first]
         rank = np.argsort(-rates.at(obj_ids, lanes), kind="stable")
 
         # capacity per tier for the sampled population: scale each tier's

@@ -51,9 +51,8 @@ class LearnedRankingPolicy(PlacementPolicy):
         for name in names:
             obj = ctx.page_table.object(name)
             size = ctx.workload.object(name).size_bytes
-            w = np.sort(obj.weight)[::-1]
-            top = max(1, int(np.ceil(0.1 * len(w))))
-            hot_fraction = float(w[:top].sum())
+            top = max(1, int(np.ceil(0.1 * obj.n_pages)))
+            hot_fraction = float(obj.weight[obj.hot_order[:top]].sum())
             rows.append(
                 default_object_features(size, totals[name], hot_fraction)
             )
@@ -91,7 +90,7 @@ class LearnedRankingPolicy(PlacementPolicy):
             name = names[i]
             obj = table.object(name)
             current = obj.page_tier
-            hot = np.argsort(-obj.weight, kind="stable")
+            hot = obj.hot_order
             pos = 0
             while pos < len(hot) and tier < n:
                 if free[tier] <= 0:

@@ -30,6 +30,42 @@ from repro.sim.pages import drain_queue
 __all__ = ["TieredMerchandiserPolicy"]
 
 
+def _hot_pool(table, footprint, taken: dict[str, np.ndarray]) -> PagePool | None:
+    """:meth:`PagePool.gather`'s pool with each object's pages in
+    :attr:`~repro.sim.pages.TieredPagedObject.hot_order` instead of by id.
+
+    A stable sort of its gains ranks it exactly as it ranks the gathered
+    pool: each object's gains are non-increasing (a positive scale keeps
+    the weight order), and a run of equal gains is put back in page-id
+    order, the order ties take in the gathered pool.  Distinct weights
+    can round to one gain, so such a run need not be in id order.
+    """
+    total = footprint.total_accesses
+    objs: list[str] = []
+    pages: list[np.ndarray] = []
+    gains: list[np.ndarray] = []
+    for acc in footprint.accesses:
+        obj = table.object(acc.obj)
+        cand = obj.hot_order
+        mask = taken[acc.obj]
+        claimed = np.count_nonzero(mask)
+        if claimed == len(cand):
+            continue
+        if claimed:
+            cand = cand[~mask[cand]]
+        gain = obj.weight[cand] * (acc.total / total)
+        tie = gain[1:] == gain[:-1]
+        if (tie & (cand[1:] < cand[:-1])).any():
+            resort = np.lexsort((cand, -gain))
+            cand, gain = cand[resort], gain[resort]
+        objs.append(acc.obj)
+        pages.append(cand)
+        gains.append(gain)
+    if not pages:
+        return None
+    return PagePool.of(objs, pages, gains)
+
+
 class TieredMerchandiserPolicy(PlacementPolicy):
     """Load-balance-aware per-task tier quotas (Algorithm 1, N tiers)."""
 
@@ -111,9 +147,11 @@ class TieredMerchandiserPolicy(PlacementPolicy):
             inst = by_task.get(quota.task_id)
             if inst is None:
                 continue
-            pool = PagePool.gather(table, inst.footprint, claimed)
+            pool = _hot_pool(table, inst.footprint, claimed)
             if pool is None:
                 continue
+            # the pool is a few presorted runs, which a stable sort merges
+            # (PERFORMANCE.md section 4, rule 12)
             rank = np.argsort(-pool.gains, kind="stable")
             pos = 0
             for k in range(n):
@@ -127,10 +165,10 @@ class TieredMerchandiserPolicy(PlacementPolicy):
                     obj = table.object(name)
                     mismatched = sel[obj.page_tier[sel] != k]
                     if len(mismatched):
-                        hot = mismatched[
-                            np.argsort(-obj.weight[mismatched], kind="stable")
-                        ]
-                        moves[k].append((name, hot))
+                        w = obj.weight[mismatched]
+                        if (w[1:] > w[:-1]).any():
+                            mismatched = mismatched[np.argsort(-w, kind="stable")]
+                        moves[k].append((name, mismatched))
                 if pos >= len(rank):
                     break
         self._queue = [

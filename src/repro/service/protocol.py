@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -73,6 +74,17 @@ class TaskSpec:
         if self.size_bytes <= 0:
             raise ProtocolError("size_bytes must be positive")
 
+    @cached_property
+    def fingerprint_line(self) -> bytes:
+        """This task's part of :meth:`PlacementRequest.fingerprint`'s
+        digest input, formatted once per spec."""
+        head = (
+            f"{self.task_id}|{self.t_pm_only!r}|{self.t_dram_only!r}|"
+            f"{self.total_accesses!r}|{self.size_bytes}|"
+        )
+        pmcs = "".join(f"{name}={self.pmcs[name]!r};" for name in sorted(self.pmcs))
+        return (head + pmcs).encode()
+
 
 @dataclass(frozen=True)
 class PlacementRequest:
@@ -98,12 +110,7 @@ class PlacementRequest:
         """Content hash of the region shape (tasks + inputs), tenant-free."""
         h = hashlib.sha256()
         for t in sorted(self.tasks, key=lambda t: t.task_id):
-            h.update(
-                f"{t.task_id}|{t.t_pm_only!r}|{t.t_dram_only!r}|"
-                f"{t.total_accesses!r}|{t.size_bytes}|".encode()
-            )
-            for name in sorted(t.pmcs):
-                h.update(f"{name}={t.pmcs[name]!r};".encode())
+            h.update(t.fingerprint_line)
         return h.hexdigest()[:16]
 
     @property

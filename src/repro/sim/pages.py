@@ -302,9 +302,13 @@ class TieredPagedObject:
     ``page_tier`` is each page's tier index (``int8``, fastest first), and
     the per-tier access fractions are the one-hot indicator of
     ``page_tier`` times ``weight``.
+
+    Weights never change in place, so the pages' hotness order is sorted
+    once, on first use (:attr:`hot_order`), and kept until ``weight`` is
+    rebound.  A pickle leaves it out.
     """
 
-    __slots__ = ("spec", "n_pages", "n_tiers", "weight", "page_tier")
+    __slots__ = ("spec", "n_pages", "n_tiers", "_weight", "_hot", "page_tier")
 
     def __init__(self, spec: DataObject, n_tiers: int, rng=None) -> None:
         if n_tiers < 2:
@@ -317,6 +321,37 @@ class TieredPagedObject:
         self.weight = page_weights(spec, rng)
         # born in the slowest tier
         self.page_tier = np.full(self.n_pages, n_tiers - 1, dtype=np.int8)
+
+    def __getstate__(self) -> dict:
+        return {k: getattr(self, k) for k in self.__slots__ if k != "_hot"}
+
+    def __setstate__(self, state: dict) -> None:
+        for key, value in state.items():
+            setattr(self, key, value)
+        self._hot = None
+
+    @property
+    def weight(self) -> np.ndarray:
+        """Per-page access weights (sum to 1); read-only by convention:
+        rebind, never write in place, so :attr:`hot_order` stays true."""
+        return self._weight
+
+    @weight.setter
+    def weight(self, value: np.ndarray) -> None:
+        self._weight = value
+        self._hot = None
+
+    @property
+    def hot_order(self) -> np.ndarray:
+        """Page ids hottest first, ties by page id: the stable sort of
+        ``-weight``, as read-only ``int32`` when the ids fit."""
+        if self._hot is None:
+            order = np.argsort(-self._weight, kind="stable")
+            if self.n_pages <= np.iinfo(np.int32).max:
+                order = order.astype(np.int32)
+            order.flags.writeable = False
+            self._hot = order
+        return self._hot
 
     @property
     def name(self) -> str:
@@ -338,18 +373,18 @@ class TieredPagedObject:
         gives; ``bincount(weights=)`` and per-row dots add in other orders
         (PERFORMANCE.md section 4, rule 3).
         """
-        onehot = self.page_tier[None, :] == np.arange(self.n_tiers)[:, None]
-        return onehot.astype(np.float64) @ self.weight
+        # an int8 tier range keeps the compare in int8
+        tiers = np.arange(self.n_tiers, dtype=np.int8)[:, None]
+        onehot = self.page_tier[None, :] == tiers
+        return onehot.astype(np.float64) @ self._weight
 
     def hottest_pages_slower_than(
         self, k: int, limit: int | None = None
     ) -> np.ndarray:
-        """Pages on a tier slower than ``k``, hottest first (ties broken by
-        page id via stable sort, so the order is a deterministic function
-        of (weight, id))."""
-        candidates = np.flatnonzero(self.page_tier > k)
-        order = np.argsort(-self.weight[candidates], kind="stable")
-        idx = candidates[order]
+        """Pages on a tier slower than ``k``, hottest first, ties by page id:
+        :attr:`hot_order` filtered, which is the candidates' stable sort."""
+        order = self.hot_order
+        idx = order[self.page_tier[order] > k]
         return idx if limit is None else idx[:limit]
 
     def coldest_pages_in(self, k: int, limit: int | None = None) -> np.ndarray:

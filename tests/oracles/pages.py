@@ -26,8 +26,12 @@ is the per-object Zipf weight draw every table build made before draws
 were memoised.  :func:`drain_queue` is the queue drain that popped one
 move at a time, and :func:`page_pool`/:func:`pool_by_object` the
 Merchandiser page pool with one object name per candidate page, split by
-string comparison.  The production versions must match all of them bit
-for bit.
+string comparison.  :func:`build_queue`, :func:`ltr_hot_fraction`,
+:func:`hot_order` and :func:`distinct_samples` are the N-tier
+Merchandiser queue, the learned-ranking policy's two sorts and the
+interval policy's sample dedupe as they were before each object kept its
+pages' hotness order: a full stable sort per call, and ``np.unique``.
+The production versions must match all of them bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ __all__ = [
     "drain_queue",
     "page_pool",
     "pool_by_object",
+    "pool_rank",
+    "build_queue",
+    "hot_order",
+    "ltr_hot_fraction",
+    "distinct_samples",
     "sample_pages",
     "top_k_hot_pages",
     "interval_replan",
@@ -150,6 +159,65 @@ def pool_by_object(pool, take) -> list[tuple[str, np.ndarray]]:
     names, pages, _ = pool
     picked = names[take]
     return [(str(name), pages[take[picked == name]]) for name in np.unique(picked)]
+
+
+def pool_rank(pool) -> np.ndarray:
+    """Pool positions by gain, highest first, ties by pool position."""
+    return np.argsort(-pool[2], kind="stable")
+
+
+def build_queue(table, instances, plan, n: int) -> list[tuple[str, np.ndarray, int]]:
+    """The N-tier Merchandiser's move queue for ``plan`` over region
+    ``instances``: each task's whole pool ranked by one stable sort, and
+    each object's mismatched pages stable-sorted by weight again."""
+    by_task = {inst.task_id: inst for inst in instances}
+    claimed = {obj.name: np.zeros(obj.n_pages, dtype=bool) for obj in table}
+    moves: dict[int, list] = {k: [] for k in range(n)}
+    for quota in sorted(plan.quotas, key=lambda q: (-q.fractions[0], q.task_id)):
+        inst = by_task.get(quota.task_id)
+        if inst is None:
+            continue
+        pool = page_pool(table, inst.footprint, claimed)
+        if pool is None:
+            continue
+        rank = pool_rank(pool)
+        pos = 0
+        for k in range(n):
+            want = int(round(quota.pages[k]))
+            if want <= 0:
+                continue
+            take = rank[pos : pos + want]
+            pos += len(take)
+            for name, sel in pool_by_object(pool, take):
+                claimed[name][sel] = True
+                obj = table.object(name)
+                mismatched = sel[obj.page_tier[sel] != k]
+                if len(mismatched):
+                    order = np.argsort(-obj.weight[mismatched], kind="stable")
+                    moves[k].append((name, mismatched[order]))
+            if pos >= len(rank):
+                break
+    return [(name, idx, k) for k in range(n) for name, idx in moves[k]]
+
+
+def hot_order(weight: np.ndarray) -> np.ndarray:
+    """Page ids hottest first, ties by page id."""
+    return np.argsort(-weight, kind="stable")
+
+
+def ltr_hot_fraction(weight: np.ndarray) -> float:
+    """The weight share of an object's hottest tenth of pages (at least
+    one), summed hottest first."""
+    w = np.sort(weight)[::-1]
+    top = max(1, int(np.ceil(0.1 * len(w))))
+    return float(w[:top].sum())
+
+
+def distinct_samples(table, obj: np.ndarray, pages: np.ndarray):
+    """``(lanes, obj, pages)`` of a sample's distinct pages by ascending
+    arena lane, each at its first occurrence."""
+    lanes, first = np.unique(table.arena_lanes(obj, pages), return_index=True)
+    return lanes, obj[first], pages[first]
 
 
 def memory_mode_residency(

@@ -8,6 +8,7 @@ and a chaos case where a planning worker crashes mid-batch.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.service import (
     encode_decision,
     encode_request,
 )
+from repro.replay.fixtures import region_catalogue
 from repro.service.protocol import from_json, to_json
 from repro.sim.faults import FaultConfig, FaultInjector
 
@@ -162,6 +164,39 @@ class TestProtocol:
         c = make_request("rc", tenant="one", shape=2)
         assert a.region_fingerprint == b.region_fingerprint
         assert a.region_fingerprint != c.region_fingerprint
+
+    def test_fingerprint_matches_per_request_formula(self):
+        # each spec's line is formatted once; the digest input must stay
+        # the bytes the per-request formatting hashed
+        shapes = region_catalogue(seed=3, n_shapes=4, tasks_per_shape=3)
+        odd = TaskSpec(
+            task_id="tâche|0",
+            t_pm_only=1e-300,
+            t_dram_only=0.1 + 0.2,
+            total_accesses=2.0**60,
+            pmcs={"b": float("nan"), "a": -0.0, "é": float("inf"), "c": 1 / 3},
+            size_bytes=1,
+        )
+        shapes.append((spec("z"), odd, spec("a", e=7.5)))
+        for tasks in shapes:
+            req = PlacementRequest(request_id="r", tenant="t", tasks=tasks)
+            assert req.region_fingerprint == _reference_fingerprint(req)
+            rev = PlacementRequest(request_id="q", tenant="u", tasks=tasks[::-1])
+            assert rev.region_fingerprint == req.region_fingerprint
+        assert odd.fingerprint_line is odd.fingerprint_line
+
+
+def _reference_fingerprint(req: PlacementRequest) -> str:
+    """The region fingerprint formatted from every task on every call."""
+    h = hashlib.sha256()
+    for t in sorted(req.tasks, key=lambda t: t.task_id):
+        h.update(
+            f"{t.task_id}|{t.t_pm_only!r}|{t.t_dram_only!r}|"
+            f"{t.total_accesses!r}|{t.size_bytes}|".encode()
+        )
+        for name in sorted(t.pmcs):
+            h.update(f"{name}={t.pmcs[name]!r};".encode())
+    return h.hexdigest()[:16]
 
 
 # ======================================================================
