@@ -21,8 +21,9 @@ Layers:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from repro.common import AccessPattern, MIB, make_rng
 from repro.apps.base import AppConfig, Application
@@ -36,6 +37,9 @@ from repro.tasks.task import (
     Workload,
 )
 from repro.tasks.frontends import OpenMPProgram
+
+if TYPE_CHECKING:  # pragma: no cover
+    from scipy import sparse
 
 __all__ = ["bfs_levels", "partition_vertices", "BFSApp"]
 

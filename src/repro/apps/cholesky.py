@@ -27,7 +27,6 @@ gives the planner its base-profile-then-plan lifecycle.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from repro.apps.base import AppConfig
 from repro.apps.dag_base import DAGApplication
@@ -50,6 +49,8 @@ def blocked_cholesky(A: np.ndarray, block_size: int) -> np.ndarray:
     factor the diagonal tile (POTRF), solve the panel below it (TRSM),
     then apply the trailing update (SYRK/GEMM) tile by tile.
     """
+    from scipy.linalg import solve_triangular
+
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("matrix must be square")

@@ -20,8 +20,9 @@ Three layers here:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from repro.common import AccessPattern, MIB, make_rng
 from repro.apps.base import AppConfig, Application
@@ -35,6 +36,9 @@ from repro.tasks.task import (
     Workload,
 )
 from repro.tasks.frontends import OpenMPProgram
+
+if TYPE_CHECKING:  # pragma: no cover
+    from scipy import sparse
 
 __all__ = ["spgemm_symbolic", "spgemm_numeric", "bin_rows", "SpGEMMApp"]
 
@@ -82,6 +86,8 @@ def spgemm_numeric(
 
     Returns a matrix with ``len(rows)`` rows and B's column count.
     """
+    from scipy import sparse
+
     A = A.tocsr()
     B = B.tocsr()
     acc = np.zeros(B.shape[1], dtype=np.float64)

@@ -10,10 +10,14 @@ and uneven tile dimensions for the tensors.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from repro.common import make_rng
+
+if TYPE_CHECKING:  # pragma: no cover
+    from scipy import sparse
 
 __all__ = ["rmat_matrix", "rmat_graph", "beam_density", "uneven_partition"]
 
@@ -32,6 +36,8 @@ def rmat_matrix(
     per row.  Returns a binary CSR matrix with the characteristic power-law
     row-degree distribution.
     """
+    from scipy import sparse
+
     if scale < 2 or scale > 24:
         raise ValueError("scale must be in [2, 24] for a laptop-sized matrix")
     if a + b + c >= 1.0:

@@ -191,7 +191,7 @@ def _greedy_plan_kernel(
     n_levels = len(levels)
 
     def level_index(value: float) -> int:
-        return int(np.clip(round(value / step), 0, n_levels - 1))
+        return min(max(round(value / step), 0), n_levels - 1)
 
     r_arr = np.zeros(n, dtype=np.float64)
     d_pred = np.array([t.t_pm_only for t in tasks], dtype=np.float64)
@@ -635,7 +635,7 @@ def tiered_greedy_plan(
     weights = {t.task_id: t.slowdown_weights() for t in tasks}
 
     def level_index(value: float) -> int:
-        return int(np.clip(round(value / step), 0, len(levels) - 1))
+        return min(max(round(value / step), 0), len(levels) - 1)
 
     def effective_ratio(tid: str) -> float:
         tp = task_pages[tid]

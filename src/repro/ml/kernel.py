@@ -10,7 +10,6 @@ DESIGN.md.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from repro.ml.metrics import StandardScaler
 
@@ -41,6 +40,8 @@ class KernelRidgeRegressor:
         return np.maximum(aa + bb - 2.0 * A @ B.T, 0.0)
 
     def fit(self, X, y) -> "KernelRidgeRegressor":
+        from scipy import linalg
+
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
         if X.shape[0] != y.shape[0]:

@@ -277,20 +277,34 @@ def forest_predict(
 
     The scalar GBR computes ``pred = init; pred += lr * tree_k(X)`` one
     tree at a time.  Float addition is not associative, so the kernel
-    must NOT sum the leaf matrix with a (pairwise) ``np.sum``; it replays
-    the same tree-ordered accumulation over the batched leaf matrix.
-    The per-tree vector adds are elementwise, so the result is
-    bit-identical to the scalar loop for every row.
+    must NOT sum the leaf matrix with a (pairwise) ``np.sum``; it stacks
+    ``init`` over the scaled leaf matrix and adds the rows in tree order
+    (:func:`_sum_rows_in_order`), so the result is bit-identical to the
+    scalar loop for every row.
     """
     leaves = forest_apply(forest, X)
     # scaling first is elementwise (exactly rounded per lane), so one 2-D
     # multiply equals the scalar's per-tree ``lr * tree_k(X)`` products;
     # only the ADDITION order must stay sequential in k
-    scaled = learning_rate * leaves
-    pred = np.full(X.shape[0], init, dtype=np.float64)
-    for k in range(scaled.shape[0]):
-        pred += scaled[k]
-    return pred
+    terms = np.empty((leaves.shape[0] + 1, leaves.shape[1]), dtype=np.float64)
+    terms[0] = init
+    np.multiply(learning_rate, leaves, out=terms[1:])
+    return _sum_rows_in_order(terms)
+
+
+def _sum_rows_in_order(terms: np.ndarray) -> np.ndarray:
+    """``((terms[0] + terms[1]) + terms[2]) + ...`` per column.
+
+    ``terms`` is a C-ordered ``(n_terms, n)`` matrix whose row 0 is the
+    boosting ``init`` and row ``t + 1`` tree ``t``'s scaled leaf values.
+    With at least two columns, ``np.add.reduce(axis=0)`` adds whole rows
+    one after the other, the scalar loop's order.  A single column is one
+    contiguous run, which numpy sums pairwise (PERFORMANCE.md §4 rule 2),
+    so that case takes the last partial sum of ``np.add.accumulate``.
+    """
+    if terms.shape[1] == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
 
 
 #: The widest leaf mask: a tree packed by :func:`pack_leaf_masks` may have
@@ -492,9 +506,10 @@ def forest_predict_grid(
     (``np.bitwise_and.reduceat`` over its segment) gives one base mask
     per (task, tree) and one grid mask per (tree, grid value), and their
     AND per (tree, task, grid value) has exactly the reached leaf's bit
-    set.  Its de Bruijn slot indexes the scaled value table directly, and
-    the trees are accumulated one at a time in tree order, as in
-    :func:`forest_predict`.
+    set.  Its de Bruijn slot indexes the scaled value table directly, one
+    gather fills the ``(T + 1, k * len(grid))`` term matrix (row 0 reads
+    ``init`` from a pad slot after the table), and the rows are summed
+    in tree order, as in :func:`forest_predict`.
     """
     base = np.asarray(base, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
@@ -521,18 +536,21 @@ def forest_predict_grid(
     )
     leaf *= word(multiplier)
     leaf >>= word(shift)
-    slot = np.add(
-        leaf,
-        (np.arange(n_trees, dtype=np.int64) * width)[:, None, None],
+    pad = n_trees * width
+    slot = np.empty((n_trees + 1, k * n_grid), dtype=np.int64)
+    slot[0] = pad
+    np.add(
+        leaf.reshape(n_trees, k * n_grid),
+        (np.arange(n_trees, dtype=np.int64) * width)[:, None],
+        out=slot[1:],
         dtype=np.int64,
     )
     # scaling the value table is elementwise, so it gives the bits of
     # scaling the gathered leaf matrix (forest_predict's ``lr * leaves``)
-    scaled = (learning_rate * packed.value).take(slot).reshape(n_trees, k * n_grid)
-    pred = np.full(k * n_grid, init, dtype=np.float64)
-    for t in range(n_trees):
-        pred += scaled[t]
-    return pred.reshape(k, n_grid)
+    table = np.empty(pad + 1, dtype=np.float64)
+    np.multiply(learning_rate, packed.value, out=table[:pad])
+    table[pad] = init
+    return _sum_rows_in_order(table.take(slot)).reshape(k, n_grid)
 
 
 #: Public kernel entry points of the vectorized hot path.  Every dotted

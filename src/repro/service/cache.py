@@ -44,7 +44,15 @@ def bucket_ratio(r_dram: float, step: float = 0.05) -> float:
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    return float(np.round(np.round(r_dram / step) * step, 10))
+    # np.round(np.round(q) * step, 10) without numpy scalars: ``round``
+    # rounds half to even like np.rint, ``copysign`` keeps the sign of a
+    # zero result, and np.round(v, 10) is rint(v * 1e10) / 1e10
+    q = r_dram / step
+    if math.isfinite(q):
+        scaled = math.copysign(round(q), q) * step * 1e10
+        if math.isfinite(scaled):
+            return math.copysign(round(scaled), scaled) / 1e10
+    return float(np.round(np.round(q) * step, 10))
 
 
 class PredictionCache:

@@ -148,11 +148,17 @@ class BatchScheduler:
         if not batch:
             return []
         capacity_pages = self.dram_capacity_bytes // PAGE_SIZE
-        # 1. deduplicate identical in-flight queries
+        # 1. deduplicate identical in-flight queries; a key's requests
+        # share its bucket, and each request's bucket is computed once
         unique: dict[tuple, list[PendingRequest]] = {}
+        buckets: dict[tuple, float] = {}
+        keys: list[tuple] = []
         for entry in batch:
-            key = entry.request.dedup_key(self.quota_bucket(entry.request))
+            bucket = self.quota_bucket(entry.request)
+            key = entry.request.dedup_key(bucket)
+            keys.append(key)
             unique.setdefault(key, []).append(entry)
+            buckets[key] = bucket
         # 2. serve what the cache already knows; its grants join the ledger
         decisions: dict[str, PlacementDecision] = {}
         planned_entries: list[tuple[tuple, PendingRequest]] = []
@@ -161,9 +167,7 @@ class BatchScheduler:
             primary = entries[0]
             cached = None
             if self.cache is not None:
-                cached = self.cache.get(
-                    primary.request.cache_key(self.quota_bucket(primary.request))
-                )
+                cached = self.cache.get(primary.request.cache_key(buckets[key]))
             if cached is not None:
                 decisions[primary.request.request_id] = self._restamp(
                     cached, primary.request, "cached", len(batch)
@@ -185,20 +189,17 @@ class BatchScheduler:
                 pages_granted += decision.dram_pages_granted
                 if self.cache is not None:
                     self.cache.put(
-                        primary.request.cache_key(
-                            self.quota_bucket(primary.request)
-                        ),
+                        primary.request.cache_key(buckets[key]),
                         decision,
                         tags=(primary.request.region_fingerprint,),
                     )
         # 4. fan decisions back out to duplicates, in batch order
         out: list[PlacementDecision] = []
-        for entry in batch:
+        for entry, key in zip(batch, keys):
             req = entry.request
             if req.request_id in decisions:
                 out.append(decisions[req.request_id])
                 continue
-            key = req.dedup_key(self.quota_bucket(req))
             primary = unique[key][0]
             out.append(
                 self._restamp(

@@ -274,6 +274,52 @@ def test_forest_predict_grid_matches_stacked_forest_predict(depth, k):
         assert vec.tobytes() == ref.reshape(k, len(g)).tobytes()
 
 
+def _mixed_magnitude_forest(seed: int, n_trees: int = 301) -> GradientBoostedRegressor:
+    """A boosted ensemble whose leaf values run from 1e-8 to 1e8 in size,
+    both signs: summing one lane's terms pairwise instead of tree by tree
+    changes its last bits."""
+    rng = make_rng(seed)
+    X = rng.normal(size=(64, _D + 1))
+    X[:, _D] = rng.uniform(0.0, 1.0, 64)
+    trees = []
+    for i in range(n_trees):
+        y = rng.normal(size=64) * 10.0 ** rng.uniform(-8.0, 8.0)
+        trees.append(DecisionTreeRegressor(max_depth=2, rng=make_rng(i)).fit(X, y))
+    gbr = GradientBoostedRegressor(n_estimators=n_trees, learning_rate=0.1)
+    gbr.trees_ = trees
+    gbr.init_ = 0.3
+    return gbr
+
+
+@pytest.mark.parametrize("k, n_grid", [(1, 1), (1, 2), (2, 1)])
+def test_boosting_sum_adds_trees_in_order(k, n_grid):
+    """One lane (k * n_grid = 1) and two lanes, where numpy's reductions
+    differ: a lone contiguous column is summed pairwise, whole rows are
+    added one after the other.  Both kernels must give the tree-by-tree
+    sum of the scalar reference, and the inputs must tell the two orders
+    apart."""
+    gbr = _mixed_magnitude_forest(seed=k * 10 + n_grid)
+    rng = make_rng(k * 100 + n_grid)
+    base = rng.normal(size=(k, _D))
+    grid = rng.uniform(0.0, 1.0, n_grid)
+    X = _stacked(base, grid)
+    with scalar_reference():
+        ref = gbr.predict(X)
+    forest = gbr.forest()
+    vec = forest_predict(forest, X, gbr.init_, gbr.learning_rate)
+    assert vec.tobytes() == ref.tobytes()
+    grid_vec = forest_predict_grid(
+        gbr.leaf_masks(), base, grid, gbr.init_, gbr.learning_rate
+    )
+    assert grid_vec.tobytes() == ref.reshape(k, n_grid).tobytes()
+    terms = np.vstack([
+        np.full(k * n_grid, gbr.init_),
+        gbr.learning_rate * forest_apply(forest, X),
+    ])
+    pairwise = np.array([np.add.reduce(terms[:, j].copy()) for j in range(k * n_grid)])
+    assert (pairwise != ref).all()
+
+
 @pytest.mark.parametrize("k", [0, 1, 7])
 @pytest.mark.parametrize("depth", sorted(_DEPTH_WIDTH))
 def test_grid_correlation_matches_scalar_reference(depth, k):

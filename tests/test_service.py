@@ -10,6 +10,10 @@ and a chaos case where a planning worker crashes mid-batch.
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +39,31 @@ from repro.service import (
 from repro.replay.fixtures import region_catalogue
 from repro.service.protocol import from_json, to_json
 from repro.sim.faults import FaultConfig, FaultInjector
+from tests.oracles import service as reference
 
 MB = 1 << 20
+
+
+def _float_bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_importing_the_service_loads_no_scipy():
+    """The decision path calls no scipy function, so importing the service
+    (or the apps that build its requests) must not pay scipy's memory:
+    scipy is imported where it is called."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, repro.service, repro.apps; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 class _CountingCorrelation:
@@ -361,11 +388,41 @@ class TestPredictionCache:
         assert stats["hit_ratio"] == pytest.approx(0.5)
 
     def test_bucket_ratio_snaps_to_grid(self):
-        assert bucket_ratio(0.123) == pytest.approx(0.10)
-        assert bucket_ratio(0.13) == pytest.approx(0.15)
-        assert bucket_ratio(1.0) == pytest.approx(1.0)
+        # a cache key is compared by equality, so the bucket must be the
+        # reference's float bit for bit, not merely close to it
+        for r_dram in (0.123, 0.13, 1.0):
+            assert _float_bits(bucket_ratio(r_dram)) == _float_bits(
+                reference.bucket_ratio(r_dram)
+            )
+        assert bucket_ratio(0.123) == 0.1
+        assert bucket_ratio(0.13) == 0.15
+        assert bucket_ratio(1.0) == 1.0
         with pytest.raises(ValueError):
             bucket_ratio(0.5, step=0.0)
+
+    @pytest.mark.parametrize("step", [0.05, 0.1, 0.025, 0.01])
+    def test_bucket_ratio_matches_numpy_reference(self, step):
+        rng = np.random.default_rng(int(step * 1000))
+        subnormal = 5e-324
+        values = [
+            0.0, -0.0, 1.0, -1.0, 1.0 + step, 7.3, 1e-12, -1e-12,
+            subnormal, -subnormal, 1e-310, sys.float_info.min,
+            0.4 * step, -0.4 * step, 1e300, -1e300, sys.float_info.max,
+            math.nan, math.inf, -math.inf,
+        ]
+        # half-step ties, exact grid points and their neighbours
+        for i in range(-25, 45):
+            for v in ((i + 0.5) * step, i * step):
+                values += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+        values += rng.uniform(-0.5, 1.5, 2000).tolist()
+        values += (rng.normal(size=200) * 1e-9).tolist()
+        for r_dram in values:
+            # near the top of the float range both sides overflow to inf
+            with np.errstate(over="ignore"):
+                got = bucket_ratio(r_dram, step)
+                want = reference.bucket_ratio(r_dram, step)
+            assert type(got) is float
+            assert _float_bits(got) == _float_bits(want), (r_dram, got, want)
 
     def test_validation(self):
         with pytest.raises(ValueError):
