@@ -119,7 +119,8 @@ def test_bench_optimal_plan(benchmark, planner_inputs):
 def test_bench_single_prediction(benchmark, planner_inputs):
     """One Equation-2 prediction (the paper reports 0.031 ms)."""
     model, tasks, _ = planner_inputs
-    value = benchmark(lambda: model.predict_ratio(tasks[0], 0.45))
+    tid = tasks[0].task_id
+    (value,) = benchmark(lambda: model.ratio_grids(tasks[:1], [0.45])[tid])
     assert value > 0
 
 
@@ -127,7 +128,8 @@ def test_bench_prediction_grid(benchmark, planner_inputs):
     """A vectorised 21-point ratio grid (what the planner actually calls)."""
     model, tasks, _ = planner_inputs
     levels = np.linspace(0, 1, 21)
-    grid = benchmark(lambda: model.ratio_grid(tasks[0], levels))
+    tid = tasks[0].task_id
+    grid = benchmark(lambda: model.ratio_grids(tasks[:1], levels)[tid])
     assert len(grid) == 21
 
 

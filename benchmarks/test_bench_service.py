@@ -1,13 +1,13 @@
 """Microbenchmarks for the placement-service hot paths.
 
-Quantifies the two speedups the ``service_load`` experiment's acceptance
+Quantifies the speedups the ``service_load`` experiment's acceptance
 rests on, against the real trained model:
 
-* **cache hit vs miss** -- a memoized f(.) evaluation
-  (:class:`~repro.service.cache.CachedCorrelation`) vs walking the GBR;
 * **batched vs singleton planning** -- one stacked model call pricing a
   whole batch of tasks (`PerformanceModel.ratio_grids`) vs one model
-  call per task.
+  call per task;
+* **planned vs cached batch** -- the server end to end, with and without
+  a decision-cache hit.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from repro.apps.codesamples import generate_corpus
 from repro.common import make_rng, spawn_rng
 from repro.core.model import TaskModelInputs
 from repro.service import (
-    CachedCorrelation,
     PlacementRequest,
     PlacementServer,
     PredictionCache,
@@ -56,25 +55,6 @@ def tasks(ctx):
 
 
 # ----------------------------------------------------------------------
-# prediction cache: hit vs miss
-# ----------------------------------------------------------------------
-def test_bench_predict_batch_miss(benchmark, ctx, tasks, levels):
-    """The uncached path: one full GBR walk per call."""
-    f = ctx.system.correlation
-    pmcs = tasks[0].pmcs
-    benchmark(f.predict_batch, pmcs, levels)
-
-
-def test_bench_predict_batch_cache_hit(benchmark, ctx, tasks, levels):
-    """The memoized path: one dict lookup plus an array copy."""
-    cached = CachedCorrelation(ctx.system.correlation, PredictionCache(256))
-    pmcs = tasks[0].pmcs
-    cached.predict_batch(pmcs, levels)  # warm
-    result = benchmark(cached.predict_batch, pmcs, levels)
-    assert np.allclose(result, ctx.system.correlation.predict_batch(pmcs, levels))
-
-
-# ----------------------------------------------------------------------
 # planning: batched (stacked) vs singleton model evaluation
 # ----------------------------------------------------------------------
 def test_bench_grids_singleton(benchmark, ctx, tasks, levels):
@@ -82,7 +62,7 @@ def test_bench_grids_singleton(benchmark, ctx, tasks, levels):
     model = ctx.system.performance_model
 
     def per_task():
-        return {t.task_id: model.ratio_grid(t, levels) for t in tasks}
+        return {t.task_id: model.ratio_grids([t], levels)[t.task_id] for t in tasks}
 
     benchmark(per_task)
 
@@ -91,7 +71,7 @@ def test_bench_grids_batched(benchmark, ctx, tasks, levels):
     """One stacked call for the whole batch (what the scheduler pays)."""
     model = ctx.system.performance_model
     grids = benchmark(model.ratio_grids, tasks, levels)
-    reference = {t.task_id: model.ratio_grid(t, levels) for t in tasks}
+    reference = {t.task_id: model.ratio_grids([t], levels)[t.task_id] for t in tasks}
     assert all(np.array_equal(grids[k], reference[k]) for k in reference)
 
 

@@ -90,8 +90,9 @@ def stage3_equation2(system, machine, hm) -> TaskModelInputs:
     )
     model = system.performance_model
     print(f"{'r_dram':>7s} {'predicted':>10s} {'ground truth':>13s} {'error':>7s}")
-    for r in (0.0, 0.25, 0.5, 0.75, 1.0):
-        pred = model.predict_ratio(inputs, r)
+    ratios = (0.0, 0.25, 0.5, 0.75, 1.0)
+    grid = model.ratio_grids([inputs], ratios)["demo"]
+    for r, pred in zip(ratios, grid.tolist()):
         truth = machine.uniform_ratio_time(fp, hm, r)
         print(f"{r:7.2f} {pred:9.2f}s {truth:12.2f}s {abs(pred-truth)/truth:7.1%}")
     print()

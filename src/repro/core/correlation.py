@@ -272,39 +272,20 @@ class CorrelationFunction:
         model.fit(data.X, data.y)
         return cls(model=model, events=data.events)
 
-    def predict(self, pmcs: Mapping[str, float], r_dram: float) -> float:
-        """f(PMCs, r_dram); clipped to a sane positive range."""
-        if not 0.0 <= r_dram <= 1.0:
-            raise ValueError("r_dram must be in [0, 1]")
-        x = np.array([[pmcs[e] for e in self.events] + [r_dram]])
-        return float(np.clip(self.model.predict(x)[0], 0.05, 5.0))
-
-    def predict_batch(self, pmcs: Mapping[str, float], ratios) -> np.ndarray:
-        """Vectorised f(.) over many ratios with the same counters.
-
-        One grid-kernel call instead of a call per ratio: this is what
-        keeps Algorithm 1's per-region planning cheap (the paper reports
-        0.031 ms per prediction on its C implementation).
-        """
-        return self._grid([pmcs], ratios)[0]
-
     def predict_stacked(
         self, pmcs_seq: Sequence[Mapping[str, float]], ratios
     ) -> np.ndarray:
         """f(.) for many counter sets over one shared ratio grid.
 
-        Returns shape ``(len(pmcs_seq), len(ratios))``.  The whole batch is
-        one :func:`~repro.ml.kernels.forest_predict_grid` call: each tree
-        node is compared once per task or once per ratio, never once per
-        (task, ratio) pair.  This is the kernel behind the placement
-        service's batched planning (one call per request batch instead of
-        one per task).
+        Returns shape ``(len(pmcs_seq), len(ratios))``, clipped to a sane
+        positive range.  The whole batch is one
+        :func:`~repro.ml.kernels.forest_predict_grid` call: each tree node
+        is compared once per task or once per ratio, never once per
+        (task, ratio) pair.  This keeps Algorithm 1's per-region planning
+        cheap (the paper reports 0.031 ms per prediction on its C
+        implementation) and lets the placement service price a whole
+        request batch in one call.
         """
-        return self._grid(pmcs_seq, ratios)
-
-    def _grid(
-        self, pmcs_seq: Sequence[Mapping[str, float]], ratios
-    ) -> np.ndarray:
         ratios = np.asarray(ratios, dtype=np.float64)
         if ratios.ndim != 1:
             raise ValueError("ratios must be 1-D")

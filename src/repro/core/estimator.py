@@ -15,7 +15,6 @@ from typing import Mapping
 
 from repro.common import AccessPattern, seq_sum
 from repro.core.alpha import AlphaTable
-from repro.tasks.task import Footprint
 
 __all__ = ["ObjectDescriptor", "AccessEstimator"]
 
@@ -98,25 +97,6 @@ class AccessEstimator:
     def estimate_total(self, new_sizes: Mapping[str, int]) -> float:
         """Total estimated accesses (Equation 2's ``esti_mem_acc``)."""
         return seq_sum(self.estimate(new_sizes).values())
-
-    def estimated_footprint(
-        self, base_footprint: Footprint, new_sizes: Mapping[str, int]
-    ) -> Footprint:
-        """Scale the base footprint's per-object counts to the new input.
-
-        Instructions scale with the average access-scaling factor -- the
-        best input-agnostic guess, consistent with Section 5.2's assumption
-        that control flow is input-size-stable.
-        """
-        estimates = self.estimate(new_sizes)
-        factors: dict[str, float] = {}
-        for name, est in estimates.items():
-            base = max(self._base_counts[name], 1e-12)
-            factors[name] = est / base
-        instr_factor = (
-            seq_sum(factors.values()) / len(factors) if factors else 1.0
-        )
-        return base_footprint.scaled(factors, instr_factor=instr_factor)
 
     # -- crash-consistency checkpoints (repro.core.journal) ------------
     def snapshot_state(self) -> dict:

@@ -219,104 +219,13 @@ class QuotaValidator:
             )
         return lkg
 
-    # -- N-tier forms of the quota sanity checks -----------------------
-    # ``validate_inputs`` bakes in the 2-tier (t_dram, t_pm) endpoint pair;
-    # these take the per-tier vectors the generalised planner produces.
-    def validate_tier_inputs(
-        self,
-        key: str,
-        tier_times: "tuple[float, ...] | list[float]",
-        total_acc: float,
-        now: float,
-    ) -> tuple[tuple[float, ...], float] | None:
-        """Validated ``(tier_times, total_accesses)`` for one task instance.
-
-        The same last-known-good protocol as :meth:`validate_inputs`,
-        elementwise over the per-tier endpoint times; on 2-tier vectors it
-        makes exactly the decisions the scalar form makes.
-        """
-        vals = tuple(float(t) for t in tier_times) + (float(total_acc),)
-        lkg = self._lkg.get(key)
-        insane = not _finite_positive(*vals)
-        if not insane and lkg is not None and len(lkg) == len(vals):
-            ratio = self.config.max_ratio
-            insane = any(
-                v > r * ratio or v < r / ratio for v, r in zip(vals, lkg)
-            )
-        if not insane:
-            self._lkg[key] = vals
-            return vals[:-1], vals[-1]
-        self.log.record(
-            "guardrail.quota_clamp",
-            now,
-            key=key,
-            tier_times=[float(t) for t in tier_times],
-            total_accesses=float(total_acc),
-            recovered=lkg is not None,
-        )
-        if self.telemetry is not None:
-            self.telemetry.inc(
-                "merch_guardrail_quota_clamps_total",
-                recovered="yes" if lkg is not None else "no",
-            )
-        if lkg is None or len(lkg) != len(vals):
-            return None
-        return lkg[:-1], lkg[-1]
-
-    def validate_plan_pages(
-        self,
-        pages_by_tier: "dict[str, tuple[int, ...] | list[int]]",
-        capacities_pages: "tuple[int, ...] | list[int]",
-        now: float,
-    ) -> dict[str, tuple[int, ...]]:
-        """Clamp a plan's per-tier page grants to the tier capacities.
-
-        ``pages_by_tier`` maps each task to its per-tier page grants
-        (fastest tier first).  Any tier whose summed grants exceed its
-        capacity gets every task's grant for that tier scaled down
-        proportionally (floored), and the over-commit is logged as a
-        ``guardrail.tier_overcommit`` event.  The scalar 2-tier DRAM
-        budget check is the ``len(capacities_pages) == 2`` case.
-        """
-        caps = [int(c) for c in capacities_pages]
-        n = len(caps)
-        out = {
-            task: [int(p) for p in grants]
-            for task, grants in pages_by_tier.items()
-        }
-        for grants in out.values():
-            if len(grants) != n:
-                raise ValueError(
-                    "per-task grants must have one entry per tier"
-                )
-        for k in range(n):
-            total = sum(grants[k] for grants in out.values())
-            if total <= caps[k]:
-                continue
-            scale = caps[k] / total
-            for grants in out.values():
-                grants[k] = int(grants[k] * scale)
-            self.log.record(
-                "guardrail.tier_overcommit",
-                now,
-                tier=k,
-                requested_pages=total,
-                capacity_pages=caps[k],
-            )
-            if self.telemetry is not None:
-                self.telemetry.inc(
-                    "merch_guardrail_tier_overcommits_total", tier=str(k)
-                )
-        return {task: tuple(grants) for task, grants in out.items()}
-
     # -- crash-consistency checkpoints ---------------------------------
     def snapshot_state(self) -> dict:
         return {"lkg": {k: [float(x) for x in v] for k, v in self._lkg.items()}}
 
     def restore_state(self, state: dict) -> None:
-        # entries are (t_dram, t_pm, total) on 2-tier and one-per-tier
-        # plus total from validate_tier_inputs; keep whatever length
-        # was checkpointed
+        # entries are (t_dram, t_pm, total_accesses), as validate_inputs
+        # stores them
         self._lkg = {
             k: tuple(float(x) for x in v) for k, v in state["lkg"].items()
         }

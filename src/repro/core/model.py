@@ -55,61 +55,22 @@ class PerformanceModel:
     def __init__(self, correlation: CorrelationFunction) -> None:
         self.correlation = correlation
 
-    def predict_ratio(self, task: TaskModelInputs, r_dram: float) -> float:
-        """T_hybrid when fraction ``r_dram`` of accesses hits DRAM."""
-        if not 0.0 <= r_dram <= 1.0:
-            raise ValueError("r_dram must be in [0, 1]")
-        if r_dram >= 1.0:
-            return task.t_dram_only
-        f_val = self.correlation.predict(task.pmcs, r_dram)
-        return (
-            task.t_pm_only * (1.0 - r_dram) * f_val
-            + task.t_dram_only * r_dram
-        )
-
-    def predict(self, task: TaskModelInputs, dram_accesses: float) -> float:
-        """Algorithm 1's ``Model(D_i, PCs_i, DRAM_Acc)`` callable form."""
-        if dram_accesses < 0:
-            raise ValueError("dram_accesses must be non-negative")
-        r = min(1.0, dram_accesses / task.total_accesses)
-        return self.predict_ratio(task, r)
-
-    def ratio_grid(self, task: TaskModelInputs, ratios) -> "np.ndarray":
-        """Vectorised Equation 2 over a grid of DRAM ratios.
-
-        One stacked f(.) evaluation; the r = 1 entries collapse to the
-        DRAM-only endpoint exactly, as in :meth:`predict_ratio`.
-        """
-        import numpy as np
-
-        ratios = np.asarray(ratios, dtype=np.float64)
-        f_vals = self.correlation.predict_batch(task.pmcs, ratios)
-        times = (
-            task.t_pm_only * (1.0 - ratios) * f_vals
-            + task.t_dram_only * ratios
-        )
-        return np.where(ratios >= 1.0, task.t_dram_only, times)
-
     def ratio_grids(self, tasks, ratios) -> "dict[str, np.ndarray]":
-        """Equation 2 grids for *many* tasks with one stacked f(.) call.
+        """Equation 2 over a shared DRAM-ratio grid for many tasks.
 
-        Numerically identical to calling :meth:`ratio_grid` per task, but
-        the underlying model walks its estimator list once for the whole
-        batch instead of once per task -- the amortisation the placement
-        service's batched planning relies on.  Falls back to per-task
-        calls when the correlation object lacks ``predict_stacked`` (any
-        drop-in f(.) only has to provide ``predict_batch``).
+        Algorithm 1's ``Model(D_i, PCs_i, DRAM_Acc)`` at
+        ``r_dram = DRAM_Acc / Total_Acc_i``: one stacked f(.) evaluation
+        prices every (task, ratio) pair, and the r = 1 entries collapse to
+        the DRAM-only endpoint exactly.  Returns one row per task id.
         """
         import numpy as np
 
         tasks = list(tasks)
-        stacked = getattr(self.correlation, "predict_stacked", None)
-        if stacked is None:
-            return {t.task_id: self.ratio_grid(t, ratios) for t in tasks}
         ratios = np.asarray(ratios, dtype=np.float64)
-        f_rows = stacked([t.pmcs for t in tasks], ratios)
-        # one (tasks, ratios) expression with ratio_grid's per-element
-        # operation order, so every row keeps its per-task bits
+        f_rows = self.correlation.predict_stacked([t.pmcs for t in tasks], ratios)
+        # one (tasks, ratios) expression in the per-task operation order,
+        # t_pm * (1 - r) * f + t_dram * r, so each row keeps the bits of
+        # pricing its task alone
         t_pm = np.array([t.t_pm_only for t in tasks], dtype=np.float64)[:, None]
         t_dram = np.array([t.t_dram_only for t in tasks], dtype=np.float64)[:, None]
         times = t_pm * (1.0 - ratios) * f_rows + t_dram * ratios

@@ -47,9 +47,8 @@ def model_accuracy_on(system: Merchandiser, hm, machine, seed=0) -> float:
             pmcs=collect_pmcs(fp, machine, hm, rng=rng, t_pm_only=t_pm),
         )
         ratios = (0.2, 0.5, 0.8)
-        for r, (bd,) in zip(ratios, machine.breakdowns([fp], hm, ratios)):
-            truths.append(bd.total_s)
-            preds.append(model.predict_ratio(inputs, r))
+        truths.extend(bd.total_s for (bd,) in machine.breakdowns([fp], hm, ratios))
+        preds.extend(model.ratio_grids([inputs], ratios)["t"].tolist())
     return prediction_accuracy(truths, preds)
 
 

@@ -99,9 +99,10 @@ def run(ctx: ExperimentContext) -> dict[str, object]:
                 # the data-size ratio; it has no notion of data placement,
                 # which is exactly why the paper's model outperforms it
                 priced = machine.breakdowns([inst.footprint], hm, PLACEMENT_RATIOS)
-                for r, (bd,) in zip(PLACEMENT_RATIOS, priced):
+                grid = model.ratio_grids([inputs], PLACEMENT_RATIOS)[tid]
+                for (bd,), pred in zip(priced, grid.tolist()):
                     truths.append(bd.total_s)
-                    preds.append(model.predict_ratio(inputs, r))
+                    preds.append(pred)
                     base_preds.append(base_t_pm * scale)
                 # online alpha refinement from this instance's PEBS
                 # measurements (Section 4), improving later predictions

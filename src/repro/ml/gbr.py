@@ -119,16 +119,3 @@ class GradientBoostedRegressor:
         # over a batched (n_trees, n_samples) leaf matrix -- bit-identical
         # by the float-ordering rules in PERFORMANCE.md
         return forest_predict(self.forest(), X, self.init_, self.learning_rate)
-
-    def staged_r2(self, X, y) -> np.ndarray:
-        """R-squared after each boosting stage (diagnostic)."""
-        from repro.ml.metrics import r2_score
-
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        pred = np.full(X.shape[0], self.init_)
-        scores = np.empty(len(self.trees_))
-        for i, tree in enumerate(self.trees_):
-            pred += self.learning_rate * tree.predict(X)
-            scores[i] = r2_score(y, pred)
-        return scores

@@ -569,7 +569,6 @@ KERNEL_ENTRY_POINTS: tuple[str, ...] = (
     "repro.ml.tree.DecisionTreeRegressor.arrays",
     "repro.ml.gbr.GradientBoostedRegressor.forest",
     "repro.ml.gbr.GradientBoostedRegressor.leaf_masks",
-    "repro.core.correlation.CorrelationFunction.predict_batch",
     "repro.core.correlation.CorrelationFunction.predict_stacked",
     "repro.core.model.PerformanceModel.ratio_grids",
     "repro.core.planner.greedy_plan",

@@ -219,33 +219,3 @@ class TaskDAG:
                     best = cand
             tails[tid] = best
         return tails
-
-    def critical_path(
-        self, weights: Mapping[str, float]
-    ) -> tuple[float, tuple[str, ...]]:
-        """Longest weighted dependency chain: ``(length, node ids)``.
-
-        Ties break toward the lexicographically smallest task id so the
-        reported path is deterministic.
-        """
-        tails = self.tails(weights)
-        preds = {n.task_id: n.deps for n in self.nodes}
-        through = {
-            tid: float(weights.get(tid, 0.0)) + tails[tid] for tid in tails
-        }
-        roots = sorted(tid for tid, deps in preds.items() if not deps)
-        best = max(through[t] for t in roots)
-        cur = min(t for t in roots if through[t] == best)
-        path = [cur]
-        succ = self.successors()
-        while tails[cur] > 0.0:
-            cand = [
-                s
-                for s in succ[cur]
-                if float(weights.get(s, 0.0)) + tails[s] == tails[cur]
-            ]
-            if not cand:  # pragma: no cover - float-exactness fallback
-                break
-            cur = min(cand)
-            path.append(cur)
-        return best, tuple(path)

@@ -8,8 +8,8 @@ fast-memory budget:
 
 * :mod:`repro.service.protocol`  -- typed request/decision messages with a
   versioned dict/JSON codec;
-* :mod:`repro.service.cache`     -- LRU+TTL memoization of decisions and
-  of f(.) evaluations, with tag-based invalidation;
+* :mod:`repro.service.cache`     -- LRU+TTL memoization of decisions,
+  with tag-based invalidation;
 * :mod:`repro.service.scheduler` -- windowed batching, in-flight dedup,
   and shared-DRAM-quota arbitration through one stacked planner call;
 * :mod:`repro.service.pool`      -- process worker pool with per-job
@@ -27,7 +27,7 @@ service_load`` measures the subsystem under open-loop load.
 """
 
 from repro.service.admission import AdmissionConfig, AdmissionController
-from repro.service.cache import CachedCorrelation, PredictionCache, bucket_ratio
+from repro.service.cache import PredictionCache, bucket_ratio
 from repro.service.pool import JobResult, WorkerPool
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -63,7 +63,6 @@ __all__ = [
     "encode_decision",
     "decode_decision",
     "PredictionCache",
-    "CachedCorrelation",
     "bucket_ratio",
     "BatchScheduler",
     "WorkerPool",

@@ -1,19 +1,12 @@
-"""Memoized prediction cache for the placement service.
+"""Memoized decision cache for the placement service.
 
-Two layers of memoization front the control plane's pure hot paths:
-
-* :class:`PredictionCache` -- a bounded LRU + TTL map with *tag-based
-  invalidation*.  The service keys it by ``(region fingerprint, input
-  size, r_dram bucket)`` and tags every entry with its region
-  fingerprint, so one alpha refinement or guardrail quarantine for a
-  region drops exactly that region's entries (DESIGN §8, "Invalidation
-  rules").
-* :class:`CachedCorrelation` -- a drop-in front for a trained
-  :class:`~repro.core.correlation.CorrelationFunction` that memoizes the
-  feature-vector construction (the per-call ``[pmcs[e] for e in events]``
-  gather) and the model evaluations themselves.  f(.) is pure: the same
-  counters and ratios always produce the same output, so caching is
-  exact, not approximate.
+:class:`PredictionCache` is a bounded LRU + TTL map with *tag-based
+invalidation*.  The service keys it by ``(region fingerprint, input
+size, r_dram bucket)`` and tags every entry with its region
+fingerprint, so one alpha refinement or guardrail quarantine for a
+region drops exactly that region's entries (DESIGN §8, "Invalidation
+rules").  :func:`bucket_ratio` snaps a DRAM ratio onto the planner's
+step grid for those keys.
 
 Everything here is dependency-free and clock-injectable: tests drive TTL
 expiry with a virtual clock, production uses ``time.monotonic``.
@@ -24,15 +17,14 @@ from __future__ import annotations
 import math
 import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.correlation import CorrelationFunction
     from repro.core.telemetry import Telemetry
 
-__all__ = ["PredictionCache", "CachedCorrelation", "bucket_ratio"]
+__all__ = ["PredictionCache", "bucket_ratio"]
 
 
 def bucket_ratio(r_dram: float, step: float = 0.05) -> float:
@@ -175,102 +167,3 @@ class PredictionCache:
             "evictions": dict(self.evictions),
         }
 
-
-class CachedCorrelation:
-    """Memoizing drop-in for a trained correlation function.
-
-    Wraps ``predict`` / ``predict_batch`` / ``predict_stacked`` with exact
-    memoization: the feature base vector per counter set is built once
-    (``_base_vector``), and full model evaluations are cached keyed by
-    ``(counter fingerprint, ratio-grid fingerprint)``.  The planner asks
-    for the same step grid region after region, so a region whose
-    counters have not changed costs one dict lookup instead of a model
-    walk.
-
-    The wrapper satisfies the same interface contract
-    :class:`~repro.core.model.PerformanceModel` expects, so
-    ``PerformanceModel(CachedCorrelation(f))`` is a transparent swap.
-    """
-
-    def __init__(
-        self,
-        correlation: "CorrelationFunction",
-        cache: PredictionCache | None = None,
-    ) -> None:
-        self.correlation = correlation
-        self.cache = cache or PredictionCache(capacity=2048)
-        #: counter fingerprint -> prebuilt feature base vector
-        self._base_vectors: dict[tuple, np.ndarray] = {}
-
-    @property
-    def events(self) -> tuple[str, ...]:
-        return self.correlation.events
-
-    @property
-    def model(self):
-        return self.correlation.model
-
-    # ------------------------------------------------------------------
-    def _fingerprint(self, pmcs: Mapping[str, float]) -> tuple:
-        """The feature-vector construction, memoized by content.
-
-        The tuple is both the cache fingerprint and the source of the
-        reusable numpy base vector.
-        """
-        fp = tuple(float(pmcs[e]) for e in self.correlation.events)
-        if fp not in self._base_vectors:
-            self._base_vectors[fp] = np.asarray(fp, dtype=np.float64)
-            if len(self._base_vectors) > 4 * self.cache.capacity:
-                self._base_vectors.clear()  # unbounded-growth backstop
-        return fp
-
-    def base_vector(self, pmcs: Mapping[str, float]) -> np.ndarray:
-        return self._base_vectors[self._fingerprint(pmcs)]
-
-    def predict(self, pmcs: Mapping[str, float], r_dram: float) -> float:
-        fp = self._fingerprint(pmcs)
-        key = ("predict", fp, float(r_dram))
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        value = self.correlation.predict(pmcs, r_dram)
-        self.cache.put(key, value, tags=(fp,))
-        return value
-
-    def predict_batch(self, pmcs: Mapping[str, float], ratios) -> np.ndarray:
-        ratios = np.asarray(ratios, dtype=np.float64)
-        fp = self._fingerprint(pmcs)
-        key = ("batch", fp, ratios.tobytes())
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit.copy()
-        value = self.correlation.predict_batch(pmcs, ratios)
-        self.cache.put(key, value, tags=(fp,))
-        return value.copy()
-
-    def predict_stacked(
-        self, pmcs_seq: Sequence[Mapping[str, float]], ratios
-    ) -> np.ndarray:
-        """Stacked evaluation where only the *missing* rows hit the model."""
-        ratios = np.asarray(ratios, dtype=np.float64)
-        rkey = ratios.tobytes()
-        rows: list[np.ndarray | None] = []
-        missing: list[int] = []
-        for i, pmcs in enumerate(pmcs_seq):
-            hit = self.cache.get(("batch", self._fingerprint(pmcs), rkey))
-            rows.append(hit)
-            if hit is None:
-                missing.append(i)
-        if missing:
-            fresh = self.correlation.predict_stacked(
-                [pmcs_seq[i] for i in missing], ratios
-            )
-            for i, row in zip(missing, fresh):
-                fp = self._fingerprint(pmcs_seq[i])
-                self.cache.put(("batch", fp, rkey), row, tags=(fp,))
-                rows[i] = row
-        return np.vstack(rows) if rows else np.empty((0, len(ratios)))
-
-    def invalidate_counters(self, pmcs: Mapping[str, float]) -> int:
-        """Drop every cached evaluation for one counter set."""
-        return self.cache.invalidate_tag(self._fingerprint(pmcs))

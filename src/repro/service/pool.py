@@ -134,14 +134,3 @@ class WorkerPool:
         ]
         results = [f.result() for f in futures]
         return sorted(results, key=lambda r: r.index)
-
-    def map_values(self, fn: Callable, items: Iterable) -> list[object]:
-        """Like :meth:`map` but re-raises the first failure (ordered)."""
-        results = self.map(fn, items)
-        for res in results:
-            if not res.ok:
-                raise RuntimeError(
-                    f"pooled job {res.index} failed: {res.error_type}: "
-                    f"{res.error}\n{res.traceback}"
-                )
-        return [res.value for res in results]

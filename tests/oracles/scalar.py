@@ -5,13 +5,15 @@ executable specification the kernels are compared against:
 
 * :func:`greedy_plan`, :func:`optimal_quotas`, :func:`throughput_plan` --
   Algorithm 1 and the two ablation planners as dict-based Python loops,
-  pricing each task's ratio grid with its own ``ratio_grid`` call;
+  pricing each task's ratio grid with its own :func:`ratio_grid` call;
+* :func:`ratio_grid` -- Equation 2 for one task, one Python-float
+  expression per ratio over the :func:`predict_batch` row of f(.);
 * :func:`tree_predict` -- one node walk per sample over the Python node
   list of a fitted ``DecisionTreeRegressor``;
 * :func:`gbr_predict` -- the boosting sum as a per-tree loop;
-* :func:`predict_batch` / :func:`predict_stacked` -- the correlation
-  function's feature matrix filled row by row (one task) or block by
-  block (one task per block) and handed to the model's ``predict``;
+* :func:`predict_batch` / :func:`predict_stacked` -- f(.) with the
+  feature matrix filled row by row (one task) or block by block (one
+  task per block) and handed to the model's ``predict``;
 * :func:`breakdown_tiered` -- the machine's time model in scalar form:
   per-tier, per-pattern dict buckets, one tier time each and a q-norm
   across tiers.  It is the only scalar copy of the arithmetic that
@@ -31,7 +33,7 @@ must match them bit for bit (PERFORMANCE.md, "Reference implementations").
 
 ``critical_path_plan`` keeps its stacked ``ratio_grids`` call under the
 references; the grid it prices goes through :func:`predict_stacked`, and
-``ratio_grids`` equals per-task ``ratio_grid`` calls bit for bit
+``ratio_grids`` equals per-task :func:`ratio_grid` calls bit for bit
 (``tests/test_kernels.py::test_ratio_grids_match_per_task_grids``).
 """
 
@@ -71,6 +73,7 @@ __all__ = [
     "greedy_plan",
     "optimal_quotas",
     "throughput_plan",
+    "ratio_grid",
     "tree_predict",
     "gbr_predict",
     "predict_batch",
@@ -85,6 +88,29 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# Equation 2
+# ---------------------------------------------------------------------------
+
+def ratio_grid(
+    model: PerformanceModel, task: TaskModelInputs, ratios
+) -> np.ndarray:
+    """``PerformanceModel.ratio_grids`` for one task, ratio by ratio:
+    ``t_pm * (1 - r) * f + t_dram * r`` in Python floats, and exactly the
+    DRAM-only endpoint at r = 1."""
+    ratios = np.asarray(ratios, dtype=np.float64)
+    f_vals = predict_batch(model.correlation, task.pmcs, ratios)
+    return np.array(
+        [
+            task.t_dram_only
+            if r >= 1.0
+            else task.t_pm_only * (1.0 - r) * f + task.t_dram_only * r
+            for r, f in zip(ratios.tolist(), f_vals.tolist())
+        ],
+        dtype=np.float64,
+    )
+
+
+# ---------------------------------------------------------------------------
 # planners
 # ---------------------------------------------------------------------------
 
@@ -96,14 +122,14 @@ def greedy_plan(
     step: float = 0.05,
     grids: Mapping[str, "np.ndarray"] | None = None,
 ) -> PlanResult:
-    """Algorithm 1 with one ``ratio_grid`` call per task."""
+    """Algorithm 1 with one :func:`ratio_grid` call per task."""
     if not tasks:
         raise ValueError("no tasks to plan for")
     if not 0.0 < step <= 1.0:
         raise ValueError("step must be in (0, 1]")
     levels = _step_levels(step)
     if grids is None:
-        grid = {t.task_id: model.ratio_grid(t, levels) for t in tasks}
+        grid = {t.task_id: ratio_grid(model, t, levels) for t in tasks}
     else:
         grid = {t.task_id: grids[t.task_id] for t in tasks}
         if any(len(g) != len(levels) for g in grid.values()):
@@ -143,7 +169,7 @@ def throughput_plan(
         raise ValueError("step must be in (0, 1]")
     levels = _step_levels(step)
     grid = {
-        t.task_id: np.minimum.accumulate(model.ratio_grid(t, levels))
+        t.task_id: np.minimum.accumulate(ratio_grid(model, t, levels))
         for t in tasks
     }
     return _throughput_plan_scalar(
@@ -251,7 +277,7 @@ def _optimal_quotas_scalar(
     # bisection is sound even if the learned f(.) wiggles
     times: dict[str, np.ndarray] = {}
     for t in tasks:
-        raw = model.ratio_grid(t, levels)
+        raw = ratio_grid(model, t, levels)
         times[t.task_id] = np.minimum.accumulate(raw)
 
     def min_pages_for_makespan(m: float) -> int | None:
@@ -409,7 +435,8 @@ def gbr_predict(self: GradientBoostedRegressor, X) -> np.ndarray:
 def predict_batch(
     self: CorrelationFunction, pmcs: Mapping[str, float], ratios
 ) -> np.ndarray:
-    """``CorrelationFunction.predict_batch`` with a row-filled matrix."""
+    """f(.) for one counter set: ``CorrelationFunction.predict_stacked``
+    on a one-task stack, with a row-filled matrix."""
     ratios = np.asarray(ratios, dtype=np.float64)
     if ratios.ndim != 1:
         raise ValueError("ratios must be 1-D")
@@ -646,7 +673,6 @@ def scalar_reference() -> Iterator[None]:
         for cls, attr, ref in (
             (DecisionTreeRegressor, "predict", tree_predict),
             (GradientBoostedRegressor, "predict", gbr_predict),
-            (CorrelationFunction, "predict_batch", predict_batch),
             (CorrelationFunction, "predict_stacked", predict_stacked),
             (MachineModel, "breakdowns", breakdowns),
         ):

@@ -14,7 +14,6 @@ from repro.core.alpha import (
     round_to_line,
 )
 from repro.core.estimator import AccessEstimator, ObjectDescriptor
-from repro.tasks import Footprint, ObjectAccess
 
 
 class TestRounding:
@@ -191,18 +190,3 @@ class TestAccessEstimator:
         est.refine({"s": 2 << 20}, {"s": 123.0})
         out = est.estimate({"s": 2 << 20, "r": 1 << 20})
         assert out["s"] == pytest.approx(20_000, rel=1e-3)
-
-    def test_estimated_footprint_scales_counts(self):
-        est = make_estimator()
-        fp = Footprint(
-            accesses=(
-                ObjectAccess("s", AccessPattern.STREAM, reads=10_000),
-                ObjectAccess("r", AccessPattern.RANDOM, reads=50_000),
-            ),
-            instructions=1_000_000,
-        )
-        new = est.estimated_footprint(fp, {"s": 2 << 20, "r": 1 << 20})
-        by = new.accesses_by_object()
-        assert by["s"] == pytest.approx(20_000, rel=0.01)
-        assert by["r"] == pytest.approx(50_000, rel=0.01)
-        assert new.instructions > fp.instructions  # mean factor > 1

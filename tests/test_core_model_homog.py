@@ -16,6 +16,7 @@ from repro.core.homogeneous import (
     input_similarity_scale,
 )
 from repro.core.model import PerformanceModel, TaskModelInputs
+from repro.core.planner import greedy_plan
 from repro.apps.codesamples import generate_corpus
 from repro.sim.counters import collect_pmcs
 from repro.sim.machine import MachineModel
@@ -134,22 +135,26 @@ class TestCorrelationFunction:
         corr = CorrelationFunction.train(small_training_data, seed=0)
         fp = generate_corpus(3, seed=5)[0].footprint()
         pmcs = collect_pmcs(fp, MODEL, HM, rng=make_rng(0))
-        val = corr.predict(pmcs, 0.5)
+        (val,) = corr.predict_stacked([pmcs], [0.5])[0]
         assert 0.05 <= val <= 5.0
 
     def test_predict_batch_matches_scalar(self, small_training_data):
+        """A batch of ratios in one call gives the bits of one call per
+        ratio."""
         corr = CorrelationFunction.train(small_training_data, seed=0)
         fp = generate_corpus(3, seed=5)[0].footprint()
         pmcs = collect_pmcs(fp, MODEL, HM, rng=make_rng(0))
         ratios = np.array([0.0, 0.3, 0.9])
-        batch = corr.predict_batch(pmcs, ratios)
-        scalar = [corr.predict(pmcs, float(r)) for r in ratios]
-        np.testing.assert_allclose(batch, scalar)
+        (batch,) = corr.predict_stacked([pmcs], ratios)
+        scalar = [corr.predict_stacked([pmcs], [r])[0, 0] for r in ratios]
+        assert batch.tobytes() == np.array(scalar).tobytes()
 
     def test_predict_validates_r(self, small_training_data):
         corr = CorrelationFunction.train(small_training_data, seed=0)
-        with pytest.raises(ValueError):
-            corr.predict({e: 0.0 for e in corr.events}, 1.5)
+        pmcs = {e: 0.0 for e in corr.events}
+        for bad in ([1.5], [-0.1], [[0.1, 0.2]]):
+            with pytest.raises(ValueError):
+                corr.predict_stacked([pmcs], bad)
 
     def test_model_zoo_runs(self, small_training_data):
         reports = compare_models(small_training_data, seed=0)
@@ -179,36 +184,42 @@ def task_inputs(seed=3):
 class TestPerformanceModel:
     def test_r1_is_dram_endpoint(self, perf_model):
         _, ti = task_inputs()
-        assert perf_model.predict_ratio(ti, 1.0) == ti.t_dram_only
+        assert perf_model.ratio_grids([ti], [1.0])["t"][0] == ti.t_dram_only
 
     def test_r0_close_to_pm(self, perf_model):
         _, ti = task_inputs()
-        assert perf_model.predict_ratio(ti, 0.0) == pytest.approx(ti.t_pm_only, rel=0.35)
+        t_pm = perf_model.ratio_grids([ti], [0.0])["t"][0]
+        assert t_pm == pytest.approx(ti.t_pm_only, rel=0.35)
 
     def test_tracks_ground_truth(self, perf_model):
         fp, ti = task_inputs()
-        for r in (0.2, 0.5, 0.8):
+        ratios = (0.2, 0.5, 0.8)
+        for r, pred in zip(ratios, perf_model.ratio_grids([ti], ratios)["t"]):
             truth = MODEL.uniform_ratio_time(fp, HM, r)
-            pred = perf_model.predict_ratio(ti, r)
             assert pred == pytest.approx(truth, rel=0.35)
 
     def test_accesses_form(self, perf_model):
+        """Algorithm 1's ``Model(D_i, PCs_i, DRAM_Acc)``: a quota in DRAM
+        accesses prices at ``r = DRAM_Acc / Total_Acc_i`` on the grid."""
         _, ti = task_inputs()
-        t_half = perf_model.predict(ti, ti.total_accesses * 0.5)
-        assert t_half == pytest.approx(perf_model.predict_ratio(ti, 0.5))
+        plan = greedy_plan([ti], perf_model, 1 << 20, {"t": 4 << 20})
+        (q,) = plan.quotas
+        r = q.dram_accesses / ti.total_accesses
+        assert 0.0 < r < 1.0
+        (t_q,) = perf_model.ratio_grids([ti], [r])["t"]
+        assert t_q == q.predicted_time_s
 
     def test_ratio_grid_matches_scalar(self, perf_model):
         _, ti = task_inputs()
         levels = np.array([0.0, 0.25, 0.5, 1.0])
-        grid = perf_model.ratio_grid(ti, levels)
-        scalar = [perf_model.predict_ratio(ti, float(r)) for r in levels]
-        np.testing.assert_allclose(grid, scalar)
+        grid = perf_model.ratio_grids([ti], levels)["t"]
+        scalar = [perf_model.ratio_grids([ti], [r])["t"][0] for r in levels]
+        assert grid.tobytes() == np.array(scalar).tobytes()
 
     def test_validation(self, perf_model):
         _, ti = task_inputs()
-        with pytest.raises(ValueError):
-            perf_model.predict_ratio(ti, -0.1)
-        with pytest.raises(ValueError):
-            perf_model.predict(ti, -5)
+        for bad in ([-0.1], [1.5], [[0.1, 0.2]]):
+            with pytest.raises(ValueError):
+                perf_model.ratio_grids([ti], bad)
         with pytest.raises(ValueError):
             TaskModelInputs("t", 0.0, 1.0, 1.0, {})

@@ -8,25 +8,10 @@ from hypothesis import strategies as st
 from repro.common import PAGE_SIZE
 from repro.core.model import PerformanceModel, TaskModelInputs
 from repro.core.planner import greedy_plan, optimal_quotas
+from tests.oracles.correlation import UnitCorrelation
 
 
-class _LinearCorrelation:
-    """Deterministic stand-in for f(.): linear interpolation (f == 1).
-
-    Equation 2 with f = 1 reduces to straight-line interpolation between
-    the endpoints, so planner behaviour is analytically checkable.
-    """
-
-    events = ("E",)
-
-    def predict(self, pmcs, r):
-        return 1.0
-
-    def predict_batch(self, pmcs, ratios):
-        return np.ones(len(np.asarray(ratios)))
-
-
-MODEL = PerformanceModel(_LinearCorrelation())
+MODEL = PerformanceModel(UnitCorrelation())
 
 
 def task(tid, t_pm, t_dram=None, accesses=1_000_000):

@@ -39,15 +39,17 @@ class TestSelectEvents:
         corr = CorrelationFunction.train(data, events=events, seed=0)
         assert corr.events == tuple(events)
         pmcs = {e: 1.0 for e in events}
-        assert 0.05 <= corr.predict(pmcs, 0.4) <= 5.0
+        assert 0.05 <= corr.predict_stacked([pmcs], [0.4])[0, 0] <= 5.0
 
-    def test_predict_batch_validates(self, data):
+    def test_predict_stacked_validates(self, data):
         corr = CorrelationFunction.train(data, seed=0)
         pmcs = {e: 1.0 for e in corr.events}
         with pytest.raises(ValueError):
-            corr.predict_batch(pmcs, np.array([[0.1, 0.2]]))
+            corr.predict_stacked([pmcs], np.array([[0.1, 0.2]]))
         with pytest.raises(ValueError):
-            corr.predict_batch(pmcs, np.array([0.5, 1.4]))
+            corr.predict_stacked([pmcs], np.array([0.5, 1.4]))
+        with pytest.raises(ValueError):
+            corr.predict_stacked([pmcs], np.array([-0.1, 0.5]))
 
 
 class TestCorpus:

@@ -11,6 +11,7 @@ from repro.core.model import PerformanceModel, TaskModelInputs
 from repro.core.planner import greedy_plan, optimal_quotas, throughput_plan
 from repro.experiments.export import to_jsonable, write_result
 from repro.sim.memspec import cxl_hm_config, optane_hm_config
+from tests.oracles.correlation import UnitCorrelation
 
 
 class TestCxlConfig:
@@ -40,17 +41,7 @@ class TestCxlConfig:
             cxl_hm_config(scale=-1)
 
 
-class _LinearCorrelation:
-    events = ("E",)
-
-    def predict(self, pmcs, r):
-        return 1.0
-
-    def predict_batch(self, pmcs, ratios):
-        return np.ones(len(np.asarray(ratios)))
-
-
-MODEL = PerformanceModel(_LinearCorrelation())
+MODEL = PerformanceModel(UnitCorrelation())
 MB = 1 << 20
 
 

@@ -279,6 +279,18 @@ class TestQuotaValidator:
         v.validate_inputs("a", 1.0, 2.0, 100.0, 0.0)
         assert v.validate_inputs("b", math.inf, 2.0, 100.0, 1.0) is None
 
+    def test_checkpoint_roundtrips_lkg(self, log):
+        v = QuotaValidator(GuardrailConfig(), log)
+        v.validate_inputs("k", 1.0, 2.0, 100.0, 0.0)
+        restored = QuotaValidator(GuardrailConfig(), RobustnessLog())
+        restored.restore_state(v.snapshot_state())
+        # the restored LKG clamps a 50x jump exactly as the original would
+        assert restored.validate_inputs("k", 50.0, 2.0, 100.0, 1.0) == (
+            1.0,
+            2.0,
+            100.0,
+        )
+
 
 class TestMispredictionWatchdog:
     def wd(self, log, **kw):
@@ -424,85 +436,3 @@ class TestPolicyIntegration:
         baseline = baseline_engine.run(workload, MemoryModePolicy(), seed=1)
         assert guarded.total_time_s <= baseline.total_time_s
 
-
-class TestTieredQuotaValidator:
-    """N-tier forms of the quota sanity checks."""
-
-    def test_tier_inputs_match_scalar_decisions_on_two_tiers(self, log):
-        scalar = QuotaValidator(GuardrailConfig(max_ratio=10.0), log)
-        tiered = QuotaValidator(GuardrailConfig(max_ratio=10.0), RobustnessLog())
-        cases = [
-            (1.0, 2.0, 100.0),
-            (50.0, 2.0, 100.0),  # 50x jump: clamped to LKG
-            (5.0, 2.0, 100.0),
-            (math.nan, 2.0, 100.0),
-        ]
-        for i, (td, tp, acc) in enumerate(cases):
-            want = scalar.validate_inputs("k", td, tp, acc, float(i))
-            got = tiered.validate_tier_inputs("k", (td, tp), acc, float(i))
-            if want is None:
-                assert got is None
-            else:
-                assert got == (want[:2], want[2])
-
-    def test_tier_inputs_lkg_recovers_four_tier_vector(self, log):
-        v = QuotaValidator(GuardrailConfig(max_ratio=10.0), log)
-        good = ((1.0, 2.0, 4.0, 8.0), 100.0)
-        assert v.validate_tier_inputs("k", good[0], good[1], 0.0) == good
-        # a 100x spike on one mid tier is rejected, LKG returned
-        assert (
-            v.validate_tier_inputs("k", (1.0, 200.0, 4.0, 8.0), 100.0, 1.0)
-            == good
-        )
-        assert log.count("guardrail.quota_clamp") == 1
-        assert log.events[-1].detail["tier_times"] == [1.0, 200.0, 4.0, 8.0]
-
-    def test_tier_inputs_nan_without_lkg_returns_none(self, log):
-        v = QuotaValidator(GuardrailConfig(), log)
-        assert v.validate_tier_inputs("k", (1.0, math.nan, 3.0), 10.0, 0.0) is None
-        assert log.events[-1].detail["recovered"] is False
-
-    def test_plan_within_capacity_untouched(self, log):
-        v = QuotaValidator(GuardrailConfig(), log)
-        plan = {"a": (10, 20, 30), "b": (5, 0, 15)}
-        out = v.validate_plan_pages(plan, (64, 64, 64), 0.0)
-        assert out == plan
-        assert log.events == []
-
-    def test_plan_overcommit_scaled_per_tier_and_logged(self, log):
-        v = QuotaValidator(GuardrailConfig(), log)
-        out = v.validate_plan_pages(
-            {"a": (60, 10), "b": (60, 10)}, (100, 100), 0.0
-        )
-        # tier 0 asked for 120 of 100 pages: both grants scaled down
-        assert sum(g[0] for g in out.values()) <= 100
-        assert out["a"][0] == out["b"][0] == 50
-        # tier 1 was fine: untouched
-        assert out["a"][1] == out["b"][1] == 10
-        assert log.count("guardrail.tier_overcommit") == 1
-        assert log.events[-1].detail == {
-            "tier": 0,
-            "requested_pages": 120,
-            "capacity_pages": 100,
-        }
-
-    def test_plan_grant_length_mismatch_raises(self, log):
-        v = QuotaValidator(GuardrailConfig(), log)
-        with pytest.raises(ValueError):
-            v.validate_plan_pages({"a": (1, 2, 3)}, (10, 10), 0.0)
-
-    def test_checkpoint_roundtrips_tiered_entries(self, log):
-        v = QuotaValidator(GuardrailConfig(), log)
-        v.validate_inputs("two", 1.0, 2.0, 100.0, 0.0)
-        v.validate_tier_inputs("four", (1.0, 2.0, 4.0, 8.0), 50.0, 0.0)
-        state = v.snapshot_state()
-        restored = QuotaValidator(GuardrailConfig(), RobustnessLog())
-        restored.restore_state(state)
-        assert restored.validate_inputs("two", 1.0, 2.0, 100.0, 1.0) == (
-            1.0,
-            2.0,
-            100.0,
-        )
-        assert restored.validate_tier_inputs(
-            "four", (1.0, 2.0, 4.0, 8.0), 50.0, 1.0
-        ) == ((1.0, 2.0, 4.0, 8.0), 50.0)

@@ -323,25 +323,26 @@ def test_boosting_sum_adds_trees_in_order(k, n_grid):
 @pytest.mark.parametrize("k", [0, 1, 7])
 @pytest.mark.parametrize("depth", sorted(_DEPTH_WIDTH))
 def test_grid_correlation_matches_scalar_reference(depth, k):
-    """``predict_stacked``/``predict_batch`` on the grid kernel against
-    the block-filled matrix walked tree by tree, node by node."""
+    """``predict_stacked`` on the grid kernel against the block-filled
+    matrix walked tree by tree, node by node, and each one-task stack
+    against the row-filled matrix."""
     gbr = _split_pattern_forest(depth, depth)
     base, grid = _grid_queries(gbr, k, seed=10 * depth + k + 5)
     corr = CorrelationFunction(gbr, events=[f"e{j}" for j in range(_D)])
     pmcs_seq = [dict(zip(corr.events, row)) for row in base]
     with scalar_reference():
         ref = corr.predict_stacked(pmcs_seq, grid)
-        ref_rows = [corr.predict_batch(p, grid) for p in pmcs_seq]
+        ref_rows = [scalar.predict_batch(corr, p, grid) for p in pmcs_seq]
     vec = corr.predict_stacked(pmcs_seq, grid)
     assert vec.shape == (k, len(grid))
     assert vec.tobytes() == ref.tobytes()
     for p, row in zip(pmcs_seq, ref_rows):
-        assert corr.predict_batch(p, grid).tobytes() == row.tobytes()
+        assert corr.predict_stacked([p], grid)[0].tobytes() == row.tobytes()
 
 
 def test_grid_predictions_never_descend_the_forest(system, monkeypatch):
     """Every Eq. 2 grid goes through the leaf masks: no per-(task, ratio)
-    row descent behind ``predict_stacked``, ``predict_batch`` or the
+    row descent behind ``predict_stacked``, ``ratio_grids`` or the
     planners."""
     calls: Counter = Counter()
     for name in ("forest_apply", "forest_predict"):
@@ -351,8 +352,7 @@ def test_grid_predictions_never_descend_the_forest(system, monkeypatch):
     tasks, task_bytes = _random_tasks(system, 6, seed=17)
     corr, model = system.correlation, system.performance_model
     corr.predict_stacked([t.pmcs for t in tasks], _STEP_GRID)
-    corr.predict_batch(tasks[0].pmcs, _STEP_GRID)
-    model.ratio_grid(tasks[0], _STEP_GRID)
+    model.ratio_grids(tasks[:1], _STEP_GRID)
     greedy_plan(tasks, model, int(sum(task_bytes.values()) * 0.3), task_bytes)
     assert not calls, dict(calls)
     corr.model.predict(np.zeros((2, len(corr.events) + 1)))  # control
@@ -403,14 +403,23 @@ def test_predict_stacked_bit_identical(system):
 
 
 def test_ratio_grids_match_per_task_grids(system):
-    """The batching contract at the model layer: one stacked call per
-    batch returns the same bits as a grid call per task."""
+    """Equation 2's one entry point against the per-task scalar
+    reference: a multi-task stack, each task alone, and every ratio on
+    its own (r = 0 and r = 1 included) return the same bits."""
     tasks, _ = _random_tasks(system, 5, seed=13)
     model = system.performance_model
-    levels = np.round(np.arange(0.0, 1.0001, 0.05), 10)
-    grids = model.ratio_grids(tasks, levels)
+    levels = np.concatenate([_STEP_GRID, make_rng(13).uniform(0.0, 1.0, 6)])
+    with scalar_reference():
+        ref = {t.task_id: scalar.ratio_grid(model, t, levels) for t in tasks}
+    stacked = model.ratio_grids(tasks, levels)
     for t in tasks:
-        assert grids[t.task_id].tobytes() == model.ratio_grid(t, levels).tobytes()
+        want = ref[t.task_id]
+        assert levels[-7] == 1.0 and want[-7] == t.t_dram_only
+        assert stacked[t.task_id].tobytes() == want.tobytes()
+        assert model.ratio_grids([t], levels)[t.task_id].tobytes() == want.tobytes()
+        for r, w in zip(levels, want):
+            (single,) = model.ratio_grids([t], [r])[t.task_id]
+            assert _bits(single) == _bits(w)
 
 
 def test_tiered_ratio_grids_match_per_task_grids(system, monkeypatch):
@@ -435,7 +444,8 @@ def test_tiered_ratio_grids_match_per_task_grids(system, monkeypatch):
     model = system.performance_model
     grids = model.ratio_grids([t.as_two_tier() for t in tiered], _STEP_GRID)
     for t in tiered:
-        want = model.ratio_grid(t.as_two_tier(), _STEP_GRID)
+        with scalar_reference():
+            want = scalar.ratio_grid(model, t.as_two_tier(), _STEP_GRID)
         assert grids[t.task_id].tobytes() == want.tobytes()
     total = sum(task_bytes.values())
     caps = (int(0.1 * total), int(0.15 * total), int(0.25 * total), 2 * total)
@@ -444,10 +454,11 @@ def test_tiered_ratio_grids_match_per_task_grids(system, monkeypatch):
 
     def per_task_ratio_grids(self, tasks, ratios):
         calls.append(len(tasks))
-        return {t.task_id: self.ratio_grid(t, ratios) for t in tasks}
+        return {t.task_id: scalar.ratio_grid(self, t, ratios) for t in tasks}
 
     monkeypatch.setattr(PerformanceModel, "ratio_grids", per_task_ratio_grids)
-    ref = tiered_greedy_plan(tiered, model, caps, task_bytes)
+    with scalar_reference():
+        ref = tiered_greedy_plan(tiered, model, caps, task_bytes)
     assert calls == [len(tiered)]  # one call prices every task
     assert vec.rounds > 1
     assert vec == ref

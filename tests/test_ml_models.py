@@ -154,12 +154,6 @@ class TestGBR:
         many = GradientBoostedRegressor(n_estimators=100, rng=0).fit(X, y)
         assert r2_score(y, many.predict(X)) > r2_score(y, few.predict(X))
 
-    def test_staged_r2_monotone_tail(self):
-        X, y = regression_problem()
-        gbr = GradientBoostedRegressor(n_estimators=60, rng=0).fit(X, y)
-        scores = gbr.staged_r2(X, y)
-        assert scores[-1] >= scores[0]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             GradientBoostedRegressor(learning_rate=0)

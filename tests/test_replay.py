@@ -5,7 +5,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.model import PerformanceModel
@@ -26,34 +25,13 @@ from repro.replay import gate as gate_cli
 from repro.service.protocol import PlacementRequest, TaskSpec
 from repro.service.transport.framing import FrameCorrupt, FrameTruncated, encode_frame
 from repro.sim.faults import FaultConfig, FaultInjector
+from tests.oracles.correlation import UnitCorrelation
 
 MB = 1 << 20
 
 
-class _CountingCorrelation:
-    """Deterministic f(.) == 1 stand-in that counts model evaluations."""
-
-    events = ("E",)
-    model = None
-
-    def __init__(self):
-        self.calls = 0
-
-    def predict(self, pmcs, r):
-        self.calls += 1
-        return 1.0
-
-    def predict_batch(self, pmcs, ratios):
-        self.calls += 1
-        return np.ones(len(np.asarray(ratios)))
-
-    def predict_stacked(self, pmcs_seq, ratios):
-        self.calls += 1
-        return np.ones((len(pmcs_seq), len(np.asarray(ratios))))
-
-
 def make_model():
-    return PerformanceModel(_CountingCorrelation())
+    return PerformanceModel(UnitCorrelation())
 
 
 def spec(tid, t_pm=30.0, t_dram=10.0, size=8 * MB, e=1.0):

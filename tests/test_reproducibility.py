@@ -42,7 +42,11 @@ class TestSeedStability:
         )
         fp = generate_corpus(3, seed=9)[0].footprint()
         pmcs = collect_pmcs(fp, MODEL, HM, rng=make_rng(0))
-        assert a.correlation.predict(pmcs, 0.4) == b.correlation.predict(pmcs, 0.4)
+        ratios = [0.0, 0.4, 1.0]
+        assert (
+            a.correlation.predict_stacked([pmcs], ratios).tobytes()
+            == b.correlation.predict_stacked([pmcs], ratios).tobytes()
+        )
 
     def test_default_system_memoised(self):
         assert default_system(seed=0, fast=True) is default_system(seed=0, fast=True)

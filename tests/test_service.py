@@ -23,7 +23,6 @@ from repro.core.model import PerformanceModel
 from repro.service import (
     AdmissionConfig,
     AdmissionController,
-    CachedCorrelation,
     PlacementRequest,
     PlacementServer,
     PredictionCache,
@@ -40,6 +39,7 @@ from repro.replay.fixtures import region_catalogue
 from repro.service.protocol import from_json, to_json
 from repro.sim.faults import FaultConfig, FaultInjector
 from tests.oracles import service as reference
+from tests.oracles.correlation import UnitCorrelation
 
 MB = 1 << 20
 
@@ -64,28 +64,6 @@ def test_importing_the_service_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
-
-
-class _CountingCorrelation:
-    """Deterministic f(.) == 1 stand-in that counts model evaluations."""
-
-    events = ("E",)
-    model = None
-
-    def __init__(self):
-        self.calls = 0
-
-    def predict(self, pmcs, r):
-        self.calls += 1
-        return 1.0
-
-    def predict_batch(self, pmcs, ratios):
-        self.calls += 1
-        return np.ones(len(np.asarray(ratios)))
-
-    def predict_stacked(self, pmcs_seq, ratios):
-        self.calls += 1
-        return np.ones((len(pmcs_seq), len(np.asarray(ratios))))
 
 
 class _VClock:
@@ -117,7 +95,7 @@ def make_request(rid, tenant="acme", shape=0, n_tasks=3):
 
 
 def make_server(capacity=64 * MB, **kw):
-    corr = _CountingCorrelation()
+    corr = UnitCorrelation()
     clock = _VClock()
     server = PlacementServer(
         PerformanceModel(corr), dram_capacity_bytes=capacity, clock=clock, **kw
@@ -431,44 +409,6 @@ class TestPredictionCache:
             PredictionCache(ttl_s=0.0)
 
 
-class TestCachedCorrelation:
-    def test_predict_memoized(self):
-        corr = _CountingCorrelation()
-        cached = CachedCorrelation(corr)
-        pmcs = {"E": 2.0}
-        assert cached.predict(pmcs, 0.5) == cached.predict(pmcs, 0.5)
-        assert corr.calls == 1
-
-    def test_predict_batch_returns_a_copy(self):
-        cached = CachedCorrelation(_CountingCorrelation())
-        pmcs = {"E": 2.0}
-        out = cached.predict_batch(pmcs, [0.0, 0.5, 1.0])
-        out[:] = -1.0
-        again = cached.predict_batch(pmcs, [0.0, 0.5, 1.0])
-        assert np.all(again == 1.0)
-
-    def test_stacked_evaluates_only_missing_rows(self):
-        corr = _CountingCorrelation()
-        cached = CachedCorrelation(corr)
-        ratios = [0.0, 0.5, 1.0]
-        cached.predict_batch({"E": 1.0}, ratios)  # warm one row
-        assert corr.calls == 1
-        grid = cached.predict_stacked([{"E": 1.0}, {"E": 2.0}], ratios)
-        assert grid.shape == (2, 3)
-        assert corr.calls == 2  # one stacked call for the single missing row
-        cached.predict_stacked([{"E": 1.0}, {"E": 2.0}], ratios)
-        assert corr.calls == 2  # fully cached now
-
-    def test_invalidate_counters_forces_recompute(self):
-        corr = _CountingCorrelation()
-        cached = CachedCorrelation(corr)
-        pmcs = {"E": 3.0}
-        cached.predict(pmcs, 0.5)
-        assert cached.invalidate_counters(pmcs) == 1
-        cached.predict(pmcs, 0.5)
-        assert corr.calls == 2
-
-
 class TestServerCache:
     def test_repeat_request_served_from_cache(self):
         cache = PredictionCache(capacity=32)
@@ -674,11 +614,6 @@ class TestWorkerPool:
             ok = pool.map(_double, [1])[0]
         with pytest.raises(ValueError):
             ok.failure_payload()
-
-    def test_map_values_reraises_first_failure(self):
-        with WorkerPool(workers=2, mode="serial") as pool:
-            with pytest.raises(RuntimeError, match="bad item 2"):
-                pool.map_values(_fail_on_two, [1, 2, 3])
 
     def test_single_worker_coerces_serial(self):
         pool = WorkerPool(workers=1, mode="process")

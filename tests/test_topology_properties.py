@@ -26,6 +26,7 @@ from repro.common import PAGE_SIZE, make_rng
 from repro.core.model import PerformanceModel, TieredTaskInputs
 from repro.core.planner import tiered_greedy_plan
 from repro.sim.memspec import HMConfig, TierSpec, TopologyError, TopologySpec
+from tests.oracles.correlation import UnitCorrelation
 
 try:
     from hypothesis import given, settings
@@ -90,19 +91,7 @@ def orderings_hold(tiers) -> bool:
     return True
 
 
-class _LinearCorrelation:
-    """f == 1: Equation 2 reduces to straight-line interpolation."""
-
-    events = ("E",)
-
-    def predict(self, pmcs, r):
-        return 1.0
-
-    def predict_batch(self, pmcs, ratios):
-        return np.ones(len(np.asarray(ratios)))
-
-
-MODEL = PerformanceModel(_LinearCorrelation())
+MODEL = PerformanceModel(UnitCorrelation())
 
 
 def gen_plan_case(rng):

@@ -13,7 +13,6 @@ import socket
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.model import PerformanceModel
@@ -42,6 +41,7 @@ from repro.service.transport.framing import (
     encode_frame,
 )
 from repro.sim.faults import FaultConfig, FaultInjector
+from tests.oracles.correlation import UnitCorrelation
 
 MB = 1 << 20
 
@@ -55,28 +55,6 @@ FAST_RETRY = RetryPolicy(
     backoff_base_s=0.01,
     backoff_cap_s=0.05,
 )
-
-
-class _CountingCorrelation:
-    """Deterministic f(.) == 1 stand-in (planning costs microseconds)."""
-
-    events = ("E",)
-    model = None
-
-    def __init__(self):
-        self.calls = 0
-
-    def predict(self, pmcs, r):
-        self.calls += 1
-        return 1.0
-
-    def predict_batch(self, pmcs, ratios):
-        self.calls += 1
-        return np.ones(len(np.asarray(ratios)))
-
-    def predict_stacked(self, pmcs_seq, ratios):
-        self.calls += 1
-        return np.ones((len(pmcs_seq), len(np.asarray(ratios))))
 
 
 def spec(tid, t_pm=30.0, t_dram=10.0, size=8 * MB):
@@ -101,7 +79,7 @@ def make_request(rid, tenant="acme", shape=0, n_tasks=3):
 def make_server(capacity=64 * MB, **kw):
     """A real-clock PlacementServer over the stub model (fast planning)."""
     return PlacementServer(
-        PerformanceModel(_CountingCorrelation()),
+        PerformanceModel(UnitCorrelation()),
         dram_capacity_bytes=capacity,
         window_s=kw.pop("window_s", 0.0),
         max_batch=kw.pop("max_batch", 8),
